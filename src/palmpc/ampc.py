@@ -33,7 +33,7 @@ from .engine import (
     cluster_init,
 )
 from .fingerprint import FingerprintScheme, scheme_init
-from .strings import PalindromeTable, as_symbols, _prefix_pal_lengths_from_tables
+from .strings import PalindromeTable, _prefix_pal_lengths_from_tables, pipeline_symbols
 from .structural import (
     CenterResult,
     _center_length,
@@ -159,16 +159,14 @@ class AmpcPalindromes:
 
     def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                  scheme: FingerprintScheme | None = None):
-        self.sym = as_symbols(text)
+        self.sym = pipeline_symbols(text)
         n = int(self.sym.size)
-        if n < 1:
-            raise ValueError("text must be nonempty")
         self.n = n
         self.plan = plan_decomposition(n, epsilon)
         self.config = ClusterConfig(n=n, epsilon=epsilon, mode="ampc",
                                     memory_constant=memory_constant, seed=seed)
         self.cluster = cluster_init(self.config)
-        sigma = int(self.sym.max()) + 1 if n else 2
+        sigma = int(self.sym.max()) + 1
         self.scheme = scheme if scheme is not None else scheme_init(
             max(2 * n, 2), sigma, FP_LAYERS, seed)
         if self.scheme.modulus != M61:

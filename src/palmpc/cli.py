@@ -25,10 +25,12 @@ SUBSTRING_LIMIT = 64
 
 
 def _default_seed() -> int:
+    raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(os.environ.get(SEED_ENV, "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"${SEED_ENV} must be an integer seed, got {raw!r}; "
+                         f"unset it or pass --seed") from None
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:

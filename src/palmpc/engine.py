@@ -8,6 +8,17 @@ for k hash layers) and checked against the per-machine cap at every round
 boundary. Work is whatever the steps declare plus one unit per message word
 moved.
 
+Messages take one of two forms. ``send`` ships one dict (or scalar/array)
+payload, metered by walking it: O(1) control messages use it. ``send_many``
+ships a columnar batch -- flat arrays with rows on the last axis, cut into
+segments, each segment one logical message to one machine -- and is metered
+per segment exactly as the equivalent dict would be: one tag word, plus the
+words of its rows, plus one word per header value (a column declared as a
+header costs one word per run of equal values in the segment, as a dict
+holding one scalar per group would). At the round boundary each tag's
+batches from all senders are merged, in (sender, sequence) order, and every
+destination receives one read-only entry per tag in ``ctx.batches``.
+
 The adaptive variant adds a shared read-only store: values written during
 round r become visible to every machine in round r+1, never earlier, and
 reads of the current snapshot are metered per machine per round.
@@ -15,6 +26,8 @@ reads of the current snapshot are metered per machine per round.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,6 +35,7 @@ import numpy as np
 from .fingerprint import Fingerprint
 
 BROADCAST = -1
+_NO_BATCHES = MappingProxyType({})
 
 
 class EngineError(RuntimeError):
@@ -78,19 +92,19 @@ class ClusterConfig:
             if not 0.0 < self.epsilon < 1.0:
                 raise ValueError("ampc mode requires epsilon in (0, 1)")
 
-    @property
+    @cached_property
     def block_len(self) -> int:
         return ceil_power(self.n, 1.0 - self.epsilon)
 
-    @property
+    @cached_property
     def machine_count(self) -> int:
         return math.ceil(self.n / self.block_len)
 
-    @property
+    @cached_property
     def memory_cap_words(self) -> int:
         return self.memory_constant * self.block_len
 
-    @property
+    @cached_property
     def shared_read_cap(self) -> int:
         """Adaptive mode: shared reads allowed per machine per round."""
         return self.memory_constant * (self.block_len + 2 * max(1, self.n).bit_length() + 2)
@@ -132,6 +146,15 @@ class MessageEnvelope(NamedTuple):
     seq: int
     words: int
     payload: object
+
+
+class MessageBatch(NamedTuple):
+    """One ``send_many`` call: segment i is rows [offsets[i], offsets[i+1]) to dsts[i]."""
+    tag: str
+    dsts: np.ndarray
+    offsets: np.ndarray
+    words: np.ndarray     # metered words per segment
+    cols: dict
 
 
 @dataclass
@@ -229,16 +252,23 @@ class SharedStore:
 
 
 class StepContext:
-    """Per-machine view handed to a step: own payload, own inbox, send/work hooks."""
+    """Per-machine view handed to a step: own payload, own inbox, send/work hooks.
 
-    __slots__ = ("machine_id", "payload", "inbox", "_cluster", "_outbox", "_work", "_reads")
+    ``inbox`` lists the (sender, payload) pairs of ``send`` messages;
+    ``batches`` maps each ``send_many`` tag to its merged columns.
+    """
 
-    def __init__(self, cluster: "Cluster", machine_id: int, inbox: list):
+    __slots__ = ("machine_id", "payload", "inbox", "batches", "_cluster", "_outbox",
+                 "_batches", "_work", "_reads")
+
+    def __init__(self, cluster: "Cluster", machine_id: int, inbox: list, batches: dict):
         self.machine_id = machine_id
         self.payload = cluster.machines[machine_id].payload
         self.inbox = inbox
+        self.batches = batches
         self._cluster = cluster
         self._outbox: list[MessageEnvelope] = []
+        self._batches: list[MessageBatch] = []
         self._work = 0
         self._reads = 0
 
@@ -253,6 +283,43 @@ class StepContext:
 
     def broadcast(self, payload) -> None:
         self.send(BROADCAST, payload)
+
+    def send_many(self, tag: str, dsts, offsets, cols: dict, headers: tuple = ()) -> None:
+        """Send rows [offsets[i], offsets[i+1]) of every column to dsts[i], for each i.
+
+        Columns hold their rows on the last axis. Each segment is metered as one
+        message: one tag word plus its rows' words, except that a column named
+        in ``headers`` (1-D) costs one word per run of equal values in the
+        segment, i.e. one header value per nonempty group of rows. A
+        destination of BROADCAST delivers the segment to every machine and is
+        charged to the sender once.
+        """
+        dsts = np.asarray(dsts, np.int64)
+        offsets = np.asarray(offsets, np.int64)
+        unknown = (dsts < BROADCAST) | (dsts >= self._cluster.config.machine_count)
+        if unknown.any():
+            raise UnknownMachineError(f"machine {self.machine_id} sent to unknown "
+                                      f"machine {int(dsts[unknown][0])}")
+        counts = np.diff(offsets)
+        if (offsets.size != dsts.size + 1 or offsets[0] != 0 or (counts < 0).any()
+                or any(col.shape[-1] != offsets[-1] for col in cols.values())):
+            raise EngineError(f"batch {tag!r}: offsets do not cut the columns into segments")
+        rows = int(offsets[-1])
+        row_words = sum(col.size // max(rows, 1) for name, col in cols.items()
+                        if name not in headers)
+        words = 1 + counts * row_words
+        if headers:
+            seg_of_row = np.repeat(np.arange(dsts.size), counts)
+            first_rows = offsets[:-1][counts > 0]
+        for name in headers:
+            col = cols[name]
+            run_start = np.ones(rows, bool)
+            run_start[1:] = col[1:] != col[:-1]
+            run_start[first_rows] = True
+            words += np.bincount(seg_of_row[run_start], minlength=dsts.size)
+        for col in cols.values():
+            col.setflags(write=False)
+        self._batches.append(MessageBatch(tag, dsts, offsets, words, cols))
 
     def add_work(self, ops: int) -> None:
         self._work += int(ops)
@@ -287,6 +354,7 @@ class Cluster:
         )
         self.shared = SharedStore() if config.mode == "ampc" else None
         self._inboxes: list[list] = [[] for _ in range(config.machine_count)]
+        self._batch_inboxes: dict[int, dict] = {}   # only machines with batches pending
         self._inbox_words = np.zeros(config.machine_count, dtype=np.int64)
 
     def require_shared(self) -> SharedStore:
@@ -313,12 +381,10 @@ class Cluster:
         machine_ids = order if order is not None else range(config.machine_count)
 
         all_envelopes: list[MessageEnvelope] = []
+        batches_by_src: dict[int, list[MessageBatch]] = {}
         local_after: dict[int, int] = {}
         for m in machine_ids:
-            inbox = self._inboxes[m]
-            self._inboxes[m] = []
-            self._inbox_words[m] = 0
-            ctx = StepContext(self, m, inbox)
+            ctx = StepContext(self, m, *self.drain_inbox(m))
             step(ctx)
             stats.total_work += ctx._work
             if ctx._reads > stats.shared_reads_peak:
@@ -329,9 +395,12 @@ class Cluster:
                     f"{stats.rounds}, budget {config.shared_read_cap}")
             local = self.machines[m].local_words()
             outbox_words = sum(env.words for env in ctx._outbox)
+            outbox_words += sum(int(batch.words.sum()) for batch in ctx._batches)
             local_after[m] = local
             self._meter(m, local + outbox_words)
             all_envelopes.extend(ctx._outbox)
+            if ctx._batches:
+                batches_by_src[m] = ctx._batches
 
         all_envelopes.sort(key=lambda env: (env.src, env.seq))
         boundary_total = 0
@@ -342,6 +411,8 @@ class Cluster:
                 self._inbox_words[dst] += env.words
                 stats.message_words += env.words
                 stats.total_work += env.words
+        self._deliver_batches([batch for src in sorted(batches_by_src)
+                               for batch in batches_by_src[src]])
         for m in range(config.machine_count):
             total = local_after.get(m, self.machines[m].local_words()) + int(self._inbox_words[m])
             self._meter(m, total)
@@ -353,19 +424,71 @@ class Cluster:
         stats.total_memory_peak = max(stats.total_memory_peak, boundary_total)
         stats.rounds += 1
 
+    def _deliver_batches(self, batches: list[MessageBatch]) -> None:
+        """Merge each tag's batches and hand every destination one entry per tag.
+
+        ``batches`` arrive in (sender, sequence) order; rows keep that order
+        within each destination.
+        """
+        machine_count = self.config.machine_count
+        stats = self.stats
+        by_tag: dict[str, list[MessageBatch]] = {}
+        for batch in batches:
+            by_tag.setdefault(batch.tag, []).append(batch)
+        for tag, group in by_tag.items():
+            names = group[0].cols.keys()
+            if any(batch.cols.keys() != names for batch in group):
+                raise EngineError(f"batches tagged {tag!r} carry different columns")
+            dsts = np.concatenate([batch.dsts for batch in group])
+            counts = np.concatenate([np.diff(batch.offsets) for batch in group])
+            words = np.concatenate([batch.words for batch in group])
+            cols = {name: np.concatenate([batch.cols[name] for batch in group], axis=-1)
+                    for name in names}
+
+            bcast = dsts == BROADCAST
+            inbox_words = np.bincount(dsts[~bcast], weights=words[~bcast],
+                                      minlength=machine_count).astype(np.int64)
+            bcast_words = int(words[bcast].sum())
+            inbox_words += bcast_words
+            moved = int(inbox_words.sum())
+            self._inbox_words += inbox_words
+            stats.message_words += moved
+            stats.total_work += moved
+
+            row_dst = np.repeat(dsts, counts)
+            take = np.arange(row_dst.size, dtype=np.int64)
+            if bcast.any():
+                copied = take[row_dst == BROADCAST]
+                keep = row_dst != BROADCAST
+                take = np.concatenate((take[keep], np.tile(copied, machine_count)))
+                row_dst = np.concatenate((row_dst[keep], np.repeat(
+                    np.arange(machine_count, dtype=np.int64), copied.size)))
+            # (destination, sender, sequence, row) order; keys are unique
+            order = np.argsort(row_dst * max(take.size, 1) + take)
+            take = take[order]
+            bounds = np.searchsorted(row_dst[order], np.arange(machine_count + 1))
+            merged = {name: col[..., take] for name, col in cols.items()}
+            for col in merged.values():
+                col.setflags(write=False)
+            for dst in np.flatnonzero(inbox_words).tolist():
+                lo, hi = bounds[dst], bounds[dst + 1]
+                self._batch_inboxes.setdefault(dst, {})[tag] = {
+                    name: col[..., lo:hi] for name, col in merged.items()}
+
     def peek_inbox_words(self, machine_id: int) -> int:
         return int(self._inbox_words[machine_id])
 
-    def drain_inbox(self, machine_id: int) -> list:
+    def drain_inbox(self, machine_id: int) -> tuple[list, dict]:
         """Consume a machine's pending inbox without running a round.
 
-        The delivery (and its metering) already happened at the previous round
+        Returns the ``send`` messages and the merged ``send_many`` batches. The
+        delivery (and its metering) already happened at the previous round
         boundary; this is the receiving side of that exchange.
         """
         inbox = self._inboxes[machine_id]
         self._inboxes[machine_id] = []
         self._inbox_words[machine_id] = 0
-        return inbox
+        return inbox, self._batch_inboxes.pop(machine_id, _NO_BATCHES)
 
 
 def cluster_init(config: ClusterConfig) -> Cluster:
@@ -461,7 +584,7 @@ def replicate_and_serve(
         cluster.run_round(forward_to_requesters)
 
     for m in range(machine_count):
-        for _, msg in cluster.drain_inbox(m):
+        for _, msg in cluster.drain_inbox(m)[0]:
             key = (msg["holder"], msg["lo"], msg["hi"])
             results.setdefault(m, {}).setdefault(key, []).append(
                 (msg["part_lo"], msg["data"])

@@ -63,6 +63,7 @@ import numpy as np
 
 from ._kernels import M61, first_unequal_run, fragment_fp_scan, manacher_tables, njit
 from .engine import (
+    BROADCAST,
     ClusterConfig,
     CollisionAbort,
     RunStats,
@@ -71,7 +72,7 @@ from .engine import (
     cluster_init,
 )
 from .fingerprint import FingerprintScheme, scheme_init
-from .strings import PalindromeTable, as_symbols, _prefix_pal_lengths_from_tables
+from .strings import PalindromeTable, _prefix_pal_lengths_from_tables, pipeline_symbols
 from .structural import (
     CenterResult,
     _center_length,
@@ -199,6 +200,17 @@ def _materialize_doubled(letters: np.ndarray, letters_lo: int, n: int,
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _offsets(counts) -> np.ndarray:
+    """Segment bounds for ``send_many`` from per-segment row counts."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first value, segment bounds) of each run of equal values."""
+    starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
+    return values[starts], np.append(starts, values.size)
+
+
 @njit
 def _letters_common_run(a, b, limit):
     run = np.int64(0)
@@ -214,8 +226,8 @@ def _letters_common_run(a, b, limit):
 class _Query:
     """Driver-side record of one in-flight LCP query of an origin machine."""
 
-    __slots__ = ("qid", "kind", "p1", "p2", "center_u", "chains", "t_star",
-                 "w_cap", "singles", "answer", "checked")
+    __slots__ = ("qid", "kind", "p1", "p2", "center_u", "t_star", "w_cap",
+                 "answer", "checked")
 
     def __init__(self, qid: int, kind: str, p1: int, p2: int, center_u: int = -1):
         self.qid = qid
@@ -223,10 +235,8 @@ class _Query:
         self.p1 = p1
         self.p2 = p2
         self.center_u = center_u
-        self.chains = {}          # side -> list of (rows, vals) parts
         self.t_star = -1
         self.w_cap = 0
-        self.singles = {}         # side -> list of (positions, vals) parts
         self.answer = -1
         self.checked = False      # letter spot-check already considered
 
@@ -238,16 +248,14 @@ class MpcPalindromes:
 
     def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                  scheme: FingerprintScheme | None = None):
-        self.sym = as_symbols(text)
+        self.sym = pipeline_symbols(text)
         n = int(self.sym.size)
-        if n < 1:
-            raise ValueError("text must be nonempty")
         self.n = n
         self.plan = plan_decomposition(n, epsilon)
         self.config = ClusterConfig(n=n, epsilon=epsilon, mode="mpc",
                                     memory_constant=memory_constant, seed=seed)
         self.cluster = cluster_init(self.config)
-        sigma = int(self.sym.max()) + 1 if n else 2
+        sigma = int(self.sym.max()) + 1
         self.scheme = scheme if scheme is not None else scheme_init(
             max(2 * n, 2), sigma, FP_LAYERS, seed)
         if self.scheme.modulus != M61:
@@ -273,36 +281,43 @@ class MpcPalindromes:
 
     # -- helpers shared by phases
 
-    def _send_frag_batches(self, ctx: StepContext, positions: np.ndarray,
-                           vals: np.ndarray) -> None:
+    def _send_frag_batches(self, ctx: StepContext,
+                           spans: list[tuple[int, np.ndarray]]) -> None:
         """Route window fingerprints to their class-store and stripe-store owners.
 
-        Positions within a scan span are consecutive, so class owners cycle
-        with stride w and stripe owners change only at row boundaries.
+        ``spans`` holds (first doubled position, per-layer values) per scan
+        span. Positions within a span are consecutive, so each span sends one
+        segment per residue class (stride w) to the class owners and one per
+        window row to the stripe owners.
         """
-        plan = self.plan
-        w = plan.window
-        M = plan.machine_count
-        span = positions.size
-        if span == 0:
-            return
-        lo = int(positions[0])
-        for k in range(min(w, span)):
-            ctx.send((lo + k) % w,
-                     {"t": "fc", "pos": positions[k::w].copy(), "vals": vals[:, k::w].copy()})
-        row_lo = lo // w
-        row_hi = (lo + span - 1) // w
-        for row in range(row_lo, row_hi + 1):
-            s = max(row * w - lo, 0)
-            e = min((row + 1) * w - lo, span)
-            ctx.send(row % M,
-                     {"t": "fs", "pos": positions[s:e], "vals": vals[:, s:e]})
+        w = self.plan.window
+        M = self.plan.machine_count
+        fc_dst, fc_count, fc_rows, fs_dst, fs_count, positions = [], [], [], [], [], []
+        base = 0
+        for lo, vals in spans:
+            i = np.arange(vals.shape[1], dtype=np.int64)
+            fc_dst.append((lo + i[:w]) % w)
+            fc_count.append(np.bincount(i % w))
+            fc_rows.append(base + np.argsort(i % w, kind="stable"))
+            row = (lo + i) // w
+            fs_dst.append(np.arange(row[0], row[-1] + 1) % M)
+            fs_count.append(np.bincount(row - row[0]))
+            positions.append(lo + i)
+            base += i.size
+        pos = np.concatenate(positions)
+        vals = np.concatenate([v for _, v in spans], axis=1)
+        by_class = np.concatenate(fc_rows)
+        ctx.send_many("fc", np.concatenate(fc_dst), _offsets(np.concatenate(fc_count)),
+                      {"pos": pos[by_class], "vals": vals[:, by_class]})
+        ctx.send_many("fs", np.concatenate(fs_dst), _offsets(np.concatenate(fs_count)),
+                      {"pos": pos, "vals": vals})
 
     def _scan_fragments(self, ctx: StepContext, role: MachineRole) -> None:
         n = self.n
         w = self.plan.window
         letters = ctx.payload["letters"]
         lo = ctx.payload["letters_lo"]
+        spans = []
         for span_lo, span_hi in role.scan_spans:
             if span_lo >= span_hi:
                 continue
@@ -314,8 +329,9 @@ class MpcPalindromes:
                 ops = fragment_fp_scan(buf, span, w, self.bases[layer],
                                        self.pow_w[layer], vals[layer])
                 ctx.add_work(int(ops))
-            positions = np.arange(span_lo, span_hi, dtype=np.int64)
-            self._send_frag_batches(ctx, positions, vals)
+            spans.append((span_lo, vals))
+        if spans:
+            self._send_frag_batches(ctx, spans)
 
     def _new_query(self, m: int, kind: str, p1: int, p2: int, center_u: int = -1) -> _Query:
         per = self.queries.setdefault(m, {})
@@ -327,13 +343,11 @@ class MpcPalindromes:
     def _broadcast_chain_requests(self, ctx: StepContext, queries: list[_Query]) -> None:
         if not queries:
             return
-        key, pos = [], []
-        for q in queries:
-            for s, p in ((0, q.p1), (1, q.p2)):
-                key.append(2 * q.qid + s)
-                pos.append(p)
-        ctx.broadcast({"t": "cq", "o": ctx.machine_id,
-                       "key": np.asarray(key, np.int64), "pos": np.asarray(pos, np.int64)})
+        key = np.asarray([2 * q.qid + s for q in queries for s in (0, 1)], np.int64)
+        pos = np.asarray([p for q in queries for p in (q.p1, q.p2)], np.int64)
+        ctx.send_many("cq", [BROADCAST], [0, key.size],
+                      {"o": np.full(key.size, ctx.machine_id, np.int64), "key": key, "pos": pos},
+                      headers=("o",))
 
     # -- round 1: local phase
 
@@ -402,48 +416,45 @@ class MpcPalindromes:
         n = self.n
         w = plan.window
         M = plan.machine_count
-        layers = self.scheme.layers
 
-        chain_reqs = []
-        for src, msg in ctx.inbox:
-            tag = msg["t"]
-            if tag == "fc" and install:
-                rows = (msg["pos"] - m) // w
-                ctx.payload["cls_vals"][:, rows] = msg["vals"]
+        if install:
+            fc = ctx.batches.get("fc")
+            if fc is not None:
+                rows = (fc["pos"] - m) // w
+                ctx.payload["cls_vals"][:, rows] = fc["vals"]
                 ctx.add_work(rows.size)
-            elif tag == "fs" and install:
-                rows = msg["pos"] // w
-                lidx = (rows - m) // M
-                cls = msg["pos"] % w
-                ctx.payload["str_vals"][:, lidx, cls] = msg["vals"]
+            fs = ctx.batches.get("fs")
+            if fs is not None:
+                rows = fs["pos"] // w
+                ctx.payload["str_vals"][:, (rows - m) // M, fs["pos"] % w] = fs["vals"]
                 ctx.add_work(rows.size)
-            elif tag == "tail" and install:
-                ctx.payload["tail_lo"] = msg["lo"]
-                ctx.payload["tail"] = msg["data"]
-            elif tag == "cq":
-                chain_reqs.append(msg)
+            for src, msg in ctx.inbox:
+                if msg["t"] == "tail":
+                    ctx.payload["tail_lo"] = msg["lo"]
+                    ctx.payload["tail"] = msg["data"]
 
+        cq = ctx.batches.get("cq")
         str_vals = ctx.payload.get("str_vals")
-        if str_vals is None:
+        if cq is None or str_vals is None:
             return
-        for msg in chain_reqs:
-            origin = int(msg["o"])
-            out_key, out_rows, out_vals = [], [], []
-            for key, pos in zip(msg["key"], msg["pos"]):
-                cls = int(pos) % w
-                row0 = int(pos) // w
-                total_rows = -(-(2 * n - cls) // w)   # rows existing for this class
-                start = row0 + ((m - row0) % M)
-                rows = np.arange(start, total_rows, M, dtype=np.int64)
-                if rows.size == 0:
-                    continue
-                out_key.append(int(key))
-                out_rows.append(rows)
-                out_vals.append(str_vals[:, (rows - m) // M, cls])
-                ctx.add_work(rows.size * layers)
-            if out_key:
-                ctx.send(origin, {"t": "cr", "key": out_key,
-                                  "rows": out_rows, "vals": out_vals})
+        # the chain of each requested position: rows row0, row0+1, ... of its
+        # class; this machine serves the rows congruent to m mod M
+        cls = cq["pos"] % w
+        row0 = cq["pos"] // w
+        total_rows = -(-(2 * n - cls) // w)
+        start = row0 + (m - row0) % M
+        counts = np.maximum(-(-(total_rows - start) // M), 0)
+        req = np.repeat(np.arange(counts.size), counts)
+        rows = start[req] + M * (np.arange(req.size) - (np.cumsum(counts) - counts)[req])
+        ctx.add_work(rows.size * self.scheme.layers)
+        if rows.size == 0:
+            return
+        # one reply per request message, i.e. per run of equal origins
+        origins, offsets = _runs(cq["o"][req])
+        ctx.send_many("cr", origins, offsets,
+                      {"key": cq["key"][req], "rows": rows,
+                       "vals": str_vals[:, (rows - m) // M, cls[req]]},
+                      headers=("key",))
 
     def _r2_install_serve(self, ctx: StepContext) -> None:
         m = ctx.machine_id
@@ -501,38 +512,30 @@ class MpcPalindromes:
         m = ctx.machine_id
         n = self.n
         w = self.plan.window
+        cr = ctx.batches.get("cr")
+        if cr is None:
+            return
         per = self.queries.get(m, {})
-        touched = set()
-        for src, msg in ctx.inbox:
-            if msg["t"] != "cr":
-                continue
-            for key, rows, vals in zip(msg["key"], msg["rows"], msg["vals"]):
-                q = per[key // 2]
-                q.chains.setdefault(key % 2, []).append((rows, vals))
-                touched.add(key // 2)
+        # chain parts from every server, ordered by (key, row)
+        order = np.lexsort((cr["rows"], cr["key"]))
+        keys, bounds = _runs(cr["key"][order])
+        part = dict(zip(keys.tolist(), zip(bounds[:-1].tolist(), bounds[1:].tolist())))
+        all_rows = cr["rows"][order]
+        all_vals = cr["vals"][:, order]
 
-        singles_pos: list[int] = []
-        singles_key: list[int] = []
-        for qid in sorted(touched):
+        singles_pos: list[np.ndarray] = []
+        singles_key: list[np.ndarray] = []
+        for qid in sorted({key // 2 for key in part}):
             q = per[qid]
             chain = {}
             for side, pos in ((0, q.p1), (1, q.p2)):
-                parts = q.chains.get(side, [])
-                if parts:
-                    rows = np.concatenate([r for r, _ in parts])
-                    vals = np.concatenate([v for _, v in parts], axis=1)
-                    order = np.argsort(rows, kind="stable")
-                    rows = rows[order]
-                    vals = vals[:, order]
-                else:
-                    rows = np.empty(0, np.int64)
-                    vals = np.empty((self.scheme.layers, 0), np.int64)
+                lo, hi = part.get(2 * qid + side, (0, 0))
+                rows = all_rows[lo:hi]
                 base_row = pos // w
                 if rows.size and (rows[0] != base_row or
                                   not np.array_equal(rows, np.arange(base_row, base_row + rows.size))):
                     raise InconsistentMergeError("chain rows arrived with gaps")
-                chain[side] = vals
-            q.chains = {}
+                chain[side] = all_vals[:, lo:hi]
 
             vi, vj = chain[0], chain[1]
             li = 2 * n - q.p1
@@ -558,63 +561,48 @@ class MpcPalindromes:
             q.w_cap = int(cap)
             for side, pos in ((0, q.p1), (1, q.p2)):
                 anchor = pos + t_star * w
-                for delta in range(1, q.w_cap + 1):
-                    singles_pos.append(anchor + delta - w)
-                    singles_key.append(2 * qid + side)
+                singles_pos.append(np.arange(anchor + 1 - w, anchor + q.w_cap + 1 - w))
+                singles_key.append(np.full(q.w_cap, 2 * qid + side, np.int64))
 
         if singles_pos:
-            pos_arr = np.asarray(singles_pos, np.int64)
-            key_arr = np.asarray(singles_key, np.int64)
-            dest = pos_arr % w
-            order = np.argsort(dest, kind="stable")
-            cuts = np.flatnonzero(np.diff(dest[order])) + 1
-            starts = np.concatenate(([0], cuts))
-            ends = np.concatenate((cuts, [order.size]))
-            for s, e in zip(starts, ends):
-                idx = order[s:e]
-                ctx.send(int(dest[order[s]]),
-                         {"t": "sq", "o": m, "key": key_arr[idx], "pos": pos_arr[idx]})
+            pos_arr = np.concatenate(singles_pos)
+            order = np.argsort(pos_arr % w, kind="stable")
+            dests, offsets = _runs(pos_arr[order] % w)
+            ctx.send_many("sq", dests, offsets,
+                          {"o": np.full(order.size, m, np.int64),
+                           "key": np.concatenate(singles_key)[order], "pos": pos_arr[order]},
+                          headers=("o",))
 
     # -- refinement serving (rounds 4 and 8)
 
     def _serve_singles(self, ctx: StepContext) -> None:
-        m = ctx.machine_id
-        w = self.plan.window
-        cls_vals = ctx.payload.get("cls_vals")
-        for src, msg in ctx.inbox:
-            if msg["t"] != "sq":
-                continue
-            rows = (msg["pos"] - m) // w
-            vals = cls_vals[:, rows]
-            ctx.add_work(rows.size)
-            ctx.send(int(msg["o"]), {"t": "sr", "key": msg["key"],
-                                     "pos": msg["pos"], "vals": vals})
+        sq = ctx.batches.get("sq")
+        if sq is None:
+            return
+        rows = (sq["pos"] - ctx.machine_id) // self.plan.window
+        ctx.add_work(rows.size)
+        # one reply per request message, i.e. per run of equal origins
+        origins, offsets = _runs(sq["o"])
+        ctx.send_many("sr", origins, offsets,
+                      {"key": sq["key"], "pos": sq["pos"],
+                       "vals": ctx.payload["cls_vals"][:, rows]})
 
     # -- refinement consumption
 
     def _finish_refinements(self, ctx: StepContext) -> None:
-        m = ctx.machine_id
+        sr = ctx.batches.get("sr")
+        if sr is None:
+            return
         w = self.plan.window
-        per = self.queries.get(m, {})
-        touched = set()
-        for src, msg in ctx.inbox:
-            if msg["t"] != "sr":
-                continue
-            qids = msg["key"] // 2
-            for qid in np.unique(qids):
-                q = per[int(qid)]
-                mask = qids == qid
-                q.singles.setdefault("parts", []).append(
-                    (msg["key"][mask] % 2, msg["pos"][mask], msg["vals"][:, mask]))
-                touched.add(int(qid))
-
-        for qid in sorted(touched):
+        per = self.queries.get(ctx.machine_id, {})
+        order = np.argsort(sr["key"] // 2, kind="stable")
+        qids, bounds = _runs(sr["key"][order] // 2)
+        for qid, lo, hi in zip(qids.tolist(), bounds[:-1], bounds[1:]):
             q = per[qid]
-            parts = q.singles.get("parts", [])
-            side = np.concatenate([p[0] for p in parts])
-            pos = np.concatenate([p[1] for p in parts])
-            vals = np.concatenate([p[2] for p in parts], axis=1)
-            q.singles = {}
+            idx = order[lo:hi]
+            side = sr["key"][idx] % 2
+            pos = sr["pos"][idx]
+            vals = sr["vals"][:, idx]
             anchor0 = q.p1 + q.t_star * w
             anchor1 = q.p2 + q.t_star * w
             by_delta = {}
@@ -678,10 +666,7 @@ class MpcPalindromes:
         self.resolved[m] = results
         self._broadcast_chain_requests(ctx, wave2)
 
-    # -- rounds 7..9
-
-    def _r7_compare(self, ctx: StepContext) -> None:
-        self._compare_chains(ctx)
+    # -- round 9
 
     def _r9_finalize(self, ctx: StepContext) -> None:
         self._finish_refinements(ctx)
@@ -732,7 +717,7 @@ class MpcPalindromes:
     def run(self) -> None:
         phases = [self._r1_local, self._r2_install_serve, self._compare_chains,
                   self._serve_singles, self._r5_resolve, self._r6_serve,
-                  self._r7_compare, self._serve_singles, self._r9_finalize,
+                  self._compare_chains, self._serve_singles, self._r9_finalize,
                   self._r10_reduce]
         for phase in phases:
             self.cluster.run_round(phase)

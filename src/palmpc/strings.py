@@ -27,6 +27,19 @@ def as_symbols(text) -> np.ndarray:
     return np.asarray(list(text), dtype=np.int64)
 
 
+def pipeline_symbols(text) -> np.ndarray:
+    """``as_symbols`` for the distributed pipelines: nonempty, every symbol >= 0."""
+    sym = as_symbols(text)
+    if sym.size < 1:
+        raise ValueError("text must be nonempty")
+    negative = np.flatnonzero(sym < 0)
+    if negative.size:
+        pos = int(negative[0])
+        raise ValueError(f"symbol {int(sym[pos])} at position {pos} is negative; "
+                         "the distributed pipelines need symbols >= 0")
+    return sym
+
+
 @dataclass(frozen=True)
 class Text:
     """A sequence of symbols over the integer alphabet [0, sigma)."""

@@ -138,3 +138,26 @@ def test_env_seed_default(monkeypatch, capsys):
     monkeypatch.setenv(cli.SEED_ENV, "123")
     _, out, _ = run_cli(capsys, "solve", "--random", "64", "2", "--format", "json")
     assert json.loads(out)["seed"] == 123
+
+
+def test_invalid_env_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv(cli.SEED_ENV, "abc")
+    code, out, err = run_cli(capsys, "solve", "--random", "64", "2", "--format", "json")
+    assert code == 2 and out == ""
+    assert cli.SEED_ENV in err and "'abc'" in err
+    # an explicit --seed does not consult the variable
+    code, out, _ = run_cli(capsys, "solve", "--random", "64", "2", "--seed", "4",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["seed"] == 4
+
+
+def test_negative_symbols_are_usage_error(monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    text = SimpleNamespace(symbols=np.array([1, 0, -3, 1], np.int64), sigma=2)
+    desc = {"kind": "file", "path": None, "n": 4, "sigma": 2, "seed": None}
+    monkeypatch.setattr(cli, "_resolve_text", lambda args: (text, desc))
+    for mode in ("mpc", "ampc"):
+        code, out, err = run_cli(capsys, "solve", "--unary", "4", "--mode", mode)
+        assert code == 2 and out == ""
+        assert "position 2" in err and "-3" in err

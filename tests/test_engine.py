@@ -222,3 +222,138 @@ def test_shared_store_requires_ampc_mode():
     cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
     with pytest.raises(EngineError):
         cl.run_round(lambda ctx: ctx.shared_read("k"))
+
+
+# -- columnar batches (send_many)
+
+
+def _random_messages(seed: int, machines: int) -> dict:
+    """Per sender, a list of (dst, groups): each group is (key, rows, vals).
+
+    Groups are nonempty: a header value is carried by the rows of its group.
+    """
+    rng = np.random.default_rng(seed)
+    out = {}
+    for src in range(machines):
+        msgs = []
+        for _ in range(int(rng.integers(0, 4))):
+            dst = BROADCAST if rng.random() < 0.2 else int(rng.integers(0, machines))
+            groups = []
+            for g in range(int(rng.integers(1, 4))):
+                k = int(rng.integers(1, 5))
+                groups.append((10 * src + g, rng.integers(0, 99, k),
+                               rng.integers(0, 99, (2, k))))
+            msgs.append((dst, groups))
+        out[src] = msgs
+    return out
+
+
+def _exchange(messages: dict, batched: bool, order=None):
+    """One round of sends, then every machine's received rows and the stats."""
+    cl = cluster_init(ClusterConfig(n=64, epsilon=0.5))
+
+    def send(ctx):
+        msgs = messages[ctx.machine_id]
+        if not batched:
+            for dst, groups in msgs:
+                ctx.send(dst, {"t": "x", "o": ctx.machine_id,
+                               "key": [key for key, _, _ in groups],
+                               "rows": [rows for _, rows, _ in groups],
+                               "vals": [vals for _, _, vals in groups]})
+            return
+        if not msgs:
+            return
+        counts = [sum(rows.size for _, rows, _ in groups) for _, groups in msgs]
+        groups = [g for _, gs in msgs for g in gs]
+        rows = np.concatenate([r for _, r, _ in groups])
+        ctx.send_many("x", [dst for dst, _ in msgs], np.cumsum([0] + counts),
+                      {"o": np.full(rows.size, ctx.machine_id),
+                       "key": np.concatenate([np.full(r.size, key) for key, r, _ in groups]),
+                       "rows": rows,
+                       "vals": np.concatenate([v for _, _, v in groups], axis=1)},
+                      headers=("o", "key"))
+
+    got = {}
+
+    def receive(ctx):
+        if batched:
+            got[ctx.machine_id] = ctx.batches.get("x")
+            return
+        parts = [(np.full(r.size, msg["o"]), np.full(r.size, key), r, v)
+                 for _, msg in ctx.inbox
+                 for key, r, v in zip(msg["key"], msg["rows"], msg["vals"])]
+        if ctx.inbox:
+            got[ctx.machine_id] = {
+                name: np.concatenate([p[i] for p in parts], axis=-1) if parts else None
+                for i, name in enumerate(("o", "key", "rows", "vals"))}
+
+    cl.run_round(send, order=order)
+    peaks = cl.stats.per_machine_peak.copy()
+    cl.run_round(receive, order=order)
+    return got, cl.stats.to_dict(), peaks
+
+
+def test_send_many_meters_and_delivers_like_send():
+    for seed in range(8):
+        messages = _random_messages(seed, 8)
+        want, want_stats, want_peaks = _exchange(messages, batched=False)
+        got, got_stats, got_peaks = _exchange(messages, batched=True)
+        assert got_stats == want_stats and np.array_equal(got_peaks, want_peaks)
+        assert got.keys() == want.keys()
+        for m, cols in want.items():
+            for name, col in cols.items():
+                if col is not None:
+                    assert np.array_equal(got[m][name], col), (seed, m, name)
+                else:
+                    assert got[m][name].shape[-1] == 0
+
+
+def test_send_many_is_independent_of_execution_order():
+    messages = _random_messages(3, 8)
+    base, base_stats, _ = _exchange(messages, batched=True)
+    for order_seed in (1, 2):
+        order = list(np.random.default_rng(order_seed).permutation(8))
+        got, stats, _ = _exchange(messages, batched=True, order=order)
+        assert stats == base_stats
+        for m, cols in base.items():
+            assert all(np.array_equal(got[m][k], v) for k, v in cols.items())
+
+
+def test_delivered_batches_are_read_only():
+    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl.run_round(lambda ctx: ctx.send_many("x", [1], [0, 3], {"v": np.arange(3)}))
+    got = {}
+    cl.run_round(lambda ctx: got.update(ctx.batches))
+    assert got["x"]["v"].tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+    with pytest.raises(ValueError):
+        got["x"]["v"][0] = 99
+
+
+def test_send_many_rejects_unknown_destination():
+    for bad in (4, 99, -2):
+        cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+        with pytest.raises(UnknownMachineError):
+            cl.run_round(lambda ctx: ctx.send_many("x", [0, bad], [0, 1, 2],
+                                                   {"v": np.arange(2)}))
+
+
+def test_oversized_batch_names_receiver_and_round():
+    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))    # cap 256 words
+    cl.run_round(lambda ctx: None)
+
+    def flood(ctx):
+        # 101 words from each sender fit, 404 words at machine 2 do not
+        ctx.send_many("x", [2], [0, 100], {"v": np.zeros(100, np.int64)})
+
+    with pytest.raises(MemoryCapExceeded) as err:
+        cl.run_round(flood)
+    assert (err.value.machine, err.value.round_no, err.value.words) == (2, 1, 404)
+
+
+def test_send_many_rejects_offsets_that_do_not_cut_the_columns():
+    cols = {"v": np.arange(4)}
+    for dsts, offsets in (([0], [0, 3]), ([0, 1], [0, 4]), ([0, 1, 2], [0, 3, 2, 4]),
+                          ([0, 1], [1, 2, 4])):
+        cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+        with pytest.raises(EngineError, match="offsets"):
+            cl.run_round(lambda ctx: ctx.send_many("x", dsts, offsets, cols))

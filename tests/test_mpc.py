@@ -223,3 +223,16 @@ def test_degenerate_scheme_never_silently_wrong():
         except CollisionAbort:
             continue
         assert r.table == oracle_maximal_palindromes(s)
+
+
+def test_pipelines_reject_negative_symbols_with_position():
+    from palmpc.ampc import solve_ampc
+    from palmpc.strings import manacher
+
+    text = np.array([2, 1, 2, 0, -1, 7], np.int64)
+    for call in (lambda: solve_mpc(text, 0.5), lambda: solve_ampc(text, 0.5),
+                 lambda: distributed_lcp(text, [(0, 1)], 0.5)):
+        with pytest.raises(ValueError, match="position 4"):
+            call()
+    # the sequential primitives accept any integers
+    assert manacher(text) == oracle_maximal_palindromes(text)
