@@ -15,12 +15,20 @@ entries, so one machine can binary search an LCP value adaptively inside a
 single round, center queries included. Every answer is spot-checked against
 the stored mismatch letters; a contradiction aborts as a hash collision.
 
+Each machine builds the entries of the leaves it owns and publishes them as
+one read-only int64 array per leaf, under key ("p", leaf): row 0 holds the
+leaf's symbols, row 1 + l the layer-l prefix values. The store is still read
+and metered one position at a time: ``PrefixStore.entry(e)`` makes one shared
+read of the leaf array holding e and returns that column as Python ints.
+
 Round schedule for fixed epsilon: 1 (local phase + leaf scans) + (depth - 1)
 combine rounds + 1 (path contexts + prefix entries) + 1 (all queries, merge,
 per-machine best) + ceil(log_s M) best-reduction rounds. Depth and the
 reduction height depend only on epsilon for the sizes under test, so the
 total is a constant per epsilon.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -87,6 +95,26 @@ def _tree_depth(count: int, fanout: int) -> int:
         count = -(-count // fanout)
         depth += 1
     return depth
+
+
+def _prefix_entry_getter(read, leaf_starts: list[int]):
+    """Position getter over the per-leaf prefix arrays under keys ("p", leaf).
+
+    ``get(e)`` returns (symbol, per-layer prefix values) at doubled position
+    e, or None when there is no entry, and makes exactly one ``read`` per
+    call: that of the leaf array holding e. Values are Python ints, so
+    callers may multiply two 61-bit residues without overflow.
+    """
+    def get(e: int):
+        leaf = bisect_right(leaf_starts, e) - 1   # -1 for e < 0: no such key
+        arr = read(("p", leaf))
+        off = e - leaf_starts[leaf]
+        if arr is None or off >= arr.shape[1]:
+            return None
+        symbol, *values = arr[:, off].tolist()
+        return symbol, tuple(values)
+
+    return get
 
 
 class PrefixStore:
@@ -174,6 +202,10 @@ class AmpcPalindromes:
         self.bases = self.scheme.bases
         self.fanout = max(2, self.plan.block_len)  # degenerate b=1 still needs a tree
         self.leaves = leaf_bounds(n, self.plan.block_len, self.plan.block_count)
+        self.leaf_starts = [lo for lo, _ in self.leaves]
+        self.owned_leaves: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
+        for leaf in range(len(self.leaves)):
+            self.owned_leaves[_leaf_owner(self.plan, leaf)].append(leaf)
         self.depth = _tree_depth(len(self.leaves), self.fanout)
         self.best_depth = _tree_depth(self.plan.machine_count, self.fanout)
         self._place()
@@ -215,9 +247,8 @@ class AmpcPalindromes:
                 odd, even, 2 * b, 4 * b)
 
         leafpfx = {}
-        for leaf, (lo, hi) in enumerate(self.leaves):
-            if _leaf_owner(self.plan, leaf) != m or lo >= hi:
-                continue
+        for leaf in self.owned_leaves[m]:
+            lo, hi = self.leaves[leaf]
             seg = _materialize_doubled(ctx.payload["letters"],
                                        ctx.payload["letters_lo"], n, lo, hi)
             vals = np.empty((self.scheme.layers, hi - lo), np.int64)
@@ -266,7 +297,6 @@ class AmpcPalindromes:
     # -- context round: left-context of every owned leaf, then final entries
 
     def _r_context(self, ctx: StepContext) -> None:
-        m = ctx.machine_id
         q = M61
         fanout = self.fanout
         leafpfx = ctx.payload.get("leafpfx", {})
@@ -286,24 +316,21 @@ class AmpcPalindromes:
                         ctx_vals[l] = (ctx_vals[l] + ctx_pows[l] * c_vals[l]) % q
                         ctx_pows[l] = (ctx_pows[l] * c_pows[l]) % q
                     ctx.add_work(self.scheme.layers)
-            lo, hi = self.leaves[leaf]
-            entries = np.empty((self.scheme.layers, hi - lo), np.int64)
+            # row 0: the leaf's symbols; row 1 + l: layer-l prefix values
+            entries = np.empty((1 + self.scheme.layers, seg.size), np.int64)
+            entries[0] = seg
             for l in range(self.scheme.layers):
                 ops = _scale_offset_mod(vals[l], np.int64(ctx_pows[l]),
-                                        np.int64(ctx_vals[l]), entries[l])
+                                        np.int64(ctx_vals[l]), entries[1 + l])
                 ctx.add_work(int(ops))
-            for off in range(hi - lo):
-                ctx.shared_write(lo + off,
-                                 (int(seg[off]), tuple(int(v) for v in entries[:, off])))
+            ctx.shared_write(("p", leaf), entries)
         ctx.payload.pop("leafpfx", None)
 
     # -- query round: every LCP answered adaptively, then merge and local best
 
     def _store_view(self, ctx: StepContext) -> PrefixStore:
-        def snapshot_get(key):
-            return ctx.shared_read(key)
-
-        return PrefixStore(snapshot_get, self.n, self.scheme.layers)
+        return PrefixStore(_prefix_entry_getter(ctx.shared_read, self.leaf_starts),
+                           self.n, self.scheme.layers)
 
     def _r_query(self, ctx: StepContext) -> None:
         m = ctx.machine_id
@@ -395,11 +422,15 @@ class AmpcPalindromes:
 
         return step
 
-    def run(self) -> None:
+    def build_prefix_entries(self) -> None:
+        """Rounds up to and including the context round, which publishes the entries."""
         self.cluster.run_round(self._r1_leaves)
         for level in range(1, self.depth):
             self.cluster.run_round(self._combine_level(level))
         self.cluster.run_round(self._r_context)
+
+    def run(self) -> None:
+        self.build_prefix_entries()
         self.cluster.run_round(self._r_query)
         for level in range(1, self.best_depth + 1):
             self.cluster.run_round(self._best_level(level))
@@ -436,11 +467,9 @@ def build_prefix_store(text, epsilon: float, seed: int = 0,
                        memory_constant: int = 64) -> tuple[PrefixStore, RunStats, int]:
     """Build the shared prefix fingerprints only; returns (store, stats, rounds)."""
     run = AmpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant)
-    run.cluster.run_round(run._r1_leaves)
-    for level in range(1, run.depth):
-        run.cluster.run_round(run._combine_level(level))
-    run.cluster.run_round(run._r_context)
+    run.build_prefix_entries()
     # one empty round so the entries become snapshot-visible to readers
     run.cluster.run_round(lambda ctx: None)
-    store = PrefixStore(run.cluster.shared.snapshot_get, run.n, run.scheme.layers)
+    store = PrefixStore(_prefix_entry_getter(run.cluster.shared.snapshot_get, run.leaf_starts),
+                        run.n, run.scheme.layers)
     return store, run.cluster.stats, run.cluster.stats.rounds

@@ -220,8 +220,10 @@ class SharedStore:
     """Versioned key-value store for the adaptive mode.
 
     Reads always hit the snapshot published at the previous round boundary;
-    writes are buffered and become visible only after the barrier. Values are
-    numpy arrays or scalars; per-entry reads are metered on the context.
+    writes are buffered and become visible only after the barrier. Keys are
+    any hashable; values are numpy arrays, scalars or tuples of them, metered
+    by ``words_of``. Each ``StepContext.shared_read`` of a key is one metered
+    read, whatever the size of the value.
     """
 
     def __init__(self):
@@ -414,7 +416,8 @@ class Cluster:
         self._deliver_batches([batch for src in sorted(batches_by_src)
                                for batch in batches_by_src[src]])
         for m in range(config.machine_count):
-            total = local_after.get(m, self.machines[m].local_words()) + int(self._inbox_words[m])
+            local = local_after[m] if m in local_after else self.machines[m].local_words()
+            total = local + int(self._inbox_words[m])
             self._meter(m, total)
             boundary_total += total
         if self.shared is not None:

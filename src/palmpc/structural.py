@@ -227,6 +227,11 @@ def _merge_b2(odd_f, even_f, start, block_len, resolved_u, resolved_len):
     """
     lo = 2 * (start + block_len)
     hi = 2 * (start + 2 * block_len)
+    # resolved length per owned center; filled backwards so the first entry wins
+    known = np.full(hi - lo, -1, np.int64)
+    for t in range(resolved_u.size - 1, -1, -1):
+        if lo <= resolved_u[t] < hi:
+            known[resolved_u[t] - lo] = resolved_len[t]
     out = np.empty(hi - lo, np.int64)
     missing_u = np.int64(-1)
     for u_abs in range(lo, hi):
@@ -238,11 +243,7 @@ def _merge_b2(odd_f, even_f, start, block_len, resolved_u, resolved_len):
         if (u_loc - lam + 1) // 2 > 0:
             out[u_abs - lo] = lam
         else:
-            found = np.int64(-1)
-            for t in range(resolved_u.size):
-                if resolved_u[t] == u_abs:
-                    found = resolved_len[t]
-                    break
+            found = known[u_abs - lo]
             if found < 0 and missing_u < 0:
                 missing_u = u_abs
             out[u_abs - lo] = found

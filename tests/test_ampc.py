@@ -6,6 +6,7 @@ import pytest
 from palmpc.ampc import (
     AmpcPalindromes,
     PrefixStore,
+    _leaf_owner,
     ampc_lcp,
     build_prefix_store,
     leaf_bounds,
@@ -190,3 +191,62 @@ def test_store_dump_is_debuggable():
     store, _, _ = build_prefix_store(s, 0.5, seed=1)
     dump = store.dump()
     assert set(range(6)) <= set(dump.keys())
+
+
+def test_owned_leaves_partition_the_leaves():
+    for n, eps in ((1, 0.5), (100, 0.5), (333, 0.75), (4096, 0.75)):
+        run = AmpcPalindromes(np.zeros(n, np.int64), eps)
+        K = run.plan.block_count
+        owned = sorted(leaf for leaves in run.owned_leaves for leaf in leaves)
+        assert owned == list(range(2 * K))
+        for m, leaves in enumerate(run.owned_leaves):
+            assert all(_leaf_owner(run.plan, leaf) == m for leaf in leaves)
+
+
+def test_prefix_entries_are_one_read_only_array_per_leaf():
+    rng = np.random.default_rng(10)
+    s = rng.integers(0, 3, 300).astype(np.int64)
+    run = AmpcPalindromes(s, 0.75, seed=3)
+    run.build_prefix_entries()
+    layers = run.scheme.layers
+    entries = {key: val for key, val in run.cluster.shared.dump().items() if key[0] == "p"}
+    assert sorted(entries) == [("p", leaf) for leaf in range(len(run.leaves))]
+    for (_, leaf), arr in entries.items():
+        lo, hi = run.leaves[leaf]
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert arr.shape == (1 + layers, hi - lo)
+    # the store view reads the same columns, as Python ints (ampc_lcp
+    # multiplies two 61-bit residues)
+    store, _, _ = build_prefix_store(s, 0.75, seed=3)
+    for e in rng.integers(0, 600, 50).tolist():
+        leaf = next(k for k, (lo, hi) in enumerate(run.leaves) if lo <= e < hi)
+        col = entries[("p", leaf)][:, e - run.leaves[leaf][0]].tolist()
+        sym, vals = store.entry(e)
+        assert (sym, vals) == (col[0], tuple(col[1:]))
+        assert all(type(v) is int for v in (sym, *vals))
+
+
+def test_prefix_entry_outside_the_doubled_string_raises():
+    s = np.array([1, 0, 1, 1], dtype=np.int64)
+    store, _, _ = build_prefix_store(s, 0.5, seed=1)
+    store.entry(0)
+    store.entry(7)
+    for e in (-1, 8):
+        with pytest.raises(KeyError):
+            store.entry(e)
+
+
+def test_leaf_owner_is_asked_once_per_leaf(monkeypatch):
+    import palmpc.ampc as ampc
+
+    calls = []
+    leaf_owner = ampc._leaf_owner
+
+    def counting(plan, leaf):
+        calls.append(leaf)
+        return leaf_owner(plan, leaf)
+
+    monkeypatch.setattr(ampc, "_leaf_owner", counting)
+    s = np.random.default_rng(11).integers(0, 2, 4096).astype(np.int64)
+    r = solve_ampc(s, 0.75, seed=1)
+    assert len(calls) <= 2 * r.plan.block_count

@@ -5,6 +5,7 @@ from palmpc.engine import (
     BROADCAST,
     ClusterConfig,
     EngineError,
+    MachineState,
     MemoryCapExceeded,
     UnknownMachineError,
     cluster_init,
@@ -216,6 +217,43 @@ def test_round_accounting_is_size_independent():
         cl.run_round(lambda ctx: None)
         counts.add(cl.stats.rounds)
     assert counts == {5}
+
+
+def test_each_payload_is_counted_once_per_round(monkeypatch):
+    calls = []
+    local_words = MachineState.local_words
+
+    def counting(self):
+        calls.append(self.machine_id)
+        return local_words(self)
+
+    monkeypatch.setattr(MachineState, "local_words", counting)
+    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+
+    def r1(ctx):
+        m = ctx.machine_id
+        ctx.payload["x"] = np.arange(m + 1)
+        ctx.send((m + 1) % 4, {"a": m, "v": np.arange(2)})
+        ctx.send_many("t", [m, 3], [0, 1, 3], {"k": np.arange(3) + m})
+        ctx.add_work(m)
+
+    def r2(ctx):
+        ctx.payload["got"] = [msg["a"] for _, msg in ctx.inbox]
+        ctx.payload["rows"] = ctx.batches["t"]["k"].copy()
+        if ctx.machine_id == 2:
+            ctx.broadcast((1, 2, 3))
+
+    for step in (r1, r2, lambda ctx: None):
+        cl.run_round(step)
+    assert sorted(calls) == [m for m in range(4) for _ in range(3)]
+    # messages: 4 dicts of 3 words, 4 x (2 + 3) batch words, 4 copies of a
+    # 3-word broadcast; work: 6 declared plus the 44 words moved
+    assert cl.stats.to_dict() == {
+        "rounds": 3, "total_work": 50, "message_words": 44, "machine_count": 4,
+        "block_len": 4, "cap_words": 256, "memory_constant": 64, "per_machine_peak": 21,
+        "observed_memory_constant": 6, "total_memory_peak": 42, "shared_words": 0,
+        "shared_reads_peak": 0, "exported_outside_run": False, "counters": {}}
+    assert cl.stats.per_machine_peak.tolist() == [9, 10, 11, 21]
 
 
 def test_shared_store_requires_ampc_mode():

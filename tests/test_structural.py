@@ -10,6 +10,7 @@ from palmpc.structural import (
     PeriodicCase,
     SingleCase,
     SuperblockView,
+    _merge_b2,
     classify,
     merge_with_local,
     plan_queries,
@@ -138,6 +139,63 @@ def test_merge_missing_entry_raises():
     v = view("aaaa", start=1)
     with pytest.raises(InconsistentMergeError):
         merge_with_local(v, manacher(v.letters), [])
+
+
+def _merge_b2_linear_scan(odd_f, even_f, start, block_len, resolved_u, resolved_len):
+    # reference: each prefix-touching center scans the resolved list for its first entry
+    lo = 2 * (start + block_len)
+    hi = 2 * (start + 2 * block_len)
+    out = np.empty(hi - lo, np.int64)
+    missing_u = -1
+    for u_abs in range(lo, hi):
+        u_loc = u_abs - 2 * start
+        lam = odd_f[u_loc // 2] if u_loc % 2 == 0 else even_f[(u_loc - 1) // 2]
+        if (u_loc - lam + 1) // 2 > 0:
+            out[u_abs - lo] = lam
+            continue
+        found = -1
+        for t in range(resolved_u.size):
+            if resolved_u[t] == u_abs:
+                found = resolved_len[t]
+                break
+        if found < 0 and missing_u < 0:
+            missing_u = u_abs
+        out[u_abs - lo] = found
+    return out, missing_u
+
+
+def test_merge_lookup_equals_linear_scan():
+    rng = np.random.default_rng(12)
+    shapes = {"duplicate": 0, "outside": 0, "missing": 0}
+    for _ in range(300):
+        bl = int(rng.integers(1, 7))
+        start = int(rng.integers(0, 20))
+        local = manacher(rng.integers(0, 2, 4 * bl))
+        lo, hi = 2 * (start + bl), 2 * (start + 2 * bl)
+        touching = [u for u in range(lo, hi)
+                    if (u - 2 * start - local.length_at(u - 2 * start) + 1) // 2 <= 0]
+        res_u, res_len = [], []
+        for u in touching:
+            if rng.random() < 0.3:
+                shapes["missing"] += 1
+                continue
+            copies = int(rng.integers(1, 4))
+            shapes["duplicate"] += copies > 1
+            res_u += [u] * copies
+            res_len += rng.integers(0, 50, copies).tolist()
+        for _ in range(int(rng.integers(0, 4))):
+            shapes["outside"] += 1
+            res_u.append(int(rng.choice([rng.integers(0, lo + 1) - 1, rng.integers(hi, hi + 9)])))
+            res_len.append(int(rng.integers(0, 50)))
+        order = rng.permutation(len(res_u))
+        res_u = np.asarray(res_u, np.int64)[order]
+        res_len = np.asarray(res_len, np.int64)[order]
+        args = (local.odd, local.even, start, bl, res_u, res_len)
+        want_out, want_missing = _merge_b2_linear_scan(*args)
+        got_out, got_missing = _merge_b2(*args)
+        assert got_out.tolist() == want_out.tolist()
+        assert int(got_missing) == want_missing
+    assert min(shapes.values()) >= 10, shapes
 
 
 def test_right_touch_implies_left_touch():
