@@ -7,7 +7,9 @@ read metered). That removes the epsilon <= 0.5 restriction of the messaging
 model: machines never need to receive one message from everybody at once.
 
 The algorithm keeps the block decomposition and per-superblock analysis of
-the messaging pipeline but answers LCP queries differently. A fan-out-s
+the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
+``mpc.BlockPipeline``, and drives the same ``structural.first_wave``/
+``settle`` steps -- but answers LCP queries differently. A fan-out-s
 prefix tree (s = block length) over the 2K leaf segments of the doubled
 string builds phi(doubled[0..e]) for every position e; with constant-time
 fingerprint splitting, any fragment fingerprint follows from two prefix
@@ -33,25 +35,24 @@ from bisect import bisect_right
 import numpy as np
 
 from ._kernels import M61, manacher_tables, mulmod61, njit, prefix_fp_scan
-from .engine import (
-    ClusterConfig,
-    RunStats,
-    CollisionAbort,
-    StepContext,
-    cluster_init,
-)
-from .fingerprint import FingerprintScheme, scheme_init
-from .strings import PalindromeTable, _prefix_pal_lengths_from_tables, pipeline_symbols
+from .engine import CollisionAbort, RunStats, StepContext
+from .fingerprint import FingerprintScheme
+from .strings import _prefix_pal_lengths_from_tables
 from .structural import (
-    CenterResult,
-    _center_length,
-    _center_query,
+    InconsistentMergeError,
     _merge_b2,
     _periodic_resolve,
-    _check_resolve_err,
-    InconsistentMergeError,
+    case_name,
+    first_wave,
+    settle,
 )
-from .mpc import FP_LAYERS, BlockPlan, MpcResult, _materialize_doubled, plan_decomposition
+from .mpc import (
+    BlockPipeline,
+    BlockPlan,
+    MpcResult,
+    _materialize_doubled,
+    _resolved_columns,
+)
 
 
 @njit
@@ -182,41 +183,23 @@ def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> in
     return lo
 
 
-class AmpcPalindromes:
+class AmpcPalindromes(BlockPipeline):
     """One metered adaptive-mode run over a fixed text."""
+
+    MODE = "ampc"
 
     def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                  scheme: FingerprintScheme | None = None):
-        self.sym = pipeline_symbols(text)
-        n = int(self.sym.size)
-        self.n = n
-        self.plan = plan_decomposition(n, epsilon)
-        self.config = ClusterConfig(n=n, epsilon=epsilon, mode="ampc",
-                                    memory_constant=memory_constant, seed=seed)
-        self.cluster = cluster_init(self.config)
-        sigma = int(self.sym.max()) + 1
-        self.scheme = scheme if scheme is not None else scheme_init(
-            max(2 * n, 2), sigma, FP_LAYERS, seed)
-        if self.scheme.modulus != M61:
-            raise ValueError("the adaptive pipeline requires the 61-bit prime scheme")
+        super().__init__(text, epsilon, seed, memory_constant, scheme)
         self.bases = self.scheme.bases
         self.fanout = max(2, self.plan.block_len)  # degenerate b=1 still needs a tree
-        self.leaves = leaf_bounds(n, self.plan.block_len, self.plan.block_count)
+        self.leaves = leaf_bounds(self.n, self.plan.block_len, self.plan.block_count)
         self.leaf_starts = [lo for lo, _ in self.leaves]
         self.owned_leaves: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
         for leaf in range(len(self.leaves)):
             self.owned_leaves[_leaf_owner(self.plan, leaf)].append(leaf)
         self.depth = _tree_depth(len(self.leaves), self.fanout)
         self.best_depth = _tree_depth(self.plan.machine_count, self.fanout)
-        self._place()
-
-    def _place(self) -> None:
-        for m, role in enumerate(self.plan.roles):
-            payload = self.cluster.machines[m].payload
-            letters = self.sym[role.letters_lo : role.letters_hi].copy()
-            letters.setflags(write=False)
-            payload["letters"] = letters
-            payload["letters_lo"] = role.letters_lo
 
     # -- round 1: local palindrome phase plus leaf prefix scans
 
@@ -226,25 +209,11 @@ class AmpcPalindromes:
         n = self.n
         b = self.plan.block_len
 
-        if role.kind in ("first", "last"):
-            letters = ctx.payload["letters"]
-            odd, even, ops = manacher_tables(letters)
-            ctx.add_work(int(ops))
-            base = 2 * ctx.payload["letters_lo"]
-            lengths = np.empty(role.own_u_hi - role.own_u_lo, np.int64)
-            for u in range(role.own_u_lo, role.own_u_hi):
-                u_loc = u - base
-                lengths[u - role.own_u_lo] = odd[u_loc // 2] if u_loc % 2 == 0 \
-                    else even[(u_loc - 1) // 2]
-            ctx.payload["own_lengths"] = lengths
-        elif role.kind == "middle":
-            letters = ctx.payload["letters"]
-            odd, even, ops = manacher_tables(letters)
-            ctx.add_work(int(ops))
-            ctx.payload["f_odd"] = odd
-            ctx.payload["f_even"] = even
+        if role.kind != "store":
+            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"]))
+        if role.kind == "middle":
             ctx.payload["prefix_lens"] = _prefix_pal_lengths_from_tables(
-                odd, even, 2 * b, 4 * b)
+                ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
 
         leafpfx = {}
         for leaf in self.owned_leaves[m]:
@@ -337,61 +306,36 @@ class AmpcPalindromes:
         role = self.plan.roles[m]
         if role.kind == "middle":
             n = self.n
-            store = self._store_view(ctx)
-            lcp = lambda a, b: ampc_lcp(store, a, b, self.bases)
             i = role.sb_start
+            stats = self.cluster.stats
+            store = self._store_view(ctx)
             prefix_lens = ctx.payload["prefix_lens"]
-            results: list[CenterResult] = []
-            if prefix_lens.size == 1:
-                self.cluster.stats.bump("classified_single")
-                self.cluster.stats.bump("lcp_queries")
-                u = 2 * i + int(prefix_lens[0]) - 1
-                p1, p2 = _center_query(u, n)
-                results.append(CenterResult(u, int(_center_length(u, lcp(int(p1), int(p2)), n))))
-            elif prefix_lens.size >= 2:
-                self.cluster.stats.bump("classified_periodic")
-                period = int(prefix_lens[-1] - prefix_lens[-2])
-                left_ext = 0
-                if i > 0:
-                    self.cluster.stats.bump("lcp_queries")
-                    left_ext = lcp(2 * n - i - period, 2 * n - i)
-                self.cluster.stats.bump("lcp_queries")
-                right_ext = min(period + lcp(i, i + period), n - i)
-                centers, lengths, center_u, err = _periodic_resolve(
-                    prefix_lens, i, left_ext, right_ext)
-                _check_resolve_err(int(err))
-                for u, length in zip(centers.tolist(), lengths.tolist()):
-                    if length >= 0:
-                        results.append(CenterResult(int(u), int(length)))
-                if center_u >= 0:
-                    self.cluster.stats.bump("lcp_queries")
-                    self.cluster.stats.bump("simultaneous_centers")
-                    p1, p2 = _center_query(int(center_u), n)
-                    results.append(CenterResult(
-                        int(center_u),
-                        int(_center_length(int(center_u), lcp(int(p1), int(p2)), n))))
-            else:
-                self.cluster.stats.bump("classified_empty")
-            res_u = np.asarray([r.center_u for r in results], np.int64)
-            res_len = np.asarray([r.length for r in results], np.int64)
-            lengths, missing = _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                         i, self.plan.block_len, res_u, res_len)
-            ctx.add_work(lengths.size)
-            if missing >= 0:
-                raise InconsistentMergeError(
-                    f"center u={int(missing)} reaches its fragment start unresolved")
-            ctx.payload["own_lengths"] = lengths
+            case = case_name(prefix_lens)
+            stats.bump(f"classified_{case}")
+            wave = first_wave(prefix_lens, i, n)
+            answers = [ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave]
+            periodic = None
+            if case == "periodic":
+                # the wave is [left, right], or [right] at start 0 where left is ignored
+                periodic = _periodic_resolve(prefix_lens, i, n, answers[0], answers[-1])
+            results, wave2 = settle(wave, answers, n, periodic)
+            settled, _ = settle(wave2, [ampc_lcp(store, q.p1, q.p2, self.bases)
+                                        for q in wave2], n)
+            if wave:
+                stats.bump("lcp_queries", len(wave) + len(wave2))
+            if wave2:
+                stats.bump("simultaneous_centers")
+            res_u, res_len = _resolved_columns(results + settled)
+            self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
+                                             i, self.plan.block_len, res_u, res_len))
 
-        if role.own_u_hi > role.own_u_lo:
-            lengths = ctx.payload["own_lengths"]
-            us = np.arange(role.own_u_lo, role.own_u_hi, dtype=np.int64)
-            starts = (us - lengths + 1) // 2
-            best = int(np.argmax(lengths * (2 * self.n) - starts))
-            ctx.add_work(lengths.size)
-            if self.plan.machine_count == 1:
-                ctx.payload["lps"] = (int(starts[best]), int(lengths[best]))
-            else:
-                ctx.shared_write(("b", 0, m), (int(lengths[best]), int(starts[best])))
+        best = self._local_best(ctx)
+        if best is None:
+            return
+        if self.plan.machine_count == 1:
+            ctx.payload["lps"] = (best[1], best[0])
+        else:
+            ctx.shared_write(("b", 0, m), best)
 
     # -- best reduction: fan-in-s maximum over the shared store
 
@@ -435,32 +379,12 @@ class AmpcPalindromes:
         for level in range(1, self.best_depth + 1):
             self.cluster.run_round(self._best_level(level))
 
-    def export_table(self) -> PalindromeTable:
-        self.cluster.stats.exported_outside_run = True
-        n = self.n
-        flat = np.full(2 * n - 1, -1, np.int64)
-        for m, role in enumerate(self.plan.roles):
-            if role.own_u_hi > role.own_u_lo:
-                flat[role.own_u_lo : role.own_u_hi] = \
-                    self.cluster.machines[m].payload["own_lengths"]
-        if (flat < 0).any():
-            raise InconsistentMergeError("gathered table has unowned centers")
-        return PalindromeTable(odd=flat[0::2].copy(), even=flat[1::2].copy())
-
-    @property
-    def lps(self) -> tuple[int, int]:
-        return self.cluster.machines[0].payload["lps"]
-
 
 def solve_ampc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                scheme: FingerprintScheme | None = None) -> MpcResult:
     """Adaptive-mode counterpart of solve_mpc; valid for any epsilon in (0, 1)."""
-    run = AmpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant,
-                          scheme=scheme)
-    run.run()
-    start, length = run.lps
-    return MpcResult(table=run.export_table(), lps_start=start, lps_length=length,
-                     stats=run.cluster.stats, plan=run.plan)
+    return AmpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant,
+                           scheme=scheme).solve()
 
 
 def build_prefix_store(text, epsilon: float, seed: int = 0,

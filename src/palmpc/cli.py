@@ -185,15 +185,8 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.exhaustive is not None:
         max_len, sigma = args.exhaustive
-        if args.mode in ("sequential", "oracle"):
-            solver = lambda s: _run_mode(args.mode, Text(s, max(2, int(s.max()) + 1 if s.size else 2)),
-                                         args.epsilon, seed, args.memory_constant)
-        elif args.mode == "mpc":
-            solver = lambda s: solve_mpc(s, args.epsilon, seed=seed,
-                                         memory_constant=args.memory_constant)
-        else:
-            solver = lambda s: solve_ampc(s, args.epsilon, seed=seed,
-                                          memory_constant=args.memory_constant)
+        solver = lambda s: _run_mode(args.mode, Text(s, max(2, int(s.max()) + 1)),
+                                     args.epsilon, seed, args.memory_constant)
         rep = sweep_pipeline(max_len, sigma, solver)
         status = "PASS" if rep["mismatches"] == 0 else "FAIL"
         print(f"{status} exhaustive mode={args.mode} len<={max_len} sigma={sigma} "

@@ -283,9 +283,6 @@ class StepContext:
             MessageEnvelope(self.machine_id, dst, len(self._outbox), words_of(payload), payload)
         )
 
-    def broadcast(self, payload) -> None:
-        self.send(BROADCAST, payload)
-
     def send_many(self, tag: str, dsts, offsets, cols: dict, headers: tuple = ()) -> None:
         """Send rows [offsets[i], offsets[i+1]) of every column to dsts[i], for each i.
 
@@ -478,9 +475,6 @@ class Cluster:
                 self._batch_inboxes.setdefault(dst, {})[tag] = {
                     name: col[..., lo:hi] for name, col in merged.items()}
 
-    def peek_inbox_words(self, machine_id: int) -> int:
-        return int(self._inbox_words[machine_id])
-
     def drain_inbox(self, machine_id: int) -> tuple[list, dict]:
         """Consume a machine's pending inbox without running a round.
 
@@ -493,114 +487,3 @@ class Cluster:
         self._inbox_words[machine_id] = 0
         return inbox, self._batch_inboxes.pop(machine_id, _NO_BATCHES)
 
-
-def cluster_init(config: ClusterConfig) -> Cluster:
-    """Fresh cluster with empty machines and zeroed statistics."""
-    return Cluster(config)
-
-
-def replicate_and_serve(
-    cluster: Cluster,
-    data_key: str,
-    requests: list[tuple[int, int, int, int]],
-) -> dict[int, dict[tuple[int, int, int], np.ndarray]]:
-    """Serve word-ranges of per-machine arrays without overloading any sender.
-
-    ``requests`` holds (requester, holder, lo, hi) ranges over the holder's
-    ``payload[data_key]`` array. Each holder splits the union of its requested
-    ranges into as many near-equal chunks as it has requests and ships each
-    chunk to a distinct helper machine; every helper then forwards, to each
-    requester of that holder, the overlap of its chunk with the requested
-    range. Two communication rounds; per-round traffic per machine stays at
-    the size of the holder's array plus one copy per requester.
-
-    With at most one request per holder (or none at all) the helper hop is
-    elided and the transfer completes in one round (zero rounds when there is
-    nothing to do). Returns, per requester, the assembled range keyed by
-    (holder, lo, hi).
-    """
-    machine_count = cluster.config.machine_count
-    by_holder: dict[int, list[tuple[int, int, int]]] = {}
-    for requester, holder, lo, hi in requests:
-        if not 0 <= requester < machine_count or not 0 <= holder < machine_count:
-            raise UnknownMachineError("request names a machine outside the cluster")
-        if hi - lo > cluster.config.memory_cap_words:
-            raise EngineError(f"slice of {hi - lo} words cannot fit any requester's memory")
-        arr = cluster.machines[holder].payload.get(data_key)
-        if arr is None or not 0 <= lo <= hi <= arr.size:
-            raise EngineError(f"holder {holder} has no range [{lo}, {hi}) under {data_key!r}")
-        by_holder.setdefault(holder, []).append((requester, lo, hi))
-    if not requests:
-        return {}
-
-    results: dict[int, dict[tuple[int, int, int], list]] = {}
-    direct = all(len(reqs) <= 1 for reqs in by_holder.values()) or machine_count == 1
-
-    if direct:
-        def serve_direct(ctx: StepContext) -> None:
-            for requester, lo, hi in by_holder.get(ctx.machine_id, []):
-                arr = ctx.payload[data_key]
-                ctx.send(requester, {"holder": ctx.machine_id, "lo": lo, "hi": hi,
-                                     "part_lo": lo, "data": arr[lo:hi]})
-                ctx.add_work(hi - lo)
-
-        cluster.run_round(serve_direct)
-    else:
-        def chunk_to_helpers(ctx: StepContext) -> None:
-            reqs = by_holder.get(ctx.machine_id, [])
-            if not reqs:
-                return
-            arr = ctx.payload[data_key]
-            span_lo = min(lo for _, lo, _ in reqs)
-            span_hi = max(hi for _, _, hi in reqs)
-            r = len(reqs)
-            chunk = max(1, math.ceil((span_hi - span_lo) / r))
-            for c in range(r):
-                c_lo = span_lo + c * chunk
-                c_hi = min(span_lo + (c + 1) * chunk, span_hi)
-                if c_lo >= c_hi:
-                    continue
-                helper = (ctx.machine_id + 1 + c) % cluster.config.machine_count
-                ctx.send(helper, {
-                    "holder": ctx.machine_id, "part_lo": c_lo,
-                    "data": arr[c_lo:c_hi],
-                    "requests": [(req, lo, hi) for req, lo, hi in reqs],
-                })
-                ctx.add_work(c_hi - c_lo)
-
-        def forward_to_requesters(ctx: StepContext) -> None:
-            for _, msg in ctx.inbox:
-                part_lo = msg["part_lo"]
-                data = msg["data"]
-                part_hi = part_lo + data.size
-                for requester, lo, hi in msg["requests"]:
-                    o_lo = max(lo, part_lo)
-                    o_hi = min(hi, part_hi)
-                    if o_lo >= o_hi:
-                        continue
-                    ctx.send(requester, {"holder": msg["holder"], "lo": lo, "hi": hi,
-                                         "part_lo": o_lo,
-                                         "data": data[o_lo - part_lo : o_hi - part_lo]})
-                    ctx.add_work(o_hi - o_lo)
-
-        cluster.run_round(chunk_to_helpers)
-        cluster.run_round(forward_to_requesters)
-
-    for m in range(machine_count):
-        for _, msg in cluster.drain_inbox(m)[0]:
-            key = (msg["holder"], msg["lo"], msg["hi"])
-            results.setdefault(m, {}).setdefault(key, []).append(
-                (msg["part_lo"], msg["data"])
-            )
-
-    assembled: dict[int, dict[tuple[int, int, int], np.ndarray]] = {}
-    for requester, ranges in results.items():
-        out = {}
-        for (holder, lo, hi), parts in ranges.items():
-            parts.sort(key=lambda t: t[0])
-            buf = np.concatenate([p for _, p in parts]) if parts else np.empty(0, np.int64)
-            if buf.size != hi - lo:
-                raise EngineError("replication lost or duplicated words")
-            out[(holder, lo, hi)] = buf
-        assembled[requester] = out
-    return assembled

@@ -46,15 +46,13 @@ def _check_all_views(sym, odd_oracle, even_oracle):
                 cnt = 1
             elif m >= 2:
                 period = plens[m - 1] - plens[m - 2]
-                left_ext = np.int64(0)
+                raw_a = np.int64(0)
                 if i > 0:
-                    left_ext = lcp_doubled(sym, 2 * L - i - period, 2 * L - i)
+                    raw_a = lcp_doubled(sym, 2 * L - i - period, 2 * L - i)
                     queries += 1
                 raw_b = lcp_doubled(sym, i, i + period)
                 queries += 1
-                right_ext = min(period + raw_b, L - i)
-                centers, lens_, center_u, err = _periodic_resolve(
-                    plens, i, left_ext, right_ext)
+                centers, lens_, center_u, err = _periodic_resolve(plens, i, L, raw_a, raw_b)
                 if err != 0:
                     mism += 1
                 for t in range(m):

@@ -1,5 +1,12 @@
 """Distributed all-maximal-palindromes pipeline on the round-based cluster.
 
+``BlockPipeline`` is the per-machine skeleton that this messaging pipeline
+(``MpcPalindromes``) and the adaptive one (``palmpc.ampc``) share: set-up and
+placement, the local tables, the merge of the resolved prefix centers, the
+per-machine best, and export. The case analysis of each superblock comes
+from ``structural.first_wave``/``settle``; this module answers its LCP
+queries with the fingerprint protocol below, in two waves.
+
 Decomposition
 -------------
 The text is cut into K = ceil(n / b) blocks of length b = ceil(n**(1-eps)).
@@ -64,23 +71,22 @@ import numpy as np
 from ._kernels import M61, first_unequal_run, fragment_fp_scan, manacher_tables, njit
 from .engine import (
     BROADCAST,
+    Cluster,
     ClusterConfig,
     CollisionAbort,
     RunStats,
     StepContext,
     ceil_power,
-    cluster_init,
 )
 from .fingerprint import FingerprintScheme, scheme_init
 from .strings import PalindromeTable, _prefix_pal_lengths_from_tables, pipeline_symbols
 from .structural import (
-    CenterResult,
-    _center_length,
-    _center_query,
+    InconsistentMergeError,
     _merge_b2,
     _periodic_resolve,
-    _check_resolve_err,
-    InconsistentMergeError,
+    case_name,
+    first_wave,
+    settle,
 )
 
 FP_LAYERS = 2
@@ -176,6 +182,113 @@ def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
                      machine_count=M, window=w, tail_block=tail, roles=tuple(roles))
 
 
+@dataclass
+class MpcResult:
+    table: PalindromeTable
+    lps_start: int
+    lps_length: int
+    stats: RunStats
+    plan: BlockPlan
+
+
+class BlockPipeline:
+    """Per-machine skeleton shared by the messaging and adaptive pipelines.
+
+    Both place the same block plan, keep the same local tables, merge the
+    resolved prefix centers the same way and reduce the same per-machine best;
+    they differ only in how they answer the superblocks' LCP queries.
+    Subclasses set the cluster ``MODE``, define ``run()``, and call the
+    kernels (Manacher, prefix palindromes, periodic resolution, merge) from
+    their own round steps, handing the outputs to the helpers here.
+    """
+
+    MODE: str
+
+    def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
+                 scheme: FingerprintScheme | None = None):
+        self.sym = pipeline_symbols(text)
+        n = int(self.sym.size)
+        self.n = n
+        self.plan = plan_decomposition(n, epsilon)
+        self.config = ClusterConfig(n=n, epsilon=epsilon, mode=self.MODE,
+                                    memory_constant=memory_constant, seed=seed)
+        self.cluster = Cluster(self.config)
+        sigma = int(self.sym.max()) + 1
+        self.scheme = scheme if scheme is not None else scheme_init(
+            max(2 * n, 2), sigma, FP_LAYERS, seed)
+        if self.scheme.modulus != M61:
+            raise ValueError("the distributed pipelines require the 61-bit prime scheme")
+        # placement (round 0): each machine receives its role's letter slice
+        for m, role in enumerate(self.plan.roles):
+            payload = self.cluster.machines[m].payload
+            letters = self.sym[role.letters_lo : role.letters_hi].copy()
+            letters.setflags(write=False)
+            payload["letters"] = letters
+            payload["letters_lo"] = role.letters_lo
+
+    def _keep_tables(self, ctx: StepContext, odd, even, ops) -> None:
+        """Keep the local Manacher tables, or on an edge machine its owned slice."""
+        ctx.add_work(int(ops))
+        role = self.plan.roles[ctx.machine_id]
+        if role.kind == "middle":
+            ctx.payload["f_odd"] = odd
+            ctx.payload["f_even"] = even
+        else:
+            base = 2 * role.letters_lo
+            by_center = PalindromeTable(odd, even).lengths_by_center()
+            ctx.payload["own_lengths"] = by_center[role.own_u_lo - base : role.own_u_hi - base]
+
+    @staticmethod
+    def _keep_merged(ctx: StepContext, merged) -> None:
+        """Keep a middle machine's owned lengths from the output of ``_merge_b2``."""
+        lengths, missing = merged
+        ctx.add_work(lengths.size)
+        if missing >= 0:
+            raise InconsistentMergeError(
+                f"center u={int(missing)} reaches its fragment start unresolved")
+        ctx.payload["own_lengths"] = lengths
+
+    def _local_best(self, ctx: StepContext) -> tuple[int, int] | None:
+        """(length, start) of the leftmost-longest owned palindrome; None if nothing is owned."""
+        role = self.plan.roles[ctx.machine_id]
+        if role.own_u_hi <= role.own_u_lo:
+            return None
+        lengths = ctx.payload["own_lengths"]
+        us = np.arange(role.own_u_lo, role.own_u_hi, dtype=np.int64)
+        starts = (us - lengths + 1) // 2
+        best = int(np.argmax(lengths * (2 * self.n) - starts))
+        ctx.add_work(lengths.size)
+        return int(lengths[best]), int(starts[best])
+
+    def export_table(self) -> PalindromeTable:
+        """Gather the distributed table; desk-scale convenience outside the metered run."""
+        self.cluster.stats.exported_outside_run = True
+        flat = np.full(2 * self.n - 1, -1, np.int64)
+        for m, role in enumerate(self.plan.roles):
+            if role.own_u_hi > role.own_u_lo:
+                flat[role.own_u_lo : role.own_u_hi] = \
+                    self.cluster.machines[m].payload["own_lengths"]
+        if (flat < 0).any():
+            raise InconsistentMergeError("gathered table has unowned centers")
+        return PalindromeTable(odd=flat[0::2].copy(), even=flat[1::2].copy())
+
+    @property
+    def lps(self) -> tuple[int, int]:
+        return self.cluster.machines[0].payload["lps"]
+
+    def solve(self) -> MpcResult:
+        """Run every round; the table, the leftmost-longest palindrome and the stats."""
+        self.run()
+        start, length = self.lps
+        return MpcResult(table=self.export_table(), lps_start=start, lps_length=length,
+                         stats=self.cluster.stats, plan=self.plan)
+
+
+def _resolved_columns(results) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, lengths) of a list of ``CenterResult``, as ``_merge_b2`` takes them."""
+    return tuple(np.asarray(results, np.int64).reshape(-1, 2).T)
+
+
 # ---------------------------------------------------------------------------
 # local letter access
 
@@ -241,43 +354,22 @@ class _Query:
         self.checked = False      # letter spot-check already considered
 
 
-class MpcPalindromes:
+class MpcPalindromes(BlockPipeline):
     """One metered run of the pipeline over a fixed text."""
 
+    MODE = "mpc"
     ROUNDS = 10
 
     def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                  scheme: FingerprintScheme | None = None):
-        self.sym = pipeline_symbols(text)
-        n = int(self.sym.size)
-        self.n = n
-        self.plan = plan_decomposition(n, epsilon)
-        self.config = ClusterConfig(n=n, epsilon=epsilon, mode="mpc",
-                                    memory_constant=memory_constant, seed=seed)
-        self.cluster = cluster_init(self.config)
-        sigma = int(self.sym.max()) + 1
-        self.scheme = scheme if scheme is not None else scheme_init(
-            max(2 * n, 2), sigma, FP_LAYERS, seed)
-        if self.scheme.modulus != M61:
-            raise ValueError("the distributed pipeline requires the 61-bit prime scheme")
+        super().__init__(text, epsilon, seed, memory_constant, scheme)
         if self.plan.window > self.plan.block_len:
             raise AssertionError("window width exceeds block length; epsilon > 0.5?")
         self.bases = np.asarray(self.scheme.bases, dtype=np.int64)
-        w = self.plan.window
-        self.pow_w = np.asarray(self.scheme.pow_of(w), dtype=np.int64)
+        self.pow_w = np.asarray(self.scheme.pow_of(self.plan.window), dtype=np.int64)
         self.queries: dict[int, dict[int, _Query]] = {}
-        self.resolved: dict[int, list[CenterResult]] = {}
-        self._place()
-
-    # -- placement (round 0): each machine receives its role's letter slice
-
-    def _place(self) -> None:
-        for m, role in enumerate(self.plan.roles):
-            payload = self.cluster.machines[m].payload
-            letters = self.sym[role.letters_lo : role.letters_hi].copy()
-            letters.setflags(write=False)
-            payload["letters"] = letters
-            payload["letters_lo"] = role.letters_lo
+        self.waves: dict[int, list[_Query]] = {}     # per machine, the wave in flight
+        self.resolved: dict = {}                    # per machine, what wave 1 settled
 
     # -- helpers shared by phases
 
@@ -354,56 +446,33 @@ class MpcPalindromes:
     def _r1_local(self, ctx: StepContext) -> None:
         m = ctx.machine_id
         role = self.plan.roles[m]
-        plan = self.plan
-        n = self.n
 
         self._scan_fragments(ctx, role)
+        if role.kind != "store":
+            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"]))
 
         if role.kind in ("first", "last"):
-            letters = ctx.payload["letters"]
-            odd, even, ops = manacher_tables(letters)
-            ctx.add_work(int(ops))
-            base = 2 * ctx.payload["letters_lo"]
-            lengths = np.empty(role.own_u_hi - role.own_u_lo, np.int64)
-            for u in range(role.own_u_lo, role.own_u_hi):
-                u_loc = u - base
-                lengths[u - role.own_u_lo] = odd[u_loc // 2] if u_loc % 2 == 0 \
-                    else even[(u_loc - 1) // 2]
-            ctx.add_work(lengths.size)
-            ctx.payload["own_lengths"] = lengths
+            ctx.add_work(ctx.payload["own_lengths"].size)
             self.cluster.stats.bump("local_only_machines")
         elif role.kind == "middle":
-            letters = ctx.payload["letters"]
-            odd, even, ops = manacher_tables(letters)
-            ctx.add_work(int(ops))
-            ctx.payload["f_odd"] = odd
-            ctx.payload["f_even"] = even
-            b = plan.block_len
-            prefix_lens = _prefix_pal_lengths_from_tables(odd, even, 2 * b, 4 * b)
+            b = self.plan.block_len
+            prefix_lens = _prefix_pal_lengths_from_tables(
+                ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
             ctx.add_work(2 * b)
-            i = role.sb_start
-            wave1: list[_Query] = []
-            if prefix_lens.size == 1:
-                self.cluster.stats.bump("classified_single")
-                u = 2 * i + int(prefix_lens[0]) - 1
-                p1, p2 = _center_query(u, n)
-                wave1.append(self._new_query(m, "center", int(p1), int(p2), u))
-            elif prefix_lens.size >= 2:
-                self.cluster.stats.bump("classified_periodic")
-                period = int(prefix_lens[-1] - prefix_lens[-2])
-                ctx.payload["period"] = period
+            case = case_name(prefix_lens)
+            self.cluster.stats.bump(f"classified_{case}")
+            if case == "periodic":
+                # unread, but metered memory: dropping it changes the stats
+                ctx.payload["period"] = int(prefix_lens[-1] - prefix_lens[-2])
                 ctx.payload["prefix_lens"] = prefix_lens
-                if i > 0:
-                    wave1.append(self._new_query(m, "left", 2 * n - i - period, 2 * n - i))
-                wave1.append(self._new_query(m, "right", i, i + period))
-            else:
-                self.cluster.stats.bump("classified_empty")
-            self._broadcast_chain_requests(ctx, wave1)
+            self.waves[m] = [self._new_query(m, *q)
+                             for q in first_wave(prefix_lens, role.sb_start, self.n)]
+            self._broadcast_chain_requests(ctx, self.waves[m])
 
         if role.tail_ship_to >= 0:
             # letters just left of the target's superblock, for first-window checks
             target_sb = self.plan.roles[role.tail_ship_to].sb_start
-            w = plan.window
+            w = self.plan.window
             lo = ctx.payload["letters_lo"]
             seg = ctx.payload["letters"][target_sb - w - lo : target_sb - lo]
             ctx.send(role.tail_ship_to, {"t": "tail", "lo": target_sb - w, "data": seg})
@@ -631,72 +700,36 @@ class MpcPalindromes:
         role = self.plan.roles[m]
         if role.kind != "middle":
             return
-        per = self.queries.get(m, {})
-        n = self.n
-        results: list[CenterResult] = []
-        wave2: list[_Query] = []
-
-        period = ctx.payload.get("period")
-        if period is not None:
-            left_q = next((q for q in per.values() if q.kind == "left"), None)
-            right_q = next(q for q in per.values() if q.kind == "right")
-            left_ext = left_q.answer if left_q is not None else 0
-            # clamp: the periodic run cannot extend past the end of the text
-            right_ext = min(period + right_q.answer, self.n - role.sb_start)
-            if left_ext < 0 or right_q.answer < 0:
-                raise InconsistentMergeError("period probes left unanswered")
-            centers, lengths, center_u, err = _periodic_resolve(
-                ctx.payload["prefix_lens"], role.sb_start, left_ext, right_ext)
-            _check_resolve_err(int(err))
-            ctx.add_work(centers.size)
-            for u, length in zip(centers.tolist(), lengths.tolist()):
-                if length >= 0:
-                    results.append(CenterResult(int(u), int(length)))
-            if center_u >= 0:
-                p1, p2 = _center_query(int(center_u), n)
-                wave2.append(self._new_query(m, "center", int(p1), int(p2), int(center_u)))
-                self.cluster.stats.bump("simultaneous_centers")
-        else:
-            for q in per.values():
-                if q.kind == "center":
-                    if q.answer < 0:
-                        raise InconsistentMergeError("lone center query left unanswered")
-                    results.append(CenterResult(q.center_u, int(_center_length(q.center_u, q.answer, n))))
-
-        self.resolved[m] = results
-        self._broadcast_chain_requests(ctx, wave2)
+        wave = self.waves[m]
+        answers = [q.answer for q in wave]
+        periodic = None
+        prefix_lens = ctx.payload.get("prefix_lens")
+        if prefix_lens is not None:
+            # the wave is [left, right], or [right] at start 0 where left is ignored
+            periodic = _periodic_resolve(prefix_lens, role.sb_start, self.n,
+                                         answers[0], answers[-1])
+            ctx.add_work(prefix_lens.size)
+        self.resolved[m], wave2 = settle(wave, answers, self.n, periodic)
+        if wave2:
+            self.cluster.stats.bump("simultaneous_centers")
+        self.waves[m] = [self._new_query(m, *q) for q in wave2]
+        self._broadcast_chain_requests(ctx, self.waves[m])
 
     # -- round 9
 
     def _r9_finalize(self, ctx: StepContext) -> None:
         self._finish_refinements(ctx)
         m = ctx.machine_id
-        n = self.n
         role = self.plan.roles[m]
         if role.kind == "middle":
-            per = self.queries.get(m, {})
-            results = self.resolved.get(m, [])
-            for q in per.values():
-                if q.kind == "center" and all(r.center_u != q.center_u for r in results):
-                    if q.answer < 0:
-                        raise InconsistentMergeError("center query left unanswered")
-                    results.append(CenterResult(q.center_u, int(_center_length(q.center_u, q.answer, n))))
-            res_u = np.asarray([r.center_u for r in results], np.int64)
-            res_len = np.asarray([r.length for r in results], np.int64)
-            lengths, missing = _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                         role.sb_start, self.plan.block_len, res_u, res_len)
-            ctx.add_work(lengths.size)
-            if missing >= 0:
-                raise InconsistentMergeError(
-                    f"center u={int(missing)} reaches its fragment start unresolved")
-            ctx.payload["own_lengths"] = lengths
-        if role.own_u_hi > role.own_u_lo:
-            lengths = ctx.payload["own_lengths"]
-            us = np.arange(role.own_u_lo, role.own_u_hi, dtype=np.int64)
-            starts = (us - lengths + 1) // 2
-            best = int(np.argmax(lengths * (2 * self.n) - starts))
-            ctx.add_work(lengths.size)
-            ctx.send(0, {"t": "best", "len": int(lengths[best]), "start": int(starts[best])})
+            wave = self.waves[m]
+            settled, _ = settle(wave, [q.answer for q in wave], self.n)
+            res_u, res_len = _resolved_columns(self.resolved[m] + settled)
+            self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
+                                             role.sb_start, self.plan.block_len, res_u, res_len))
+        best = self._local_best(ctx)
+        if best is not None:
+            ctx.send(0, {"t": "best", "len": best[0], "start": best[1]})
 
     def _r10_reduce(self, ctx: StepContext) -> None:
         if ctx.machine_id != 0:
@@ -729,48 +762,12 @@ class MpcPalindromes:
             if len(per) > 3:
                 raise AssertionError(f"machine {m} issued {len(per)} LCP queries")
 
-    def export_table(self) -> PalindromeTable:
-        """Gather the distributed table; desk-scale convenience outside the metered run."""
-        self.cluster.stats.exported_outside_run = True
-        n = self.n
-        flat = np.full(2 * n - 1, -1, np.int64)
-        for m, role in enumerate(self.plan.roles):
-            if role.own_u_hi > role.own_u_lo:
-                flat[role.own_u_lo : role.own_u_hi] = \
-                    self.cluster.machines[m].payload["own_lengths"]
-        if (flat < 0).any():
-            raise InconsistentMergeError("gathered table has unowned centers")
-        return PalindromeTable(odd=flat[0::2].copy(), even=flat[1::2].copy())
-
-    def table_slice(self, machine_id: int) -> tuple[int, np.ndarray]:
-        """One machine's owned stretch of the table, keyed by its first half-index."""
-        role = self.plan.roles[machine_id]
-        return role.own_u_lo, self.cluster.machines[machine_id].payload.get(
-            "own_lengths", np.empty(0, np.int64))
-
-    @property
-    def lps(self) -> tuple[int, int]:
-        return self.cluster.machines[0].payload["lps"]
-
-
-@dataclass
-class MpcResult:
-    table: PalindromeTable
-    lps_start: int
-    lps_length: int
-    stats: RunStats
-    plan: BlockPlan
-
 
 def solve_mpc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,
               scheme: FingerprintScheme | None = None) -> MpcResult:
     """All maximal palindromes and the leftmost-longest palindromic substring."""
-    run = MpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant,
-                         scheme=scheme)
-    run.run()
-    start, length = run.lps
-    return MpcResult(table=run.export_table(), lps_start=start, lps_length=length,
-                     stats=run.cluster.stats, plan=run.plan)
+    return MpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant,
+                          scheme=scheme).solve()
 
 
 class DistributedLcp(MpcPalindromes):

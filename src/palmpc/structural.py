@@ -18,15 +18,18 @@ what keeps the query count per superblock at three or fewer:
   single center whose palindrome hits both ends of the periodic run
   simultaneously. Every other center is settled by arithmetic: the side
   where periodicity breaks first caps the palindrome.
+
+The case analysis is written once, as two pure steps that both pipelines
+drive: ``first_wave`` lists a superblock's first queries, and ``settle``
+turns a wave's answers into settled centers plus the next wave (at most one
+center query). The pipelines differ only in how they answer the queries.
 """
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import njit
-from .strings import as_symbols, manacher, PalindromeTable, _prefix_pal_lengths_from_tables
 
 
 class InconsistentMergeError(RuntimeError):
@@ -38,61 +41,17 @@ class CenterResult(NamedTuple):
     length: int     # maximal palindrome length in S
 
 
-@dataclass(frozen=True)
-class SuperblockView:
-    start: int            # position i of the fragment in S
-    block_len: int        # b
-    letters: np.ndarray   # the 4b symbols of S[i .. i+4b-1]
-
-    def __post_init__(self):
-        sym = as_symbols(self.letters)
-        object.__setattr__(self, "letters", sym)
-        if self.block_len < 1:
-            raise ValueError("block length must be >= 1")
-        if sym.size != 4 * self.block_len:
-            raise ValueError("superblock must contain exactly 4 blocks")
-        if self.start < 0:
-            raise ValueError("superblock start must be >= 0")
+class Query(NamedTuple):
+    """One LCP query on the doubled string: (p1, p2) and what its answer settles."""
+    kind: str       # "left" | "right" (period probes) | "center"
+    p1: int
+    p2: int
+    center_u: int = -1
 
 
-@dataclass(frozen=True)
-class EmptyCase:
-    pass
-
-
-@dataclass(frozen=True)
-class SingleCase:
-    center_u: int        # absolute half-index of the lone prefix palindrome
-    prefix_length: int
-
-
-@dataclass(frozen=True)
-class PeriodicCase:
-    period: int
-    prefix_lengths: tuple[int, ...]   # ascending
-    left_ext: int | None = None       # symbols the period extends left of F
-    right_ext: int | None = None      # length of the periodic run right of position i
-
-
-StructuralCase = EmptyCase | SingleCase | PeriodicCase
-
-
-def classify(view: SuperblockView) -> StructuralCase:
-    """Trichotomy of the superblock by its in-range prefix palindromes.
-
-    Local work only, no queries: one linear palindrome scan of the fragment.
-    """
-    table = manacher(view.letters)
-    lengths = _prefix_pal_lengths_from_tables(
-        table.odd, table.even, 2 * view.block_len, 4 * view.block_len
-    )
-    if lengths.size == 0:
-        return EmptyCase()
-    if lengths.size == 1:
-        length = int(lengths[0])
-        return SingleCase(center_u=2 * view.start + length - 1, prefix_length=length)
-    period = int(lengths[-1] - lengths[-2])
-    return PeriodicCase(period=period, prefix_lengths=tuple(int(v) for v in lengths))
+def case_name(prefix_lens) -> str:
+    """The superblock's case: "empty", "single" or "periodic" prefix palindromes."""
+    return ("empty", "single", "periodic")[min(len(prefix_lens), 2)]
 
 
 @njit
@@ -122,9 +81,38 @@ def _center_length(u, lcp_value, n):
     return 2 * capped
 
 
+def _center(u: int, n: int) -> Query:
+    p1, p2 = _center_query(u, n)
+    return Query("center", int(p1), int(p2), int(u))
+
+
+def first_wave(prefix_lens, start: int, n: int) -> list[Query]:
+    """First wave of LCP queries for the superblock at ``start`` of a length-n text.
+
+    ``prefix_lens`` are the ascending lengths of the in-range prefix
+    palindromes. A single one needs only its center query. Periodic
+    superblocks probe the periodic run in both directions; the left probe is
+    skipped when the fragment starts at position 0 (nothing lies to the left).
+    """
+    if len(prefix_lens) == 0:
+        return []
+    if len(prefix_lens) == 1:
+        return [_center(2 * start + int(prefix_lens[0]) - 1, n)]
+    period = int(prefix_lens[-1] - prefix_lens[-2])
+    wave = [Query("left", 2 * n - start - period, 2 * n - start)] if start > 0 else []
+    return wave + [Query("right", start, start + period)]
+
+
 @njit
-def _periodic_resolve(prefix_lengths, start, left_ext, right_ext):
-    """Settle every prefix palindrome from the periodic-run extents.
+def _periodic_resolve(prefix_lengths, start, n, left_lcp, right_lcp):
+    """Settle every prefix palindrome from the raw answers of the period probes.
+
+    The period is the difference of the two longest prefix palindromes. The
+    run extends ``left_lcp`` symbols left of the fragment (0 at start 0, where
+    there is no left probe and ``left_lcp`` is ignored) and ``period +
+    right_lcp`` symbols right of its start. The right probe runs on the
+    doubled string and can sail past the text's end when the tail is fully
+    periodic; the periodic run lives in the text, so it is clamped there.
 
     Returns (centers, lengths, center_query_u, err). A length of -1 marks the
     center that needs its own query (both run boundaries reached at once);
@@ -132,6 +120,9 @@ def _periodic_resolve(prefix_lengths, start, left_ext, right_ext):
     arithmetic caps cannot occur elsewhere -- err flags either violation.
     """
     m = prefix_lengths.size
+    period = prefix_lengths[m - 1] - prefix_lengths[m - 2]
+    left_ext = left_lcp if start > 0 else 0
+    right_ext = min(period + right_lcp, n - start)
     centers = np.empty(m, np.int64)
     lengths = np.empty(m, np.int64)
     center_query_u = np.int64(-1)
@@ -154,64 +145,29 @@ def _periodic_resolve(prefix_lengths, start, left_ext, right_ext):
     return centers, lengths, center_query_u, err
 
 
-def plan_queries(case: StructuralCase, start: int, n: int) -> list[tuple[str, int, int]]:
-    """First wave of LCP queries for a superblock: (purpose, p1, p2) triples.
+def settle(wave, answers, n: int, periodic=None) -> tuple[list[CenterResult], list[Query]]:
+    """What one wave's LCP answers settle, and the next wave still needed.
 
-    Periodic superblocks probe the periodic run in both directions; the left
-    probe is skipped when the fragment starts at position 0 (nothing lies to
-    the left). A single prefix palindrome needs only its center query.
+    Each center query settles its own center. ``periodic`` is the output of
+    ``_periodic_resolve`` on the probe answers of a periodic superblock: it
+    settles every prefix palindrome but at most one, whose center query is
+    returned as the next wave. At most 3 queries are ever needed per
+    superblock.
     """
-    if isinstance(case, EmptyCase):
-        return []
-    if isinstance(case, SingleCase):
-        p1, p2 = _center_query(case.center_u, n)
-        return [("center", int(p1), int(p2))]
-    queries = []
-    if start > 0:
-        queries.append(("left", 2 * n - start - case.period, 2 * n - start))
-    queries.append(("right", start, start + case.period))
-    return queries
-
-
-def resolve_prefix_touching(view: SuperblockView, n: int, lcp) -> list[CenterResult]:
-    """True in-S lengths for every owned center whose palindrome is a prefix of F.
-
-    ``lcp(p1, p2)`` answers longest-common-prefix queries on the doubled
-    string of length 2n. At most 3 queries are issued per call.
-    """
-    case = classify(view)
-    if isinstance(case, EmptyCase):
-        return []
-    if isinstance(case, SingleCase):
-        p1, p2 = _center_query(case.center_u, n)
-        return [CenterResult(case.center_u,
-                             int(_center_length(case.center_u, int(lcp(p1, p2)), n)))]
-
-    i = view.start
-    p = case.period
-    left_ext = int(lcp(2 * n - i - p, 2 * n - i)) if i > 0 else 0
-    # the right probe runs on the doubled string and can sail past the text's
-    # end when the tail is fully periodic; the periodic run lives in the text
-    right_ext = min(p + int(lcp(i, i + p)), n - i)
-    case = replace(case, left_ext=left_ext, right_ext=right_ext)
-
-    lens = np.asarray(case.prefix_lengths, dtype=np.int64)
-    centers, lengths, center_query_u, err = _periodic_resolve(lens, i, left_ext, right_ext)
-    _check_resolve_err(err)
-    out = []
-    for u, length in zip(centers.tolist(), lengths.tolist()):
-        if length < 0:
-            p1, p2 = _center_query(u, n)
-            length = int(_center_length(u, int(lcp(p1, p2)), n))
-        out.append(CenterResult(int(u), int(length)))
-    return out
-
-
-def _check_resolve_err(err: int) -> None:
+    if any(a < 0 for a in answers):
+        raise InconsistentMergeError("LCP query left unanswered")
+    results = [CenterResult(q.center_u, int(_center_length(q.center_u, a, n)))
+               for q, a in zip(wave, answers) if q.kind == "center"]
+    if periodic is None:
+        return results, []
+    centers, lengths, center_u, err = periodic
     if err == 1:
         raise AssertionError("two centers claim both periodic-run boundaries at once")
     if err == 2:
         raise AssertionError("arithmetic tie between the two periodicity caps")
+    results += [CenterResult(u, length)
+                for u, length in zip(centers.tolist(), lengths.tolist()) if length >= 0]
+    return results, ([_center(int(center_u), n)] if center_u >= 0 else [])
 
 
 @njit
@@ -249,22 +205,3 @@ def _merge_b2(odd_f, even_f, start, block_len, resolved_u, resolved_len):
             out[u_abs - lo] = found
     return out, missing_u
 
-
-def merge_with_local(
-    view: SuperblockView, local: PalindromeTable, resolved: list[CenterResult]
-) -> tuple[int, np.ndarray]:
-    """Combine the local palindrome table of F with the resolved prefix centers.
-
-    Returns (u_lo, lengths) where lengths[j] is the maximal palindrome length
-    in S at center half-index u_lo + j, covering exactly the second block.
-    """
-    res_u = np.asarray([r.center_u for r in resolved], dtype=np.int64)
-    res_len = np.asarray([r.length for r in resolved], dtype=np.int64)
-    out, missing_u = _merge_b2(
-        local.odd, local.even, view.start, view.block_len, res_u, res_len
-    )
-    if missing_u >= 0:
-        raise InconsistentMergeError(
-            f"center u={int(missing_u)} reaches the fragment start but has no resolved length"
-        )
-    return 2 * (view.start + view.block_len), out

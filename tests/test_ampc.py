@@ -12,8 +12,9 @@ from palmpc.ampc import (
     leaf_bounds,
     solve_ampc,
 )
-from palmpc.engine import ClusterConfig, CollisionAbort, cluster_init
+from palmpc.engine import Cluster, ClusterConfig, CollisionAbort
 from palmpc.fingerprint import fp_of, scheme_init
+from palmpc.inputs import fibonacci_text, unary_text
 from palmpc.mpc import solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
 from palmpc.strings import DoubledView
@@ -21,7 +22,7 @@ from palmpc.strings import DoubledView
 
 def test_shared_store_snapshot_discipline():
     # a write in round r is invisible in round r and visible in round r+1
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.75, mode="ampc"))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.75, mode="ampc"))
     seen = {}
 
     def write(ctx):
@@ -40,7 +41,7 @@ def test_shared_store_snapshot_discipline():
 
 
 def test_shared_reads_are_metered():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.75, mode="ampc"))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.75, mode="ampc"))
     cl.run_round(lambda ctx: ctx.shared_write("k", 1))
     cl.run_round(lambda ctx: [ctx.shared_read("k") for _ in range(5)])
     assert cl.stats.shared_reads_peak == 5
@@ -148,12 +149,21 @@ def test_solve_ampc_examples():
 
 
 def test_ampc_equals_mpc_at_shared_epsilon():
+    # the same plan gives the same superblocks, so both pipelines classify
+    # them alike and ask the same LCP queries
     rng = np.random.default_rng(7)
-    s = rng.integers(0, 2, 600).astype(np.int64)
-    a = solve_ampc(s, 0.5, seed=9)
-    m = solve_mpc(s, 0.5, seed=9)
-    assert a.table == m.table
-    assert (a.lps_start, a.lps_length) == (m.lps_start, m.lps_length)
+    texts = (rng.integers(0, 2, 600).astype(np.int64), unary_text(600).symbols,
+             fibonacci_text(600).symbols)
+    keys = ("classified_empty", "classified_single", "classified_periodic",
+            "lcp_queries", "simultaneous_centers")
+    for s in texts:
+        a = solve_ampc(s, 0.5, seed=9)
+        m = solve_mpc(s, 0.5, seed=9)
+        assert a.table == m.table
+        assert (a.lps_start, a.lps_length) == (m.lps_start, m.lps_length)
+        assert {k: a.stats.counters.get(k) for k in keys} == \
+            {k: m.stats.counters.get(k) for k in keys}
+    assert m.stats.counters["simultaneous_centers"] > 0
 
 
 def test_ampc_bypasses_the_mpc_epsilon_bound():

@@ -3,13 +3,12 @@ import pytest
 
 from palmpc.engine import (
     BROADCAST,
+    Cluster,
     ClusterConfig,
     EngineError,
     MachineState,
     MemoryCapExceeded,
     UnknownMachineError,
-    cluster_init,
-    replicate_and_serve,
     words_of,
 )
 from palmpc.fingerprint import fp_of, scheme_init
@@ -45,7 +44,7 @@ def test_exact_power_sizing_is_stable():
 
 
 def test_identity_round_only_advances_counter():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     cl.machines[2].payload["x"] = np.arange(3)
     cl.run_round(lambda ctx: None)
     assert cl.stats.rounds == 1
@@ -53,7 +52,7 @@ def test_identity_round_only_advances_counter():
 
 
 def test_fan_in_within_cap():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     cl.run_round(lambda ctx: ctx.send(0, 1))
     seen = {}
 
@@ -66,7 +65,7 @@ def test_fan_in_within_cap():
 
 
 def test_cap_violation_aborts_with_machine_and_round():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
 
     def blow(ctx):
         if ctx.machine_id == 1:
@@ -78,14 +77,14 @@ def test_cap_violation_aborts_with_machine_and_round():
 
 
 def test_unknown_destination_rejected():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     with pytest.raises(UnknownMachineError):
         cl.run_round(lambda ctx: ctx.send(99, 1))
 
 
 def test_broadcast_reaches_everyone_and_meters_per_copy():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
-    cl.run_round(lambda ctx: ctx.broadcast(7) if ctx.machine_id == 0 else None)
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    cl.run_round(lambda ctx: ctx.send(BROADCAST, 7) if ctx.machine_id == 0 else None)
     got = {}
     cl.run_round(lambda ctx: got.__setitem__(ctx.machine_id, len(ctx.inbox)))
     assert all(got[m] == 1 for m in range(4))
@@ -94,7 +93,7 @@ def test_broadcast_reaches_everyone_and_meters_per_copy():
 
 def test_determinism_under_execution_order():
     def run(order_seed):
-        cl = cluster_init(ClusterConfig(n=64, epsilon=0.5, seed=1))
+        cl = Cluster(ClusterConfig(n=64, epsilon=0.5, seed=1))
         rng = np.random.default_rng(order_seed)
 
         def phase_send(ctx):
@@ -117,7 +116,7 @@ def test_determinism_under_execution_order():
 
 
 def test_sent_arrays_are_frozen_against_tampering():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     leak = {}
 
     def send(ctx):
@@ -136,7 +135,7 @@ def test_sent_arrays_are_frozen_against_tampering():
 
 
 def test_steps_only_see_their_own_state():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
 
     def probe(ctx):
         assert ctx.payload is cl.machines[ctx.machine_id].payload
@@ -157,60 +156,11 @@ def test_words_of_units():
         words_of(object())
 
 
-def fig2_cluster():
-    cfg = ClusterConfig(n=25, epsilon=0.5)
-    cl = cluster_init(cfg)
-    data = np.arange(25, dtype=np.int64)
-    cl.machines[0].payload["letters"] = data
-    return cl, data
-
-
-def test_replication_fig2_regime():
-    # five machines all request machine 0's full content: two rounds, every
-    # word delivered once, nobody over cap
-    cl, data = fig2_cluster()
-    out = replicate_and_serve(cl, "letters", [(r, 0, 0, 25) for r in range(5)])
-    for r in range(5):
-        assert np.array_equal(out[r][(0, 0, 25)], data)
-    assert cl.stats.rounds == 2
-    assert cl.stats.peak_memory_words <= cl.config.memory_cap_words
-
-
-def test_replication_degenerates_to_direct_send():
-    cl, data = fig2_cluster()
-    out = replicate_and_serve(cl, "letters", [(3, 0, 5, 12)])
-    assert out[3][(0, 5, 12)].tolist() == list(range(5, 12))
-    assert cl.stats.rounds == 1
-
-
-def test_replication_zero_requests_is_a_noop():
-    cl, _ = fig2_cluster()
-    assert replicate_and_serve(cl, "letters", []) == {}
-    assert cl.stats.rounds == 0
-
-
-def test_replication_conserves_words():
-    cl, data = fig2_cluster()
-    reqs = [(1, 0, 0, 10), (2, 0, 5, 25), (3, 0, 3, 8), (4, 0, 0, 25)]
-    out = replicate_and_serve(cl, "letters", reqs)
-    total = sum(arr.size for per in out.values() for arr in per.values())
-    assert total == sum(hi - lo for _, _, lo, hi in reqs)
-    for requester, holder, lo, hi in reqs:
-        assert np.array_equal(out[requester][(holder, lo, hi)], data[lo:hi])
-
-
-def test_replication_rejects_oversize_slice():
-    cl, _ = fig2_cluster()
-    cl.machines[1].payload["big"] = np.zeros(10**6, np.int64)
-    with pytest.raises(EngineError):
-        replicate_and_serve(cl, "big", [(0, 1, 0, 10**6)])
-
-
 def test_round_accounting_is_size_independent():
     # a fixed phase sequence costs the same rounds at every problem size
     counts = set()
     for n in (2**10, 2**12, 2**14, 2**16):
-        cl = cluster_init(ClusterConfig(n=n, epsilon=0.5))
+        cl = Cluster(ClusterConfig(n=n, epsilon=0.5))
         for _ in range(3):
             cl.run_round(lambda ctx: None)
         cl.run_round(lambda ctx: ctx.send(0, 1))
@@ -228,7 +178,7 @@ def test_each_payload_is_counted_once_per_round(monkeypatch):
         return local_words(self)
 
     monkeypatch.setattr(MachineState, "local_words", counting)
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
 
     def r1(ctx):
         m = ctx.machine_id
@@ -241,7 +191,7 @@ def test_each_payload_is_counted_once_per_round(monkeypatch):
         ctx.payload["got"] = [msg["a"] for _, msg in ctx.inbox]
         ctx.payload["rows"] = ctx.batches["t"]["k"].copy()
         if ctx.machine_id == 2:
-            ctx.broadcast((1, 2, 3))
+            ctx.send(BROADCAST, (1, 2, 3))
 
     for step in (r1, r2, lambda ctx: None):
         cl.run_round(step)
@@ -257,7 +207,7 @@ def test_each_payload_is_counted_once_per_round(monkeypatch):
 
 
 def test_shared_store_requires_ampc_mode():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     with pytest.raises(EngineError):
         cl.run_round(lambda ctx: ctx.shared_read("k"))
 
@@ -288,7 +238,7 @@ def _random_messages(seed: int, machines: int) -> dict:
 
 def _exchange(messages: dict, batched: bool, order=None):
     """One round of sends, then every machine's received rows and the stats."""
-    cl = cluster_init(ClusterConfig(n=64, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=64, epsilon=0.5))
 
     def send(ctx):
         msgs = messages[ctx.machine_id]
@@ -358,7 +308,7 @@ def test_send_many_is_independent_of_execution_order():
 
 
 def test_delivered_batches_are_read_only():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     cl.run_round(lambda ctx: ctx.send_many("x", [1], [0, 3], {"v": np.arange(3)}))
     got = {}
     cl.run_round(lambda ctx: got.update(ctx.batches))
@@ -369,14 +319,14 @@ def test_delivered_batches_are_read_only():
 
 def test_send_many_rejects_unknown_destination():
     for bad in (4, 99, -2):
-        cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+        cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
         with pytest.raises(UnknownMachineError):
             cl.run_round(lambda ctx: ctx.send_many("x", [0, bad], [0, 1, 2],
                                                    {"v": np.arange(2)}))
 
 
 def test_oversized_batch_names_receiver_and_round():
-    cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))    # cap 256 words
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))    # cap 256 words
     cl.run_round(lambda ctx: None)
 
     def flood(ctx):
@@ -392,6 +342,6 @@ def test_send_many_rejects_offsets_that_do_not_cut_the_columns():
     cols = {"v": np.arange(4)}
     for dsts, offsets in (([0], [0, 3]), ([0, 1], [0, 4]), ([0, 1, 2], [0, 3, 2, 4]),
                           ([0, 1], [1, 2, 4])):
-        cl = cluster_init(ClusterConfig(n=16, epsilon=0.5))
+        cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
         with pytest.raises(EngineError, match="offsets"):
             cl.run_round(lambda ctx: ctx.send_many("x", dsts, offsets, cols))

@@ -180,9 +180,10 @@ def test_table_slices_cover_the_string():
     run = MpcPalindromes(s, 0.5, seed=4)
     run.run()
     flat = np.full(2 * s.size - 1, -1, np.int64)
-    for m in range(run.plan.machine_count):
-        u_lo, lengths = run.table_slice(m)
-        flat[u_lo : u_lo + lengths.size] = lengths
+    for m, role in enumerate(run.plan.roles):
+        lengths = run.cluster.machines[m].payload.get("own_lengths", np.empty(0, np.int64))
+        assert lengths.size == role.own_u_hi - role.own_u_lo
+        flat[role.own_u_lo : role.own_u_hi] = lengths
     want = oracle_maximal_palindromes(s).lengths_by_center()
     assert np.array_equal(flat, want)
     assert run.cluster.stats.exported_outside_run is False

@@ -1,25 +1,50 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from palmpc.mpc import BlockPipeline
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
-from palmpc.strings import DoubledView, as_symbols, manacher
+from palmpc.strings import DoubledView, _prefix_pal_lengths_from_tables, as_symbols, manacher
 from palmpc.structural import (
     CenterResult,
-    EmptyCase,
     InconsistentMergeError,
-    PeriodicCase,
-    SingleCase,
-    SuperblockView,
+    Query,
     _merge_b2,
-    classify,
-    merge_with_local,
-    plan_queries,
-    resolve_prefix_touching,
+    _periodic_resolve,
+    case_name,
+    first_wave,
+    settle,
 )
 
 
-def view(text, start=0, block_len=1):
-    return SuperblockView(start=start, block_len=block_len, letters=as_symbols(text))
+def prefix_lens(frag, block_len):
+    local = manacher(as_symbols(frag))
+    return _prefix_pal_lengths_from_tables(local.odd, local.even, 2 * block_len, 4 * block_len)
+
+
+def resolve(s, start, block_len, lcp):
+    """Both query waves of the superblock of s at ``start``, answered by ``lcp``."""
+    n = len(s)
+    plens = prefix_lens(as_symbols(s)[start : start + 4 * block_len], block_len)
+    wave = first_wave(plens, start, n)
+    answers = [lcp(q.p1, q.p2) for q in wave]
+    periodic = None
+    if case_name(plens) == "periodic":
+        periodic = _periodic_resolve(plens, start, n, answers[0], answers[-1])
+    results, wave2 = settle(wave, answers, n, periodic)
+    settled, _ = settle(wave2, [lcp(q.p1, q.p2) for q in wave2], n)
+    return results + settled
+
+
+def merge(s, start, block_len, resolved):
+    """(first owned center, owned lengths) from the local table and the resolved centers."""
+    local = manacher(as_symbols(s)[start : start + 4 * block_len])
+    res = np.asarray(resolved, np.int64).reshape(-1, 2)
+    lengths, missing = _merge_b2(local.odd, local.even, start, block_len,
+                                 res[:, 0].copy(), res[:, 1].copy())
+    assert missing < 0
+    return 2 * (start + block_len), lengths
 
 
 def counting_lcp(text):
@@ -34,20 +59,13 @@ def counting_lcp(text):
 
 
 def test_classify_examples():
-    assert classify(view("abca")) == EmptyCase()
-    single = classify(view("abab"))
-    assert isinstance(single, SingleCase)
-    assert single.center_u == 2 and single.prefix_length == 3
-    periodic = classify(view("aaaa"))
-    assert isinstance(periodic, PeriodicCase)
-    assert periodic.period == 1 and periodic.prefix_lengths == (3, 4)
-
-
-def test_superblock_view_validates():
-    with pytest.raises(ValueError):
-        SuperblockView(start=0, block_len=1, letters=as_symbols("abc"))
-    with pytest.raises(ValueError):
-        SuperblockView(start=-1, block_len=1, letters=as_symbols("abcd"))
+    assert case_name(prefix_lens("abca", 1)) == "empty"
+    single = prefix_lens("abab", 1)
+    assert case_name(single) == "single" and single.tolist() == [3]
+    assert first_wave(single, 0, 4)[0].center_u == 2
+    periodic = prefix_lens("aaaa", 1)
+    assert case_name(periodic) == "periodic" and periodic.tolist() == [3, 4]
+    assert first_wave(periodic, 0, 4) == [Query("right", 0, 1)]    # period 1
 
 
 def test_worked_periodic_example():
@@ -55,7 +73,7 @@ def test_worked_periodic_example():
     # left 0 and right 4, one center needs its own query and one is settled
     # by arithmetic
     lcp, calls = counting_lcp("baaaab")
-    res = resolve_prefix_touching(view("aaaa", start=1), 6, lcp)
+    res = resolve("baaaab", 1, 1, lcp)
     assert sorted(res) == [CenterResult(4, 3), CenterResult(5, 6)]
     assert calls[0] == (10, 11) and calls[1] == (1, 2)
     assert (3, 9) in calls
@@ -64,29 +82,47 @@ def test_worked_periodic_example():
 
 def test_empty_issues_no_queries():
     lcp, calls = counting_lcp("abcaxx")
-    assert resolve_prefix_touching(view("abca"), 6, lcp) == []
+    assert resolve("abcaxx", 0, 1, lcp) == []
     assert calls == []
 
 
 def test_single_issues_one_query():
     lcp, calls = counting_lcp("ababxx")
-    res = resolve_prefix_touching(view("abab"), 6, lcp)
+    res = resolve("ababxx", 0, 1, lcp)
     assert len(calls) == 1
     orc = oracle_maximal_palindromes("ababxx")
     assert res == [CenterResult(2, orc.length_at(2))]
 
 
 def test_plan_queries_shapes():
-    assert plan_queries(EmptyCase(), 3, 10) == []
-    single = plan_queries(SingleCase(center_u=8, prefix_length=5), 2, 10)
-    assert len(single) == 1 and single[0][0] == "center"
-    per = plan_queries(PeriodicCase(period=2, prefix_lengths=(5, 7)), 3, 10)
-    assert [kind for kind, _, _ in per] == ["left", "right"]
-    assert per[0][1:] == (2 * 10 - 3 - 2, 2 * 10 - 3)
-    assert per[1][1:] == (3, 5)
+    assert first_wave(np.empty(0, np.int64), 3, 10) == []
+    assert first_wave(np.array([5]), 2, 10) == [Query("center", *_pair(8, 10), 8)]
+    per = first_wave(np.array([5, 7]), 3, 10)
+    assert [q.kind for q in per] == ["left", "right"]
+    assert per[0][1:3] == (2 * 10 - 3 - 2, 2 * 10 - 3)
+    assert per[1][1:3] == (3, 5)
     # fragment at the very start has nothing to its left
-    assert [kind for kind, _, _ in plan_queries(
-        PeriodicCase(period=2, prefix_lengths=(5, 7)), 0, 10)] == ["right"]
+    assert [q.kind for q in first_wave(np.array([5, 7]), 0, 10)] == ["right"]
+
+
+def _pair(u, n):
+    # center u = 2c (odd palindrome) or 2c - 1 (even): suffix c against the mirror
+    c = (u + 1) // 2
+    return (c, 2 * n - c - 1) if u % 2 == 0 else (c, 2 * n - c)
+
+
+def test_settle_checks_answers_and_resolve_errors():
+    wave = [Query("center", *_pair(8, 10), 8)]
+    assert settle(wave, [3], 10) == ([CenterResult(8, 5)], [])
+    with pytest.raises(InconsistentMergeError):
+        settle(wave, [-1], 10)
+    centers = np.array([4, 5], np.int64)
+    for err in (1, 2):
+        with pytest.raises(AssertionError):
+            settle([], [], 10, (centers, np.array([3, 6]), np.int64(-1), err))
+    # the one center no cap settles becomes the next wave
+    got, nxt = settle([], [], 10, (centers, np.array([3, -1]), np.int64(5), 0))
+    assert got == [CenterResult(4, 3)] and nxt == [Query("center", *_pair(5, 10), 5)]
 
 
 def test_budget_never_exceeds_three():
@@ -97,21 +133,18 @@ def test_budget_never_exceeds_three():
         i = int(rng.integers(0, n - 4 * bl + 1))
         s = rng.integers(0, 2, n)
         lcp, calls = counting_lcp(s)
-        resolve_prefix_touching(SuperblockView(i, bl, s[i : i + 4 * bl]), n, lcp)
-        case = classify(SuperblockView(i, bl, s[i : i + 4 * bl]))
+        resolve(s, i, bl, lcp)
+        case = case_name(prefix_lens(s[i : i + 4 * bl], bl))
         assert len(calls) <= 3
-        if isinstance(case, EmptyCase):
+        if case == "empty":
             assert len(calls) == 0
-        elif isinstance(case, SingleCase):
+        elif case == "single":
             assert len(calls) == 1
 
 
 def test_merge_worked_example():
-    s = as_symbols("baaaab")
-    v = view("aaaa", start=1)
-    lcp, _ = counting_lcp(s)
-    res = resolve_prefix_touching(v, 6, lcp)
-    u_lo, lengths = merge_with_local(v, manacher(v.letters), res)
+    lcp, _ = counting_lcp("baaaab")
+    u_lo, lengths = merge("baaaab", 1, 1, resolve("baaaab", 1, 1, lcp))
     assert u_lo == 4 and lengths.tolist() == [3, 6]
 
 
@@ -124,21 +157,26 @@ def test_merge_uses_local_when_not_prefix():
         n = int(rng.integers(4 * bl, 30))
         i = int(rng.integers(0, n - 4 * bl + 1))
         s = rng.integers(0, 3, n)
-        v = SuperblockView(i, bl, s[i : i + 4 * bl])
-        if not isinstance(classify(v), EmptyCase):
+        if case_name(prefix_lens(s[i : i + 4 * bl], bl)) != "empty":
             continue
         hits += 1
-        local = manacher(v.letters)
-        u_lo, lengths = merge_with_local(v, local, [])
+        local = manacher(s[i : i + 4 * bl])
+        u_lo, lengths = merge(s, i, bl, [])
         for j, u in enumerate(range(u_lo, u_lo + lengths.size)):
             assert lengths[j] == local.length_at(u - 2 * i)
     assert hits > 20
 
 
 def test_merge_missing_entry_raises():
-    v = view("aaaa", start=1)
+    # "aaaa" at position 1: owned center 4 reaches the fragment start, and
+    # with nothing resolved the merge flags it and the pipelines raise
+    local = manacher(as_symbols("aaaa"))
+    merged = _merge_b2(local.odd, local.even, 1, 1, np.empty(0, np.int64), np.empty(0, np.int64))
+    assert int(merged[1]) == 4
+    ctx = SimpleNamespace(payload={}, add_work=lambda ops: None)
     with pytest.raises(InconsistentMergeError):
-        merge_with_local(v, manacher(v.letters), [])
+        BlockPipeline._keep_merged(ctx, merged)
+    assert "own_lengths" not in ctx.payload
 
 
 def _merge_b2_linear_scan(odd_f, even_f, start, block_len, resolved_u, resolved_len):
@@ -222,9 +260,7 @@ def test_exhaustive_small_binary_against_oracle():
             lcp = lambda a, b: oracle_lcp(d, a, b)
             for bl in range(1, n // 4 + 1):
                 for i in range(0, n - 4 * bl + 1):
-                    v = SuperblockView(i, bl, s[i : i + 4 * bl])
-                    res = resolve_prefix_touching(v, n, lcp)
-                    u_lo, lengths = merge_with_local(v, manacher(v.letters), res)
+                    u_lo, lengths = merge(s, i, bl, resolve(s, i, bl, lcp))
                     for j, u in enumerate(range(u_lo, u_lo + lengths.size)):
                         assert lengths[j] == orc.length_at(u), (s.tolist(), i, bl, u)
 
@@ -282,10 +318,11 @@ def test_periodic_prefixes_share_the_period():
     for _ in range(500):
         bl = int(rng.integers(1, 5))
         frag = rng.integers(0, 2, 4 * bl)
-        case = classify(SuperblockView(0, bl, frag))
-        if not isinstance(case, PeriodicCase):
+        plens = prefix_lens(frag, bl)
+        if case_name(plens) != "periodic":
             continue
         hits += 1
-        for length in case.prefix_lengths:
-            assert _has_period(frag[:length], case.period)
+        period = int(plens[-1] - plens[-2])
+        for length in plens.tolist():
+            assert _has_period(frag[:length], period)
     assert hits > 20
