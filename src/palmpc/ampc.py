@@ -89,13 +89,12 @@ def _leaf_owner(plan: BlockPlan, leaf: int) -> int:
     return block
 
 
-def _tree_depth(count: int, fanout: int) -> int:
-    """Levels above the leaves needed to reach a single node."""
-    depth = 0
-    while count > 1:
-        count = -(-count // fanout)
-        depth += 1
-    return depth
+def _level_sizes(count: int, fanout: int) -> list[int]:
+    """Node count of each tree level, from ``count`` leaves up to a single node."""
+    sizes = [count]
+    while sizes[-1] > 1:
+        sizes.append(-(-sizes[-1] // fanout))
+    return sizes
 
 
 def _prefix_entry_getter(read, leaf_starts: list[int]):
@@ -198,8 +197,10 @@ class AmpcPalindromes(BlockPipeline):
         self.owned_leaves: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
         for leaf in range(len(self.leaves)):
             self.owned_leaves[_leaf_owner(self.plan, leaf)].append(leaf)
-        self.depth = _tree_depth(len(self.leaves), self.fanout)
-        self.best_depth = _tree_depth(self.plan.machine_count, self.fanout)
+        self.tree_sizes = _level_sizes(len(self.leaves), self.fanout)
+        self.best_sizes = _level_sizes(self.plan.machine_count, self.fanout)
+        self.depth = len(self.tree_sizes) - 1
+        self.best_depth = len(self.best_sizes) - 1
 
     # -- round 1: local palindrome phase plus leaf prefix scans
 
@@ -234,9 +235,7 @@ class AmpcPalindromes(BlockPipeline):
 
     def _combine_level(self, level: int):
         fanout = self.fanout
-        counts = [len(self.leaves)]
-        while counts[-1] > 1:
-            counts.append(-(-counts[-1] // fanout))
+        counts = self.tree_sizes
         node_count = counts[level]
         M = self.plan.machine_count
         q = M61
@@ -341,10 +340,8 @@ class AmpcPalindromes(BlockPipeline):
 
     def _best_level(self, level: int):
         fanout = self.fanout
-        counts = [self.plan.machine_count]
-        while counts[-1] > 1:
-            counts.append(-(-counts[-1] // fanout))
-        node_count = counts[level] if level < len(counts) else 1
+        counts = self.best_sizes
+        node_count = counts[level]
         M = self.plan.machine_count
         final = level == self.best_depth
 

@@ -3,21 +3,19 @@
 One process simulates a cluster of machines that compute in synchronous
 rounds: every machine runs a step against its own payload and inbox only,
 then all outboxes are exchanged atomically. Memory is metered in abstract
-words (one symbol, position, or length = 1 word; a fingerprint = 3k+1 words
-for k hash layers) and checked against the per-machine cap at every round
-boundary. Work is whatever the steps declare plus one unit per message word
-moved.
+words (one symbol, position, length or per-layer hash value = 1 word) and
+checked against the per-machine cap at every round boundary. Work is
+whatever the steps declare plus one unit per message word moved.
 
-Messages take one of two forms. ``send`` ships one dict (or scalar/array)
-payload, metered by walking it: O(1) control messages use it. ``send_many``
-ships a columnar batch -- flat arrays with rows on the last axis, cut into
-segments, each segment one logical message to one machine -- and is metered
-per segment exactly as the equivalent dict would be: one tag word, plus the
-words of its rows, plus one word per header value (a column declared as a
-header costs one word per run of equal values in the segment, as a dict
-holding one scalar per group would). At the round boundary each tag's
-batches from all senders are merged, in (sender, sequence) order, and every
-destination receives one read-only entry per tag in ``ctx.batches``.
+Every message is a columnar batch: ``send`` ships flat arrays with rows on
+the last axis, cut into segments, each segment one logical message to one
+machine. A segment is metered exactly as the equivalent dict message would
+be: one tag word, plus the words of its rows, plus one word per header value
+(a column declared as a header costs one word per run of equal values in the
+segment, as a dict holding one scalar per group would). At the round
+boundary each tag's batches from all senders are merged, in (sender,
+sequence) order, and every destination receives one read-only entry per tag
+in ``ctx.batches``.
 
 The adaptive variant adds a shared read-only store: values written during
 round r become visible to every machine in round r+1, never earlier, and
@@ -31,8 +29,6 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .fingerprint import Fingerprint
 
 BROADCAST = -1
 _NO_BATCHES = MappingProxyType({})
@@ -116,11 +112,7 @@ def words_of(obj) -> int:
         return 0
     if isinstance(obj, np.ndarray):
         return int(obj.size)
-    if isinstance(obj, Fingerprint):
-        return obj.words()
     if isinstance(obj, (int, float, bool, np.integer, np.floating)):
-        return 1
-    if isinstance(obj, str):
         return 1
     if isinstance(obj, dict):
         return sum(words_of(v) for v in obj.values())
@@ -140,16 +132,8 @@ def _freeze(obj):
             _freeze(v)
 
 
-class MessageEnvelope(NamedTuple):
-    src: int
-    dst: int
-    seq: int
-    words: int
-    payload: object
-
-
 class MessageBatch(NamedTuple):
-    """One ``send_many`` call: segment i is rows [offsets[i], offsets[i+1]) to dsts[i]."""
+    """One ``send`` call: segment i is rows [offsets[i], offsets[i+1]) to dsts[i]."""
     tag: str
     dsts: np.ndarray
     offsets: np.ndarray
@@ -228,24 +212,24 @@ class SharedStore:
 
     def __init__(self):
         self._snapshot: dict = {}
-        self._pending: dict = {}
+        self._words: dict = {}       # metered words of each snapshot value
+        self._pending: dict = {}     # key -> (value, words)
         self.total_words = 0
 
     def write(self, key, value) -> int:
         _freeze(value)
-        self._pending[key] = value
-        return words_of(value)
+        words = words_of(value)
+        self._pending[key] = (value, words)
+        return words
 
     def snapshot_get(self, key):
         return self._snapshot.get(key)
 
     def publish(self) -> None:
-        for key, value in self._pending.items():
-            old = self._snapshot.get(key)
-            if old is not None:
-                self.total_words -= words_of(old)
+        for key, (value, words) in self._pending.items():
+            self.total_words += words - self._words.get(key, 0)
             self._snapshot[key] = value
-            self.total_words += words_of(value)
+            self._words[key] = words
         self._pending.clear()
 
     def dump(self) -> dict:
@@ -256,34 +240,23 @@ class SharedStore:
 class StepContext:
     """Per-machine view handed to a step: own payload, own inbox, send/work hooks.
 
-    ``inbox`` lists the (sender, payload) pairs of ``send`` messages;
-    ``batches`` maps each ``send_many`` tag to its merged columns.
+    ``batches`` maps each tag received at the last round boundary to its
+    merged columns: the rows of every segment sent to this machine under that
+    tag, in (sender, sequence) order.
     """
 
-    __slots__ = ("machine_id", "payload", "inbox", "batches", "_cluster", "_outbox",
-                 "_batches", "_work", "_reads")
+    __slots__ = ("machine_id", "payload", "batches", "_cluster", "_batches", "_work", "_reads")
 
-    def __init__(self, cluster: "Cluster", machine_id: int, inbox: list, batches: dict):
+    def __init__(self, cluster: "Cluster", machine_id: int, batches: dict):
         self.machine_id = machine_id
         self.payload = cluster.machines[machine_id].payload
-        self.inbox = inbox
         self.batches = batches
         self._cluster = cluster
-        self._outbox: list[MessageEnvelope] = []
         self._batches: list[MessageBatch] = []
         self._work = 0
         self._reads = 0
 
-    def send(self, dst: int, payload) -> None:
-        cluster = self._cluster
-        if dst != BROADCAST and not 0 <= dst < cluster.config.machine_count:
-            raise UnknownMachineError(f"machine {self.machine_id} sent to unknown machine {dst}")
-        _freeze(payload)
-        self._outbox.append(
-            MessageEnvelope(self.machine_id, dst, len(self._outbox), words_of(payload), payload)
-        )
-
-    def send_many(self, tag: str, dsts, offsets, cols: dict, headers: tuple = ()) -> None:
+    def send(self, tag: str, dsts, offsets, cols: dict, headers: tuple = ()) -> None:
         """Send rows [offsets[i], offsets[i+1]) of every column to dsts[i], for each i.
 
         Columns hold their rows on the last axis. Each segment is metered as one
@@ -352,8 +325,7 @@ class Cluster:
             per_machine_peak=np.zeros(config.machine_count, dtype=np.int64),
         )
         self.shared = SharedStore() if config.mode == "ampc" else None
-        self._inboxes: list[list] = [[] for _ in range(config.machine_count)]
-        self._batch_inboxes: dict[int, dict] = {}   # only machines with batches pending
+        self._delivered: dict[int, dict] = {}   # only machines with batches pending
         self._inbox_words = np.zeros(config.machine_count, dtype=np.int64)
 
     def require_shared(self) -> SharedStore:
@@ -379,11 +351,10 @@ class Cluster:
         stats = self.stats
         machine_ids = order if order is not None else range(config.machine_count)
 
-        all_envelopes: list[MessageEnvelope] = []
         batches_by_src: dict[int, list[MessageBatch]] = {}
         local_after: dict[int, int] = {}
         for m in machine_ids:
-            ctx = StepContext(self, m, *self.drain_inbox(m))
+            ctx = StepContext(self, m, self.drain_inbox(m))
             step(ctx)
             stats.total_work += ctx._work
             if ctx._reads > stats.shared_reads_peak:
@@ -393,23 +364,13 @@ class Cluster:
                     f"machine {m} made {ctx._reads} shared reads in round "
                     f"{stats.rounds}, budget {config.shared_read_cap}")
             local = self.machines[m].local_words()
-            outbox_words = sum(env.words for env in ctx._outbox)
-            outbox_words += sum(int(batch.words.sum()) for batch in ctx._batches)
+            outbox_words = sum(int(batch.words.sum()) for batch in ctx._batches)
             local_after[m] = local
             self._meter(m, local + outbox_words)
-            all_envelopes.extend(ctx._outbox)
             if ctx._batches:
                 batches_by_src[m] = ctx._batches
 
-        all_envelopes.sort(key=lambda env: (env.src, env.seq))
         boundary_total = 0
-        for env in all_envelopes:
-            targets = range(config.machine_count) if env.dst == BROADCAST else (env.dst,)
-            for dst in targets:
-                self._inboxes[dst].append((env.src, env.payload))
-                self._inbox_words[dst] += env.words
-                stats.message_words += env.words
-                stats.total_work += env.words
         self._deliver_batches([batch for src in sorted(batches_by_src)
                                for batch in batches_by_src[src]])
         for m in range(config.machine_count):
@@ -472,18 +433,15 @@ class Cluster:
                 col.setflags(write=False)
             for dst in np.flatnonzero(inbox_words).tolist():
                 lo, hi = bounds[dst], bounds[dst + 1]
-                self._batch_inboxes.setdefault(dst, {})[tag] = {
+                self._delivered.setdefault(dst, {})[tag] = {
                     name: col[..., lo:hi] for name, col in merged.items()}
 
-    def drain_inbox(self, machine_id: int) -> tuple[list, dict]:
+    def drain_inbox(self, machine_id: int) -> dict:
         """Consume a machine's pending inbox without running a round.
 
-        Returns the ``send`` messages and the merged ``send_many`` batches. The
-        delivery (and its metering) already happened at the previous round
-        boundary; this is the receiving side of that exchange.
+        Returns the merged batches, one entry per tag. The delivery (and its
+        metering) already happened at the previous round boundary; this is the
+        receiving side of that exchange.
         """
-        inbox = self._inboxes[machine_id]
-        self._inboxes[machine_id] = []
         self._inbox_words[machine_id] = 0
-        return inbox, self._batch_inboxes.pop(machine_id, _NO_BATCHES)
-
+        return self._delivered.pop(machine_id, _NO_BATCHES)

@@ -314,8 +314,20 @@ def _materialize_doubled(letters: np.ndarray, letters_lo: int, n: int,
 
 
 def _offsets(counts) -> np.ndarray:
-    """Segment bounds for ``send_many`` from per-segment row counts."""
+    """Segment bounds for ``send`` from per-segment row counts."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def _send_rows(ctx: StepContext, tag: str, dsts, **cols) -> None:
+    """Send one single-row segment to each of ``dsts``; ``cols`` give the rows' values."""
+    ctx.send(tag, dsts, np.arange(len(dsts) + 1),
+             {name: np.asarray(col, np.int64) for name, col in cols.items()})
+
+
+def _rows(ctx: StepContext, tag: str, *names):
+    """The rows received under ``tag``, as tuples of the named columns' values."""
+    batch = ctx.batches.get(tag)
+    return () if batch is None else zip(*(batch[name].tolist() for name in names))
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,10 +411,10 @@ class MpcPalindromes(BlockPipeline):
         pos = np.concatenate(positions)
         vals = np.concatenate([v for _, v in spans], axis=1)
         by_class = np.concatenate(fc_rows)
-        ctx.send_many("fc", np.concatenate(fc_dst), _offsets(np.concatenate(fc_count)),
-                      {"pos": pos[by_class], "vals": vals[:, by_class]})
-        ctx.send_many("fs", np.concatenate(fs_dst), _offsets(np.concatenate(fs_count)),
-                      {"pos": pos, "vals": vals})
+        ctx.send("fc", np.concatenate(fc_dst), _offsets(np.concatenate(fc_count)),
+                 {"pos": pos[by_class], "vals": vals[:, by_class]})
+        ctx.send("fs", np.concatenate(fs_dst), _offsets(np.concatenate(fs_count)),
+                 {"pos": pos, "vals": vals})
 
     def _scan_fragments(self, ctx: StepContext, role: MachineRole) -> None:
         n = self.n
@@ -437,9 +449,9 @@ class MpcPalindromes(BlockPipeline):
             return
         key = np.asarray([2 * q.qid + s for q in queries for s in (0, 1)], np.int64)
         pos = np.asarray([p for q in queries for p in (q.p1, q.p2)], np.int64)
-        ctx.send_many("cq", [BROADCAST], [0, key.size],
-                      {"o": np.full(key.size, ctx.machine_id, np.int64), "key": key, "pos": pos},
-                      headers=("o",))
+        ctx.send("cq", [BROADCAST], [0, key.size],
+                 {"o": np.full(key.size, ctx.machine_id, np.int64), "key": key, "pos": pos},
+                 headers=("o",))
 
     # -- round 1: local phase
 
@@ -475,7 +487,9 @@ class MpcPalindromes(BlockPipeline):
             w = self.plan.window
             lo = ctx.payload["letters_lo"]
             seg = ctx.payload["letters"][target_sb - w - lo : target_sb - lo]
-            ctx.send(role.tail_ship_to, {"t": "tail", "lo": target_sb - w, "data": seg})
+            # one row (w + 2 words): the start, and the letters as a (w, 1) column
+            _send_rows(ctx, "tail", [role.tail_ship_to], lo=[target_sb - w],
+                       data=seg.reshape(-1, 1))
 
     # -- store installation and chain serving (rounds 2 and 6)
 
@@ -497,10 +511,10 @@ class MpcPalindromes(BlockPipeline):
                 rows = fs["pos"] // w
                 ctx.payload["str_vals"][:, (rows - m) // M, fs["pos"] % w] = fs["vals"]
                 ctx.add_work(rows.size)
-            for src, msg in ctx.inbox:
-                if msg["t"] == "tail":
-                    ctx.payload["tail_lo"] = msg["lo"]
-                    ctx.payload["tail"] = msg["data"]
+            tail = ctx.batches.get("tail")
+            if tail is not None:
+                ctx.payload["tail_lo"] = int(tail["lo"][0])
+                ctx.payload["tail"] = tail["data"][:, 0]
 
         cq = ctx.batches.get("cq")
         str_vals = ctx.payload.get("str_vals")
@@ -520,10 +534,10 @@ class MpcPalindromes(BlockPipeline):
             return
         # one reply per request message, i.e. per run of equal origins
         origins, offsets = _runs(cq["o"][req])
-        ctx.send_many("cr", origins, offsets,
-                      {"key": cq["key"][req], "rows": rows,
-                       "vals": str_vals[:, (rows - m) // M, cls[req]]},
-                      headers=("key",))
+        ctx.send("cr", origins, offsets,
+                 {"key": cq["key"][req], "rows": rows,
+                  "vals": str_vals[:, (rows - m) // M, cls[req]]},
+                 headers=("key",))
 
     def _r2_install_serve(self, ctx: StepContext) -> None:
         m = ctx.machine_id
@@ -637,10 +651,10 @@ class MpcPalindromes(BlockPipeline):
             pos_arr = np.concatenate(singles_pos)
             order = np.argsort(pos_arr % w, kind="stable")
             dests, offsets = _runs(pos_arr[order] % w)
-            ctx.send_many("sq", dests, offsets,
-                          {"o": np.full(order.size, m, np.int64),
-                           "key": np.concatenate(singles_key)[order], "pos": pos_arr[order]},
-                          headers=("o",))
+            ctx.send("sq", dests, offsets,
+                     {"o": np.full(order.size, m, np.int64),
+                      "key": np.concatenate(singles_key)[order], "pos": pos_arr[order]},
+                     headers=("o",))
 
     # -- refinement serving (rounds 4 and 8)
 
@@ -652,9 +666,9 @@ class MpcPalindromes(BlockPipeline):
         ctx.add_work(rows.size)
         # one reply per request message, i.e. per run of equal origins
         origins, offsets = _runs(sq["o"])
-        ctx.send_many("sr", origins, offsets,
-                      {"key": sq["key"], "pos": sq["pos"],
-                       "vals": ctx.payload["cls_vals"][:, rows]})
+        ctx.send("sr", origins, offsets,
+                 {"key": sq["key"], "pos": sq["pos"],
+                  "vals": ctx.payload["cls_vals"][:, rows]})
 
     # -- refinement consumption
 
@@ -729,21 +743,15 @@ class MpcPalindromes(BlockPipeline):
                                              role.sb_start, self.plan.block_len, res_u, res_len))
         best = self._local_best(ctx)
         if best is not None:
-            ctx.send(0, {"t": "best", "len": best[0], "start": best[1]})
+            _send_rows(ctx, "best", [0], len=[best[0]], start=[best[1]])
 
     def _r10_reduce(self, ctx: StepContext) -> None:
         if ctx.machine_id != 0:
             return
-        best_len = 0
-        best_start = 0
-        for src, msg in ctx.inbox:
-            if msg["t"] != "best":
-                continue
-            ctx.add_work(1)
-            if msg["len"] > best_len or (msg["len"] == best_len and msg["start"] < best_start):
-                best_len = msg["len"]
-                best_start = msg["start"]
-        ctx.payload["lps"] = (best_start, best_len)
+        best = ctx.batches["best"]
+        ctx.add_work(best["len"].size)
+        top = np.lexsort((best["start"], -best["len"]))[0]    # longest, then leftmost
+        ctx.payload["lps"] = (int(best["start"][top]), int(best["len"][top]))
 
     # -- driver
 
@@ -780,7 +788,7 @@ class DistributedLcp(MpcPalindromes):
     queries have no locality guarantee, first-window mismatches are settled by
     fetching the two letter windows from the machines that placed them, and a
     deterministic sample of fingerprint-resolved answers is letter-verified
-    the same way; a contradiction aborts as a collision. 2 * waves + 5 rounds.
+    the same way; a contradiction aborts as a collision. 2 * wave_count + 5 rounds.
     """
 
     PER_MACHINE_WAVE = 2
@@ -795,7 +803,7 @@ class DistributedLcp(MpcPalindromes):
         self.user_queries = list(queries)
         self.answers: list[int | None] = [None] * len(queries)
         self._slots: dict[tuple[int, int], int] = {}
-        self.waves = 0
+        self.wave_count = 0
         M = self.plan.machine_count
         protocol_idx = 0
         for idx, (p1, p2) in enumerate(queries):
@@ -810,7 +818,7 @@ class DistributedLcp(MpcPalindromes):
             origin = protocol_idx % M
             q = self._new_query(origin, "user", p1, p2)
             self._slots[(origin, q.qid)] = idx
-            self.waves = max(self.waves, q.qid // self.PER_MACHINE_WAVE + 1)
+            self.wave_count = max(self.wave_count, q.qid // self.PER_MACHINE_WAVE + 1)
             protocol_idx += 1
         self._emit_wave = 0
 
@@ -828,33 +836,31 @@ class DistributedLcp(MpcPalindromes):
     def _resolve_first_window(self, ctx: StepContext, q: _Query) -> None:
         # positions are arbitrary: fetch both windows from their placers
         _, _, cap = self._first_window_caps(self.n, self.plan.window, q)
-        for side, pos in ((0, q.p1), (1, q.p2)):
-            ctx.send(self.plan.holder_of_position(pos),
-                     {"t": "lw", "o": ctx.machine_id, "qid": q.qid,
-                      "side": side, "pos": pos, "cap": cap})
+        holder = self.plan.holder_of_position
+        _send_rows(ctx, "lw", [holder(q.p1), holder(q.p2)], o=[ctx.machine_id] * 2,
+                   qid=[q.qid] * 2, side=[0, 1], pos=[q.p1, q.p2], cap=[cap] * 2)
+
+    def _placed_window(self, ctx: StepContext, lo: int, hi: int) -> np.ndarray:
+        """``_local_window`` for a fetch request: the letters must be placed here."""
+        win = self._local_window(ctx, lo, hi)
+        if win is None:
+            raise InconsistentMergeError(
+                f"machine {ctx.machine_id} does not place position {lo}")
+        return win
 
     def _serve_phase(self, ctx: StepContext) -> None:
         """Answer whatever arrived: chain requests, refinements, letter fetches."""
         self._install_and_serve(ctx, install=False)
         self._serve_singles(ctx)
-        for src, msg in ctx.inbox:
-            tag = msg["t"]
-            if tag == "lw":
-                win = self._local_window(ctx, msg["pos"], msg["pos"] + msg["cap"])
-                if win is None:
-                    raise InconsistentMergeError(
-                        f"machine {ctx.machine_id} does not place position {msg['pos']}")
-                ctx.add_work(win.size)
-                ctx.send(int(msg["o"]), {"t": "lr", "qid": msg["qid"],
-                                         "side": msg["side"], "letters": win})
-            elif tag == "lv":
-                pos = int(msg["pos"])
-                win = self._local_window(ctx, pos, pos + 1)
-                if win is None:
-                    raise InconsistentMergeError(
-                        f"machine {ctx.machine_id} does not place position {pos}")
-                ctx.send(int(msg["o"]), {"t": "lvr", "qid": msg["qid"],
-                                         "side": msg["side"], "sym": int(win[0])})
+        for o, qid, side, pos, cap in _rows(ctx, "lw", "o", "qid", "side", "pos", "cap"):
+            win = self._placed_window(ctx, pos, pos + cap)
+            ctx.add_work(win.size)
+            ctx.send("lr", [o], [0, win.size], {"qid": np.full(win.size, qid),
+                                                "side": np.full(win.size, side),
+                                                "letters": win}, headers=("qid", "side"))
+        for o, qid, side, pos in _rows(ctx, "lv", "o", "qid", "side", "pos"):
+            win = self._placed_window(ctx, pos, pos + 1)
+            _send_rows(ctx, "lvr", [o], qid=[qid], side=[side], sym=win[:1])
 
     def _consume_phase(self, ctx: StepContext) -> None:
         """Consume whatever arrived, then emit the next wave's chain requests."""
@@ -865,11 +871,14 @@ class DistributedLcp(MpcPalindromes):
 
         windows: dict[int, dict[int, np.ndarray]] = {}
         verdicts: dict[int, dict[int, int]] = {}
-        for src, msg in ctx.inbox:
-            if msg["t"] == "lr":
-                windows.setdefault(int(msg["qid"]), {})[int(msg["side"])] = msg["letters"]
-            elif msg["t"] == "lvr":
-                verdicts.setdefault(int(msg["qid"]), {})[int(msg["side"])] = msg["sym"]
+        lr = ctx.batches.get("lr")
+        if lr is not None:
+            # each (qid, side) window is one segment, so one run of rows
+            keys, bounds = _runs(2 * lr["qid"] + lr["side"])
+            for key, lo, hi in zip(keys.tolist(), bounds[:-1], bounds[1:]):
+                windows.setdefault(key // 2, {})[key % 2] = lr["letters"][lo:hi]
+        for qid, side, sym in _rows(ctx, "lvr", "qid", "side", "sym"):
+            verdicts.setdefault(qid, {})[side] = sym
         for qid, sides in sorted(windows.items()):
             q = per[qid]
             len_i, len_j, cap = self._first_window_caps(self.n, self.plan.window, q)
@@ -894,15 +903,14 @@ class DistributedLcp(MpcPalindromes):
                     mu = q.answer
                     for side, pos in ((0, q.p1), (1, q.p2)):
                         if pos + mu < 2 * self.n:
-                            ctx.send(self.plan.holder_of_position(pos + mu),
-                                     {"t": "lv", "o": m, "qid": qid, "side": side,
-                                      "pos": pos + mu})
+                            _send_rows(ctx, "lv", [self.plan.holder_of_position(pos + mu)],
+                                       o=[m], qid=[qid], side=[side], pos=[pos + mu])
         self._emit_wave_requests(ctx)
 
     def run(self) -> list[int]:
         self.cluster.run_round(self._r1_scan_and_ask)
         self.cluster.run_round(self._r2_install_serve)
-        total_consumes = self.waves + 2 if self.waves else 0
+        total_consumes = self.wave_count + 2 if self.wave_count else 0
         for k in range(total_consumes):
             self._emit_wave = k + 1
             self.cluster.run_round(self._consume_phase)

@@ -5,7 +5,6 @@ lines. The equivalence grid (criterion 1) is shared with the resource-bound
 checks (criterion 4) through a session fixture so the heavy sweep runs once.
 """
 
-import math
 import time
 
 import numpy as np

@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from palmpc import cli
 from palmpc.engine import CollisionAbort

@@ -11,7 +11,6 @@ from palmpc.engine import (
     UnknownMachineError,
     words_of,
 )
-from palmpc.fingerprint import fp_of, scheme_init
 
 
 def test_config_examples():
@@ -53,15 +52,16 @@ def test_identity_round_only_advances_counter():
 
 def test_fan_in_within_cap():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
-    cl.run_round(lambda ctx: ctx.send(0, 1))
+    cl.run_round(lambda ctx: ctx.send("x", [0], [0, 1], {"o": np.array([ctx.machine_id])}))
     seen = {}
 
     def check(ctx):
-        seen[ctx.machine_id] = [src for src, _ in ctx.inbox]
+        seen[ctx.machine_id] = ctx.batches["x"]["o"].tolist() if "x" in ctx.batches else []
 
     cl.run_round(check)
     assert seen[0] == [0, 1, 2, 3]
     assert seen[1] == []
+    assert cl.stats.message_words == 4 * 2     # a tag word and one value each
 
 
 def test_cap_violation_aborts_with_machine_and_round():
@@ -69,7 +69,7 @@ def test_cap_violation_aborts_with_machine_and_round():
 
     def blow(ctx):
         if ctx.machine_id == 1:
-            ctx.send(0, np.zeros(10**5, np.int64))
+            ctx.send("x", [0], [0, 10**5], {"v": np.zeros(10**5, np.int64)})
 
     with pytest.raises(MemoryCapExceeded) as err:
         cl.run_round(blow)
@@ -79,16 +79,18 @@ def test_cap_violation_aborts_with_machine_and_round():
 def test_unknown_destination_rejected():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     with pytest.raises(UnknownMachineError):
-        cl.run_round(lambda ctx: ctx.send(99, 1))
+        cl.run_round(lambda ctx: ctx.send("x", [99], [0, 1], {"v": np.ones(1, np.int64)}))
 
 
 def test_broadcast_reaches_everyone_and_meters_per_copy():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
-    cl.run_round(lambda ctx: ctx.send(BROADCAST, 7) if ctx.machine_id == 0 else None)
+    cl.run_round(lambda ctx: ctx.send("x", [BROADCAST], [0, 1], {"v": np.array([7])})
+                 if ctx.machine_id == 0 else None)
     got = {}
-    cl.run_round(lambda ctx: got.__setitem__(ctx.machine_id, len(ctx.inbox)))
-    assert all(got[m] == 1 for m in range(4))
-    assert cl.stats.message_words == 4
+    cl.run_round(lambda ctx: got.__setitem__(ctx.machine_id, ctx.batches["x"]["v"].tolist()))
+    assert all(got[m] == [7] for m in range(4))
+    # each of the 4 copies costs its tag word and its one value
+    assert cl.stats.message_words == 8
 
 
 def test_determinism_under_execution_order():
@@ -98,11 +100,12 @@ def test_determinism_under_execution_order():
 
         def phase_send(ctx):
             ctx.payload.setdefault("acc", 0)
-            ctx.send((ctx.machine_id + 1) % 8, ctx.machine_id * 10)
+            ctx.send("x", [(ctx.machine_id + 1) % 8], [0, 1],
+                     {"v": np.array([ctx.machine_id * 10])})
             ctx.add_work(1)
 
         def phase_recv(ctx):
-            ctx.payload["acc"] = sum(p for _, p in ctx.inbox) + ctx.machine_id
+            ctx.payload["acc"] = int(ctx.batches["x"]["v"].sum()) + ctx.machine_id
 
         for phase in (phase_send, phase_recv):
             order = list(rng.permutation(8))
@@ -122,7 +125,7 @@ def test_sent_arrays_are_frozen_against_tampering():
     def send(ctx):
         if ctx.machine_id == 0:
             arr = np.arange(4)
-            ctx.send(1, arr)
+            ctx.send("x", [1], [0, 4], {"v": arr})
             leak["arr"] = arr
 
     cl.run_round(send)
@@ -130,8 +133,8 @@ def test_sent_arrays_are_frozen_against_tampering():
         leak["arr"][0] = 99
 
     got = {}
-    cl.run_round(lambda ctx: got.update({ctx.machine_id: ctx.inbox}))
-    assert got[1][0][1].tolist() == [0, 1, 2, 3]
+    cl.run_round(lambda ctx: got.update({ctx.machine_id: ctx.batches}))
+    assert got[1]["x"]["v"].tolist() == [0, 1, 2, 3]
 
 
 def test_steps_only_see_their_own_state():
@@ -146,11 +149,9 @@ def test_steps_only_see_their_own_state():
 
 
 def test_words_of_units():
-    sch = scheme_init(16, 2, 2, seed=0)
     assert words_of(np.zeros(5, np.int64)) == 5
     assert words_of(7) == 1
     assert words_of({"a": np.zeros(2), "b": (1, 2)}) == 4
-    assert words_of(fp_of([1, 0], sch)) == 7
     assert words_of(None) == 0
     with pytest.raises(TypeError):
         words_of(object())
@@ -163,7 +164,7 @@ def test_round_accounting_is_size_independent():
         cl = Cluster(ClusterConfig(n=n, epsilon=0.5))
         for _ in range(3):
             cl.run_round(lambda ctx: None)
-        cl.run_round(lambda ctx: ctx.send(0, 1))
+        cl.run_round(lambda ctx: ctx.send("x", [0], [0, 1], {"v": np.ones(1, np.int64)}))
         cl.run_round(lambda ctx: None)
         counts.add(cl.stats.rounds)
     assert counts == {5}
@@ -183,27 +184,29 @@ def test_each_payload_is_counted_once_per_round(monkeypatch):
     def r1(ctx):
         m = ctx.machine_id
         ctx.payload["x"] = np.arange(m + 1)
-        ctx.send((m + 1) % 4, {"a": m, "v": np.arange(2)})
-        ctx.send_many("t", [m, 3], [0, 1, 3], {"k": np.arange(3) + m})
+        ctx.send("d", [(m + 1) % 4], [0, 1], {"a": np.array([m]), "v": np.arange(2).reshape(2, 1)})
+        ctx.send("t", [m, 3], [0, 1, 3], {"k": np.arange(3) + m})
         ctx.add_work(m)
 
     def r2(ctx):
-        ctx.payload["got"] = [msg["a"] for _, msg in ctx.inbox]
+        ctx.payload["got"] = ctx.batches["d"]["a"].copy()
         ctx.payload["rows"] = ctx.batches["t"]["k"].copy()
         if ctx.machine_id == 2:
-            ctx.send(BROADCAST, (1, 2, 3))
+            ctx.send("b", [BROADCAST], [0, 3], {"v": np.array([1, 2, 3])})
 
     for step in (r1, r2, lambda ctx: None):
         cl.run_round(step)
     assert sorted(calls) == [m for m in range(4) for _ in range(3)]
-    # messages: 4 dicts of 3 words, 4 x (2 + 3) batch words, 4 copies of a
-    # 3-word broadcast; work: 6 declared plus the 44 words moved
+    # messages: 4 "d" rows of 1 + 3 words, 4 x (2 + 3) "t" words, 4 copies of
+    # a 1 + 3-word broadcast; work: 6 declared plus the 52 words moved
     assert cl.stats.to_dict() == {
-        "rounds": 3, "total_work": 50, "message_words": 44, "machine_count": 4,
-        "block_len": 4, "cap_words": 256, "memory_constant": 64, "per_machine_peak": 21,
-        "observed_memory_constant": 6, "total_memory_peak": 42, "shared_words": 0,
+        "rounds": 3, "total_work": 58, "message_words": 52, "machine_count": 4,
+        "block_len": 4, "cap_words": 256, "memory_constant": 64, "per_machine_peak": 22,
+        "observed_memory_constant": 6, "total_memory_peak": 46, "shared_words": 0,
         "shared_reads_peak": 0, "exported_outside_run": False, "counters": {}}
-    assert cl.stats.per_machine_peak.tolist() == [9, 10, 11, 21]
+    # machine m: x (m + 1 words) plus 9 outbox words after round 1; machine 3
+    # also receives 4 + 2 + 3 x 4 words at that boundary, with its 4 of x
+    assert cl.stats.per_machine_peak.tolist() == [10, 11, 12, 22]
 
 
 def test_shared_store_requires_ampc_mode():
@@ -212,7 +215,7 @@ def test_shared_store_requires_ampc_mode():
         cl.run_round(lambda ctx: ctx.shared_read("k"))
 
 
-# -- columnar batches (send_many)
+# -- segment metering and merged delivery
 
 
 def _random_messages(seed: int, machines: int) -> dict:
@@ -236,44 +239,35 @@ def _random_messages(seed: int, machines: int) -> dict:
     return out
 
 
-def _exchange(messages: dict, batched: bool, order=None):
-    """One round of sends, then every machine's received rows and the stats."""
+def _as_dict(src: int, groups) -> dict:
+    """The dict message one segment stands for; an int stands in for the tag word."""
+    return {"t": 0, "o": src, "key": [key for key, _, _ in groups],
+            "rows": [rows for _, rows, _ in groups], "vals": [vals for _, _, vals in groups]}
+
+
+def _exchange(messages: dict, order=None):
+    """One round of sends, then every machine's received columns, the stats and peaks."""
     cl = Cluster(ClusterConfig(n=64, epsilon=0.5))
 
     def send(ctx):
         msgs = messages[ctx.machine_id]
-        if not batched:
-            for dst, groups in msgs:
-                ctx.send(dst, {"t": "x", "o": ctx.machine_id,
-                               "key": [key for key, _, _ in groups],
-                               "rows": [rows for _, rows, _ in groups],
-                               "vals": [vals for _, _, vals in groups]})
-            return
         if not msgs:
             return
         counts = [sum(rows.size for _, rows, _ in groups) for _, groups in msgs]
         groups = [g for _, gs in msgs for g in gs]
         rows = np.concatenate([r for _, r, _ in groups])
-        ctx.send_many("x", [dst for dst, _ in msgs], np.cumsum([0] + counts),
-                      {"o": np.full(rows.size, ctx.machine_id),
-                       "key": np.concatenate([np.full(r.size, key) for key, r, _ in groups]),
-                       "rows": rows,
-                       "vals": np.concatenate([v for _, _, v in groups], axis=1)},
-                      headers=("o", "key"))
+        ctx.send("x", [dst for dst, _ in msgs], np.cumsum([0] + counts),
+                 {"o": np.full(rows.size, ctx.machine_id),
+                  "key": np.concatenate([np.full(r.size, key) for key, r, _ in groups]),
+                  "rows": rows,
+                  "vals": np.concatenate([v for _, _, v in groups], axis=1)},
+                 headers=("o", "key"))
 
     got = {}
 
     def receive(ctx):
-        if batched:
-            got[ctx.machine_id] = ctx.batches.get("x")
-            return
-        parts = [(np.full(r.size, msg["o"]), np.full(r.size, key), r, v)
-                 for _, msg in ctx.inbox
-                 for key, r, v in zip(msg["key"], msg["rows"], msg["vals"])]
-        if ctx.inbox:
-            got[ctx.machine_id] = {
-                name: np.concatenate([p[i] for p in parts], axis=-1) if parts else None
-                for i, name in enumerate(("o", "key", "rows", "vals"))}
+        if "x" in ctx.batches:
+            got[ctx.machine_id] = ctx.batches["x"]
 
     cl.run_round(send, order=order)
     peaks = cl.stats.per_machine_peak.copy()
@@ -281,27 +275,41 @@ def _exchange(messages: dict, batched: bool, order=None):
     return got, cl.stats.to_dict(), peaks
 
 
-def test_send_many_meters_and_delivers_like_send():
+def test_send_meters_segments_like_dicts():
+    machines = 8
     for seed in range(8):
-        messages = _random_messages(seed, 8)
-        want, want_stats, want_peaks = _exchange(messages, batched=False)
-        got, got_stats, got_peaks = _exchange(messages, batched=True)
-        assert got_stats == want_stats and np.array_equal(got_peaks, want_peaks)
-        assert got.keys() == want.keys()
-        for m, cols in want.items():
-            for name, col in cols.items():
-                if col is not None:
-                    assert np.array_equal(got[m][name], col), (seed, m, name)
-                else:
-                    assert got[m][name].shape[-1] == 0
+        messages = _random_messages(seed, machines)
+        sent = 0
+        out_words = np.zeros(machines, np.int64)
+        in_words = np.zeros(machines, np.int64)
+        parts = {m: [] for m in range(machines)}     # (src, key, rows, vals) received
+        for src in range(machines):
+            for dst, groups in messages[src]:
+                words = words_of(_as_dict(src, groups))
+                targets = range(machines) if dst == BROADCAST else (dst,)
+                sent += words * len(targets)
+                out_words[src] += words
+                for m in targets:
+                    in_words[m] += words
+                    parts[m] += [(src, key, rows, vals) for key, rows, vals in groups]
+        got, stats, peaks = _exchange(messages)
+        assert stats["message_words"] == stats["total_work"] == sent, seed
+        assert peaks.tolist() == np.maximum(out_words, in_words).tolist(), seed
+        assert got.keys() == {m for m in range(machines) if parts[m]}
+        for m, cols in got.items():
+            want = parts[m]
+            assert cols["o"].tolist() == [src for src, _, r, _ in want for _ in r], (seed, m)
+            assert cols["key"].tolist() == [key for _, key, r, _ in want for _ in r], (seed, m)
+            assert cols["rows"].tolist() == [x for _, _, r, _ in want for x in r.tolist()]
+            assert np.array_equal(cols["vals"], np.concatenate([v for *_, v in want], axis=1))
 
 
-def test_send_many_is_independent_of_execution_order():
+def test_send_is_independent_of_execution_order():
     messages = _random_messages(3, 8)
-    base, base_stats, _ = _exchange(messages, batched=True)
+    base, base_stats, _ = _exchange(messages)
     for order_seed in (1, 2):
         order = list(np.random.default_rng(order_seed).permutation(8))
-        got, stats, _ = _exchange(messages, batched=True, order=order)
+        got, stats, _ = _exchange(messages, order=order)
         assert stats == base_stats
         for m, cols in base.items():
             assert all(np.array_equal(got[m][k], v) for k, v in cols.items())
@@ -309,7 +317,7 @@ def test_send_many_is_independent_of_execution_order():
 
 def test_delivered_batches_are_read_only():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
-    cl.run_round(lambda ctx: ctx.send_many("x", [1], [0, 3], {"v": np.arange(3)}))
+    cl.run_round(lambda ctx: ctx.send("x", [1], [0, 3], {"v": np.arange(3)}))
     got = {}
     cl.run_round(lambda ctx: got.update(ctx.batches))
     assert got["x"]["v"].tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
@@ -317,11 +325,11 @@ def test_delivered_batches_are_read_only():
         got["x"]["v"][0] = 99
 
 
-def test_send_many_rejects_unknown_destination():
+def test_send_rejects_unknown_destination():
     for bad in (4, 99, -2):
         cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
         with pytest.raises(UnknownMachineError):
-            cl.run_round(lambda ctx: ctx.send_many("x", [0, bad], [0, 1, 2],
+            cl.run_round(lambda ctx: ctx.send("x", [0, bad], [0, 1, 2],
                                                    {"v": np.arange(2)}))
 
 
@@ -331,17 +339,17 @@ def test_oversized_batch_names_receiver_and_round():
 
     def flood(ctx):
         # 101 words from each sender fit, 404 words at machine 2 do not
-        ctx.send_many("x", [2], [0, 100], {"v": np.zeros(100, np.int64)})
+        ctx.send("x", [2], [0, 100], {"v": np.zeros(100, np.int64)})
 
     with pytest.raises(MemoryCapExceeded) as err:
         cl.run_round(flood)
     assert (err.value.machine, err.value.round_no, err.value.words) == (2, 1, 404)
 
 
-def test_send_many_rejects_offsets_that_do_not_cut_the_columns():
+def test_send_rejects_offsets_that_do_not_cut_the_columns():
     cols = {"v": np.arange(4)}
     for dsts, offsets in (([0], [0, 3]), ([0, 1], [0, 4]), ([0, 1, 2], [0, 3, 2, 4]),
                           ([0, 1], [1, 2, 4])):
         cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
         with pytest.raises(EngineError, match="offsets"):
-            cl.run_round(lambda ctx: ctx.send_many("x", dsts, offsets, cols))
+            cl.run_round(lambda ctx: ctx.send("x", dsts, offsets, cols))

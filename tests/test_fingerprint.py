@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from palmpc._kernels import M61, fragment_fp_scan, mulmod61
 from palmpc.fingerprint import (
     MAX_SUPPORTED_N,
-    Fingerprint,
     FingerprintScheme,
     fp_eq,
     fp_of,

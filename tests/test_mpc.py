@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from palmpc._kernels import first_unequal_run
-from palmpc.engine import CollisionAbort, MemoryCapExceeded
+from palmpc.engine import CollisionAbort
 from palmpc.fingerprint import FingerprintScheme, fp_of, scheme_init
 from palmpc.inputs import fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import (

@@ -7,9 +7,7 @@ from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import (
     Center,
     DoubledView,
-    PalindromeTable,
     Text,
-    as_symbols,
     manacher,
     maximal_palindrome_via_lcp,
     prefix_palindromes_in_range,
