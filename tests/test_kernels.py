@@ -1,0 +1,235 @@
+"""The kernels against references: Python-bigint fingerprints and the array-loop scalar kernels."""
+
+import numpy as np
+import pytest
+
+import palmpc.ampc as ampc
+import palmpc.mpc as mpc
+from palmpc._kernels import (
+    M61,
+    fragment_fp_scan,
+    kmp_smallest_period,
+    lcp_doubled,
+    manacher_tables,
+    power_tables,
+    prefix_fp_scan,
+)
+from palmpc.ampc import _scale_offset_mod
+from palmpc.fingerprint import scheme_init
+from palmpc.inputs import fibonacci_text
+
+# ---------------------------------------------------------------------------
+# fingerprint kernels against Python bigints
+
+
+def _window_ref(letters, span, width, x):
+    total = len(letters)
+    return [sum(letters[j + i] * pow(x, i, M61) for i in range(min(width, total - j))) % M61
+            for j in range(span)]
+
+
+def _prefix_ref(letters, x):
+    out, acc = [], 0
+    for j, s in enumerate(letters):
+        acc = (acc + s * pow(x, j, M61)) % M61
+        out.append(acc)
+    return out
+
+
+BASES = (1, 2, M61 - 1, 1_234_567_891_011, (1 << 61) - 3)
+
+
+def _symbol_sets(rng):
+    yield [0]
+    yield [M61 - 1]
+    yield [int(v) for v in rng.integers(0, 4, 7)]
+    yield [int(v) for v in rng.integers(0, M61, 40)]
+    yield [M61 - 1] * 33
+    yield [int(v) for v in rng.integers(M61 - 8, M61, 300)]
+
+
+def test_window_scan_matches_bigint():
+    rng = np.random.default_rng(3)
+    for letters in _symbol_sets(rng):
+        total = len(letters)
+        sym = np.asarray(letters, np.int64)
+        pows, inv = power_tables(BASES, total)
+        shapes = {(total, 1), (total, total), (1, total), (total, total + 5),
+                  (max(total // 2, 1), 3), (max(total - 2, 1), max(total - 1, 1))}
+        for span, width in sorted(shapes):
+            out = np.full((len(BASES), span), -1, np.int64)
+            ops = fragment_fp_scan(sym, span, width, pows, inv, out)
+            for row, x in enumerate(BASES):
+                assert out[row].tolist() == _window_ref(letters, span, width, x), (x, span, width)
+            assert ops == 2 * total * len(BASES)
+            one = np.full((1, span), -1, np.int64)       # a single layer: the first row
+            assert fragment_fp_scan(sym, span, width, pows, inv, one) == 2 * total
+            assert one[0].tolist() == out[0].tolist()
+
+
+def test_prefix_scan_matches_bigint():
+    rng = np.random.default_rng(4)
+    for letters in _symbol_sets(rng):
+        n = len(letters)
+        sym = np.asarray(letters, np.int64)
+        pows, _ = power_tables(BASES, n + 3)             # tables may be wider
+        out = np.full((len(BASES), n), -1, np.int64)
+        ops = prefix_fp_scan(sym, pows, out)
+        for row, x in enumerate(BASES):
+            assert out[row].tolist() == _prefix_ref(letters, x), x
+        assert ops == 2 * n * len(BASES)
+        assert prefix_fp_scan(sym, pows, out[:1]) == 2 * n
+
+
+def test_scale_offset_matches_bigint():
+    rng = np.random.default_rng(5)
+    muls = [1, M61 - 1, int(rng.integers(0, M61))]
+    adds = [0, M61 - 1, 12345]
+    for size in (1, 2, 17, 500):
+        vals = rng.integers(0, M61, (len(muls), size))
+        vals[:, 0] = M61 - 1
+        out = np.full(vals.shape, -1, np.int64)
+        ops = _scale_offset_mod(vals, np.array(muls, np.uint64), np.array(adds, np.uint64), out)
+        for row, (mul, add) in enumerate(zip(muls, adds)):
+            assert out[row].tolist() == [(add + mul * v) % M61 for v in vals[row].tolist()]
+        assert ops == vals.size
+
+
+def test_power_tables_match_pow():
+    bases = (1, 3, M61 - 1, 987_654_321)
+    for size in (0, 1, 2, 3, 64, 100):
+        pows, inv = power_tables(bases, size)
+        assert pows.shape == inv.shape == (len(bases), size)
+        for row, x in enumerate(bases):
+            assert pows[row].tolist() == [pow(x, i, M61) for i in range(size)]
+            assert inv[row].tolist() == [pow(x, -i, M61) for i in range(size)]
+
+
+def test_scheme_rejects_alphabets_beyond_the_modulus():
+    assert scheme_init(16, M61).modulus == M61
+    with pytest.raises(ValueError):
+        scheme_init(16, M61 + 1)
+
+
+# ---------------------------------------------------------------------------
+# scalar kernels against the array loops they replaced
+
+
+def _manacher_ref(sym):
+    n = sym.size
+    odd = np.empty(n, np.int64)
+    even = np.empty(max(n - 1, 0), np.int64)
+    ops = np.int64(0)
+    d1 = np.empty(n, np.int64)
+    left, right = 0, -1
+    for i in range(n):
+        k = 1 if i > right else min(d1[left + right - i], right - i + 1)
+        while i - k >= 0 and i + k < n and sym[i - k] == sym[i + k]:
+            k += 1
+            ops += 1
+        d1[i] = k
+        ops += 2
+        if i + k - 1 > right:
+            left, right = i - k + 1, i + k - 1
+        odd[i] = 2 * k - 1
+    d2 = np.empty(n, np.int64)
+    left, right = 0, -1
+    for i in range(n):
+        k = 0 if i > right else min(d2[left + right - i + 1], right - i + 1)
+        while i - k - 1 >= 0 and i + k < n and sym[i - k - 1] == sym[i + k]:
+            k += 1
+            ops += 1
+        d2[i] = k
+        ops += 2
+        if i + k - 1 > right:
+            left, right = i - k, i + k - 1
+    for m in range(n - 1):
+        even[m] = 2 * d2[m + 1]
+    return odd, even, ops
+
+
+def _kmp_ref(sym):
+    n = sym.size
+    pi = np.zeros(n, np.int64)
+    ops = np.int64(0)
+    for i in range(1, n):
+        j = pi[i - 1]
+        while j > 0 and sym[i] != sym[j]:
+            j = pi[j - 1]
+            ops += 1
+        if sym[i] == sym[j]:
+            j += 1
+        pi[i] = j
+        ops += 2
+    return n - pi[n - 1], ops
+
+
+def _lcp_ref(base, p1, p2):
+    n = base.size
+    total = 2 * n
+    length = np.int64(0)
+    while p1 + length < total and p2 + length < total:
+        pa, pb = p1 + length, p2 + length
+        sa = base[pa] if pa < n else base[total - 1 - pa]
+        sb = base[pb] if pb < n else base[total - 1 - pb]
+        if sa != sb:
+            break
+        length += 1
+    return length
+
+
+SIZES = tuple(range(0, 24)) + (31, 64, 100, 257, 1000, 3000)
+
+
+def _texts(n):
+    rng = np.random.default_rng(n)
+    yield "random", rng.integers(0, 3, n).astype(np.int64)
+    yield "unary", np.zeros(n, np.int64)
+    yield "fibonacci", fibonacci_text(n).symbols if n else np.zeros(0, np.int64)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_scalar_kernels_equal_the_array_loops(n):
+    rng = np.random.default_rng(1000 + n)
+    for family, sym in _texts(n):
+        odd, even, ops = manacher_tables(sym)
+        w_odd, w_even, w_ops = _manacher_ref(sym)
+        assert odd.dtype == even.dtype == np.int64, family
+        assert np.array_equal(odd, w_odd) and np.array_equal(even, w_even), family
+        assert ops == w_ops, family
+        if n:
+            assert kmp_smallest_period(sym) == _kmp_ref(sym), family
+        pairs = [(0, 0), (0, 2 * n), (2 * n, 2 * n)]
+        pairs += [tuple(int(v) for v in rng.integers(0, 2 * n + 1, 2)) for _ in range(20)]
+        for p1, p2 in pairs:
+            assert lcp_doubled(sym, p1, p2) == _lcp_ref(sym, p1, p2), (family, p1, p2)
+
+
+# ---------------------------------------------------------------------------
+# power tables: once per run
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solve, module, scan, eps", [
+    (mpc.solve_mpc, mpc, "fragment_fp_scan", 0.5),
+    (ampc.solve_ampc, ampc, "prefix_fp_scan", 0.75),
+])
+def test_power_tables_are_built_once_per_run(monkeypatch, solve, module, scan, eps):
+    tables = _count_calls(monkeypatch, module, "power_tables")
+    scans = _count_calls(monkeypatch, module, scan)
+    sym = np.random.default_rng(2).integers(0, 2, 2048).astype(np.int64)
+    for runs in (1, 2):
+        solve(sym, eps, seed=runs)
+        assert len(tables) == runs
+    assert len(scans) > 20 * len(tables)
