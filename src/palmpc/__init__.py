@@ -4,15 +4,7 @@ from .ampc import ampc_lcp, build_prefix_store, solve_ampc
 from .engine import ClusterConfig, CollisionAbort, RunStats
 from .mpc import distributed_lcp, plan_decomposition, solve_mpc
 from .oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
-from .strings import (
-    DoubledView,
-    PalindromeTable,
-    Text,
-    manacher,
-    maximal_palindrome_via_lcp,
-    prefix_palindromes_in_range,
-    smallest_period,
-)
+from .strings import DoubledView, PalindromeTable, Text, manacher
 
 __version__ = "0.1.0"
 
@@ -27,13 +19,10 @@ __all__ = [
     "build_prefix_store",
     "distributed_lcp",
     "manacher",
-    "maximal_palindrome_via_lcp",
     "oracle_lcp",
     "oracle_lps",
     "oracle_maximal_palindromes",
     "plan_decomposition",
-    "prefix_palindromes_in_range",
-    "smallest_period",
     "solve_ampc",
     "solve_mpc",
 ]

@@ -3,7 +3,7 @@
 numba is optional (the ``jit`` extra). Without it, or with the environment
 variable ``PALMPC_NO_NUMBA=1``, the same function bodies run as plain Python:
 
-* The scalar-loop kernels (Manacher, KMP, doubled-string LCP) read their input
+* The scalar-loop kernels (Manacher, doubled-string LCP) read their input
   through ``_seq`` and keep their working tables in ``_int_buffer``. On the
   fallback these are Python lists, which Python indexes several times faster
   than numpy scalars; under numba they are the arrays themselves. The list
@@ -203,25 +203,6 @@ def manacher_tables(sym):
     even[:] = d[1:]
     even *= 2
     return odd, even, np.int64(ops)
-
-
-@njit
-def kmp_smallest_period(sym):
-    """Smallest period of a nonempty symbol array, via the prefix function."""
-    s = _seq(sym)
-    n = len(s)
-    pi = _int_buffer(n)
-    ops = 0
-    for i in range(1, n):
-        j = pi[i - 1]
-        while j > 0 and s[i] != s[j]:
-            j = pi[j - 1]
-            ops += 1
-        if s[i] == s[j]:
-            j += 1
-        pi[i] = j
-        ops += 2
-    return np.int64(n - pi[n - 1]), np.int64(ops)
 
 
 @njit

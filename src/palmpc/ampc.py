@@ -11,11 +11,15 @@ the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
 ``mpc.BlockPipeline``, and drives the same ``structural.first_wave``/
 ``settle`` steps -- but answers LCP queries differently. A fan-out-s
 prefix tree (s = block length) over the 2K leaf segments of the doubled
-string builds phi(doubled[0..e]) for every position e; with constant-time
-fingerprint splitting, any fragment fingerprint follows from two prefix
-entries, so one machine can binary search an LCP value adaptively inside a
-single round, center queries included. Every answer is spot-checked against
-the stored mismatch letters; a contradiction aborts as a hash collision.
+string builds phi(doubled[0..e]) for every position e. Each tree node
+("t", level, idx) is a ``fingerprint`` node, folded with
+``fingerprint.concat``. Two fragments compare from two prefix entries each
+(``fingerprint.fragments_equal``), so one machine can binary search an LCP
+value adaptively inside a single round, center queries included. Every
+answer is spot-checked against the stored mismatch letters; a contradiction
+aborts as a hash collision. Like the messaging pipeline's checks, this one is
+one-sided and partial: a false match that ends the search where the letters
+differ goes unseen.
 
 Each machine builds the entries of the leaves it owns and publishes them as
 one read-only int64 array per leaf, under key ("p", leaf): row 0 holds the
@@ -23,11 +27,12 @@ leaf's symbols, row 1 + l the layer-l prefix values. The store is still read
 and metered one position at a time: ``PrefixStore.entry(e)`` makes one shared
 read of the leaf array holding e and returns that column as Python ints.
 
-Round schedule for fixed epsilon: 1 (local phase + leaf scans) + (depth - 1)
-combine rounds + 1 (path contexts + prefix entries) + 1 (all queries, merge,
-per-machine best) + ceil(log_s M) best-reduction rounds. Depth and the
-reduction height depend only on epsilon for the sizes under test, so the
-total is a constant per epsilon.
+Round schedule: 1 (local phase + leaf scans) + (depth - 1) combine rounds +
+1 (path contexts + prefix entries) + 1 (all queries, merge, per-machine best)
++ ceil(log_s M) best-reduction rounds. The tree depth is ceil(log_s 2K) and
+both logarithms are about eps / (1 - eps), but their ceilings depend on n as
+well as on epsilon. At eps=0.75 the total is 9 rounds for every n from 2**10
+to 2**16; at eps=0.9 the same sizes give 21, 15, 17, 18, 19, 21 and 17 rounds.
 """
 
 from bisect import bisect_right
@@ -36,7 +41,7 @@ import numpy as np
 
 from ._kernels import M61, manacher_tables, mulmod61, njit, power_tables, prefix_fp_scan
 from .engine import CollisionAbort, RunStats, StepContext
-from .fingerprint import FingerprintScheme
+from .fingerprint import FingerprintScheme, concat, fragments_equal, node
 from .strings import _prefix_pal_lengths_from_tables
 from .structural import (
     InconsistentMergeError,
@@ -59,8 +64,8 @@ from .mpc import (
 def _scale_offset_mod(vals, mul, add, out):
     """out[l, i] = (add[l] + mul[l] * vals[l, i]) mod (2**61 - 1), one row per layer.
 
-    ``mul`` and ``add`` are uint64 arrays with one entry per row; ``ops`` is
-    one per entry.
+    ``mul`` and ``add`` are uint64 arrays with one entry per row; ``out`` may
+    be ``vals`` itself. ``ops`` is one per entry.
     """
     out[:] = (mulmod61(vals.astype(np.uint64), mul[:, None]) + add[:, None]) % np.uint64(M61)
     return np.int64(vals.size)
@@ -144,10 +149,10 @@ class PrefixStore:
 def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> int:
     """LCP of two doubled-string suffixes by adaptive binary search on prefixes.
 
-    Maintains: prefixes of length lo are fingerprint-equal. Fragment
-    fingerprints come from two prefix entries each; equality is tested
-    cross-multiplied so no modular inverses are needed. The mismatch letters
-    are checked literally at the end; their equality would prove a collision.
+    Maintains: prefixes of length lo are fingerprint-equal. Each probe reads
+    the prefix entries at the two fragment ends and compares the fragments
+    with ``fragments_equal``. The mismatch letters are checked literally at
+    the end; their equality would prove a collision.
     """
     n2 = 2 * store.n
     if p1 == p2:
@@ -162,12 +167,7 @@ def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> in
     def equal_prefixes(length: int) -> bool:
         end1 = store.entry(p1 + length - 1)[1]
         end2 = store.entry(p2 + length - 1)[1]
-        for l in range(layers):
-            da = (end1[l] - base1[l]) % M61
-            db = (end2[l] - base2[l]) % M61
-            if (da * pow2[l]) % M61 != (db * pow1[l]) % M61:
-                return False
-        return True
+        return fragments_equal(end1, base1, pow1, end2, base2, pow2)
 
     lo, hi = 0, l_max
     while lo < hi:
@@ -221,18 +221,27 @@ class AmpcPalindromes(BlockPipeline):
             ctx.payload["prefix_lens"] = _prefix_pal_lengths_from_tables(
                 ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
 
+        # per leaf, the array it will publish: row 0 its symbols, rows 1.. its
+        # prefix values, local to the leaf until the context round offsets them
         leafpfx = {}
         for leaf in self.owned_leaves[m]:
             lo, hi = self.leaves[leaf]
-            seg = _materialize_doubled(ctx.payload["letters"],
-                                       ctx.payload["letters_lo"], n, lo, hi)
-            vals = np.empty((self.scheme.layers, hi - lo), np.int64)
-            ctx.add_work(int(prefix_fp_scan(seg, self.pows, vals)))
-            leafpfx[leaf] = (seg, vals)
-            total = tuple(int(v) for v in vals[:, -1])
-            pows = self.scheme.pow_of(hi - lo)
-            ctx.shared_write(("t", 0, leaf), (hi - lo, pows, total))
+            entries = np.empty((1 + self.scheme.layers, hi - lo), np.int64)
+            entries[0] = _materialize_doubled(ctx.payload["letters"],
+                                              ctx.payload["letters_lo"], n, lo, hi)
+            ctx.add_work(int(prefix_fp_scan(entries[0], self.pows, entries[1:])))
+            leafpfx[leaf] = entries
+            ctx.shared_write(("t", 0, leaf),
+                             node(hi - lo, [pow(x, hi - lo, M61) for x in self.bases],
+                                  entries[1:, -1].tolist()))
         ctx.payload["leafpfx"] = leafpfx
+
+    @staticmethod
+    def _tree_node(ctx: StepContext, level: int, idx: int):
+        rec = ctx.shared_read(("t", level, idx))
+        if rec is None:
+            raise InconsistentMergeError(f"missing tree node ({level}, {idx})")
+        return rec
 
     # -- combine rounds: one tree level per round, root omitted (never needed)
 
@@ -241,57 +250,33 @@ class AmpcPalindromes(BlockPipeline):
         counts = self.tree_sizes
         node_count = counts[level]
         M = self.plan.machine_count
-        q = M61
+        layers = self.scheme.layers
 
         def step(ctx: StepContext) -> None:
             for idx in range(ctx.machine_id, node_count, M):
-                child_lo = idx * fanout
-                child_hi = min(child_lo + fanout, counts[level - 1])
-                length = 0
-                vals = [0] * self.scheme.layers
-                pows = [1] * self.scheme.layers
-                for child in range(child_lo, child_hi):
-                    rec = ctx.shared_read(("t", level - 1, child))
-                    if rec is None:
-                        raise InconsistentMergeError(
-                            f"missing tree node ({level - 1}, {child})")
-                    c_len, c_pows, c_vals = rec
-                    for l in range(self.scheme.layers):
-                        vals[l] = (vals[l] + pows[l] * c_vals[l]) % q
-                        pows[l] = (pows[l] * c_pows[l]) % q
-                    length += c_len
-                    ctx.add_work(self.scheme.layers)
-                ctx.shared_write(("t", level, idx), (length, tuple(pows), tuple(vals)))
+                children = [self._tree_node(ctx, level - 1, child) for child in
+                            range(idx * fanout, min((idx + 1) * fanout, counts[level - 1]))]
+                ctx.add_work(len(children) * layers)
+                ctx.shared_write(("t", level, idx), concat(children, layers))
 
         return step
 
     # -- context round: left-context of every owned leaf, then final entries
 
     def _r_context(self, ctx: StepContext) -> None:
-        q = M61
         fanout = self.fanout
+        layers = self.scheme.layers
         leafpfx = ctx.payload.get("leafpfx", {})
-        for leaf, (seg, vals) in leafpfx.items():
-            ctx_vals = [0] * self.scheme.layers
-            ctx_pows = [1] * self.scheme.layers
-            # accumulate left-sibling totals along the path, top level first
-            for level in range(self.depth - 1, -1, -1):
-                ancestor = leaf // fanout ** level
-                group_lo = (ancestor // fanout) * fanout
-                for idx in range(group_lo, ancestor):
-                    rec = ctx.shared_read(("t", level, idx))
-                    if rec is None:
-                        raise InconsistentMergeError(f"missing tree node ({level}, {idx})")
-                    c_len, c_pows, c_vals = rec
-                    for l in range(self.scheme.layers):
-                        ctx_vals[l] = (ctx_vals[l] + ctx_pows[l] * c_vals[l]) % q
-                        ctx_pows[l] = (ctx_pows[l] * c_pows[l]) % q
-                    ctx.add_work(self.scheme.layers)
-            # row 0: the leaf's symbols; row 1 + l: layer-l prefix values
-            entries = np.empty((1 + self.scheme.layers, seg.size), np.int64)
-            entries[0] = seg
-            ctx.add_work(int(_scale_offset_mod(vals, np.array(ctx_pows, np.uint64),
-                                               np.array(ctx_vals, np.uint64), entries[1:])))
+        for leaf, entries in leafpfx.items():
+            # the left siblings along the leaf's path, top level first
+            siblings = [self._tree_node(ctx, level, idx)
+                        for level in range(self.depth - 1, -1, -1)
+                        for idx in range(leaf // fanout ** (level + 1) * fanout,
+                                         leaf // fanout ** level)]
+            ctx.add_work(len(siblings) * layers)
+            left = concat(siblings, layers).astype(np.uint64)
+            ctx.add_work(int(_scale_offset_mod(entries[1:], left[1 : 1 + layers],
+                                               left[1 + layers :], entries[1:])))
             ctx.shared_write(("p", leaf), entries)
         ctx.payload.pop("leafpfx", None)
 

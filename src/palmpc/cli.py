@@ -1,4 +1,4 @@
-"""Command-line driver: solve, verify against the oracle, and benchmark.
+"""Command-line driver: solve, and verify against the oracle.
 
 Exit codes: 0 success or PASS, 1 verification mismatch, 2 usage error,
 3 aborted on a detected fingerprint collision.
@@ -205,45 +205,6 @@ def cmd_verify(args) -> int:
     return 0 if table_ok and lps_ok else 1
 
 
-def cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    sizes = [int(v) for v in args.sizes.split(",") if v]
-    epsilons = [float(v) for v in args.epsilon.split(",") if v]
-    if not sizes or not epsilons:
-        raise ValueError("bench needs nonempty --sizes and --epsilon lists")
-    rows = []
-    for n in sizes:
-        for eps in epsilons:
-            for rep in range(args.repetitions):
-                text = inputs.random_text(n, args.sigma, seed + rep)
-                t0 = time.perf_counter()
-                result = _run_mode(args.mode, text, eps, seed + rep, args.memory_constant)
-                wall = (time.perf_counter() - t0) * 1e3
-                stats = result.stats
-                rows.append({
-                    "n": n, "epsilon": eps, "rep": rep, "mode": args.mode,
-                    "rounds": stats.rounds if stats else None,
-                    "machines": stats.machine_count if stats else None,
-                    "per_machine_peak": stats.peak_memory_words if stats else None,
-                    "observed_constant": stats.observed_memory_constant() if stats else None,
-                    "total_peak": stats.total_memory_peak if stats else None,
-                    "work": stats.total_work if stats else None,
-                    "work_per_n": round(stats.total_work / n, 2) if stats else None,
-                    "message_words": stats.message_words if stats else None,
-                    "wall_ms": round(wall, 3),
-                })
-    if args.format == "json":
-        print(json.dumps(rows, sort_keys=True))
-    else:
-        cols = ["n", "epsilon", "rep", "mode", "rounds", "machines",
-                "per_machine_peak", "observed_constant", "total_peak",
-                "work", "work_per_n", "message_words", "wall_ms"]
-        print("  ".join(f"{c:>16s}" for c in cols))
-        for row in rows:
-            print("  ".join(f"{str(row[c]):>16s}" for c in cols))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="palmpc",
@@ -261,15 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--exhaustive", nargs=2, metavar=("LEN", "SIGMA"), type=int,
                           help="sweep every string up to LEN over [0, SIGMA)")
 
-    p_bench = sub.add_parser("bench", help="resource scaling across sizes and epsilons")
-    p_bench.add_argument("--sizes", required=True, help="comma-separated text lengths")
-    p_bench.add_argument("--epsilon", default="0.5", help="comma-separated epsilons")
-    p_bench.add_argument("--sigma", type=int, default=2)
-    p_bench.add_argument("--repetitions", type=int, default=1)
-    p_bench.add_argument("--mode", choices=("mpc", "ampc", "sequential"), default="mpc")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--memory-constant", type=int, default=64)
-    p_bench.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -279,7 +231,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {"solve": cmd_solve, "verify": cmd_verify, "bench": cmd_bench}
+    handlers = {"solve": cmd_solve, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
     except CollisionAbort as exc:

@@ -57,10 +57,12 @@ Round schedule (fixed; R0 = 10 rounds for every input and size)
  9 final lengths merged with local tables; per-machine best to machine 0
 10 machine 0 reduces to the leftmost-longest palindromic substring
 
-Fingerprint equality is trusted only where a contradiction would be
-detectable: first-window resolutions are cross-checked against letters and
-refinement scans must be prefix-monotone; any violation aborts the run as a
-hash collision rather than returning a silently wrong table.
+The guarantee is Monte Carlo: with random bases a false fingerprint match
+is unlikely, but nothing proves the output exact. Collision detection is
+one-sided and partial. First-window resolutions are cross-checked against
+letters, and refinement scans must be prefix-monotone; a violation aborts
+the run as a hash collision (``CollisionAbort``). A collision that breaks
+neither check goes unseen, and the table it yields is silently wrong.
 """
 
 import math
@@ -69,7 +71,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    M61,
     first_unequal_run,
     fragment_fp_scan,
     manacher_tables,
@@ -95,9 +96,6 @@ from .structural import (
     first_wave,
     settle,
 )
-
-FP_LAYERS = 2
-
 
 # ---------------------------------------------------------------------------
 # block plan
@@ -222,9 +220,7 @@ class BlockPipeline:
         self.cluster = Cluster(self.config)
         sigma = int(self.sym.max()) + 1
         self.scheme = scheme if scheme is not None else scheme_init(
-            max(2 * n, 2), sigma, FP_LAYERS, seed)
-        if self.scheme.modulus != M61:
-            raise ValueError("the distributed pipelines require the 61-bit prime scheme")
+            max(2 * n, 2), sigma, seed=seed)
         # placement (round 0): each machine receives its role's letter slice
         for m, role in enumerate(self.plan.roles):
             payload = self.cluster.machines[m].payload
@@ -941,28 +937,3 @@ def distributed_lcp(text, queries: list[tuple[int, int]], epsilon: float = 0.5,
                             memory_constant=memory_constant)
     answers = driver.run()
     return answers, driver.cluster.stats
-
-
-def modular_store_snapshot(text, epsilon: float, seed: int = 0) -> dict[int, dict]:
-    """Build the distributed window-fingerprint store and return its contents.
-
-    Test and inspection surface: runs the scan and install rounds only. For
-    each machine x the result holds the start positions p (p mod w = x) and
-    the per-layer fingerprint values of the width-w windows at those
-    positions, plus the stripe rows it replicates.
-    """
-    run = MpcPalindromes(text, epsilon, seed=seed)
-    run.cluster.run_round(run._r1_local)
-    run.cluster.run_round(run._r2_install_serve)
-    w = run.plan.window
-    M = run.plan.machine_count
-    out = {}
-    for m in range(M):
-        payload = run.cluster.machines[m].payload
-        cls_vals = payload["cls_vals"]
-        positions = m + w * np.arange(cls_vals.shape[1], dtype=np.int64)
-        stripe_rows = np.arange(m, -(-2 * run.n // w), M, dtype=np.int64)
-        out[m] = {"positions": positions, "values": cls_vals,
-                  "stripe_rows": stripe_rows, "stripe_values": payload["str_vals"],
-                  "window": w}
-    return out

@@ -7,11 +7,10 @@ This keeps every formula in exact integer arithmetic.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import kmp_smallest_period, manacher_tables, njit
+from ._kernels import manacher_tables, njit
 
 
 def as_symbols(text) -> np.ndarray:
@@ -58,31 +57,6 @@ class Text:
 
     def __len__(self) -> int:
         return int(self.symbols.size)
-
-
-class Center(NamedTuple):
-    """Palindrome center as the integer half-index u = 2c.
-
-    Even u: odd-length palindrome centered at position u/2. Odd u:
-    even-length palindrome centered between positions (u-1)/2 and (u+1)/2.
-    """
-
-    half_index: int
-
-    @classmethod
-    def checked(cls, u: int, n: int) -> "Center":
-        if not 0 <= u <= 2 * n - 2:
-            raise ValueError(f"center half-index {u} out of range for n={n}")
-        return cls(u)
-
-    @property
-    def is_odd_length(self) -> bool:
-        return self.half_index % 2 == 0
-
-    @property
-    def left_position(self) -> int:
-        """Text position of (or just left of) the center."""
-        return self.half_index // 2
 
 
 @dataclass(frozen=True)
@@ -160,54 +134,6 @@ def manacher(text) -> PalindromeTable:
     sym = as_symbols(text)
     odd, even, _ = manacher_tables(sym)
     return PalindromeTable(odd=odd, even=even)
-
-
-def smallest_period(text) -> int:
-    """Least p >= 1 with text[i] == text[i+p] for all valid i."""
-    sym = as_symbols(text)
-    if sym.size == 0:
-        raise ValueError("period of the empty string is undefined")
-    period, _ = kmp_smallest_period(sym)
-    return int(period)
-
-
-def maximal_palindrome_via_lcp(u: int, n: int, lcp) -> int:
-    """Maximal palindrome length at center u, from one LCP query on the doubled text.
-
-    ``lcp(p1, p2)`` must answer longest-common-prefix queries between suffixes
-    of the doubled text of length 2n. The raw match can run past the text's
-    right edge into the mirrored half (the doubled text carries no separator),
-    so the value is capped at the room the right arm actually has.
-    """
-    if not 0 <= u <= 2 * n - 2:
-        raise ValueError(f"center half-index {u} out of range for n={n}")
-    if u % 2 == 0:
-        c = u // 2
-        return 2 * min(int(lcp(c, 2 * n - c - 1)), n - c) - 1
-    c_up = (u + 1) // 2
-    return 2 * min(int(lcp(c_up, 2 * n - c_up)), n - c_up)
-
-
-def prefix_palindromes_in_range(fragment, block_len: int) -> list[int]:
-    """Lengths L of palindromic prefixes of ``fragment`` centered in its second block.
-
-    The fragment must have length exactly 4 * block_len. A prefix of length L
-    qualifies when its center offset (L-1)/2 lies in [block_len, 2*block_len),
-    i.e. L - 1 is a center half-index in [2*block_len, 4*block_len). One
-    linear pass: the length-L prefix is a palindrome iff the maximal
-    palindrome at center L - 1 reaches position 0.
-    """
-    sym = as_symbols(fragment)
-    if block_len < 1:
-        raise ValueError("block length must be >= 1")
-    if sym.size != 4 * block_len:
-        raise ValueError(f"fragment length {sym.size} != 4 * {block_len}")
-    table = manacher(sym)
-    out = []
-    for u in range(2 * block_len, 4 * block_len):
-        if table.length_at(u) >= u + 1:
-            out.append(u + 1)
-    return out
 
 
 @njit

@@ -13,7 +13,7 @@ import pytest
 from palmpc.ampc import solve_ampc
 from palmpc.engine import CollisionAbort
 from palmpc.exhaustive import sweep_views
-from palmpc.fingerprint import fp_eq, fp_of, fp_solve_third, scheme_init
+from palmpc.fingerprint import concat, fp_of, fragments_equal, scheme_init
 from palmpc.inputs import alternating_text, fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import solve_mpc
 from palmpc.oracle import oracle_lps, oracle_maximal_palindromes
@@ -187,16 +187,25 @@ def test_criterion_7_periodic_torture():
 def test_criterion_8_fingerprint_scheme(equivalence_grid):
     rng = np.random.default_rng(8)
     scheme = scheme_init(256, 256, layers=2, seed=88)
+    ones, zeros = (1, 1), (0, 0)
     for _ in range(500):
         n = int(rng.integers(1, 257))
         s = rng.integers(0, 256, n).astype(np.int64)
         whole = fp_of(s, scheme)
         for cut in range(n + 1):
+            # nodes are [len, x**len per layer, fp per layer]; Python ints
+            # for fragments_equal, which multiplies two 61-bit residues
             u = fp_of(s[:cut], scheme)
             v = fp_of(s[cut:], scheme)
-            assert fp_eq(fp_solve_third(u=u, v=v), whole)
-            assert fp_eq(fp_solve_third(w=whole, u=u), v)
-            assert fp_eq(fp_solve_third(w=whole, v=v), u)
+            assert np.array_equal(concat([u, v], 2), whole)
+            w_, u_, v_ = whole.tolist(), u.tolist(), v.tolist()
+            # V from W and U: the fragment after prefix U of S equals V
+            assert w_[0] - u_[0] == v_[0]
+            assert fragments_equal(w_[3:], u_[3:], u_[1:3], v_[3:], zeros, ones)
+            # U from W and V: U at offset 0 of S equals U at offset |V| of V U
+            vu = concat([v, u], 2).tolist()
+            assert vu[0] - v_[0] == u_[0]
+            assert fragments_equal(u_[3:], zeros, ones, vu[3:], v_[3:], v_[1:3])
     deterministic = scheme_init(256, 256, 2, 88).bases == scheme.bases
     ok = deterministic and equivalence_grid["collision_aborts"] == 0
     _line(ok, "criterion 8 (fingerprint scheme)",

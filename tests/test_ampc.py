@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from palmpc._kernels import M61
 from palmpc.ampc import (
     AmpcPalindromes,
     PrefixStore,
@@ -12,8 +13,8 @@ from palmpc.ampc import (
     leaf_bounds,
     solve_ampc,
 )
-from palmpc.engine import Cluster, ClusterConfig, CollisionAbort
-from palmpc.fingerprint import fp_of, scheme_init
+from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, words_of
+from palmpc.fingerprint import fp_of, fragments_equal, scheme_init
 from palmpc.inputs import fibonacci_text, unary_text
 from palmpc.mpc import solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
@@ -70,30 +71,28 @@ def test_prefix_entries_match_direct_evaluation():
         e = int(rng.integers(0, 400))
         sym, vals = store.entry(e)
         assert sym == d.read(e)
-        assert vals == fp_of(d.materialize(0, e + 1), scheme).values
+        assert vals == tuple(fp_of(d.materialize(0, e + 1), scheme)[3:].tolist())
 
 
 def test_fragment_fingerprint_recovered_from_two_entries():
-    # fragment fp from prefix entries at its two ends via the splitting rule
-    from palmpc.fingerprint import Fingerprint, fp_solve_third
-
+    # a fragment read off the prefix entries at its two ends, compared
+    # cross-multiplied (as ampc_lcp does) with its direct fingerprint
     rng = np.random.default_rng(2)
     s = rng.integers(0, 3, 128).astype(np.int64)
     store, _, _ = build_prefix_store(s, 0.75, seed=3)
     scheme = scheme_init(256, 3, 2, seed=3)
     d = DoubledView(s)
+    ones, zeros = (1, 1), (0, 0)
     for _ in range(60):
         i = int(rng.integers(0, 256))
         j = int(rng.integers(i, 256))
-        whole = Fingerprint(scheme, j + 1, store.entry(j)[1],
-                            scheme.pow_of(j + 1), scheme.pow_of(-(j + 1)))
-        if i == 0:
-            frag = whole
-        else:
-            prefix = Fingerprint(scheme, i, store.entry(i - 1)[1],
-                                 scheme.pow_of(i), scheme.pow_of(-i))
-            frag = fp_solve_third(w=whole, u=prefix)
-        assert frag.values == fp_of(d.materialize(i, j + 1), scheme).values
+        start = store.entry(i - 1)[1] if i > 0 else zeros
+        pows = tuple(pow(x, i, M61) for x in scheme.bases)
+        frag = fp_of(d.materialize(i, j + 1), scheme).tolist()
+        assert fragments_equal(store.entry(j)[1], start, pows, frag[3:], zeros, ones)
+        # a different fragment of the same length does not match
+        other = fp_of(np.append(d.materialize(i, j), 3), scheme).tolist()
+        assert not fragments_equal(store.entry(j)[1], start, pows, other[3:], zeros, ones)
 
 
 def test_build_round_count_depends_only_on_epsilon():
@@ -260,3 +259,24 @@ def test_leaf_owner_is_asked_once_per_leaf(monkeypatch):
     s = np.random.default_rng(11).integers(0, 2, 4096).astype(np.int64)
     r = solve_ampc(s, 0.75, seed=1)
     assert len(calls) <= 2 * r.plan.block_count
+
+
+def test_tree_nodes_are_flat_read_only_fingerprint_nodes():
+    # n=2000 at eps=0.75 has 7-symbol blocks: 572 leaves, tree levels of
+    # 572, 82, 12 and 2 nodes, so the store holds levels 0..3
+    rng = np.random.default_rng(12)
+    s = rng.integers(0, 3, 2000).astype(np.int64)
+    run = AmpcPalindromes(s, 0.75, seed=4)
+    assert run.depth >= 4
+    run.build_prefix_entries()
+    layers = run.scheme.layers
+    d = DoubledView(s)
+    nodes = {key: val for key, val in run.cluster.shared.dump().items() if key[0] == "t"}
+    assert {key[1] for key in nodes} == set(range(run.depth))
+    for (_, level, idx), nd in nodes.items():
+        assert nd.dtype == np.int64 and not nd.flags.writeable
+        assert nd.shape == (1 + 2 * layers,) and words_of(nd) == 1 + 2 * layers
+        span = run.fanout ** level
+        leaves = run.leaves[idx * span : (idx + 1) * span]
+        lo, hi = leaves[0][0], leaves[-1][1]
+        assert np.array_equal(nd, fp_of(d.materialize(lo, hi), run.scheme)), (level, idx)

@@ -103,21 +103,6 @@ def test_unreadable_input_is_usage_error(capsys):
     assert code == 2
 
 
-def test_bench_requires_sizes(capsys):
-    assert run_cli(capsys, "bench")[0] == 2
-    code, _, err = run_cli(capsys, "bench", "--sizes", "")
-    assert code == 2
-
-
-def test_bench_outputs_rows(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--sizes", "256,1024",
-                           "--epsilon", "0.4,0.5", "--format", "json")
-    assert code == 0
-    rows = json.loads(out)
-    assert len(rows) == 4
-    assert {r["rounds"] for r in rows} == {10}
-
-
 def test_exhaustive_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--exhaustive", "7", "2",
                            "--mode", "mpc", "--epsilon", "0.5")

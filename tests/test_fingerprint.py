@@ -3,16 +3,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palmpc._kernels import M61, fragment_fp_scan, mulmod61, power_tables
+from palmpc.engine import words_of
 from palmpc.fingerprint import (
     MAX_SUPPORTED_N,
     FingerprintScheme,
-    fp_eq,
+    concat,
     fp_of,
-    fp_solve_third,
+    fragments_equal,
+    node,
     scheme_init,
 )
 
-TOY = FingerprintScheme(modulus=97, bases=(10,))
+TOY = FingerprintScheme(bases=(10,))
+
+
+def _vals(nd) -> tuple:
+    layers = (nd.size - 1) // 2
+    return tuple(nd[1 + layers :].tolist())
+
+
+def _pows(nd) -> tuple:
+    layers = (nd.size - 1) // 2
+    return tuple(nd[1 : 1 + layers].tolist())
+
+
+def _same(a, b) -> bool:
+    """Two standalone strings' nodes compared as fragments at offset 0."""
+    ones = (1,) * len(_vals(a))
+    zeros = (0,) * len(ones)
+    return int(a[0]) == int(b[0]) and fragments_equal(_vals(a), zeros, ones,
+                                                      _vals(b), zeros, ones)
 
 
 def test_mulmod61_matches_bigint():
@@ -40,70 +60,77 @@ def test_mulmod61_on_arrays_matches_bigint():
 
 
 def test_fp_of_toy_examples():
-    assert fp_of([0, 1], TOY).values == (10,)      # "ab" with a=0, b=1
-    assert fp_of([1, 0], TOY).values == (1,)       # "ba"
-    empty = fp_of([], TOY)
-    assert empty.values == (0,) and empty.length == 0
+    assert fp_of([0, 1], TOY).tolist() == [2, 100, 10]   # "ab" with a=0, b=1
+    assert fp_of([1, 0], TOY).tolist() == [2, 100, 1]    # "ba"
+    assert fp_of([], TOY).tolist() == [0, 1, 0]
+    nd = fp_of([1, 0], TOY)
+    assert nd.dtype == np.int64 and not nd.flags.writeable
 
 
-def test_solve_third_toy_examples():
+def test_concat_toy_examples():
     fa, fb = fp_of([0], TOY), fp_of([1], TOY)
-    w = fp_solve_third(u=fa, v=fb)
-    assert w.values == (10,) and w.length == 2
-    assert TOY.inv_bases == (68,)                  # 10 * 68 = 1 mod 97
-    v = fp_solve_third(w=fp_of([0, 1], TOY), u=fa)
-    assert v.values == (1,) and v.length == 1
-    whole = fp_of([0, 1], TOY)
-    u = fp_solve_third(w=whole, v=whole)
-    assert u.values == (0,) and u.length == 0
-
-
-def test_solve_third_rejects_bad_roles():
-    a, ab = fp_of([0], TOY), fp_of([0, 1], TOY)
-    with pytest.raises(ValueError):
-        fp_solve_third(u=a)
-    with pytest.raises(ValueError):
-        fp_solve_third(u=ab, w=a)   # prefix longer than whole
-    with pytest.raises(ValueError):
-        fp_solve_third(v=ab, w=a)
+    w = concat([fa, fb], 1)
+    assert w.tolist() == [2, 100, 10] and not w.flags.writeable
+    assert concat([], 1).tolist() == [0, 1, 0]
+    assert concat([w, fp_of([], TOY)], 1).tolist() == [2, 100, 10]
+    # fragment [1, 2) of "ab", read off prefix nodes, against "b" itself
+    assert fragments_equal(_vals(w), _vals(fa), _pows(fa), _vals(fb), (0,), (1,))
+    assert not fragments_equal(_vals(w), _vals(fa), _pows(fa), _vals(fa), (0,), (1,))
+    # values near the modulus wrap
+    big = FingerprintScheme(bases=(M61 - 1,))
+    assert concat([fp_of([M61 - 1], big)] * 2, 1).tolist() == fp_of([M61 - 1] * 2, big).tolist()
 
 
 def test_fp_eq_examples():
     sch = scheme_init(64, 256, 2, seed=3)
-    assert fp_eq(fp_of("aba", sch), fp_of("aba", sch))
-    assert not fp_eq(fp_of([0, 1], TOY), fp_of([1, 0], TOY))
-    assert not fp_eq(fp_of("a", sch), fp_of("aa", sch))
+    assert _same(fp_of("aba", sch), fp_of("aba", sch))
+    assert not _same(fp_of([0, 1], TOY), fp_of([1, 0], TOY))
+    assert not _same(fp_of("a", sch), fp_of("aa", sch))
 
 
-def test_fp_eq_rejects_scheme_mismatch():
-    sch = scheme_init(64, 256, 1, seed=3)
-    with pytest.raises(ValueError):
-        fp_eq(fp_of([0], TOY), fp_of([0], sch))
+def test_scheme_rejects_bases_outside_the_field():
+    for bases in ((0,), (M61,), (2, M61), (-1,), ()):
+        with pytest.raises(ValueError):
+            FingerprintScheme(bases=bases)
+    assert FingerprintScheme(bases=(1, M61 - 1)).layers == 2
 
 
 def test_scheme_init_bounds_and_determinism():
     big = scheme_init(10**6, 256, layers=2, seed=7)
-    assert big.layers == 2 and big.modulus >= 10**18
-    assert all(big.modulus >= max(256, (10**6) ** 3) for _ in big.bases)
+    assert big.layers == 2 and M61 >= 10**18
+    assert M61 >= max(256, (10**6) ** 3)
+    assert all(1 <= x < M61 for x in big.bases)
     small = scheme_init(16, 2, layers=1, seed=1)
-    assert small.modulus >= 16**3 >= 4096
+    assert small.layers == 1 and 1 <= small.bases[0] < M61
     assert scheme_init(10**6, 256, 2, 7).bases == big.bases
     assert scheme_init(10**6, 256, 2, 8).bases != big.bases
+    assert scheme_init(10**6, 256, seed=7) == big       # two layers by default
     with pytest.raises(ValueError):
         scheme_init(MAX_SUPPORTED_N + 1, 2)
 
 
+def _check_split(s, cut, sch):
+    """The three identities of one split S = U V, through concat and fragments_equal."""
+    layers = sch.layers
+    ones, zeros = (1,) * layers, (0,) * layers
+    whole, u, v = fp_of(s, sch), fp_of(s[:cut], sch), fp_of(s[cut:], sch)
+    # concatenation
+    assert np.array_equal(concat([u, v], layers), whole)
+    # V from W and U: the fragment after prefix U of S, against V at offset 0
+    assert whole[0] - u[0] == v[0]
+    assert fragments_equal(_vals(whole), _vals(u), _pows(u), _vals(v), zeros, ones)
+    # U from W and V: U at offset 0 of S, against U at offset |V| of V U
+    vu = concat([v, u], layers)
+    assert vu[0] - v[0] == u[0] == cut
+    assert fragments_equal(_vals(u), zeros, ones, _vals(vu), _vals(v), _pows(v))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 255), min_size=0, max_size=256), st.integers(0, 2**30))
-def test_solve_third_roundtrips_every_split(symbols, cut_seed):
+def test_concat_roundtrips_every_split(symbols, cut_seed):
     sch = scheme_init(256, 256, 2, seed=11)
     s = np.asarray(symbols, dtype=np.int64)
-    whole = fp_of(s, sch)
-    cut = cut_seed % (len(symbols) + 1)
-    u, v = fp_of(s[:cut], sch), fp_of(s[cut:], sch)
-    assert fp_eq(fp_solve_third(u=u, v=v), whole)
-    assert fp_eq(fp_solve_third(w=whole, u=u), v)
-    assert fp_eq(fp_solve_third(w=whole, v=v), u)
+    _check_split(s, cut_seed % (len(symbols) + 1), sch)
 
 
 def test_concatenation_is_associative():
@@ -113,21 +140,28 @@ def test_concatenation_is_associative():
         a = fp_of(rng.integers(0, 4, int(rng.integers(0, 20))), sch)
         b = fp_of(rng.integers(0, 4, int(rng.integers(0, 20))), sch)
         c = fp_of(rng.integers(0, 4, int(rng.integers(0, 20))), sch)
-        left = fp_solve_third(u=fp_solve_third(u=a, v=b), v=c)
-        right = fp_solve_third(u=a, v=fp_solve_third(u=b, v=c))
-        assert fp_eq(left, right)
+        left = concat([concat([a, b], 2), c], 2)
+        right = concat([a, concat([b, c], 2)], 2)
+        assert np.array_equal(left, right)
+        assert np.array_equal(left, concat([a, b, c], 2))
 
 
 def test_powers_stay_consistent():
     sch = scheme_init(512, 2, 2, seed=9)
-    fp = fp_of(np.ones(37, dtype=np.int64), sch)
-    for l in range(sch.layers):
-        assert fp.pow_len[l] * fp.inv_pow_len[l] % sch.modulus == 1
+    nd = fp_of(np.ones(37, dtype=np.int64), sch)
+    _, inv = power_tables(sch.bases, 38)
+    for l, x in enumerate(sch.bases):
+        assert _pows(nd)[l] == pow(x, 37, M61)
+        assert _pows(nd)[l] * int(inv[l, 37]) % M61 == 1
+    halves = concat([fp_of(np.ones(20, np.int64), sch), fp_of(np.ones(17, np.int64), sch)], 2)
+    assert _pows(halves) == _pows(nd)
 
 
 def test_fingerprint_word_accounting():
     sch = scheme_init(16, 2, 2, seed=0)
-    assert fp_of([1, 0, 1], sch).words() == 3 * 2 + 1
+    nd = fp_of([1, 0, 1], sch)
+    assert nd.shape == (1 + 2 * 2,) and words_of(nd) == 1 + 2 * 2
+    assert words_of(node(3, _pows(nd), _vals(nd))) == words_of(concat([nd], 2)) == 5
 
 
 def _fragment_values(sym: np.ndarray, length: int, scheme, tables) -> np.ndarray:

@@ -8,7 +8,6 @@ import palmpc.mpc as mpc
 from palmpc._kernels import (
     M61,
     fragment_fp_scan,
-    kmp_smallest_period,
     lcp_doubled,
     manacher_tables,
     power_tables,
@@ -106,7 +105,7 @@ def test_power_tables_match_pow():
 
 
 def test_scheme_rejects_alphabets_beyond_the_modulus():
-    assert scheme_init(16, M61).modulus == M61
+    assert scheme_init(16, M61).layers == 2
     with pytest.raises(ValueError):
         scheme_init(16, M61 + 1)
 
@@ -148,22 +147,6 @@ def _manacher_ref(sym):
     return odd, even, ops
 
 
-def _kmp_ref(sym):
-    n = sym.size
-    pi = np.zeros(n, np.int64)
-    ops = np.int64(0)
-    for i in range(1, n):
-        j = pi[i - 1]
-        while j > 0 and sym[i] != sym[j]:
-            j = pi[j - 1]
-            ops += 1
-        if sym[i] == sym[j]:
-            j += 1
-        pi[i] = j
-        ops += 2
-    return n - pi[n - 1], ops
-
-
 def _lcp_ref(base, p1, p2):
     n = base.size
     total = 2 * n
@@ -197,8 +180,6 @@ def test_scalar_kernels_equal_the_array_loops(n):
         assert odd.dtype == even.dtype == np.int64, family
         assert np.array_equal(odd, w_odd) and np.array_equal(even, w_even), family
         assert ops == w_ops, family
-        if n:
-            assert kmp_smallest_period(sym) == _kmp_ref(sym), family
         pairs = [(0, 0), (0, 2 * n), (2 * n, 2 * n)]
         pairs += [tuple(int(v) for v in rng.integers(0, 2 * n + 1, 2)) for _ in range(20)]
         for p1, p2 in pairs:

@@ -8,7 +8,6 @@ from palmpc.inputs import fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import (
     MpcPalindromes,
     distributed_lcp,
-    modular_store_snapshot,
     plan_decomposition,
     solve_mpc,
 )
@@ -57,28 +56,43 @@ def test_plan_window_never_exceeds_block():
             assert plan.window <= plan.block_len
 
 
+def _installed_store(s, epsilon, seed):
+    """A run after its scan and install rounds, whose machines hold both window stores."""
+    run = MpcPalindromes(s, epsilon, seed=seed)
+    run.cluster.run_round(run._r1_local)
+    run.cluster.run_round(run._r2_install_serve)
+    return run
+
+
+def _class_positions(run, m):
+    # machine m keeps the windows at doubled positions p with p mod w == m
+    count = run.cluster.machines[m].payload["cls_vals"].shape[1]
+    return m + run.plan.window * np.arange(count, dtype=np.int64)
+
+
 def test_store_snapshot_residue_classes():
     # n=16, eps=0.5 gives window 4: machine 1 holds positions 1, 5, 9, ...
     s = (np.arange(16) % 7).astype(np.int64)
-    snap = modular_store_snapshot(s, 0.5, seed=1)
-    assert snap[1]["positions"].tolist() == [1, 5, 9, 13, 17, 21, 25, 29]
-    total = sum(v["positions"].size for v in snap.values())
+    run = _installed_store(s, 0.5, seed=1)
+    assert _class_positions(run, 1).tolist() == [1, 5, 9, 13, 17, 21, 25, 29]
+    total = sum(_class_positions(run, m).size for m in range(run.plan.machine_count))
     assert total == 32      # one window fingerprint per doubled position
 
 
 def test_store_values_match_direct_fingerprints():
     rng = np.random.default_rng(2)
     s = rng.integers(0, 4, 64).astype(np.int64)
-    snap = modular_store_snapshot(s, 0.5, seed=3)
+    run = _installed_store(s, 0.5, seed=3)
     scheme = scheme_init(128, 4, 2, seed=3)
     d = DoubledView(s)
-    w = snap[0]["window"]
+    w = run.plan.window
     checked = 0
-    for m, entry in snap.items():
-        for k, pos in enumerate(entry["positions"].tolist()):
+    for m in range(run.plan.machine_count):
+        values = run.cluster.machines[m].payload["cls_vals"]
+        for k, pos in enumerate(_class_positions(run, m).tolist()):
             frag = d.materialize(pos, min(pos + w, 128))
-            want = fp_of(frag, scheme).values
-            assert tuple(int(v) for v in entry["values"][:, k]) == want
+            want = tuple(fp_of(frag, scheme)[3:].tolist())
+            assert tuple(int(v) for v in values[:, k]) == want
             checked += 1
     assert checked == 128
 
@@ -214,7 +228,7 @@ def test_degenerate_scheme_never_silently_wrong():
     # a one-layer scheme with base 1 reduces every window fingerprint to a
     # symbol sum; over this fixed trial set the pipeline must either abort on
     # a detected contradiction or still produce the exact table
-    weak = FingerprintScheme(modulus=(1 << 61) - 1, bases=(1,))
+    weak = FingerprintScheme(bases=(1,))
     rng = np.random.default_rng(12)
     for trial in range(40):
         n = int(rng.integers(50, 400))

@@ -2,28 +2,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palmpc._kernels import njit
+from palmpc._kernels import manacher_tables, njit
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import (
-    Center,
     DoubledView,
     Text,
+    _prefix_pal_lengths_from_tables,
+    as_symbols,
     manacher,
-    maximal_palindrome_via_lcp,
-    prefix_palindromes_in_range,
-    smallest_period,
 )
+from palmpc.structural import _center_length, _center_query
 
 
-def test_center_half_index_encoding():
-    c = Center.checked(4, 5)
-    assert c.is_odd_length and c.left_position == 2
-    c = Center.checked(5, 5)
-    assert not c.is_odd_length and c.left_position == 2
-    with pytest.raises(ValueError):
-        Center.checked(9, 5)
-    with pytest.raises(ValueError):
-        Center.checked(-1, 5)
+def _via_lcp(u, n, d):
+    """Maximal palindrome length at center u from one oracle LCP query, as the pipelines ask it."""
+    p1, p2 = _center_query(u, n)
+    return _center_length(u, oracle_lcp(d, p1, p2), n)
+
+
+def _prefix_pals(fragment, block_len):
+    """Palindromic prefix lengths of a 4-block fragment centered in its second block."""
+    odd, even, _ = manacher_tables(as_symbols(fragment))
+    return _prefix_pal_lengths_from_tables(odd, even, 2 * block_len, 4 * block_len).tolist()
 
 
 def test_manacher_examples():
@@ -36,29 +36,6 @@ def test_manacher_examples():
 def test_manacher_empty():
     t = manacher("")
     assert t.odd.tolist() == [] and t.even.tolist() == []
-
-
-def test_smallest_period_examples():
-    assert smallest_period("aaaa") == 1
-    assert smallest_period("abaab") == 3
-    assert smallest_period("abc") == 3
-
-
-def test_smallest_period_rejects_empty():
-    with pytest.raises(ValueError):
-        smallest_period("")
-
-
-def test_smallest_period_definition():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 40))
-        s = rng.integers(0, 2, n)
-        p = smallest_period(s)
-        assert 1 <= p <= n
-        assert all(s[i] == s[i + p] for i in range(n - p))
-        for q in range(1, p):
-            assert any(s[i] != s[i + q] for i in range(n - q))
 
 
 def test_text_validates_alphabet():
@@ -99,20 +76,18 @@ def test_doubled_view_materialize_matches_reads():
 
 def test_via_lcp_examples():
     d = DoubledView("abaab")
-    lcp = lambda a, b: oracle_lcp(d, a, b)
+    assert _center_query(5, 5) == (3, 7)
     assert oracle_lcp(d, 3, 7) == 2
-    assert maximal_palindrome_via_lcp(5, 5, lcp) == 4
+    assert _via_lcp(5, 5, d) == 4
+    assert _center_query(2, 5) == (1, 8)
     assert oracle_lcp(d, 1, 8) == 2
-    assert maximal_palindrome_via_lcp(2, 5, lcp) == 3
-    d1 = DoubledView("a")
-    assert maximal_palindrome_via_lcp(0, 1, lambda a, b: oracle_lcp(d1, a, b)) == 1
+    assert _via_lcp(2, 5, d) == 3
+    assert _via_lcp(0, 1, DoubledView("a")) == 1
 
 
 def test_via_lcp_clamps_at_right_edge():
     # without the cap the mirrored half continues the match: "aa" center 1
-    d = DoubledView("aa")
-    lcp = lambda a, b: oracle_lcp(d, a, b)
-    assert maximal_palindrome_via_lcp(2, 2, lcp) == 1
+    assert _via_lcp(2, 2, DoubledView("aa")) == 1
 
 
 def test_via_lcp_equals_manacher():
@@ -121,21 +96,15 @@ def test_via_lcp_equals_manacher():
         n = int(rng.integers(1, 65))
         s = rng.integers(0, int(rng.choice([2, 3])), n)
         d = DoubledView(s)
-        lcp = lambda a, b: oracle_lcp(d, a, b)
         table = manacher(s)
         for u in range(2 * n - 1):
-            assert maximal_palindrome_via_lcp(u, n, lcp) == table.length_at(u)
+            assert _via_lcp(u, n, d) == table.length_at(u)
 
 
 def test_prefix_palindromes_examples():
-    assert prefix_palindromes_in_range("aaaa", 1) == [3, 4]
-    assert prefix_palindromes_in_range("abca", 1) == []
-    assert prefix_palindromes_in_range("abab", 1) == [3]
-
-
-def test_prefix_palindromes_rejects_bad_length():
-    with pytest.raises(ValueError):
-        prefix_palindromes_in_range("abc", 1)
+    assert _prefix_pals("aaaa", 1) == [3, 4]
+    assert _prefix_pals("abca", 1) == []
+    assert _prefix_pals("abab", 1) == [3]
 
 
 def test_prefix_palindromes_definition():
@@ -143,7 +112,7 @@ def test_prefix_palindromes_definition():
     for _ in range(200):
         bl = int(rng.integers(1, 6))
         frag = rng.integers(0, 2, 4 * bl)
-        got = prefix_palindromes_in_range(frag, bl)
+        got = _prefix_pals(frag, bl)
         want = []
         for length in range(1, 4 * bl + 1):
             pref = frag[:length]
