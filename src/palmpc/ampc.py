@@ -89,12 +89,7 @@ def leaf_bounds(n: int, block_len: int, block_count: int) -> list[tuple[int, int
 
 def _leaf_owner(plan: BlockPlan, leaf: int) -> int:
     K = plan.block_count
-    block = leaf if leaf < K else 2 * K - 1 - leaf
-    if K == 1 or block == 0:
-        return 0
-    if block >= plan.tail_block:
-        return plan.machine_count - 1
-    return block
+    return plan.block_owner(leaf if leaf < K else 2 * K - 1 - leaf)
 
 
 def _level_sizes(count: int, fanout: int) -> list[int]:

@@ -10,15 +10,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import inputs
 from .ampc import solve_ampc
 from .engine import CollisionAbort
 from .exhaustive import sweep_pipeline
 from .mpc import solve_mpc
 from .oracle import oracle_lps, oracle_maximal_palindromes
-from .strings import PalindromeTable, Text, manacher
+from .strings import Text, leftmost_longest, manacher
 
 SEED_ENV = "PALMPC_SEED"
 SUBSTRING_LIMIT = 64
@@ -89,15 +87,6 @@ def _resolve_text(args) -> tuple[Text, dict]:
     return text, desc
 
 
-def _lps_from_table(table: PalindromeTable) -> tuple[int, int]:
-    lengths = table.lengths_by_center()
-    us = np.arange(lengths.size, dtype=np.int64)
-    starts = (us - lengths + 1) // 2
-    big = int(lengths.size) + 1
-    best = int(np.argmax(lengths * big - starts))
-    return int(starts[best]), int(lengths[best])
-
-
 class _PlainResult:
     def __init__(self, table, lps):
         self.table = table
@@ -113,7 +102,7 @@ def _run_mode(mode: str, text: Text, epsilon: float, seed: int, memory_constant:
         return solve_ampc(text.symbols, epsilon, seed=seed, memory_constant=memory_constant)
     if mode == "sequential":
         table = manacher(text.symbols)
-        return _PlainResult(table, _lps_from_table(table))
+        return _PlainResult(table, leftmost_longest(table.lengths_by_center(), 0, len(text)))
     table = oracle_maximal_palindromes(text.symbols)
     return _PlainResult(table, oracle_lps(text.symbols))
 

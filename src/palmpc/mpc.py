@@ -1,11 +1,12 @@
 """Distributed all-maximal-palindromes pipeline on the round-based cluster.
 
-``BlockPipeline`` is the per-machine skeleton that this messaging pipeline
-(``MpcPalindromes``) and the adaptive one (``palmpc.ampc``) share: set-up and
-placement, the local tables, the merge of the resolved prefix centers, the
-per-machine best, and export. The case analysis of each superblock comes
-from ``structural.first_wave``/``settle``; this module answers its LCP
-queries with the fingerprint protocol below, in two waves.
+``PlacedText`` is the set-up of every driver: symbols, plan, cluster, scheme
+and placement. ``BlockPipeline`` builds on it the per-machine skeleton that
+this messaging pipeline (``MpcPalindromes``) and the adaptive one
+(``palmpc.ampc``) share: local tables, merge, per-machine best and export.
+The case analysis of each superblock comes from ``structural.first_wave``/
+``settle``; ``FingerprintLcp`` answers its LCP queries, in two waves.
+``DistributedLcp`` drives the same protocol on arbitrary query lists.
 
 Decomposition
 -------------
@@ -32,29 +33,35 @@ w = machine count. Two copies are distributed:
 
 LCP protocol
 ------------
-An LCP query (i, j) is answered in two fingerprint phases: compare the two
-chains window by window to locate the first mismatching window t*, then fetch
-the windows ending at each offset inside window t* (full-width windows, one
-per class, balanced) and scan for the first unequal one. Windows below t*
-agree, so two such shifted windows are equal exactly when the in-window
-prefixes up to the shift are equal. A mismatch inside the very first window
-is resolved against locally held letters instead (every query a superblock
-issues points at letters within, or one window left of, its own fragment).
+``FingerprintLcp`` answers an LCP query (i, j) in two fingerprint phases:
+compare the two chains window by window to locate the first mismatching
+window t*, then fetch the windows ending at each offset inside window t*
+(full-width windows, one per class, balanced) and scan for the first unequal
+one. Windows below t* agree, so two such shifted windows are equal exactly
+when the in-window prefixes up to the shift are equal. A mismatch inside the
+very first window is settled against letters instead, by the driver.
+
+Both drivers run one schedule: ``scan`` and ``ask``, ``install``, then
+``consume`` (chains compared, refinement scans finished) and ``serve`` (chain
+and refinement requests answered) alternately. ``consume`` returns the
+first-window mismatches. ``MpcPalindromes`` settles them from local letters
+(a superblock's queries point within, or one window left of, its fragment);
+``DistributedLcp`` fetches both windows from the machines that placed them.
 
 Round schedule (fixed; R0 = 10 rounds for every input and size)
 ---------------------------------------------------------------
- 1 local scans, classification, window fingerprints routed to both stores,
-   first-wave chain requests (period probes and lone-center queries)
- 2 stores installed; chain requests served from the stripe store
- 3 chains compared; first-window cases settled from local letters;
+ 1 local scans, classification, window fingerprints routed to both stores;
+   ask: first-wave chain requests (period probes and lone-center queries)
+ 2 stores installed; serve: chain requests from the stripe store
+ 3 consume: chains compared; first-window cases settled from local letters;
    in-window refinement requests to the class store
- 4 refinement served
- 5 exact first-wave answers; periodic case analysis; second-wave center
-   queries for the one center per superblock that needs one
- 6 second-wave chains served
- 7 compared; refinement requested
- 8 refinement served
- 9 final lengths merged with local tables; per-machine best to machine 0
+ 4 serve: refinements
+ 5 consume: exact first-wave answers; periodic case analysis; ask: second-wave
+   center queries for the one center per superblock that needs one
+ 6 serve: second-wave chains
+ 7 consume: compared; refinement requested
+ 8 serve: refinements
+ 9 consume: final lengths merged with local tables; each best to machine 0
 10 machine 0 reduces to the leftmost-longest palindromic substring
 
 The guarantee is Monte Carlo: with random bases a false fingerprint match
@@ -67,6 +74,7 @@ neither check goes unseen, and the table it yields is silently wrong.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -87,7 +95,12 @@ from .engine import (
     ceil_power,
 )
 from .fingerprint import FingerprintScheme, scheme_init
-from .strings import PalindromeTable, _prefix_pal_lengths_from_tables, pipeline_symbols
+from .strings import (
+    PalindromeTable,
+    _prefix_pal_lengths_from_tables,
+    leftmost_longest,
+    pipeline_symbols,
+)
 from .structural import (
     InconsistentMergeError,
     _merge_b2,
@@ -124,16 +137,19 @@ class BlockPlan:
     tail_block: int                # first block owned by the last machine
     roles: tuple[MachineRole, ...]
 
-    def holder_of_position(self, sprime_pos: int) -> int:
-        """Machine whose placed letters cover the width-w window at a doubled position."""
-        n = self.n
-        pos = sprime_pos if sprime_pos < n else 2 * n - 1 - sprime_pos
-        block = min(pos // self.block_len, self.block_count - 1)
+    def block_owner(self, block: int) -> int:
+        """Machine that places a block and owns its centers."""
         if block == 0:
             return 0
         if block >= self.tail_block:
             return self.machine_count - 1
         return block
+
+    def holder_of_position(self, sprime_pos: int) -> int:
+        """Machine whose placed letters cover the width-w window at a doubled position."""
+        n = self.n
+        pos = sprime_pos if sprime_pos < n else 2 * n - 1 - sprime_pos
+        return self.block_owner(min(pos // self.block_len, self.block_count - 1))
 
 
 def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
@@ -196,38 +212,44 @@ class MpcResult:
     plan: BlockPlan
 
 
-class BlockPipeline:
-    """Per-machine skeleton shared by the messaging and adaptive pipelines.
-
-    Both place the same block plan, keep the same local tables, merge the
-    resolved prefix centers the same way and reduce the same per-machine best;
-    they differ only in how they answer the superblocks' LCP queries.
-    Subclasses set the cluster ``MODE``, define ``run()``, and call the
-    kernels (Manacher, prefix palindromes, periodic resolution, merge) from
-    their own round steps, handing the outputs to the helpers here.
+class PlacedText:
+    """Set-up of every driver: the checked symbols, the block plan, the cluster
+    of the subclass's ``MODE``, the scheme (drawn from the seed unless given),
+    and each machine's placed letter slice (round 0).
     """
 
     MODE: str
 
     def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                  scheme: FingerprintScheme | None = None):
-        self.sym = pipeline_symbols(text)
-        n = int(self.sym.size)
+        sym = pipeline_symbols(text)
+        n = int(sym.size)
         self.n = n
         self.plan = plan_decomposition(n, epsilon)
-        self.config = ClusterConfig(n=n, epsilon=epsilon, mode=self.MODE,
-                                    memory_constant=memory_constant, seed=seed)
-        self.cluster = Cluster(self.config)
-        sigma = int(self.sym.max()) + 1
+        self.cluster = Cluster(ClusterConfig(n=n, epsilon=epsilon, mode=self.MODE,
+                                             memory_constant=memory_constant, seed=seed))
+        sigma = int(sym.max()) + 1
         self.scheme = scheme if scheme is not None else scheme_init(
             max(2 * n, 2), sigma, seed=seed)
         # placement (round 0): each machine receives its role's letter slice
         for m, role in enumerate(self.plan.roles):
             payload = self.cluster.machines[m].payload
-            letters = self.sym[role.letters_lo : role.letters_hi].copy()
+            letters = sym[role.letters_lo : role.letters_hi].copy()
             letters.setflags(write=False)
             payload["letters"] = letters
             payload["letters_lo"] = role.letters_lo
+
+
+class BlockPipeline(PlacedText):
+    """Per-machine skeleton shared by the messaging and adaptive pipelines.
+
+    Both keep the same local tables, merge the resolved prefix centers the
+    same way and reduce the same per-machine best; they differ only in how
+    they answer the superblocks' LCP queries. Subclasses set the cluster
+    ``MODE``, define ``run()``, and call the kernels (Manacher, prefix
+    palindromes, periodic resolution, merge) from their own round steps,
+    handing the outputs to the helpers here.
+    """
 
     def _keep_tables(self, ctx: StepContext, odd, even, ops) -> None:
         """Keep the local Manacher tables, or on an edge machine its owned slice."""
@@ -257,11 +279,9 @@ class BlockPipeline:
         if role.own_u_hi <= role.own_u_lo:
             return None
         lengths = ctx.payload["own_lengths"]
-        us = np.arange(role.own_u_lo, role.own_u_hi, dtype=np.int64)
-        starts = (us - lengths + 1) // 2
-        best = int(np.argmax(lengths * (2 * self.n) - starts))
+        start, length = leftmost_longest(lengths, role.own_u_lo, self.n)
         ctx.add_work(lengths.size)
-        return int(lengths[best]), int(starts[best])
+        return length, start
 
     def export_table(self) -> PalindromeTable:
         """Gather the distributed table; desk-scale convenience outside the metered run."""
@@ -293,7 +313,7 @@ def _resolved_columns(results) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# local letter access
+# local letter access and message helpers
 
 
 def _materialize_doubled(letters: np.ndarray, letters_lo: int, n: int,
@@ -301,18 +321,18 @@ def _materialize_doubled(letters: np.ndarray, letters_lo: int, n: int,
     """Doubled-string range [lo, hi) from a machine's placed slice of the text."""
     if lo >= hi:
         return np.empty(0, np.int64)
+
+    def text_range(s_lo: int, s_hi: int) -> np.ndarray:
+        if s_lo < letters_lo or s_hi - letters_lo > letters.size:
+            raise InconsistentMergeError(
+                f"doubled range [{lo}, {hi}) escapes the machine's letters")
+        return letters[s_lo - letters_lo : s_hi - letters_lo]
+
     parts = []
     if lo < n:
-        f_hi = min(hi, n)
-        if lo < letters_lo or f_hi - letters_lo > letters.size:
-            raise IndexError("forward range escapes the machine's letters")
-        parts.append(letters[lo - letters_lo : f_hi - letters_lo])
+        parts.append(text_range(lo, min(hi, n)))
     if hi > n:
-        r_lo = max(lo, n)
-        s_lo, s_hi = 2 * n - hi, 2 * n - r_lo
-        if s_lo < letters_lo or s_hi - letters_lo > letters.size:
-            raise IndexError("reversed range escapes the machine's letters")
-        parts.append(letters[s_lo - letters_lo : s_hi - letters_lo][::-1])
+        parts.append(text_range(2 * n - hi, 2 * n - max(lo, n))[::-1])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -348,7 +368,7 @@ def _letters_common_run(a, b, limit):
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# the fingerprint LCP protocol
 
 
 class _Query:
@@ -363,33 +383,55 @@ class _Query:
         self.p1 = p1
         self.p2 = p2
         self.center_u = center_u
-        self.t_star = -1
-        self.w_cap = 0
+        self.t_star = -1          # first mismatching window
+        self.w_cap = 0            # comparable letters inside window t_star
         self.answer = -1
         self.checked = False      # letter spot-check already considered
 
 
-class MpcPalindromes(BlockPipeline):
-    """One metered run of the pipeline over a fixed text."""
+class FingerprintLcp:
+    """The two-phase window-fingerprint LCP protocol over a placed text.
 
-    MODE = "mpc"
-    ROUNDS = 10
+    It owns the window stores and the per-machine query table
+    (``queries[m][qid]``). A driver calls its steps from its own rounds:
+    ``scan`` and ``ask``, ``install``, then ``consume`` and ``serve``
+    alternately, with ``ask`` in any round.
+    """
 
-    def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
-                 scheme: FingerprintScheme | None = None):
-        super().__init__(text, epsilon, seed, memory_constant, scheme)
-        if self.plan.window > self.plan.block_len:
+    def __init__(self, plan: BlockPlan, scheme: FingerprintScheme, stats: RunStats):
+        if plan.window > plan.block_len:
             raise AssertionError("window width exceeds block length; epsilon > 0.5?")
+        self.plan = plan
+        self.n = plan.n
+        self.scheme = scheme
+        self.stats = stats
         # simulator-side, not metered: sized to the longest window-scan buffer
-        w = self.plan.window
-        longest = max((min(hi + w - 1, 2 * self.n) - lo for role in self.plan.roles
+        w = plan.window
+        longest = max((min(hi + w - 1, 2 * self.n) - lo for role in plan.roles
                        for lo, hi in role.scan_spans), default=0)
-        self.pows, self.inv_pows = power_tables(self.scheme.bases, longest)
+        self.pows, self.inv_pows = power_tables(scheme.bases, longest)
         self.queries: dict[int, dict[int, _Query]] = {}
-        self.waves: dict[int, list[_Query]] = {}     # per machine, the wave in flight
-        self.resolved: dict = {}                    # per machine, what wave 1 settled
 
-    # -- helpers shared by phases
+    # -- window stores
+
+    def scan(self, ctx: StepContext) -> None:
+        """Fingerprint this machine's scan spans and route them to both stores."""
+        n = self.n
+        w = self.plan.window
+        letters = ctx.payload["letters"]
+        lo = ctx.payload["letters_lo"]
+        spans = []
+        for span_lo, span_hi in self.plan.roles[ctx.machine_id].scan_spans:
+            if span_lo >= span_hi:
+                continue
+            buf_hi = min(span_hi + w - 1, 2 * n)
+            buf = _materialize_doubled(letters, lo, n, span_lo, buf_hi)
+            span = span_hi - span_lo
+            vals = np.empty((self.scheme.layers, span), np.int64)
+            ctx.add_work(int(fragment_fp_scan(buf, span, w, self.pows, self.inv_pows, vals)))
+            spans.append((span_lo, vals))
+        if spans:
+            self._send_frag_batches(ctx, spans)
 
     def _send_frag_batches(self, ctx: StepContext,
                            spans: list[tuple[int, np.ndarray]]) -> None:
@@ -422,185 +464,107 @@ class MpcPalindromes(BlockPipeline):
         ctx.send("fs", np.concatenate(fs_dst), _offsets(np.concatenate(fs_count)),
                  {"pos": pos, "vals": vals})
 
-    def _scan_fragments(self, ctx: StepContext, role: MachineRole) -> None:
+    def install(self, ctx: StepContext) -> None:
+        """Fill both stores from the routed windows, keep a shipped tail, then ``serve``."""
+        m = ctx.machine_id
         n = self.n
         w = self.plan.window
-        letters = ctx.payload["letters"]
-        lo = ctx.payload["letters_lo"]
-        spans = []
-        for span_lo, span_hi in role.scan_spans:
-            if span_lo >= span_hi:
-                continue
-            buf_hi = min(span_hi + w - 1, 2 * n)
-            buf = _materialize_doubled(letters, lo, n, span_lo, buf_hi)
-            span = span_hi - span_lo
-            vals = np.empty((self.scheme.layers, span), np.int64)
-            ctx.add_work(int(fragment_fp_scan(buf, span, w, self.pows, self.inv_pows, vals)))
-            spans.append((span_lo, vals))
-        if spans:
-            self._send_frag_batches(ctx, spans)
-
-    def _new_query(self, m: int, kind: str, p1: int, p2: int, center_u: int = -1) -> _Query:
-        per = self.queries.setdefault(m, {})
-        q = _Query(len(per), kind, p1, p2, center_u)
-        per[q.qid] = q
-        self.cluster.stats.bump("lcp_queries")
-        return q
-
-    def _broadcast_chain_requests(self, ctx: StepContext, queries: list[_Query]) -> None:
-        if not queries:
-            return
-        key = np.asarray([2 * q.qid + s for q in queries for s in (0, 1)], np.int64)
-        pos = np.asarray([p for q in queries for p in (q.p1, q.p2)], np.int64)
-        ctx.send("cq", [BROADCAST], [0, key.size],
-                 {"o": np.full(key.size, ctx.machine_id, np.int64), "key": key, "pos": pos},
-                 headers=("o",))
-
-    # -- round 1: local phase
-
-    def _r1_local(self, ctx: StepContext) -> None:
-        m = ctx.machine_id
-        role = self.plan.roles[m]
-
-        self._scan_fragments(ctx, role)
-        if role.kind != "store":
-            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"]))
-
-        if role.kind in ("first", "last"):
-            ctx.add_work(ctx.payload["own_lengths"].size)
-            self.cluster.stats.bump("local_only_machines")
-        elif role.kind == "middle":
-            b = self.plan.block_len
-            prefix_lens = _prefix_pal_lengths_from_tables(
-                ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
-            ctx.add_work(2 * b)
-            case = case_name(prefix_lens)
-            self.cluster.stats.bump(f"classified_{case}")
-            if case == "periodic":
-                # unread, but metered memory: dropping it changes the stats
-                ctx.payload["period"] = int(prefix_lens[-1] - prefix_lens[-2])
-                ctx.payload["prefix_lens"] = prefix_lens
-            self.waves[m] = [self._new_query(m, *q)
-                             for q in first_wave(prefix_lens, role.sb_start, self.n)]
-            self._broadcast_chain_requests(ctx, self.waves[m])
-
-        if role.tail_ship_to >= 0:
-            # letters just left of the target's superblock, for first-window checks
-            target_sb = self.plan.roles[role.tail_ship_to].sb_start
-            w = self.plan.window
-            lo = ctx.payload["letters_lo"]
-            seg = ctx.payload["letters"][target_sb - w - lo : target_sb - lo]
-            # one row (w + 2 words): the start, and the letters as a (w, 1) column
-            _send_rows(ctx, "tail", [role.tail_ship_to], lo=[target_sb - w],
-                       data=seg.reshape(-1, 1))
-
-    # -- store installation and chain serving (rounds 2 and 6)
-
-    def _install_and_serve(self, ctx: StepContext, install: bool) -> None:
-        m = ctx.machine_id
-        plan = self.plan
-        n = self.n
-        w = plan.window
-        M = plan.machine_count
-
-        if install:
-            fc = ctx.batches.get("fc")
-            if fc is not None:
-                rows = (fc["pos"] - m) // w
-                ctx.payload["cls_vals"][:, rows] = fc["vals"]
-                ctx.add_work(rows.size)
-            fs = ctx.batches.get("fs")
-            if fs is not None:
-                rows = fs["pos"] // w
-                ctx.payload["str_vals"][:, (rows - m) // M, fs["pos"] % w] = fs["vals"]
-                ctx.add_work(rows.size)
-            tail = ctx.batches.get("tail")
-            if tail is not None:
-                ctx.payload["tail_lo"] = int(tail["lo"][0])
-                ctx.payload["tail"] = tail["data"][:, 0]
-
-        cq = ctx.batches.get("cq")
-        str_vals = ctx.payload.get("str_vals")
-        if cq is None or str_vals is None:
-            return
-        # the chain of each requested position: rows row0, row0+1, ... of its
-        # class; this machine serves the rows congruent to m mod M
-        cls = cq["pos"] % w
-        row0 = cq["pos"] // w
-        total_rows = -(-(2 * n - cls) // w)
-        start = row0 + (m - row0) % M
-        counts = np.maximum(-(-(total_rows - start) // M), 0)
-        req = np.repeat(np.arange(counts.size), counts)
-        rows = start[req] + M * (np.arange(req.size) - (np.cumsum(counts) - counts)[req])
-        ctx.add_work(rows.size * self.scheme.layers)
-        if rows.size == 0:
-            return
-        # one reply per request message, i.e. per run of equal origins
-        origins, offsets = _runs(cq["o"][req])
-        ctx.send("cr", origins, offsets,
-                 {"key": cq["key"][req], "rows": rows,
-                  "vals": str_vals[:, (rows - m) // M, cls[req]]},
-                 headers=("key",))
-
-    def _r2_install_serve(self, ctx: StepContext) -> None:
-        m = ctx.machine_id
-        plan = self.plan
-        n = self.n
-        w = plan.window
-        M = plan.machine_count
+        M = self.plan.machine_count
+        layers = self.scheme.layers
         cls_rows = -(-(2 * n - m) // w) if m < w else 0
         row_count = len(range(m, -(-2 * n // w), M))
-        ctx.payload["cls_vals"] = np.full((self.scheme.layers, max(cls_rows, 0)), -1, np.int64)
-        ctx.payload["str_vals"] = np.full((self.scheme.layers, row_count, w), -1, np.int64)
-        self._install_and_serve(ctx, install=True)
+        ctx.payload["cls_vals"] = cls_vals = np.full((layers, max(cls_rows, 0)), -1, np.int64)
+        ctx.payload["str_vals"] = str_vals = np.full((layers, row_count, w), -1, np.int64)
+        fc = ctx.batches.get("fc")
+        if fc is not None:
+            rows = (fc["pos"] - m) // w
+            cls_vals[:, rows] = fc["vals"]
+            ctx.add_work(rows.size)
+        fs = ctx.batches.get("fs")
+        if fs is not None:
+            rows = fs["pos"] // w
+            str_vals[:, (rows - m) // M, fs["pos"] % w] = fs["vals"]
+            ctx.add_work(rows.size)
+        tail = ctx.batches.get("tail")
+        if tail is not None:
+            ctx.payload["tail_lo"] = int(tail["lo"][0])
+            ctx.payload["tail"] = tail["data"][:, 0]
+        self.serve(ctx)
 
-    def _r6_serve(self, ctx: StepContext) -> None:
-        self._install_and_serve(ctx, install=False)
-
-    # -- chain comparison (rounds 3 and 7)
-
-    def _local_window(self, ctx: StepContext, lo: int, hi: int) -> np.ndarray | None:
-        """Doubled-range letters if this machine holds them (superblock or tail)."""
-        n = self.n
+    def letters(self, ctx: StepContext, lo: int, hi: int) -> np.ndarray:
+        """Doubled-range letters held here (placed slice, plus a shipped tail)."""
         letters = ctx.payload["letters"]
         base = ctx.payload["letters_lo"]
         tail = ctx.payload.get("tail")
         if tail is not None:
             letters = np.concatenate((tail, letters))
             base = ctx.payload["tail_lo"]
-        try:
-            return _materialize_doubled(letters, base, n, lo, hi)
-        except IndexError:
-            return None
+        return _materialize_doubled(letters, base, self.n, lo, hi)
 
-    @staticmethod
-    def _first_window_caps(n: int, w: int, q: _Query) -> tuple[int, int, int]:
-        len_i = min(w, 2 * n - q.p1)
-        len_j = min(w, 2 * n - q.p2)
-        return len_i, len_j, min(len_i, len_j)
+    # -- queries
 
-    def _resolve_first_window(self, ctx: StepContext, q: _Query) -> None:
-        """Settle a mismatch inside the first window against locally held letters."""
-        len_i, len_j, cap = self._first_window_caps(self.n, self.plan.window, q)
-        a = self._local_window(ctx, q.p1, q.p1 + cap)
-        b = self._local_window(ctx, q.p2, q.p2 + cap)
-        if a is None or b is None:
-            raise InconsistentMergeError(
-                f"first-window letters for query at ({q.p1}, {q.p2}) are not local")
-        run = int(_letters_common_run(a, b, cap))
-        ctx.add_work(cap)
-        if run == cap and len_i == len_j:
-            raise CollisionAbort(
-                f"window fingerprints at ({q.p1}, {q.p2}) differ but letters agree")
-        q.answer = run
+    def ask(self, ctx: StepContext, specs) -> list[_Query]:
+        """Register queries (kind, p1, p2[, center_u]) here; broadcast their chain requests."""
+        per = self.queries.setdefault(ctx.machine_id, {})
+        queries = [_Query(len(per) + k, *spec) for k, spec in enumerate(specs)]
+        per.update((q.qid, q) for q in queries)
+        if not queries:
+            return queries
+        self.stats.bump("lcp_queries", len(queries))
+        key = np.asarray([2 * q.qid + s for q in queries for s in (0, 1)], np.int64)
+        pos = np.asarray([p for q in queries for p in (q.p1, q.p2)], np.int64)
+        ctx.send("cq", [BROADCAST], [0, key.size],
+                 {"o": np.full(key.size, ctx.machine_id, np.int64), "key": key, "pos": pos},
+                 headers=("o",))
+        return queries
 
-    def _compare_chains(self, ctx: StepContext) -> None:
+    def serve(self, ctx: StepContext) -> None:
+        """Answer chain requests from the stripe store, refinements from the class store."""
+        m = ctx.machine_id
+        w = self.plan.window
+        M = self.plan.machine_count
+        cq = ctx.batches.get("cq")
+        if cq is not None:
+            # the chain of each requested position: rows row0, row0+1, ... of
+            # its class; this machine serves the rows congruent to m mod M
+            cls = cq["pos"] % w
+            row0 = cq["pos"] // w
+            total_rows = -(-(2 * self.n - cls) // w)
+            start = row0 + (m - row0) % M
+            counts = np.maximum(-(-(total_rows - start) // M), 0)
+            req = np.repeat(np.arange(counts.size), counts)
+            rows = start[req] + M * (np.arange(req.size) - (np.cumsum(counts) - counts)[req])
+            ctx.add_work(rows.size * self.scheme.layers)
+            if rows.size:
+                # one reply per request message, i.e. per run of equal origins
+                origins, offsets = _runs(cq["o"][req])
+                ctx.send("cr", origins, offsets,
+                         {"key": cq["key"][req], "rows": rows,
+                          "vals": ctx.payload["str_vals"][:, (rows - m) // M, cls[req]]},
+                         headers=("key",))
+        sq = ctx.batches.get("sq")
+        if sq is not None:
+            rows = (sq["pos"] - m) // w
+            ctx.add_work(rows.size)
+            origins, offsets = _runs(sq["o"])
+            ctx.send("sr", origins, offsets,
+                     {"key": sq["key"], "pos": sq["pos"],
+                      "vals": ctx.payload["cls_vals"][:, rows]})
+
+    def consume(self, ctx: StepContext) -> list[_Query]:
+        """Compare arrived chains and finish arrived refinement scans; returns the
+        first-window mismatches, each still to settle with ``first_window_answer``."""
+        first = self._compare_chains(ctx)
+        self._finish_refinements(ctx)
+        return first
+
+    def _compare_chains(self, ctx: StepContext) -> list[_Query]:
         m = ctx.machine_id
         n = self.n
         w = self.plan.window
         cr = ctx.batches.get("cr")
         if cr is None:
-            return
+            return []
         per = self.queries.get(m, {})
         # chain parts from every server, ordered by (key, row)
         order = np.lexsort((cr["rows"], cr["key"]))
@@ -609,6 +573,7 @@ class MpcPalindromes(BlockPipeline):
         all_rows = cr["rows"][order]
         all_vals = cr["vals"][:, order]
 
+        first: list[_Query] = []
         singles_pos: list[np.ndarray] = []
         singles_key: list[np.ndarray] = []
         for qid in sorted({key // 2 for key in part}):
@@ -638,15 +603,13 @@ class MpcPalindromes(BlockPipeline):
             if bad.size == 0:
                 q.answer = min(li, lj)       # one suffix contains the other
                 continue
-            t_star = int(bad[0])
-            q.t_star = t_star
-            if t_star == 0:
-                self._resolve_first_window(ctx, q)
+            q.t_star = int(bad[0])
+            q.w_cap = int(min(w, min(li, lj) - q.t_star * w))
+            if q.t_star == 0:
+                first.append(q)
                 continue
-            cap = min(w, min(li, lj) - t_star * w)
-            q.w_cap = int(cap)
             for side, pos in ((0, q.p1), (1, q.p2)):
-                anchor = pos + t_star * w
+                anchor = pos + q.t_star * w
                 singles_pos.append(np.arange(anchor + 1 - w, anchor + q.w_cap + 1 - w))
                 singles_key.append(np.full(q.w_cap, 2 * qid + side, np.int64))
 
@@ -658,22 +621,7 @@ class MpcPalindromes(BlockPipeline):
                      {"o": np.full(order.size, m, np.int64),
                       "key": np.concatenate(singles_key)[order], "pos": pos_arr[order]},
                      headers=("o",))
-
-    # -- refinement serving (rounds 4 and 8)
-
-    def _serve_singles(self, ctx: StepContext) -> None:
-        sq = ctx.batches.get("sq")
-        if sq is None:
-            return
-        rows = (sq["pos"] - ctx.machine_id) // self.plan.window
-        ctx.add_work(rows.size)
-        # one reply per request message, i.e. per run of equal origins
-        origins, offsets = _runs(sq["o"])
-        ctx.send("sr", origins, offsets,
-                 {"key": sq["key"], "pos": sq["pos"],
-                  "vals": ctx.payload["cls_vals"][:, rows]})
-
-    # -- refinement consumption
+        return first
 
     def _finish_refinements(self, ctx: StepContext) -> None:
         sr = ctx.batches.get("sr")
@@ -709,10 +657,82 @@ class MpcPalindromes(BlockPipeline):
                     f"refinement scan at ({q.p1}, {q.p2}) is not prefix-monotone")
             q.answer = q.t_star * w + int(run)
 
+    def first_window_answer(self, ctx: StepContext, q: _Query, a: np.ndarray,
+                            b: np.ndarray) -> None:
+        """Settle a first-window mismatch from the letters at q's two positions."""
+        run = int(_letters_common_run(a, b, q.w_cap))
+        ctx.add_work(q.w_cap)
+        w = self.plan.window
+        if run == q.w_cap and min(w, 2 * self.n - q.p1) == min(w, 2 * self.n - q.p2):
+            raise CollisionAbort(
+                f"window fingerprints at ({q.p1}, {q.p2}) differ but letters agree")
+        q.answer = run
+
+
+# ---------------------------------------------------------------------------
+# pipeline
+
+
+class MpcPalindromes(BlockPipeline):
+    """One metered run of the pipeline over a fixed text."""
+
+    MODE = "mpc"
+    ROUNDS = 10
+
+    def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
+                 scheme: FingerprintScheme | None = None):
+        super().__init__(text, epsilon, seed, memory_constant, scheme)
+        self.lcp = FingerprintLcp(self.plan, self.scheme, self.cluster.stats)
+        self.waves: dict[int, list[_Query]] = {}     # per machine, the wave in flight
+        self.resolved: dict = {}                    # per machine, what wave 1 settled
+
+    # -- round 1: local phase
+
+    def _r1_local(self, ctx: StepContext) -> None:
+        m = ctx.machine_id
+        role = self.plan.roles[m]
+
+        self.lcp.scan(ctx)
+        if role.kind != "store":
+            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"]))
+
+        if role.kind in ("first", "last"):
+            ctx.add_work(ctx.payload["own_lengths"].size)
+            self.cluster.stats.bump("local_only_machines")
+        elif role.kind == "middle":
+            b = self.plan.block_len
+            prefix_lens = _prefix_pal_lengths_from_tables(
+                ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
+            ctx.add_work(2 * b)
+            case = case_name(prefix_lens)
+            self.cluster.stats.bump(f"classified_{case}")
+            if case == "periodic":
+                # unread, but metered memory: dropping it changes the stats
+                ctx.payload["period"] = int(prefix_lens[-1] - prefix_lens[-2])
+                ctx.payload["prefix_lens"] = prefix_lens
+            self.waves[m] = self.lcp.ask(ctx, first_wave(prefix_lens, role.sb_start, self.n))
+
+        if role.tail_ship_to >= 0:
+            # letters just left of the target's superblock, for first-window checks
+            target_sb = self.plan.roles[role.tail_ship_to].sb_start
+            w = self.plan.window
+            lo = ctx.payload["letters_lo"]
+            seg = ctx.payload["letters"][target_sb - w - lo : target_sb - lo]
+            # one row (w + 2 words): the start, and the letters as a (w, 1) column
+            _send_rows(ctx, "tail", [role.tail_ship_to], lo=[target_sb - w],
+                       data=seg.reshape(-1, 1))
+
+    def _consume(self, ctx: StepContext) -> None:
+        """``FingerprintLcp.consume``, first-window mismatches settled from local letters."""
+        lcp = self.lcp
+        for q in lcp.consume(ctx):
+            lcp.first_window_answer(ctx, q, lcp.letters(ctx, q.p1, q.p1 + q.w_cap),
+                                    lcp.letters(ctx, q.p2, q.p2 + q.w_cap))
+
     # -- round 5: first-wave resolution and second-wave requests
 
     def _r5_resolve(self, ctx: StepContext) -> None:
-        self._finish_refinements(ctx)
+        self._consume(ctx)
         m = ctx.machine_id
         role = self.plan.roles[m]
         if role.kind != "middle":
@@ -729,13 +749,12 @@ class MpcPalindromes(BlockPipeline):
         self.resolved[m], wave2 = settle(wave, answers, self.n, periodic)
         if wave2:
             self.cluster.stats.bump("simultaneous_centers")
-        self.waves[m] = [self._new_query(m, *q) for q in wave2]
-        self._broadcast_chain_requests(ctx, self.waves[m])
+        self.waves[m] = self.lcp.ask(ctx, wave2)
 
     # -- round 9
 
     def _r9_finalize(self, ctx: StepContext) -> None:
-        self._finish_refinements(ctx)
+        self._consume(ctx)
         m = ctx.machine_id
         role = self.plan.roles[m]
         if role.kind == "middle":
@@ -759,9 +778,9 @@ class MpcPalindromes(BlockPipeline):
     # -- driver
 
     def run(self) -> None:
-        phases = [self._r1_local, self._r2_install_serve, self._compare_chains,
-                  self._serve_singles, self._r5_resolve, self._r6_serve,
-                  self._compare_chains, self._serve_singles, self._r9_finalize,
+        serve = self.lcp.serve
+        phases = [self._r1_local, self.lcp.install, self._consume, serve,
+                  self._r5_resolve, serve, self._consume, serve, self._r9_finalize,
                   self._r10_reduce]
         for phase in phases:
             self.cluster.run_round(phase)
@@ -769,7 +788,7 @@ class MpcPalindromes(BlockPipeline):
         issued = self.cluster.stats.counters.get("lcp_queries", 0)
         if issued > budget:
             raise AssertionError(f"{issued} LCP queries exceed the 3-per-machine budget")
-        for m, per in self.queries.items():
+        for m, per in self.lcp.queries.items():
             if len(per) > 3:
                 raise AssertionError(f"machine {m} issued {len(per)} LCP queries")
 
@@ -781,33 +800,34 @@ def solve_mpc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                           scheme=scheme).solve()
 
 
-class DistributedLcp(MpcPalindromes):
+class DistributedLcp(PlacedText):
     """Standalone distributed answering of arbitrary LCP queries on the doubled text.
 
-    Queries are spread round-robin over the machines and answered with the
-    same two-phase fingerprint protocol as the palindrome pipeline, at most
-    three in flight per machine; larger batches are pipelined in waves of
-    3 * machine_count, one wave entering every other round. Because arbitrary
+    Queries are spread round-robin over the machines and answered with
+    ``FingerprintLcp``, the protocol of the palindrome pipeline, pipelined in
+    waves: every other round each machine asks its next ``PER_MACHINE_WAVE``
+    queries. Because arbitrary
     queries have no locality guarantee, first-window mismatches are settled by
     fetching the two letter windows from the machines that placed them, and a
     deterministic sample of fingerprint-resolved answers is letter-verified
-    the same way; a contradiction aborts as a collision. 2 * wave_count + 5 rounds.
+    the same way; a contradiction aborts as a collision. 2 * wave_count + 7
+    rounds, or 3 when no query needs the protocol.
     """
 
+    MODE = "mpc"
     PER_MACHINE_WAVE = 2
     VERIFY_EVERY = 8
 
     def __init__(self, text, queries: list[tuple[int, int]], epsilon: float,
                  seed: int = 0, memory_constant: int = 64,
                  scheme: FingerprintScheme | None = None):
-        super().__init__(text, epsilon, seed=seed, memory_constant=memory_constant,
-                         scheme=scheme)
+        super().__init__(text, epsilon, seed, memory_constant, scheme)
+        self.lcp = FingerprintLcp(self.plan, self.scheme, self.cluster.stats)
         n = self.n
-        self.user_queries = list(queries)
-        self.answers: list[int | None] = [None] * len(queries)
-        self._slots: dict[tuple[int, int], int] = {}
-        self.wave_count = 0
         M = self.plan.machine_count
+        self.answers: list[int | None] = [None] * len(queries)
+        # per origin machine, (answer slot, p1, p2) in asking order: entry k becomes qid k
+        self.pending: list[list[tuple[int, int, int]]] = [[] for _ in range(M)]
         protocol_idx = 0
         for idx, (p1, p2) in enumerate(queries):
             if not (0 <= p1 <= 2 * n and 0 <= p2 <= 2 * n):
@@ -818,60 +838,44 @@ class DistributedLcp(MpcPalindromes):
             if p1 == p2:
                 self.answers[idx] = 2 * n - p1
                 continue
-            origin = protocol_idx % M
-            q = self._new_query(origin, "user", p1, p2)
-            self._slots[(origin, q.qid)] = idx
-            self.wave_count = max(self.wave_count, q.qid // self.PER_MACHINE_WAVE + 1)
+            self.pending[protocol_idx % M].append((idx, p1, p2))
             protocol_idx += 1
-        self._emit_wave = 0
+        self.wave_count = -(-len(self.pending[0]) // self.PER_MACHINE_WAVE)
 
-    def _emit_wave_requests(self, ctx: StepContext) -> None:
-        lo = self._emit_wave * self.PER_MACHINE_WAVE
-        hi = lo + self.PER_MACHINE_WAVE
-        mine = [q for qid, q in self.queries.get(ctx.machine_id, {}).items()
-                if lo <= qid < hi]
-        self._broadcast_chain_requests(ctx, mine)
+    def _ask_wave(self, ctx: StepContext, wave: int) -> None:
+        lo = wave * self.PER_MACHINE_WAVE
+        mine = self.pending[ctx.machine_id][lo : lo + self.PER_MACHINE_WAVE]
+        self.lcp.ask(ctx, [("user", p1, p2) for _, p1, p2 in mine])
 
-    def _r1_scan_and_ask(self, ctx: StepContext) -> None:
-        self._scan_fragments(ctx, self.plan.roles[ctx.machine_id])
-        self._emit_wave_requests(ctx)
+    def _scan_and_ask(self, ctx: StepContext) -> None:
+        self.lcp.scan(ctx)
+        self._ask_wave(ctx, 0)
 
-    def _resolve_first_window(self, ctx: StepContext, q: _Query) -> None:
-        # positions are arbitrary: fetch both windows from their placers
-        _, _, cap = self._first_window_caps(self.n, self.plan.window, q)
-        holder = self.plan.holder_of_position
-        _send_rows(ctx, "lw", [holder(q.p1), holder(q.p2)], o=[ctx.machine_id] * 2,
-                   qid=[q.qid] * 2, side=[0, 1], pos=[q.p1, q.p2], cap=[cap] * 2)
-
-    def _placed_window(self, ctx: StepContext, lo: int, hi: int) -> np.ndarray:
-        """``_local_window`` for a fetch request: the letters must be placed here."""
-        win = self._local_window(ctx, lo, hi)
-        if win is None:
-            raise InconsistentMergeError(
-                f"machine {ctx.machine_id} does not place position {lo}")
-        return win
-
-    def _serve_phase(self, ctx: StepContext) -> None:
+    def _serve(self, ctx: StepContext) -> None:
         """Answer whatever arrived: chain requests, refinements, letter fetches."""
-        self._install_and_serve(ctx, install=False)
-        self._serve_singles(ctx)
+        lcp = self.lcp
+        lcp.serve(ctx)
         for o, qid, side, pos, cap in _rows(ctx, "lw", "o", "qid", "side", "pos", "cap"):
-            win = self._placed_window(ctx, pos, pos + cap)
+            win = lcp.letters(ctx, pos, pos + cap)
             ctx.add_work(win.size)
             ctx.send("lr", [o], [0, win.size], {"qid": np.full(win.size, qid),
                                                 "side": np.full(win.size, side),
                                                 "letters": win}, headers=("qid", "side"))
         for o, qid, side, pos in _rows(ctx, "lv", "o", "qid", "side", "pos"):
-            win = self._placed_window(ctx, pos, pos + 1)
+            win = lcp.letters(ctx, pos, pos + 1)
             _send_rows(ctx, "lvr", [o], qid=[qid], side=[side], sym=win[:1])
 
-    def _consume_phase(self, ctx: StepContext) -> None:
-        """Consume whatever arrived, then emit the next wave's chain requests."""
+    def _consume(self, ctx: StepContext, wave: int) -> None:
+        """Consume whatever arrived, then ask the given wave's queries."""
         m = ctx.machine_id
-        per = self.queries.get(m, {})
-        self._compare_chains(ctx)
-        self._finish_refinements(ctx)
+        lcp = self.lcp
+        holder = self.plan.holder_of_position
+        for q in lcp.consume(ctx):
+            # positions are arbitrary: fetch both windows from their placers
+            _send_rows(ctx, "lw", [holder(q.p1), holder(q.p2)], o=[m] * 2,
+                       qid=[q.qid] * 2, side=[0, 1], pos=[q.p1, q.p2], cap=[q.w_cap] * 2)
 
+        per = lcp.queries.get(m, {})
         windows: dict[int, dict[int, np.ndarray]] = {}
         verdicts: dict[int, dict[int, int]] = {}
         lr = ctx.batches.get("lr")
@@ -883,14 +887,7 @@ class DistributedLcp(MpcPalindromes):
         for qid, side, sym in _rows(ctx, "lvr", "qid", "side", "sym"):
             verdicts.setdefault(qid, {})[side] = sym
         for qid, sides in sorted(windows.items()):
-            q = per[qid]
-            len_i, len_j, cap = self._first_window_caps(self.n, self.plan.window, q)
-            run = int(_letters_common_run(sides[0], sides[1], cap))
-            ctx.add_work(cap)
-            if run == cap and len_i == len_j:
-                raise CollisionAbort(
-                    f"window fingerprints at ({q.p1}, {q.p2}) differ but letters agree")
-            q.answer = run
+            lcp.first_window_answer(ctx, per[qid], sides[0], sides[1])
         for qid, sides in sorted(verdicts.items()):
             q = per[qid]
             if len(sides) == 2 and sides[0] == sides[1]:
@@ -898,32 +895,31 @@ class DistributedLcp(MpcPalindromes):
                     f"answer {q.answer} for ({q.p1}, {q.p2}) fails the letter spot-check")
 
         # letter spot-checks for answers that just landed via fingerprints
-        newly = set(windows.keys())
         for qid, q in per.items():
-            if q.answer >= 0 and qid not in newly and not q.checked:
+            if q.answer >= 0 and qid not in windows and not q.checked:
                 q.checked = True
                 if q.t_star != 0 and qid % self.VERIFY_EVERY == 0:
                     mu = q.answer
                     for side, pos in ((0, q.p1), (1, q.p2)):
                         if pos + mu < 2 * self.n:
-                            _send_rows(ctx, "lv", [self.plan.holder_of_position(pos + mu)],
+                            _send_rows(ctx, "lv", [holder(pos + mu)],
                                        o=[m], qid=[qid], side=[side], pos=[pos + mu])
-        self._emit_wave_requests(ctx)
+        self._ask_wave(ctx, wave)
 
     def run(self) -> list[int]:
-        self.cluster.run_round(self._r1_scan_and_ask)
-        self.cluster.run_round(self._r2_install_serve)
-        total_consumes = self.wave_count + 2 if self.wave_count else 0
-        for k in range(total_consumes):
-            self._emit_wave = k + 1
-            self.cluster.run_round(self._consume_phase)
-            self.cluster.run_round(self._serve_phase)
-        self.cluster.run_round(self._consume_phase)
-        for (origin, qid), slot in self._slots.items():
-            q = self.queries[origin][qid]
-            if q.answer < 0:
-                raise InconsistentMergeError("user query left unanswered")
-            self.answers[slot] = q.answer
+        self.cluster.run_round(self._scan_and_ask)
+        self.cluster.run_round(self.lcp.install)
+        consumes = self.wave_count + 2 if self.wave_count else 0
+        for k in range(1, consumes + 1):
+            self.cluster.run_round(partial(self._consume, wave=k))
+            self.cluster.run_round(self._serve)
+        self.cluster.run_round(partial(self._consume, wave=consumes + 1))
+        for m, pending in enumerate(self.pending):
+            for qid, (slot, _, _) in enumerate(pending):
+                answer = self.lcp.queries[m][qid].answer
+                if answer < 0:
+                    raise InconsistentMergeError("user query left unanswered")
+                self.answers[slot] = answer
         return [int(a) for a in self.answers]
 
 

@@ -129,6 +129,16 @@ class DoubledView:
         return np.concatenate([self.base[lo:n], self.base[2 * n - hi : n][::-1]])
 
 
+def leftmost_longest(lengths: np.ndarray, first_u: int, n: int) -> tuple[int, int]:
+    """(start, length) of the leftmost-longest palindrome, from the lengths of
+    the consecutive centers first_u, first_u + 1, ... of a text of length n.
+    """
+    us = np.arange(first_u, first_u + lengths.size, dtype=np.int64)
+    starts = (us - lengths + 1) // 2
+    best = int(np.argmax(lengths * (2 * n) - starts))
+    return int(starts[best]), int(lengths[best])
+
+
 def manacher(text) -> PalindromeTable:
     """All maximal palindromes of ``text`` in linear time."""
     sym = as_symbols(text)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from palmpc._kernels import first_unequal_run
-from palmpc.engine import CollisionAbort
+from palmpc.engine import CollisionAbort, StepContext
 from palmpc.fingerprint import FingerprintScheme, fp_of, scheme_init
 from palmpc.inputs import fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import (
+    DistributedLcp,
     MpcPalindromes,
     distributed_lcp,
     plan_decomposition,
@@ -13,6 +14,7 @@ from palmpc.mpc import (
 )
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
 from palmpc.strings import DoubledView
+from palmpc.structural import InconsistentMergeError
 
 
 def test_plan_example_n16():
@@ -60,7 +62,7 @@ def _installed_store(s, epsilon, seed):
     """A run after its scan and install rounds, whose machines hold both window stores."""
     run = MpcPalindromes(s, epsilon, seed=seed)
     run.cluster.run_round(run._r1_local)
-    run.cluster.run_round(run._r2_install_serve)
+    run.cluster.run_round(run.lcp.install)
     return run
 
 
@@ -97,6 +99,18 @@ def test_store_values_match_direct_fingerprints():
     assert checked == 128
 
 
+def test_letter_getter_raises_for_letters_not_held():
+    # n=64, eps=0.5: machine 1 places S[0, 32) and receives no shipped tail
+    s = (np.arange(64) % 5).astype(np.int64)
+    run = _installed_store(s, 0.5, seed=0)
+    ctx = StepContext(run.cluster, 1, {})
+    assert run.lcp.letters(ctx, 28, 32).tolist() == s[28:32].tolist()
+    assert run.lcp.letters(ctx, 96, 128).tolist() == s[:32][::-1].tolist()
+    for lo, hi in ((30, 34), (94, 96)):
+        with pytest.raises(InconsistentMergeError, match=rf"\[{lo}, {hi}\) escapes"):
+            run.lcp.letters(ctx, lo, hi)
+
+
 def test_distributed_lcp_examples():
     answers, stats = distributed_lcp("abaab", [(3, 7), (2, 2), (0, 5)], 0.5)
     assert answers == [2, 8, 0]
@@ -118,6 +132,29 @@ def test_distributed_lcp_random_queries_match_oracle():
         d = DoubledView(s)
         for a, (p1, p2) in zip(answers, queries):
             assert a == oracle_lcp(d, p1, p2)
+
+
+def test_distributed_lcp_rejects_positions_outside_the_doubled_text():
+    with pytest.raises(ValueError, match=r"\(0, 7\)"):
+        DistributedLcp("abc", [(0, 7)], 0.5)
+
+
+def _weak_lcp_run(trial):
+    # base 1 makes a window fingerprint a symbol sum, so collisions are common
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(40, 160))
+    s = rng.integers(0, 2, n).astype(np.int64)
+    queries = [(int(a), int(b)) for a, b in rng.integers(0, 2 * n, (40, 2))]
+    return DistributedLcp(s, queries, 0.5, seed=0, scheme=FingerprintScheme(bases=(1,))).run()
+
+
+@pytest.mark.parametrize("trial, message", [
+    (30, r"answer 8 for \(93, 41\) fails the letter spot-check"),
+    (0, r"refinement scan at \(125, 134\) is not prefix-monotone"),
+])
+def test_distributed_lcp_detects_collisions(trial, message):
+    with pytest.raises(CollisionAbort, match=message):
+        _weak_lcp_run(trial)
 
 
 def test_pipeline_worked_example():
@@ -173,7 +210,7 @@ def test_query_budget_instrumented():
         run.run()
         issued = run.cluster.stats.counters.get("lcp_queries", 0)
         assert issued <= 3 * run.plan.machine_count
-        for m, per in run.queries.items():
+        for m, per in run.lcp.queries.items():
             assert len(per) <= 3
 
 
@@ -186,7 +223,7 @@ def test_edge_machines_finish_locally_without_queries():
         run.run()
         for m, role in enumerate(run.plan.roles):
             if role.kind in ("first", "last", "store"):
-                assert m not in run.queries or not run.queries[m]
+                assert m not in run.lcp.queries or not run.lcp.queries[m]
 
 
 def test_table_slices_cover_the_string():
@@ -224,10 +261,13 @@ def test_refinement_monotonicity_detector():
     assert (run, tainted) == (0, False)
 
 
-def test_degenerate_scheme_never_silently_wrong():
+def test_degenerate_scheme_on_random_binary_text_aborts_or_is_exact():
     # a one-layer scheme with base 1 reduces every window fingerprint to a
-    # symbol sum; over this fixed trial set the pipeline must either abort on
-    # a detected contradiction or still produce the exact table
+    # symbol sum; over this fixed set of uniform random binary texts the
+    # pipeline must either abort on a detected contradiction or still produce
+    # the exact table. These texts rarely issue an LCP query. Near-periodic
+    # texts do go silently wrong under this scheme (the README gives the
+    # figures), so this is no guarantee for arbitrary input.
     weak = FingerprintScheme(bases=(1,))
     rng = np.random.default_rng(12)
     for trial in range(40):
