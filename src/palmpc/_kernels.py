@@ -1,13 +1,9 @@
-"""Hot numeric kernels: scalar loops and numpy array code, JIT-compiled with numba when available.
-
-numba is optional (the ``jit`` extra). Without it, or with the environment
-variable ``PALMPC_NO_NUMBA=1``, the same function bodies run as plain Python:
+"""Hot numeric kernels: scalar loops in plain Python and numpy array code.
 
 * The scalar-loop kernels (Manacher, doubled-string LCP) read their input
-  through ``_seq`` and keep their working tables in ``_int_buffer``. On the
-  fallback these are Python lists, which Python indexes several times faster
-  than numpy scalars; under numba they are the arrays themselves. The list
-  copy lives only for one kernel call.
+  through ``tolist()`` and keep their working tables in Python lists, which
+  Python indexes several times faster than numpy scalars. The list copy lives
+  only for one kernel call.
 * The fingerprint kernels are array code. They use the prefix-difference form
   over power tables that the pipelines build once per run with
   :func:`power_tables`.
@@ -17,58 +13,16 @@ in uint64 values; multiplication goes through :func:`mulmod61`, which is the
 only operation whose intermediates would not fit in 64 bits.
 """
 
-import os
-
 import numpy as np
 
 M61 = (1 << 61) - 1
 
-_DISABLE = os.environ.get("PALMPC_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit as _numba_njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+# read by solvebench for its records' numba_enabled field; no kernel is JIT-compiled
+NUMBA_ENABLED = False
 
 
-def njit(*args, **kwargs):
-    """numba.njit when enabled, identity decorator otherwise."""
-    if not NUMBA_ENABLED:
-        if args and callable(args[0]):
-            return args[0]
-        return lambda func: func
-    if args and callable(args[0]):
-        return _numba_njit(cache=True)(args[0])
-    kwargs.setdefault("cache", True)
-    return _numba_njit(*args, **kwargs)
-
-
-if NUMBA_ENABLED:
-    @njit
-    def _seq(a):
-        return a
-
-    @njit
-    def _int_buffer(n):
-        return np.zeros(n, np.int64)
-
-else:
-
-    def _seq(a):
-        """The symbols of an int64 array, in the form the scalar loops index fastest."""
-        return a.tolist()
-
-    def _int_buffer(n):
-        """A zeroed integer work table of length n."""
-        return [0] * n
-
-
-# uint64 constants; mixing uint64 with signed operands promotes to float64 (in
-# numpy and in numba), so every operand is pre-cast once here.
+# uint64 constants; mixing uint64 with signed operands promotes to float64 in
+# numpy, so every operand is pre-cast once here.
 _U1 = np.uint64(1)
 _U30 = np.uint64(30)
 _U31 = np.uint64(31)
@@ -78,13 +32,11 @@ _MASK31 = np.uint64((1 << 31) - 1)
 _M61_U = np.uint64(M61)
 
 
-@njit
 def mulmod61(a, b):
     """(a * b) mod (2**61 - 1) for 0 <= a, b < 2**61, elementwise, without int128.
 
-    Operands are uint64 arrays or scalars, or Python ints (numba types those
-    as int64, so compiled callers pass uint64); the result is uint64. Splits
-    into 31-bit limbs; every intermediate stays below 2**64.
+    Operands are uint64 arrays or scalars, or Python ints; the result is
+    uint64. Splits into 31-bit limbs; every intermediate stays below 2**64.
     """
     a1 = a >> _U31
     a0 = a & _MASK31
@@ -100,7 +52,6 @@ def mulmod61(a, b):
     return acc % _M61_U
 
 
-@njit
 def _cumsum_mod61(terms):
     """Row-wise inclusive prefix sums mod 2**61 - 1 of a 2-D uint64 array below 2**61.
 
@@ -138,7 +89,6 @@ def power_tables(bases, size: int) -> tuple[np.ndarray, np.ndarray]:
     return pows, inv
 
 
-@njit
 def manacher_tables(sym):
     """All maximal palindrome lengths of ``sym``, odd and even centers.
 
@@ -152,10 +102,10 @@ def manacher_tables(sym):
     # the outputs first: allocated before the work tables, which are freed on return
     odd = np.empty(n, np.int64)
     even = np.empty(max(n - 1, 0), np.int64)
-    s = _seq(sym)
+    s = sym.tolist()
     ops = 0
     # odd centers: d[i] = arm length k, palindrome s[i-k+1 .. i+k-1]
-    d = _int_buffer(n)
+    d = [0] * n
     left = 0
     right = -1
     for i in range(n):
@@ -205,14 +155,13 @@ def manacher_tables(sym):
     return odd, even, np.int64(ops)
 
 
-@njit
 def lcp_doubled(base, p1, p2):
     """Longest common prefix of two suffixes of base . reverse(base).
 
     Positions index the logical doubled string of length 2n; position k >= n
     reads base[2n - 1 - k]. Literal symbol-by-symbol comparison.
     """
-    s = _seq(base)
+    s = base.tolist()
     n = len(s)
     total = 2 * n
     length = 0
@@ -227,7 +176,6 @@ def lcp_doubled(base, p1, p2):
     return np.int64(length)
 
 
-@njit
 def fragment_fp_scan(letters, span, width, pows, inv_pows, out):
     """Sliding-window fingerprints over ``letters``, one row per hash layer.
 
@@ -250,7 +198,6 @@ def fragment_fp_scan(letters, span, width, pows, inv_pows, out):
     return np.int64(2 * total * layers)
 
 
-@njit
 def prefix_fp_scan(letters, pows, out):
     """Prefix fingerprints, one row per hash layer: out[l, j] = fp_l(letters[0..j]).
 
@@ -264,7 +211,6 @@ def prefix_fp_scan(letters, pows, out):
     return np.int64(2 * n * layers)
 
 
-@njit
 def first_unequal_run(eq_flags):
     """Length of the leading all-true run, and whether any later flag is true.
 

@@ -39,7 +39,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ._kernels import M61, manacher_tables, mulmod61, njit, power_tables, prefix_fp_scan
+from ._kernels import M61, manacher_tables, mulmod61, power_tables, prefix_fp_scan
 from .engine import CollisionAbort, RunStats, StepContext
 from .fingerprint import FingerprintScheme, concat, fragments_equal, node
 from .strings import _prefix_pal_lengths_from_tables
@@ -60,7 +60,6 @@ from .mpc import (
 )
 
 
-@njit
 def _scale_offset_mod(vals, mul, add, out):
     """out[l, i] = (add[l] + mul[l] * vals[l, i]) mod (2**61 - 1), one row per layer.
 
@@ -123,10 +122,9 @@ def _prefix_entry_getter(read, leaf_starts: list[int]):
 class PrefixStore:
     """Read view over the shared prefix entries, for direct use and tests."""
 
-    def __init__(self, snapshot_get, n: int, layers: int):
+    def __init__(self, snapshot_get, n: int):
         self._get = snapshot_get
         self.n = n
-        self.layers = layers
         self.reads = 0
 
     def entry(self, e: int):
@@ -278,8 +276,7 @@ class AmpcPalindromes(BlockPipeline):
     # -- query round: every LCP answered adaptively, then merge and local best
 
     def _store_view(self, ctx: StepContext) -> PrefixStore:
-        return PrefixStore(_prefix_entry_getter(ctx.shared_read, self.leaf_starts),
-                           self.n, self.scheme.layers)
+        return PrefixStore(_prefix_entry_getter(ctx.shared_read, self.leaf_starts), self.n)
 
     def _r_query(self, ctx: StepContext) -> None:
         m = ctx.machine_id
@@ -373,5 +370,5 @@ def build_prefix_store(text, epsilon: float, seed: int = 0,
     # one empty round so the entries become snapshot-visible to readers
     run.cluster.run_round(lambda ctx: None)
     store = PrefixStore(_prefix_entry_getter(run.cluster.shared.snapshot_get, run.leaf_starts),
-                        run.n, run.scheme.layers)
+                        run.n)
     return store, run.cluster.stats, run.cluster.stats.rounds

@@ -58,15 +58,14 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_text(args) -> tuple[Text, dict]:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.input is not None:
         text = inputs.load_bytes(args.input, args.alphabet)
         desc = {"kind": "file", "path": args.input, "n": len(text),
                 "sigma": text.sigma, "seed": None}
     elif args.random is not None:
         n, sigma = args.random
-        text = inputs.random_text(n, sigma, seed)
-        desc = {"kind": "random", "path": None, "n": n, "sigma": sigma, "seed": seed}
+        text = inputs.random_text(n, sigma, args.seed)
+        desc = {"kind": "random", "path": None, "n": n, "sigma": sigma, "seed": args.seed}
     elif args.unary is not None:
         text = inputs.unary_text(args.unary)
         desc = {"kind": "unary", "path": None, "n": args.unary, "sigma": 2, "seed": None}
@@ -157,12 +156,11 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     text, desc = _resolve_text(args)
     t0 = time.perf_counter()
-    result = _run_mode(args.mode, text, args.epsilon, seed, args.memory_constant)
+    result = _run_mode(args.mode, text, args.epsilon, args.seed, args.memory_constant)
     wall = (time.perf_counter() - t0) * 1e3
-    report = _report(args.mode, desc, args.epsilon, seed, result, wall)
+    report = _report(args.mode, desc, args.epsilon, args.seed, result, wall)
     _fill_substring(report, text, result)
     if args.format == "json" and not args.timings:
         report["wall_ms"] = None   # keep reruns byte-identical
@@ -171,11 +169,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.exhaustive is not None:
         max_len, sigma = args.exhaustive
         solver = lambda s: _run_mode(args.mode, Text(s, max(2, int(s.max()) + 1)),
-                                     args.epsilon, seed, args.memory_constant)
+                                     args.epsilon, args.seed, args.memory_constant)
         rep = sweep_pipeline(max_len, sigma, solver)
         status = "PASS" if rep["mismatches"] == 0 else "FAIL"
         print(f"{status} exhaustive mode={args.mode} len<={max_len} sigma={sigma} "
@@ -183,7 +180,7 @@ def cmd_verify(args) -> int:
         return 0 if rep["mismatches"] == 0 else 1
 
     text, desc = _resolve_text(args)
-    result = _run_mode(args.mode, text, args.epsilon, seed, args.memory_constant)
+    result = _run_mode(args.mode, text, args.epsilon, args.seed, args.memory_constant)
     want_table = oracle_maximal_palindromes(text.symbols)
     want_lps = oracle_lps(text.symbols)
     table_ok = result.table == want_table
@@ -222,6 +219,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"solve": cmd_solve, "verify": cmd_verify}
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return handlers[args.command](args)
     except CollisionAbort as exc:
         print(f"collision abort: {exc}", file=sys.stderr)

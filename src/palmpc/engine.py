@@ -70,7 +70,6 @@ class ClusterConfig:
     epsilon: float
     mode: str = "mpc"                # "mpc" | "ampc"
     memory_constant: int = 64        # the C in cap = C * ceil(n ** (1 - eps))
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:

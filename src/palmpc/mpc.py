@@ -82,7 +82,6 @@ from ._kernels import (
     first_unequal_run,
     fragment_fp_scan,
     manacher_tables,
-    njit,
     power_tables,
 )
 from .engine import (
@@ -227,7 +226,7 @@ class PlacedText:
         self.n = n
         self.plan = plan_decomposition(n, epsilon)
         self.cluster = Cluster(ClusterConfig(n=n, epsilon=epsilon, mode=self.MODE,
-                                             memory_constant=memory_constant, seed=seed))
+                                             memory_constant=memory_constant))
         sigma = int(sym.max()) + 1
         self.scheme = scheme if scheme is not None else scheme_init(
             max(2 * n, 2), sigma, seed=seed)
@@ -359,7 +358,6 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[starts], np.append(starts, values.size)
 
 
-@njit
 def _letters_common_run(a, b, limit):
     run = np.int64(0)
     while run < limit and a[run] == b[run]:

@@ -7,13 +7,11 @@ between the two is meaningful evidence of correctness.
 
 import numpy as np
 
-from ._kernels import NUMBA_ENABLED, njit
 from .strings import PalindromeTable, as_symbols
 
 
-@njit
 def _expand_all_centers(sym):
-    """Odd and even maximal palindrome lengths; ``sym`` is any indexable sequence."""
+    """Odd and even maximal palindrome lengths of a list of symbols."""
     n = len(sym)
     odd = np.empty(n, np.int64)
     even = np.empty(max(n - 1, 0), np.int64)
@@ -37,7 +35,7 @@ def _expand_all_centers(sym):
 def oracle_maximal_palindromes(text) -> PalindromeTable:
     """Expand around every center; quadratic worst case, definitionally maximal."""
     sym = as_symbols(text)
-    odd, even = _expand_all_centers(sym if NUMBA_ENABLED else sym.tolist())
+    odd, even = _expand_all_centers(sym.tolist())
     return PalindromeTable(odd=odd, even=even)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import manacher_tables, njit
+from ._kernels import M61, manacher_tables
 
 
 def as_symbols(text) -> np.ndarray:
@@ -27,15 +27,15 @@ def as_symbols(text) -> np.ndarray:
 
 
 def pipeline_symbols(text) -> np.ndarray:
-    """``as_symbols`` for the distributed pipelines: nonempty, every symbol >= 0."""
+    """``as_symbols`` for the distributed pipelines: nonempty, every symbol in [0, 2**61 - 1)."""
     sym = as_symbols(text)
     if sym.size < 1:
         raise ValueError("text must be nonempty")
-    negative = np.flatnonzero(sym < 0)
-    if negative.size:
-        pos = int(negative[0])
-        raise ValueError(f"symbol {int(sym[pos])} at position {pos} is negative; "
-                         "the distributed pipelines need symbols >= 0")
+    bad = np.flatnonzero((sym < 0) | (sym >= M61))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(f"symbol {int(sym[pos])} at position {pos} is outside [0, 2**61 - 1); "
+                         "the distributed pipelines fingerprint symbols modulo 2**61 - 1")
     return sym
 
 
@@ -146,17 +146,11 @@ def manacher(text) -> PalindromeTable:
     return PalindromeTable(odd=odd, even=even)
 
 
-@njit
 def _prefix_pal_lengths_from_tables(odd, even, lo_u, hi_u):
-    """Center half-indices u in [lo_u, hi_u) whose maximal palindrome reaches position 0."""
-    count = 0
-    buf = np.empty(hi_u - lo_u, np.int64)
-    for u in range(lo_u, hi_u):
-        if u % 2 == 0:
-            length = odd[u // 2]
-        else:
-            length = even[(u - 1) // 2]
-        if length >= u + 1:
-            buf[count] = u + 1
-            count += 1
-    return buf[:count]
+    """Center half-indices u in [lo_u, hi_u) whose maximal palindrome reaches position 0.
+
+    Returned as u + 1, the length of that prefix palindrome, in ascending order.
+    """
+    odd, even = odd.tolist(), even.tolist()
+    return np.array([u + 1 for u in range(lo_u, hi_u)
+                     if (even if u % 2 else odd)[u // 2] > u], np.int64)

@@ -29,8 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import njit
-
 
 class InconsistentMergeError(RuntimeError):
     """A center whose local palindrome is a fragment prefix has no resolved entry."""
@@ -54,7 +52,6 @@ def case_name(prefix_lens) -> str:
     return ("empty", "single", "periodic")[min(len(prefix_lens), 2)]
 
 
-@njit
 def _center_query(u, n):
     """Doubled-string suffix pair whose LCP yields the maximal length at center u."""
     if u % 2 == 0:
@@ -64,7 +61,6 @@ def _center_query(u, n):
     return c, 2 * n - c
 
 
-@njit
 def _center_length(u, lcp_value, n):
     """Palindrome length at center u from its raw center-query LCP value.
 
@@ -103,7 +99,6 @@ def first_wave(prefix_lens, start: int, n: int) -> list[Query]:
     return wave + [Query("right", start, start + period)]
 
 
-@njit
 def _periodic_resolve(prefix_lengths, start, n, left_lcp, right_lcp):
     """Settle every prefix palindrome from the raw answers of the period probes.
 
@@ -170,7 +165,6 @@ def settle(wave, answers, n: int, periodic=None) -> tuple[list[CenterResult], li
     return results, ([_center(int(center_u), n)] if center_u >= 0 else [])
 
 
-@njit
 def _merge_b2(odd_f, even_f, start, block_len, resolved_u, resolved_len):
     """Final lengths for the owned centers of one superblock.
 
@@ -182,26 +176,17 @@ def _merge_b2(odd_f, even_f, start, block_len, resolved_u, resolved_len):
     missing_u >= 0 flagging a prefix-touching center with no resolved entry.
     """
     lo = 2 * (start + block_len)
-    hi = 2 * (start + 2 * block_len)
+    count = 2 * block_len
     # resolved length per owned center; filled backwards so the first entry wins
-    known = np.full(hi - lo, -1, np.int64)
-    for t in range(resolved_u.size - 1, -1, -1):
-        if lo <= resolved_u[t] < hi:
-            known[resolved_u[t] - lo] = resolved_len[t]
-    out = np.empty(hi - lo, np.int64)
-    missing_u = np.int64(-1)
-    for u_abs in range(lo, hi):
-        u_loc = u_abs - 2 * start
-        if u_loc % 2 == 0:
-            lam = odd_f[u_loc // 2]
-        else:
-            lam = even_f[(u_loc - 1) // 2]
-        if (u_loc - lam + 1) // 2 > 0:
-            out[u_abs - lo] = lam
-        else:
-            found = known[u_abs - lo]
-            if found < 0 and missing_u < 0:
-                missing_u = u_abs
-            out[u_abs - lo] = found
-    return out, missing_u
-
+    known = [-1] * count
+    for u, length in zip(reversed(resolved_u.tolist()), reversed(resolved_len.tolist())):
+        if lo <= u < lo + count:
+            known[u - lo] = length
+    # local lengths by owned center: u_loc = count + j reads odd_f or even_f at u_loc // 2
+    lams = [0] * count
+    lams[0::2] = odd_f[block_len : 2 * block_len].tolist()
+    lams[1::2] = even_f[block_len : 2 * block_len].tolist()
+    # a local palindrome shorter than u_loc starts after the fragment's left edge
+    out = [lam if lam < count + j else known[j] for j, lam in enumerate(lams)]
+    missing_u = next((lo + j for j, length in enumerate(out) if length < 0), -1)
+    return np.array(out, np.int64), missing_u

@@ -136,7 +136,7 @@ def test_ampc_lcp_letter_check_catches_a_lying_entry():
     doctored = store.dump()
     sym, vals = doctored[12]
     doctored[12] = (sym, tuple((v + 1) % ((1 << 61) - 1) for v in vals))
-    fake = PrefixStore(doctored.get, 8, 2)
+    fake = PrefixStore(doctored.get, 8)
     with pytest.raises(CollisionAbort):
         ampc_lcp(fake, 0, 2, scheme.bases)
 

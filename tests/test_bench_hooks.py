@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from palmpc import _kernels
 from palmpc.ampc import solve_ampc
 from palmpc.inputs import unary_text
 from palmpc.mpc import solve_mpc
@@ -31,3 +32,8 @@ def test_every_hook_resolves_and_every_kernel_is_traced(solve, epsilon):
     assert hooks.missing == []
     missing_spans = set(KERNEL_SPANS) - set(tracer.names)
     assert not missing_spans, f"{solve.__name__}: no spans for {sorted(missing_spans)}"
+
+
+def test_benchmark_numba_stamp_reads_false():
+    # solvebench/run.py stamps this name into every record
+    assert _kernels.NUMBA_ENABLED is False

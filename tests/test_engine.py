@@ -95,7 +95,7 @@ def test_broadcast_reaches_everyone_and_meters_per_copy():
 
 def test_determinism_under_execution_order():
     def run(order_seed):
-        cl = Cluster(ClusterConfig(n=64, epsilon=0.5, seed=1))
+        cl = Cluster(ClusterConfig(n=64, epsilon=0.5))
         rng = np.random.default_rng(order_seed)
 
         def phase_send(ctx):

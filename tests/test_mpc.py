@@ -291,3 +291,18 @@ def test_pipelines_reject_negative_symbols_with_position():
             call()
     # the sequential primitives accept any integers
     assert manacher(text) == oracle_maximal_palindromes(text)
+
+
+def test_pipelines_reject_symbols_beyond_the_modulus_under_an_explicit_scheme():
+    # an explicit scheme skips scheme_init's alphabet check, so the range check
+    # must sit with the symbols: fingerprints of 2**61 - 1 and 0 coincide
+    from palmpc.ampc import solve_ampc
+
+    text = fibonacci_text(4096).symbols.copy()
+    text[1] = (1 << 61) - 1
+    scheme = scheme_init(8192, 2, seed=1)
+    for call in (lambda: solve_mpc(text, 0.5, scheme=scheme),
+                 lambda: solve_ampc(text, 0.75, scheme=scheme),
+                 lambda: DistributedLcp(text, [(0, 1)], 0.5, scheme=scheme)):
+        with pytest.raises(ValueError, match=f"symbol {(1 << 61) - 1} at position 1"):
+            call()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palmpc._kernels import manacher_tables, njit
+from palmpc._kernels import manacher_tables
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import (
     DoubledView,
@@ -151,7 +151,6 @@ def test_lengths_by_center_interleaves():
     assert t.center_count == 9
 
 
-@njit
 def _fact1_period_prefix_scan(max_len):
     """For every binary palindrome V and proper prefix U:
     |V|-|U| is a period of V iff U is a palindrome. Returns violations."""
