@@ -99,9 +99,6 @@ def manacher_tables(sym):
     ``ops`` counts two per center and one per matched letter pair.
     """
     n = len(sym)
-    # the outputs first: allocated before the work tables, which are freed on return
-    odd = np.empty(n, np.int64)
-    even = np.empty(max(n - 1, 0), np.int64)
     s = sym.tolist()
     ops = 0
     # odd centers: d[i] = arm length k, palindrome s[i-k+1 .. i+k-1]
@@ -126,7 +123,7 @@ def manacher_tables(sym):
         if i + k - 1 > right:
             left = i - k + 1
             right = i + k - 1
-    odd[:] = d
+    odd = np.array(d, np.int64)
     odd *= 2
     odd -= 1
     # even centers, reusing d: d[i] = arm length k, palindrome s[i-k .. i+k-1]
@@ -150,7 +147,7 @@ def manacher_tables(sym):
         if i + k - 1 > right:
             left = i - k
             right = i + k - 1
-    even[:] = d[1:]
+    even = np.array(d[1:], np.int64)
     even *= 2
     return odd, even, np.int64(ops)
 
@@ -173,7 +170,7 @@ def lcp_doubled(base, p1, p2):
         if sa != sb:
             break
         length += 1
-    return np.int64(length)
+    return length
 
 
 def fragment_fp_scan(letters, span, width, pows, inv_pows, out):
@@ -217,13 +214,6 @@ def first_unequal_run(eq_flags):
     Used by the in-window refinement scan: a true flag after the first false
     one contradicts prefix monotonicity and indicates a hash collision.
     """
-    n = eq_flags.size
-    run = np.int64(0)
-    while run < n and eq_flags[run]:
-        run += 1
-    tainted = False
-    for j in range(run + 1, n):
-        if eq_flags[j]:
-            tainted = True
-            break
-    return run, tainted
+    unequal = np.flatnonzero(~eq_flags)
+    run = int(unequal[0]) if unequal.size else eq_flags.size
+    return run, bool(eq_flags[run:].any())

@@ -56,7 +56,6 @@ from .mpc import (
     BlockPlan,
     MpcResult,
     _materialize_doubled,
-    _resolved_columns,
 )
 
 
@@ -302,9 +301,8 @@ class AmpcPalindromes(BlockPipeline):
                 stats.bump("lcp_queries", len(wave) + len(wave2))
             if wave2:
                 stats.bump("simultaneous_centers")
-            res_u, res_len = _resolved_columns(results + settled)
             self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                             i, self.plan.block_len, res_u, res_len))
+                                             i, self.plan.block_len, results + settled))
 
         best = self._local_best(ctx)
         if best is None:

@@ -1,34 +1,24 @@
 """Command-line driver: solve, and verify against the oracle.
 
 Exit codes: 0 success or PASS, 1 verification mismatch, 2 usage error,
-3 aborted on a detected fingerprint collision.
+3 aborted on a detected fingerprint collision, 4 aborted by the simulated
+engine (a machine's memory cap or shared-read budget exceeded).
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import inputs
 from .ampc import solve_ampc
-from .engine import CollisionAbort
+from .engine import CollisionAbort, EngineError
 from .exhaustive import sweep_pipeline
 from .mpc import solve_mpc
 from .oracle import oracle_lps, oracle_maximal_palindromes
 from .strings import Text, leftmost_longest, manacher
 
-SEED_ENV = "PALMPC_SEED"
 SUBSTRING_LIMIT = 64
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"${SEED_ENV} must be an integer seed, got {raw!r}; "
-                         f"unset it or pass --seed") from None
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -48,8 +38,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("mpc", "ampc", "sequential", "oracle"),
                    default="mpc")
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"default from ${SEED_ENV}, else 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--memory-constant", type=int, default=64,
                    help="per-machine cap is this many words per block symbol")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -60,6 +49,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 def _resolve_text(args) -> tuple[Text, dict]:
     if args.input is not None:
         text = inputs.load_bytes(args.input, args.alphabet)
+        if len(text) == 0:
+            raise ValueError("text must be nonempty")
         desc = {"kind": "file", "path": args.input, "n": len(text),
                 "sigma": text.sigma, "seed": None}
     elif args.random is not None:
@@ -171,6 +162,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if args.exhaustive is not None:
         max_len, sigma = args.exhaustive
+        if max_len < 1 or sigma < 1:
+            raise ValueError(f"--exhaustive needs LEN >= 1 and SIGMA >= 1, got {max_len} {sigma}")
         solver = lambda s: _run_mode(args.mode, Text(s, max(2, int(s.max()) + 1)),
                                      args.epsilon, args.seed, args.memory_constant)
         rep = sweep_pipeline(max_len, sigma, solver)
@@ -219,12 +212,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"solve": cmd_solve, "verify": cmd_verify}
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         return handlers[args.command](args)
     except CollisionAbort as exc:
         print(f"collision abort: {exc}", file=sys.stderr)
         return 3
+    except EngineError as exc:
+        print(f"engine abort: {exc}; raise --memory-constant (now {args.memory_constant} "
+              f"words per block symbol)", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -74,6 +74,8 @@ class ClusterConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("problem size must be >= 1")
+        if self.memory_constant < 1:
+            raise ValueError(f"memory constant must be >= 1, got {self.memory_constant}")
         if self.mode not in ("mpc", "ampc"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "mpc":

@@ -263,13 +263,9 @@ class BlockPipeline(PlacedText):
             ctx.payload["own_lengths"] = by_center[role.own_u_lo - base : role.own_u_hi - base]
 
     @staticmethod
-    def _keep_merged(ctx: StepContext, merged) -> None:
-        """Keep a middle machine's owned lengths from the output of ``_merge_b2``."""
-        lengths, missing = merged
+    def _keep_merged(ctx: StepContext, lengths) -> None:
+        """Keep a middle machine's owned lengths, the output of ``_merge_b2``."""
         ctx.add_work(lengths.size)
-        if missing >= 0:
-            raise InconsistentMergeError(
-                f"center u={int(missing)} reaches its fragment start unresolved")
         ctx.payload["own_lengths"] = lengths
 
     def _local_best(self, ctx: StepContext) -> tuple[int, int] | None:
@@ -304,11 +300,6 @@ class BlockPipeline(PlacedText):
         start, length = self.lps
         return MpcResult(table=self.export_table(), lps_start=start, lps_length=length,
                          stats=self.cluster.stats, plan=self.plan)
-
-
-def _resolved_columns(results) -> tuple[np.ndarray, np.ndarray]:
-    """(centers, lengths) of a list of ``CenterResult``, as ``_merge_b2`` takes them."""
-    return tuple(np.asarray(results, np.int64).reshape(-1, 2).T)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +347,6 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first value, segment bounds) of each run of equal values."""
     starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
     return values[starts], np.append(starts, values.size)
-
-
-def _letters_common_run(a, b, limit):
-    run = np.int64(0)
-    while run < limit and a[run] == b[run]:
-        run += 1
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +642,8 @@ class FingerprintLcp:
     def first_window_answer(self, ctx: StepContext, q: _Query, a: np.ndarray,
                             b: np.ndarray) -> None:
         """Settle a first-window mismatch from the letters at q's two positions."""
-        run = int(_letters_common_run(a, b, q.w_cap))
+        unequal = np.flatnonzero(a[: q.w_cap] != b[: q.w_cap])
+        run = int(unequal[0]) if unequal.size else q.w_cap
         ctx.add_work(q.w_cap)
         w = self.plan.window
         if run == q.w_cap and min(w, 2 * self.n - q.p1) == min(w, 2 * self.n - q.p2):
@@ -758,9 +743,9 @@ class MpcPalindromes(BlockPipeline):
         if role.kind == "middle":
             wave = self.waves[m]
             settled, _ = settle(wave, [q.answer for q in wave], self.n)
-            res_u, res_len = _resolved_columns(self.resolved[m] + settled)
             self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                             role.sb_start, self.plan.block_len, res_u, res_len))
+                                             role.sb_start, self.plan.block_len,
+                                             self.resolved[m] + settled))
         best = self._local_best(ctx)
         if best is not None:
             _send_rows(ctx, "best", [0], len=[best[0]], start=[best[1]])

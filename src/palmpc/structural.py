@@ -19,10 +19,14 @@ what keeps the query count per superblock at three or fewer:
   simultaneously. Every other center is settled by arithmetic: the side
   where periodicity breaks first caps the palindrome.
 
-The case analysis is written once, as two pure steps that both pipelines
-drive: ``first_wave`` lists a superblock's first queries, and ``settle``
-turns a wave's answers into settled centers plus the next wave (at most one
-center query). The pipelines differ only in how they answer the queries.
+The case analysis is written once, as pure steps that every caller runs:
+``first_wave`` lists a superblock's first queries, ``_periodic_resolve``
+settles a periodic run from its probe answers, ``settle`` turns a wave's
+answers into settled (u, length) pairs plus the next wave (at most one
+center query), and ``_merge_b2`` merges them with the local table. Each step
+raises on the violation it can see. The two pipelines differ only in how
+they answer the queries; the exhaustive sweep (``palmpc.exhaustive``) runs
+the same steps with queries answered by literal comparison.
 """
 
 from typing import NamedTuple
@@ -32,11 +36,6 @@ import numpy as np
 
 class InconsistentMergeError(RuntimeError):
     """A center whose local palindrome is a fragment prefix has no resolved entry."""
-
-
-class CenterResult(NamedTuple):
-    center_u: int   # absolute center half-index in S
-    length: int     # maximal palindrome length in S
 
 
 class Query(NamedTuple):
@@ -52,34 +51,14 @@ def case_name(prefix_lens) -> str:
     return ("empty", "single", "periodic")[min(len(prefix_lens), 2)]
 
 
-def _center_query(u, n):
-    """Doubled-string suffix pair whose LCP yields the maximal length at center u."""
-    if u % 2 == 0:
-        c = u // 2
-        return c, 2 * n - c - 1
-    c = (u + 1) // 2
-    return c, 2 * n - c
-
-
-def _center_length(u, lcp_value, n):
-    """Palindrome length at center u from its raw center-query LCP value.
-
-    The doubled text has no separator at the text boundary, so a palindrome
-    touching the right edge can keep matching into the mirrored half; the
-    right arm is capped at the room it actually has.
-    """
-    if u % 2 == 0:
-        c = u // 2
-        capped = min(lcp_value, n - c)
-        return 2 * capped - 1
-    c = (u + 1) // 2
-    capped = min(lcp_value, n - c)
-    return 2 * capped
-
-
 def _center(u: int, n: int) -> Query:
-    p1, p2 = _center_query(u, n)
-    return Query("center", int(p1), int(p2), int(u))
+    """Doubled-string suffix pair whose LCP yields the maximal length at center u.
+
+    Center u = 2c (odd palindrome) or 2c - 1 (even) compares the text read
+    rightward from c with the text read leftward from c (odd) or c - 1 (even).
+    """
+    c = (u + 1) // 2
+    return Query("center", c, 2 * n - c - 1 + u % 2, u)
 
 
 def first_wave(prefix_lens, start: int, n: int) -> list[Query]:
@@ -99,7 +78,7 @@ def first_wave(prefix_lens, start: int, n: int) -> list[Query]:
     return wave + [Query("right", start, start + period)]
 
 
-def _periodic_resolve(prefix_lengths, start, n, left_lcp, right_lcp):
+def _periodic_resolve(prefix_lens, start, n, left_lcp, right_lcp):
     """Settle every prefix palindrome from the raw answers of the period probes.
 
     The period is the difference of the two longest prefix palindromes. The
@@ -109,77 +88,69 @@ def _periodic_resolve(prefix_lengths, start, n, left_lcp, right_lcp):
     doubled string and can sail past the text's end when the tail is fully
     periodic; the periodic run lives in the text, so it is clamped there.
 
-    Returns (centers, lengths, center_query_u, err). A length of -1 marks the
-    center that needs its own query (both run boundaries reached at once);
-    there can be at most one such center, and a tie between the two
-    arithmetic caps cannot occur elsewhere -- err flags either violation.
+    Returns (resolved, center_query_u): the (u, length) pairs settled by
+    arithmetic, and the center that needs its own query because its
+    palindrome reaches both run boundaries at once (-1 if none). There can be
+    at most one such center; a second one raises ``AssertionError``. The two
+    arithmetic caps, length + 2*left and 2*right - length, are equal only
+    where length == right - left, which is that center, so every other
+    center has one strictly smaller cap.
     """
-    m = prefix_lengths.size
-    period = prefix_lengths[m - 1] - prefix_lengths[m - 2]
-    left_ext = left_lcp if start > 0 else 0
-    right_ext = min(period + right_lcp, n - start)
-    centers = np.empty(m, np.int64)
-    lengths = np.empty(m, np.int64)
-    center_query_u = np.int64(-1)
-    err = 0
-    for idx in range(m):
-        length = prefix_lengths[idx]
+    lens = prefix_lens.tolist()
+    period = lens[-1] - lens[-2]
+    left_ext = int(left_lcp) if start > 0 else 0
+    right_ext = min(period + int(right_lcp), n - start)
+    resolved = []
+    center_query_u = -1
+    for length in lens:
         u = 2 * start + length - 1
-        centers[idx] = u
         if length == right_ext - left_ext:
             if center_query_u >= 0:
-                err = 1
+                raise AssertionError("two centers claim both periodic-run boundaries at once")
             center_query_u = u
-            lengths[idx] = -1
-        else:
-            capped_left = length + 2 * left_ext
-            capped_right = 2 * right_ext - length
-            if capped_left == capped_right:
-                err = 2
-            lengths[idx] = min(capped_left, capped_right)
-    return centers, lengths, center_query_u, err
+            continue
+        resolved.append((u, min(length + 2 * left_ext, 2 * right_ext - length)))
+    return resolved, center_query_u
 
 
-def settle(wave, answers, n: int, periodic=None) -> tuple[list[CenterResult], list[Query]]:
+def settle(wave, answers, n: int, periodic=None) -> tuple[list[tuple[int, int]], list[Query]]:
     """What one wave's LCP answers settle, and the next wave still needed.
 
-    Each center query settles its own center. ``periodic`` is the output of
-    ``_periodic_resolve`` on the probe answers of a periodic superblock: it
-    settles every prefix palindrome but at most one, whose center query is
-    returned as the next wave. At most 3 queries are ever needed per
-    superblock.
+    Each center query settles its own center as a (u, length) pair. The
+    doubled text has no separator at the text boundary, so a palindrome
+    touching the right edge can keep matching into the mirrored half; the
+    right arm is capped at the n - c symbols it actually has. ``periodic`` is
+    the output of ``_periodic_resolve`` on the probe answers of a periodic
+    superblock: it settles every prefix palindrome but at most one, whose
+    center query is returned as the next wave. At most 3 queries are ever
+    needed per superblock.
     """
-    if any(a < 0 for a in answers):
+    if answers and min(answers) < 0:
         raise InconsistentMergeError("LCP query left unanswered")
-    results = [CenterResult(q.center_u, int(_center_length(q.center_u, a, n)))
+    results = [(q.center_u, 2 * min(int(a), n - q.p1) - 1 + q.center_u % 2)
                for q, a in zip(wave, answers) if q.kind == "center"]
     if periodic is None:
         return results, []
-    centers, lengths, center_u, err = periodic
-    if err == 1:
-        raise AssertionError("two centers claim both periodic-run boundaries at once")
-    if err == 2:
-        raise AssertionError("arithmetic tie between the two periodicity caps")
-    results += [CenterResult(u, length)
-                for u, length in zip(centers.tolist(), lengths.tolist()) if length >= 0]
-    return results, ([_center(int(center_u), n)] if center_u >= 0 else [])
+    resolved, center_u = periodic
+    return results + resolved, ([_center(center_u, n)] if center_u >= 0 else [])
 
 
-def _merge_b2(odd_f, even_f, start, block_len, resolved_u, resolved_len):
+def _merge_b2(odd_f, even_f, start, block_len, resolved):
     """Final lengths for the owned centers of one superblock.
 
     Owned centers are the half-indices u in [2(start+b), 2(start+2b)). A
     center whose local maximal palindrome does not reach the fragment's left
     edge is already globally maximal (a palindrome of an owned center that
     touches the fragment's right edge necessarily touches the left one too);
-    the rest take their resolved lengths. Returns (lengths, missing_u) with
-    missing_u >= 0 flagging a prefix-touching center with no resolved entry.
+    the rest take their lengths from ``resolved``, a list of (u, length)
+    pairs. A prefix-touching center with no resolved entry raises
+    ``InconsistentMergeError``.
     """
     lo = 2 * (start + block_len)
     count = 2 * block_len
     # resolved length per owned center; filled backwards so the first entry wins
     known = [-1] * count
-    for u, length in zip(reversed(resolved_u.tolist()), reversed(resolved_len.tolist())):
+    for u, length in reversed(resolved):
         if lo <= u < lo + count:
             known[u - lo] = length
     # local lengths by owned center: u_loc = count + j reads odd_f or even_f at u_loc // 2
@@ -188,5 +159,7 @@ def _merge_b2(odd_f, even_f, start, block_len, resolved_u, resolved_len):
     lams[1::2] = even_f[block_len : 2 * block_len].tolist()
     # a local palindrome shorter than u_loc starts after the fragment's left edge
     out = [lam if lam < count + j else known[j] for j, lam in enumerate(lams)]
-    missing_u = next((lo + j for j, length in enumerate(out) if length < 0), -1)
-    return np.array(out, np.int64), missing_u
+    if min(out) < 0:
+        missing = next(lo + j for j, length in enumerate(out) if length < 0)
+        raise InconsistentMergeError(f"center u={missing} reaches its fragment start unresolved")
+    return np.array(out, np.int64)

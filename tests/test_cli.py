@@ -118,21 +118,42 @@ def test_collision_abort_maps_to_exit_3(monkeypatch, capsys):
     assert code == 3 and "collision" in err
 
 
-def test_env_seed_default(monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV, "123")
-    _, out, _ = run_cli(capsys, "solve", "--random", "64", "2", "--format", "json")
-    assert json.loads(out)["seed"] == 123
-
-
-def test_invalid_env_seed_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV, "abc")
-    code, out, err = run_cli(capsys, "solve", "--random", "64", "2", "--format", "json")
-    assert code == 2 and out == ""
-    assert cli.SEED_ENV in err and "'abc'" in err
-    # an explicit --seed does not consult the variable
+def test_seed_option_is_reported(capsys):
     code, out, _ = run_cli(capsys, "solve", "--random", "64", "2", "--seed", "4",
                            "--format", "json")
     assert code == 0 and json.loads(out)["seed"] == 4
+    _, out, _ = run_cli(capsys, "solve", "--random", "64", "2", "--format", "json")
+    assert json.loads(out)["seed"] == 0
+
+
+def test_engine_abort_maps_to_exit_4(capsys):
+    # unary n=4096 at eps=0.5: b=64, so a constant of 8 caps a machine at 512 words
+    for command in ("solve", "verify"):
+        code, out, err = run_cli(capsys, command, "--unary", "4096", "--memory-constant", "8")
+        assert code == 4 and out == "", command
+        assert len(err.splitlines()) == 1
+        assert "machine 0 holds" in err and "round 0" in err and "cap 512" in err
+        assert "raise --memory-constant" in err
+
+
+def test_memory_constant_below_one_is_usage_error(capsys):
+    for value in ("0", "-1"):
+        code, out, err = run_cli(capsys, "solve", "--unary", "64", "--memory-constant", value)
+        assert code == 2 and out == "" and "memory constant" in err
+
+
+def test_vacuous_exhaustive_is_usage_error(capsys):
+    for bounds in (("0", "2"), ("3", "0")):
+        code, out, err = run_cli(capsys, "verify", "--exhaustive", *bounds)
+        assert code == 2 and out == "" and "--exhaustive" in err, bounds
+
+
+def test_empty_input_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    for mode in ("mpc", "ampc", "sequential", "oracle"):
+        code, out, err = run_cli(capsys, "solve", "--input", str(path), "--mode", mode)
+        assert code == 2 and out == "" and "text must be nonempty" in err, mode
 
 
 def test_negative_symbols_are_usage_error(monkeypatch, capsys):

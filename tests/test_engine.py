@@ -31,6 +31,13 @@ def test_config_rejects_large_epsilon_in_mpc_mode():
         ClusterConfig(n=16, epsilon=1.0, mode="ampc")
 
 
+def test_config_rejects_memory_constant_below_one():
+    for constant in (0, -1):
+        with pytest.raises(ValueError, match="memory constant"):
+            ClusterConfig(n=16, epsilon=0.5, memory_constant=constant)
+    assert ClusterConfig(n=16, epsilon=0.5, memory_constant=1).memory_cap_words == 4
+
+
 def test_exact_power_sizing_is_stable():
     # 65536**0.5 overshoots in floats; sizes must not absorb the error
     import math

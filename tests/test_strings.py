@@ -11,13 +11,15 @@ from palmpc.strings import (
     as_symbols,
     manacher,
 )
-from palmpc.structural import _center_length, _center_query
+from palmpc.structural import Query, _center, settle
 
 
 def _via_lcp(u, n, d):
     """Maximal palindrome length at center u from one oracle LCP query, as the pipelines ask it."""
-    p1, p2 = _center_query(u, n)
-    return _center_length(u, oracle_lcp(d, p1, p2), n)
+    q = _center(u, n)
+    [(center_u, length)], _ = settle([q], [oracle_lcp(d, q.p1, q.p2)], n)
+    assert center_u == u
+    return length
 
 
 def _prefix_pals(fragment, block_len):
@@ -76,10 +78,10 @@ def test_doubled_view_materialize_matches_reads():
 
 def test_via_lcp_examples():
     d = DoubledView("abaab")
-    assert _center_query(5, 5) == (3, 7)
+    assert _center(5, 5) == Query("center", 3, 7, 5)
     assert oracle_lcp(d, 3, 7) == 2
     assert _via_lcp(5, 5, d) == 4
-    assert _center_query(2, 5) == (1, 8)
+    assert _center(2, 5) == Query("center", 1, 8, 2)
     assert oracle_lcp(d, 1, 8) == 2
     assert _via_lcp(2, 5, d) == 3
     assert _via_lcp(0, 1, DoubledView("a")) == 1

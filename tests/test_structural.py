@@ -3,11 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from palmpc import exhaustive
 from palmpc.mpc import BlockPipeline
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import DoubledView, _prefix_pal_lengths_from_tables, as_symbols, manacher
 from palmpc.structural import (
-    CenterResult,
     InconsistentMergeError,
     Query,
     _merge_b2,
@@ -40,11 +40,7 @@ def resolve(s, start, block_len, lcp):
 def merge(s, start, block_len, resolved):
     """(first owned center, owned lengths) from the local table and the resolved centers."""
     local = manacher(as_symbols(s)[start : start + 4 * block_len])
-    res = np.asarray(resolved, np.int64).reshape(-1, 2)
-    lengths, missing = _merge_b2(local.odd, local.even, start, block_len,
-                                 res[:, 0].copy(), res[:, 1].copy())
-    assert missing < 0
-    return 2 * (start + block_len), lengths
+    return 2 * (start + block_len), _merge_b2(local.odd, local.even, start, block_len, resolved)
 
 
 def counting_lcp(text):
@@ -74,7 +70,7 @@ def test_worked_periodic_example():
     # by arithmetic
     lcp, calls = counting_lcp("baaaab")
     res = resolve("baaaab", 1, 1, lcp)
-    assert sorted(res) == [CenterResult(4, 3), CenterResult(5, 6)]
+    assert sorted(res) == [(4, 3), (5, 6)]
     assert calls[0] == (10, 11) and calls[1] == (1, 2)
     assert (3, 9) in calls
     assert len(calls) == 3
@@ -91,7 +87,7 @@ def test_single_issues_one_query():
     res = resolve("ababxx", 0, 1, lcp)
     assert len(calls) == 1
     orc = oracle_maximal_palindromes("ababxx")
-    assert res == [CenterResult(2, orc.length_at(2))]
+    assert res == [(2, orc.length_at(2))]
 
 
 def test_plan_queries_shapes():
@@ -113,16 +109,22 @@ def _pair(u, n):
 
 def test_settle_checks_answers_and_resolve_errors():
     wave = [Query("center", *_pair(8, 10), 8)]
-    assert settle(wave, [3], 10) == ([CenterResult(8, 5)], [])
+    assert settle(wave, [3], 10) == ([(8, 5)], [])
     with pytest.raises(InconsistentMergeError):
         settle(wave, [-1], 10)
-    centers = np.array([4, 5], np.int64)
-    for err in (1, 2):
-        with pytest.raises(AssertionError):
-            settle([], [], 10, (centers, np.array([3, 6]), np.int64(-1), err))
+    # two prefix palindromes of one length both reach the run's two ends
+    with pytest.raises(AssertionError, match="two centers"):
+        _periodic_resolve(np.array([5, 5], np.int64), 1, 20, 0, 5)
+    # prefix palindromes 3 and 5 at start 1 (period 2): where the two caps
+    # tie (length 3 with the run 1 left and 4 right of the start), the
+    # center takes its own query instead of a cap
+    plens = np.array([3, 5], np.int64)
+    assert _periodic_resolve(plens, 1, 20, 1, 2) == ([(6, 3)], 4)
     # the one center no cap settles becomes the next wave
-    got, nxt = settle([], [], 10, (centers, np.array([3, -1]), np.int64(5), 0))
-    assert got == [CenterResult(4, 3)] and nxt == [Query("center", *_pair(5, 10), 5)]
+    periodic = _periodic_resolve(plens, 1, 20, 0, 3)
+    assert periodic == ([(4, 3)], 6)
+    got, nxt = settle([], [], 20, periodic)
+    assert got == [(4, 3)] and nxt == [Query("center", *_pair(6, 20), 6)]
 
 
 def test_budget_never_exceeds_three():
@@ -169,13 +171,12 @@ def test_merge_uses_local_when_not_prefix():
 
 def test_merge_missing_entry_raises():
     # "aaaa" at position 1: owned center 4 reaches the fragment start, and
-    # with nothing resolved the merge flags it and the pipelines raise
+    # with nothing resolved the merge names it and raises before the
+    # pipelines keep any lengths
     local = manacher(as_symbols("aaaa"))
-    merged = _merge_b2(local.odd, local.even, 1, 1, np.empty(0, np.int64), np.empty(0, np.int64))
-    assert int(merged[1]) == 4
     ctx = SimpleNamespace(payload={}, add_work=lambda ops: None)
-    with pytest.raises(InconsistentMergeError):
-        BlockPipeline._keep_merged(ctx, merged)
+    with pytest.raises(InconsistentMergeError, match=r"center u=4 "):
+        BlockPipeline._keep_merged(ctx, _merge_b2(local.odd, local.even, 1, 1, []))
     assert "own_lengths" not in ctx.payload
 
 
@@ -228,11 +229,15 @@ def test_merge_lookup_equals_linear_scan():
         order = rng.permutation(len(res_u))
         res_u = np.asarray(res_u, np.int64)[order]
         res_len = np.asarray(res_len, np.int64)[order]
-        args = (local.odd, local.even, start, bl, res_u, res_len)
-        want_out, want_missing = _merge_b2_linear_scan(*args)
-        got_out, got_missing = _merge_b2(*args)
+        want_out, want_missing = _merge_b2_linear_scan(local.odd, local.even, start, bl,
+                                                       res_u, res_len)
+        resolved = list(zip(res_u.tolist(), res_len.tolist()))
+        if want_missing >= 0:
+            with pytest.raises(InconsistentMergeError, match=rf"center u={want_missing} "):
+                _merge_b2(local.odd, local.even, start, bl, resolved)
+            continue
+        got_out = _merge_b2(local.odd, local.even, start, bl, resolved)
         assert got_out.tolist() == want_out.tolist()
-        assert int(got_missing) == want_missing
     assert min(shapes.values()) >= 10, shapes
 
 
@@ -263,6 +268,26 @@ def test_exhaustive_small_binary_against_oracle():
                     u_lo, lengths = merge(s, i, bl, resolve(s, i, bl, lcp))
                     for j, u in enumerate(range(u_lo, u_lo + lengths.size)):
                         assert lengths[j] == orc.length_at(u), (s.tolist(), i, bl, u)
+
+
+def test_sweep_runs_the_shared_resolver(monkeypatch):
+    # the exhaustive sweep must fail when the resolver the pipelines run is wrong
+    real_settle = exhaustive.settle
+
+    def off_by_one(*args):
+        results, wave = real_settle(*args)
+        return [(u, length + 1) for u, length in results], wave
+
+    def drop_one(*args):
+        results, wave = real_settle(*args)
+        return results[1:], wave
+
+    assert exhaustive.sweep_views(8, 2)["mismatches"] == 0
+    monkeypatch.setattr(exhaustive, "settle", off_by_one)
+    assert exhaustive.sweep_views(8, 2)["mismatches"] > 0
+    monkeypatch.setattr(exhaustive, "settle", drop_one)
+    with pytest.raises(InconsistentMergeError, match="reaches its fragment start unresolved"):
+        exhaustive.sweep_views(8, 2)
 
 
 def _binary_palindromes(max_len):
