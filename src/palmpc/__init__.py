@@ -1,23 +1,20 @@
 """All maximal palindromes on a simulated massively-parallel cluster."""
 
-from .ampc import ampc_lcp, build_prefix_store, solve_ampc
+from .ampc import ampc_lcp, solve_ampc
 from .engine import ClusterConfig, CollisionAbort, RunStats
-from .mpc import distributed_lcp, plan_decomposition, solve_mpc
+from .mpc import plan_decomposition, solve_mpc
 from .oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
-from .strings import DoubledView, PalindromeTable, Text, manacher
+from .strings import PalindromeTable, Text, manacher
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClusterConfig",
     "CollisionAbort",
-    "DoubledView",
     "PalindromeTable",
     "RunStats",
     "Text",
     "ampc_lcp",
-    "build_prefix_store",
-    "distributed_lcp",
     "manacher",
     "oracle_lcp",
     "oracle_lps",

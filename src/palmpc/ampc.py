@@ -40,7 +40,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ._kernels import M61, manacher_tables, mulmod61, power_tables, prefix_fp_scan
-from .engine import CollisionAbort, RunStats, StepContext
+from .engine import CollisionAbort, StepContext
 from .fingerprint import FingerprintScheme, concat, fragments_equal, node
 from .strings import _prefix_pal_lengths_from_tables
 from .structural import (
@@ -133,9 +133,6 @@ class PrefixStore:
         if rec is None:
             raise KeyError(f"no prefix entry at position {e}")
         return rec
-
-    def dump(self) -> dict:
-        return {e: self._get(e) for e in range(2 * self.n)}
 
 
 def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> int:
@@ -358,15 +355,3 @@ def solve_ampc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,
     """Adaptive-mode counterpart of solve_mpc; valid for any epsilon in (0, 1)."""
     return AmpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant,
                            scheme=scheme).solve()
-
-
-def build_prefix_store(text, epsilon: float, seed: int = 0,
-                       memory_constant: int = 64) -> tuple[PrefixStore, RunStats, int]:
-    """Build the shared prefix fingerprints only; returns (store, stats, rounds)."""
-    run = AmpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant)
-    run.build_prefix_entries()
-    # one empty round so the entries become snapshot-visible to readers
-    run.cluster.run_round(lambda ctx: None)
-    store = PrefixStore(_prefix_entry_getter(run.cluster.shared.snapshot_get, run.leaf_starts),
-                        run.n)
-    return store, run.cluster.stats, run.cluster.stats.rounds

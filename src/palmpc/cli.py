@@ -19,9 +19,12 @@ from .oracle import oracle_lps, oracle_maximal_palindromes
 from .strings import Text, leftmost_longest, manacher
 
 SUBSTRING_LIMIT = 64
+DEFAULT_EPSILON = 0.5
+DEFAULT_MEMORY_CONSTANT = 64
 
 
-def _add_input_args(p: argparse.ArgumentParser) -> None:
+def _add_input_args(p: argparse.ArgumentParser):
+    """The input sources, one at most; returns their group."""
     g = p.add_mutually_exclusive_group()
     g.add_argument("--input", metavar="FILE", help="input file, read as raw bytes")
     g.add_argument("--random", nargs=2, metavar=("N", "SIGMA"), type=int,
@@ -32,18 +35,39 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--thue-morse", type=int, metavar="N", help="Thue-Morse prefix")
     p.add_argument("--alphabet", type=int, default=None,
                    help="restrict and validate file symbols to [0, ALPHABET)")
+    return g
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("mpc", "ampc", "sequential", "oracle"),
                    default="mpc")
-    p.add_argument("--epsilon", type=float, default=0.5)
+    # None when not given, so that _check_run_args can tell what was asked for
+    p.add_argument("--epsilon", type=float, default=None,
+                   help=f"mpc and ampc only (default {DEFAULT_EPSILON})")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--memory-constant", type=int, default=64,
-                   help="per-machine cap is this many words per block symbol")
+    p.add_argument("--memory-constant", type=int, default=None,
+                   help="mpc and ampc only: per-machine cap is this many words per "
+                        f"block symbol (default {DEFAULT_MEMORY_CONSTANT})")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timings", action="store_true",
                    help="include wall time in json output (breaks byte-identical reruns)")
+
+
+def _check_run_args(args) -> None:
+    """Reject cluster options a mode ignores; fill in the cluster defaults.
+
+    Their ranges are checked once, by ``ClusterConfig``.
+    """
+    given = [opt for opt, value in (("--epsilon", args.epsilon),
+                                    ("--memory-constant", args.memory_constant))
+             if value is not None]
+    if args.mode in ("sequential", "oracle") and given:
+        raise ValueError(f"--mode {args.mode} takes no {' or '.join(given)} "
+                         "(only mpc and ampc do)")
+    if args.epsilon is None:
+        args.epsilon = DEFAULT_EPSILON
+    if args.memory_constant is None:
+        args.memory_constant = DEFAULT_MEMORY_CONSTANT
 
 
 def _resolve_text(args) -> tuple[Text, dict]:
@@ -196,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(p_solve)
 
     p_verify = sub.add_parser("verify", help="diff a mode against the brute-force oracle")
-    _add_input_args(p_verify)
+    _add_input_args(p_verify).add_argument(
+        "--exhaustive", nargs=2, metavar=("LEN", "SIGMA"), type=int,
+        help="sweep every string up to LEN over [0, SIGMA), instead of one input")
     _add_run_args(p_verify)
-    p_verify.add_argument("--exhaustive", nargs=2, metavar=("LEN", "SIGMA"), type=int,
-                          help="sweep every string up to LEN over [0, SIGMA)")
 
     return parser
 
@@ -212,6 +236,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"solve": cmd_solve, "verify": cmd_verify}
     try:
+        _check_run_args(args)
         return handlers[args.command](args)
     except CollisionAbort as exc:
         print(f"collision abort: {exc}", file=sys.stderr)

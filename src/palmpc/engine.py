@@ -237,10 +237,6 @@ class SharedStore:
             self._words[key] = words
         self._pending.clear()
 
-    def dump(self) -> dict:
-        """Debugging view of the current snapshot."""
-        return dict(self._snapshot)
-
 
 class StepContext:
     """Per-machine view handed to a step: own payload, own inbox, send/work hooks.

@@ -1,12 +1,10 @@
 """Distributed all-maximal-palindromes pipeline on the round-based cluster.
 
-``PlacedText`` is the set-up of every driver: symbols, plan, cluster, scheme
-and placement. ``BlockPipeline`` builds on it the per-machine skeleton that
-this messaging pipeline (``MpcPalindromes``) and the adaptive one
-(``palmpc.ampc``) share: local tables, merge, per-machine best and export.
-The case analysis of each superblock comes from ``structural.first_wave``/
-``settle``; ``FingerprintLcp`` answers its LCP queries, in two waves.
-``DistributedLcp`` drives the same protocol on arbitrary query lists.
+``BlockPipeline`` is the set-up and per-machine skeleton that this messaging
+pipeline (``MpcPalindromes``) and the adaptive one (``palmpc.ampc``) share:
+placed letters, local tables, merge, per-machine best and export. The case
+analysis of each superblock comes from ``structural.first_wave``/``settle``;
+``FingerprintLcp`` answers its LCP queries, in two waves.
 
 Decomposition
 -------------
@@ -39,14 +37,14 @@ window t*, then fetch the windows ending at each offset inside window t*
 (full-width windows, one per class, balanced) and scan for the first unequal
 one. Windows below t* agree, so two such shifted windows are equal exactly
 when the in-window prefixes up to the shift are equal. A mismatch inside the
-very first window is settled against letters instead, by the driver.
+very first window is settled against letters instead.
 
-Both drivers run one schedule: ``scan`` and ``ask``, ``install``, then
-``consume`` (chains compared, refinement scans finished) and ``serve`` (chain
-and refinement requests answered) alternately. ``consume`` returns the
-first-window mismatches. ``MpcPalindromes`` settles them from local letters
-(a superblock's queries point within, or one window left of, its fragment);
-``DistributedLcp`` fetches both windows from the machines that placed them.
+``MpcPalindromes``' rounds call ``scan`` and ``ask``, ``install``, then
+``consume`` (chains compared, refinement scans finished, first-window
+mismatches settled) and ``serve`` (chain and refinement requests answered)
+alternately. ``consume`` settles first-window mismatches from the letters the
+asking machine holds: a superblock's queries point within, or one window left
+of, its fragment, and the machine to its left ships it that window's letters.
 
 Round schedule (fixed; R0 = 10 rounds for every input and size)
 ---------------------------------------------------------------
@@ -74,7 +72,6 @@ neither check goes unseen, and the table it yields is silently wrong.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -93,7 +90,7 @@ from .engine import (
     StepContext,
     ceil_power,
 )
-from .fingerprint import FingerprintScheme, scheme_init
+from .fingerprint import MAX_SUPPORTED_N, FingerprintScheme, scheme_init
 from .strings import (
     PalindromeTable,
     _prefix_pal_lengths_from_tables,
@@ -108,6 +105,10 @@ from .structural import (
     first_wave,
     settle,
 )
+
+# Longest text either pipeline accepts: both fingerprint the doubled text,
+# whose length 2n must stay within the fixed prime's supported maximum.
+MAX_TEXT_LEN = MAX_SUPPORTED_N // 2
 
 # ---------------------------------------------------------------------------
 # block plan
@@ -143,12 +144,6 @@ class BlockPlan:
         if block >= self.tail_block:
             return self.machine_count - 1
         return block
-
-    def holder_of_position(self, sprime_pos: int) -> int:
-        """Machine whose placed letters cover the width-w window at a doubled position."""
-        n = self.n
-        pos = sprime_pos if sprime_pos < n else 2 * n - 1 - sprime_pos
-        return self.block_owner(min(pos // self.block_len, self.block_count - 1))
 
 
 def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
@@ -211,10 +206,20 @@ class MpcResult:
     plan: BlockPlan
 
 
-class PlacedText:
-    """Set-up of every driver: the checked symbols, the block plan, the cluster
-    of the subclass's ``MODE``, the scheme (drawn from the seed unless given),
-    and each machine's placed letter slice (round 0).
+class BlockPipeline:
+    """Set-up and per-machine skeleton shared by the messaging and adaptive pipelines.
+
+    Set-up checks the symbols and the text length, builds the cluster of the
+    subclass's ``MODE`` (which checks epsilon and the memory constant), the
+    block plan and the scheme (drawn from the seed unless given), and places
+    each machine's letter slice (round 0).
+
+    Both pipelines keep the same local tables, merge the resolved prefix
+    centers the same way and reduce the same per-machine best; they differ
+    only in how they answer the superblocks' LCP queries. Subclasses set the
+    cluster ``MODE``, define ``run()``, and call the kernels (Manacher, prefix
+    palindromes, periodic resolution, merge) from their own round steps,
+    handing the outputs to the helpers here.
     """
 
     MODE: str
@@ -223,13 +228,17 @@ class PlacedText:
                  scheme: FingerprintScheme | None = None):
         sym = pipeline_symbols(text)
         n = int(sym.size)
+        if n > MAX_TEXT_LEN:
+            raise ValueError(
+                f"text length {n} exceeds the supported maximum {MAX_TEXT_LEN}: the "
+                f"pipelines fingerprint the doubled text, and {MAX_SUPPORTED_N} is the "
+                "longest string the 61-bit prime supports")
         self.n = n
-        self.plan = plan_decomposition(n, epsilon)
         self.cluster = Cluster(ClusterConfig(n=n, epsilon=epsilon, mode=self.MODE,
                                              memory_constant=memory_constant))
+        self.plan = plan_decomposition(n, epsilon)
         sigma = int(sym.max()) + 1
-        self.scheme = scheme if scheme is not None else scheme_init(
-            max(2 * n, 2), sigma, seed=seed)
+        self.scheme = scheme if scheme is not None else scheme_init(2 * n, sigma, seed=seed)
         # placement (round 0): each machine receives its role's letter slice
         for m, role in enumerate(self.plan.roles):
             payload = self.cluster.machines[m].payload
@@ -237,18 +246,6 @@ class PlacedText:
             letters.setflags(write=False)
             payload["letters"] = letters
             payload["letters_lo"] = role.letters_lo
-
-
-class BlockPipeline(PlacedText):
-    """Per-machine skeleton shared by the messaging and adaptive pipelines.
-
-    Both keep the same local tables, merge the resolved prefix centers the
-    same way and reduce the same per-machine best; they differ only in how
-    they answer the superblocks' LCP queries. Subclasses set the cluster
-    ``MODE``, define ``run()``, and call the kernels (Manacher, prefix
-    palindromes, periodic resolution, merge) from their own round steps,
-    handing the outputs to the helpers here.
-    """
 
     def _keep_tables(self, ctx: StepContext, odd, even, ops) -> None:
         """Keep the local Manacher tables, or on an edge machine its owned slice."""
@@ -337,12 +334,6 @@ def _send_rows(ctx: StepContext, tag: str, dsts, **cols) -> None:
              {name: np.asarray(col, np.int64) for name, col in cols.items()})
 
 
-def _rows(ctx: StepContext, tag: str, *names):
-    """The rows received under ``tag``, as tuples of the named columns' values."""
-    batch = ctx.batches.get(tag)
-    return () if batch is None else zip(*(batch[name].tolist() for name in names))
-
-
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first value, segment bounds) of each run of equal values."""
     starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
@@ -356,26 +347,24 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Query:
     """Driver-side record of one in-flight LCP query of an origin machine."""
 
-    __slots__ = ("qid", "kind", "p1", "p2", "center_u", "t_star", "w_cap",
-                 "answer", "checked")
+    __slots__ = ("qid", "kind", "p1", "p2", "center_u", "t_star", "w_cap", "answer")
 
     def __init__(self, qid: int, kind: str, p1: int, p2: int, center_u: int = -1):
         self.qid = qid
-        self.kind = kind          # "left" | "right" | "center" | "user"
+        self.kind = kind          # "left" | "right" | "center"
         self.p1 = p1
         self.p2 = p2
         self.center_u = center_u
         self.t_star = -1          # first mismatching window
         self.w_cap = 0            # comparable letters inside window t_star
         self.answer = -1
-        self.checked = False      # letter spot-check already considered
 
 
 class FingerprintLcp:
     """The two-phase window-fingerprint LCP protocol over a placed text.
 
     It owns the window stores and the per-machine query table
-    (``queries[m][qid]``). A driver calls its steps from its own rounds:
+    (``queries[m][qid]``). ``MpcPalindromes`` calls its steps from its rounds:
     ``scan`` and ``ask``, ``install``, then ``consume`` and ``serve``
     alternately, with ``ask`` in any round.
     """
@@ -533,12 +522,13 @@ class FingerprintLcp:
                      {"key": sq["key"], "pos": sq["pos"],
                       "vals": ctx.payload["cls_vals"][:, rows]})
 
-    def consume(self, ctx: StepContext) -> list[_Query]:
-        """Compare arrived chains and finish arrived refinement scans; returns the
-        first-window mismatches, each still to settle with ``first_window_answer``."""
+    def consume(self, ctx: StepContext) -> None:
+        """Compare arrived chains and finish arrived refinement scans, then settle
+        the first-window mismatches from the letters held here."""
         first = self._compare_chains(ctx)
         self._finish_refinements(ctx)
-        return first
+        for q in first:
+            self._first_window_answer(ctx, q)
 
     def _compare_chains(self, ctx: StepContext) -> list[_Query]:
         m = ctx.machine_id
@@ -639,10 +629,11 @@ class FingerprintLcp:
                     f"refinement scan at ({q.p1}, {q.p2}) is not prefix-monotone")
             q.answer = q.t_star * w + int(run)
 
-    def first_window_answer(self, ctx: StepContext, q: _Query, a: np.ndarray,
-                            b: np.ndarray) -> None:
+    def _first_window_answer(self, ctx: StepContext, q: _Query) -> None:
         """Settle a first-window mismatch from the letters at q's two positions."""
-        unequal = np.flatnonzero(a[: q.w_cap] != b[: q.w_cap])
+        a = self.letters(ctx, q.p1, q.p1 + q.w_cap)
+        b = self.letters(ctx, q.p2, q.p2 + q.w_cap)
+        unequal = np.flatnonzero(a != b)
         run = int(unequal[0]) if unequal.size else q.w_cap
         ctx.add_work(q.w_cap)
         w = self.plan.window
@@ -705,17 +696,10 @@ class MpcPalindromes(BlockPipeline):
             _send_rows(ctx, "tail", [role.tail_ship_to], lo=[target_sb - w],
                        data=seg.reshape(-1, 1))
 
-    def _consume(self, ctx: StepContext) -> None:
-        """``FingerprintLcp.consume``, first-window mismatches settled from local letters."""
-        lcp = self.lcp
-        for q in lcp.consume(ctx):
-            lcp.first_window_answer(ctx, q, lcp.letters(ctx, q.p1, q.p1 + q.w_cap),
-                                    lcp.letters(ctx, q.p2, q.p2 + q.w_cap))
-
     # -- round 5: first-wave resolution and second-wave requests
 
     def _r5_resolve(self, ctx: StepContext) -> None:
-        self._consume(ctx)
+        self.lcp.consume(ctx)
         m = ctx.machine_id
         role = self.plan.roles[m]
         if role.kind != "middle":
@@ -737,7 +721,7 @@ class MpcPalindromes(BlockPipeline):
     # -- round 9
 
     def _r9_finalize(self, ctx: StepContext) -> None:
-        self._consume(ctx)
+        self.lcp.consume(ctx)
         m = ctx.machine_id
         role = self.plan.roles[m]
         if role.kind == "middle":
@@ -761,9 +745,9 @@ class MpcPalindromes(BlockPipeline):
     # -- driver
 
     def run(self) -> None:
-        serve = self.lcp.serve
-        phases = [self._r1_local, self.lcp.install, self._consume, serve,
-                  self._r5_resolve, serve, self._consume, serve, self._r9_finalize,
+        lcp = self.lcp
+        phases = [self._r1_local, lcp.install, lcp.consume, lcp.serve,
+                  self._r5_resolve, lcp.serve, lcp.consume, lcp.serve, self._r9_finalize,
                   self._r10_reduce]
         for phase in phases:
             self.cluster.run_round(phase)
@@ -781,138 +765,3 @@ def solve_mpc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,
     """All maximal palindromes and the leftmost-longest palindromic substring."""
     return MpcPalindromes(text, epsilon, seed=seed, memory_constant=memory_constant,
                           scheme=scheme).solve()
-
-
-class DistributedLcp(PlacedText):
-    """Standalone distributed answering of arbitrary LCP queries on the doubled text.
-
-    Queries are spread round-robin over the machines and answered with
-    ``FingerprintLcp``, the protocol of the palindrome pipeline, pipelined in
-    waves: every other round each machine asks its next ``PER_MACHINE_WAVE``
-    queries. Because arbitrary
-    queries have no locality guarantee, first-window mismatches are settled by
-    fetching the two letter windows from the machines that placed them, and a
-    deterministic sample of fingerprint-resolved answers is letter-verified
-    the same way; a contradiction aborts as a collision. 2 * wave_count + 7
-    rounds, or 3 when no query needs the protocol.
-    """
-
-    MODE = "mpc"
-    PER_MACHINE_WAVE = 2
-    VERIFY_EVERY = 8
-
-    def __init__(self, text, queries: list[tuple[int, int]], epsilon: float,
-                 seed: int = 0, memory_constant: int = 64,
-                 scheme: FingerprintScheme | None = None):
-        super().__init__(text, epsilon, seed, memory_constant, scheme)
-        self.lcp = FingerprintLcp(self.plan, self.scheme, self.cluster.stats)
-        n = self.n
-        M = self.plan.machine_count
-        self.answers: list[int | None] = [None] * len(queries)
-        # per origin machine, (answer slot, p1, p2) in asking order: entry k becomes qid k
-        self.pending: list[list[tuple[int, int, int]]] = [[] for _ in range(M)]
-        protocol_idx = 0
-        for idx, (p1, p2) in enumerate(queries):
-            if not (0 <= p1 <= 2 * n and 0 <= p2 <= 2 * n):
-                raise ValueError(f"query positions ({p1}, {p2}) outside the doubled text")
-            if p1 == 2 * n or p2 == 2 * n:
-                self.answers[idx] = 0
-                continue
-            if p1 == p2:
-                self.answers[idx] = 2 * n - p1
-                continue
-            self.pending[protocol_idx % M].append((idx, p1, p2))
-            protocol_idx += 1
-        self.wave_count = -(-len(self.pending[0]) // self.PER_MACHINE_WAVE)
-
-    def _ask_wave(self, ctx: StepContext, wave: int) -> None:
-        lo = wave * self.PER_MACHINE_WAVE
-        mine = self.pending[ctx.machine_id][lo : lo + self.PER_MACHINE_WAVE]
-        self.lcp.ask(ctx, [("user", p1, p2) for _, p1, p2 in mine])
-
-    def _scan_and_ask(self, ctx: StepContext) -> None:
-        self.lcp.scan(ctx)
-        self._ask_wave(ctx, 0)
-
-    def _serve(self, ctx: StepContext) -> None:
-        """Answer whatever arrived: chain requests, refinements, letter fetches."""
-        lcp = self.lcp
-        lcp.serve(ctx)
-        for o, qid, side, pos, cap in _rows(ctx, "lw", "o", "qid", "side", "pos", "cap"):
-            win = lcp.letters(ctx, pos, pos + cap)
-            ctx.add_work(win.size)
-            ctx.send("lr", [o], [0, win.size], {"qid": np.full(win.size, qid),
-                                                "side": np.full(win.size, side),
-                                                "letters": win}, headers=("qid", "side"))
-        for o, qid, side, pos in _rows(ctx, "lv", "o", "qid", "side", "pos"):
-            win = lcp.letters(ctx, pos, pos + 1)
-            _send_rows(ctx, "lvr", [o], qid=[qid], side=[side], sym=win[:1])
-
-    def _consume(self, ctx: StepContext, wave: int) -> None:
-        """Consume whatever arrived, then ask the given wave's queries."""
-        m = ctx.machine_id
-        lcp = self.lcp
-        holder = self.plan.holder_of_position
-        for q in lcp.consume(ctx):
-            # positions are arbitrary: fetch both windows from their placers
-            _send_rows(ctx, "lw", [holder(q.p1), holder(q.p2)], o=[m] * 2,
-                       qid=[q.qid] * 2, side=[0, 1], pos=[q.p1, q.p2], cap=[q.w_cap] * 2)
-
-        per = lcp.queries.get(m, {})
-        windows: dict[int, dict[int, np.ndarray]] = {}
-        verdicts: dict[int, dict[int, int]] = {}
-        lr = ctx.batches.get("lr")
-        if lr is not None:
-            # each (qid, side) window is one segment, so one run of rows
-            keys, bounds = _runs(2 * lr["qid"] + lr["side"])
-            for key, lo, hi in zip(keys.tolist(), bounds[:-1], bounds[1:]):
-                windows.setdefault(key // 2, {})[key % 2] = lr["letters"][lo:hi]
-        for qid, side, sym in _rows(ctx, "lvr", "qid", "side", "sym"):
-            verdicts.setdefault(qid, {})[side] = sym
-        for qid, sides in sorted(windows.items()):
-            lcp.first_window_answer(ctx, per[qid], sides[0], sides[1])
-        for qid, sides in sorted(verdicts.items()):
-            q = per[qid]
-            if len(sides) == 2 and sides[0] == sides[1]:
-                raise CollisionAbort(
-                    f"answer {q.answer} for ({q.p1}, {q.p2}) fails the letter spot-check")
-
-        # letter spot-checks for answers that just landed via fingerprints
-        for qid, q in per.items():
-            if q.answer >= 0 and qid not in windows and not q.checked:
-                q.checked = True
-                if q.t_star != 0 and qid % self.VERIFY_EVERY == 0:
-                    mu = q.answer
-                    for side, pos in ((0, q.p1), (1, q.p2)):
-                        if pos + mu < 2 * self.n:
-                            _send_rows(ctx, "lv", [holder(pos + mu)],
-                                       o=[m], qid=[qid], side=[side], pos=[pos + mu])
-        self._ask_wave(ctx, wave)
-
-    def run(self) -> list[int]:
-        self.cluster.run_round(self._scan_and_ask)
-        self.cluster.run_round(self.lcp.install)
-        consumes = self.wave_count + 2 if self.wave_count else 0
-        for k in range(1, consumes + 1):
-            self.cluster.run_round(partial(self._consume, wave=k))
-            self.cluster.run_round(self._serve)
-        self.cluster.run_round(partial(self._consume, wave=consumes + 1))
-        for m, pending in enumerate(self.pending):
-            for qid, (slot, _, _) in enumerate(pending):
-                answer = self.lcp.queries[m][qid].answer
-                if answer < 0:
-                    raise InconsistentMergeError("user query left unanswered")
-                self.answers[slot] = answer
-        return [int(a) for a in self.answers]
-
-
-def distributed_lcp(text, queries: list[tuple[int, int]], epsilon: float = 0.5,
-                    seed: int = 0, memory_constant: int = 64):
-    """Answer LCP queries on text . reverse(text) through the cluster protocol.
-
-    Returns (answers, stats).
-    """
-    driver = DistributedLcp(text, queries, epsilon, seed=seed,
-                            memory_constant=memory_constant)
-    answers = driver.run()
-    return answers, driver.cluster.stats

@@ -39,14 +39,16 @@ def oracle_maximal_palindromes(text) -> PalindromeTable:
     return PalindromeTable(odd=odd, even=even)
 
 
-def oracle_lcp(doubled, p1: int, p2: int) -> int:
-    """Symbol-by-symbol longest common prefix of two suffixes of a doubled text."""
+def oracle_lcp(text, p1: int, p2: int) -> int:
+    """Symbol-by-symbol longest common prefix of two suffixes of text . reverse(text)."""
+    sym = as_symbols(text).tolist()
+    doubled = sym + sym[::-1]
     total = len(doubled)
     if not (0 <= p1 <= total and 0 <= p2 <= total):
         raise ValueError("suffix positions out of range")
     length = 0
     while p1 + length < total and p2 + length < total:
-        if doubled.read(p1 + length) != doubled.read(p2 + length):
+        if doubled[p1 + length] != doubled[p2 + length]:
             break
         length += 1
     return length

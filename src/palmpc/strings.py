@@ -91,44 +91,6 @@ class PalindromeTable:
         )
 
 
-class DoubledView:
-    """Read-only view of text . reverse(text), without materializing the reverse.
-
-    Position k < n reads the base text at k; position k >= n reads it at
-    2n - 1 - k, so positions k and 2n - 1 - k always see the same symbol.
-    """
-
-    __slots__ = ("base", "n")
-
-    def __init__(self, text):
-        self.base = as_symbols(text)
-        self.n = int(self.base.size)
-
-    def __len__(self) -> int:
-        return 2 * self.n
-
-    def read(self, k: int) -> int:
-        if not 0 <= k < 2 * self.n:
-            raise IndexError(f"doubled position {k} out of range")
-        if k < self.n:
-            return int(self.base[k])
-        return int(self.base[2 * self.n - 1 - k])
-
-    def materialize(self, lo: int, hi: int) -> np.ndarray:
-        """Symbols of the half-open doubled range [lo, hi) as a fresh array.
-
-        Intended for machine-local fragments only; never the whole view.
-        """
-        if not 0 <= lo <= hi <= 2 * self.n:
-            raise IndexError("doubled range out of bounds")
-        n = self.n
-        if hi <= n:
-            return self.base[lo:hi].copy()
-        if lo >= n:
-            return self.base[2 * n - hi : 2 * n - lo][::-1].copy()
-        return np.concatenate([self.base[lo:n], self.base[2 * n - hi : n][::-1]])
-
-
 def leftmost_longest(lengths: np.ndarray, first_u: int, n: int) -> tuple[int, int]:
     """(start, length) of the leftmost-longest palindrome, from the lengths of
     the consecutive centers first_u, first_u + 1, ... of a text of length n.

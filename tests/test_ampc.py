@@ -8,8 +8,8 @@ from palmpc.ampc import (
     AmpcPalindromes,
     PrefixStore,
     _leaf_owner,
+    _prefix_entry_getter,
     ampc_lcp,
-    build_prefix_store,
     leaf_bounds,
     solve_ampc,
 )
@@ -18,7 +18,30 @@ from palmpc.fingerprint import fp_of, fragments_equal, scheme_init
 from palmpc.inputs import fibonacci_text, unary_text
 from palmpc.mpc import solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
-from palmpc.strings import DoubledView
+
+
+def _built(s, epsilon, seed):
+    """A run after the rounds that publish the prefix entries, and a store view over them."""
+    run = AmpcPalindromes(s, epsilon, seed=seed)
+    run.build_prefix_entries()
+    store = PrefixStore(_prefix_entry_getter(run.cluster.shared.snapshot_get, run.leaf_starts),
+                        run.n)
+    return run, store
+
+
+def _published(run):
+    """Every tree node and prefix entry the build publishes, read by key.
+
+    The store's total words must equal theirs, so no other key is published.
+    """
+    shared = run.cluster.shared
+    keys = [("t", level, idx) for level in range(run.depth)
+            for idx in range(run.tree_sizes[level])]
+    keys += [("p", leaf) for leaf in range(len(run.leaves))]
+    values = {key: shared.snapshot_get(key) for key in keys}
+    assert all(value is not None for value in values.values())
+    assert shared.total_words == sum(words_of(value) for value in values.values())
+    return values
 
 
 def test_shared_store_snapshot_discipline():
@@ -64,14 +87,14 @@ def test_leaf_bounds_tile_the_doubled_string():
 def test_prefix_entries_match_direct_evaluation():
     rng = np.random.default_rng(1)
     s = rng.integers(0, 4, 200).astype(np.int64)
-    store, stats, rounds = build_prefix_store(s, 0.75, seed=2)
+    _, store = _built(s, 0.75, seed=2)
     scheme = scheme_init(400, 4, 2, seed=2)
-    d = DoubledView(s)
+    doubled = np.concatenate((s, s[::-1]))
     for _ in range(100):
         e = int(rng.integers(0, 400))
         sym, vals = store.entry(e)
-        assert sym == d.read(e)
-        assert vals == tuple(fp_of(d.materialize(0, e + 1), scheme)[3:].tolist())
+        assert sym == doubled[e]
+        assert vals == tuple(fp_of(doubled[: e + 1], scheme)[3:].tolist())
 
 
 def test_fragment_fingerprint_recovered_from_two_entries():
@@ -79,19 +102,19 @@ def test_fragment_fingerprint_recovered_from_two_entries():
     # cross-multiplied (as ampc_lcp does) with its direct fingerprint
     rng = np.random.default_rng(2)
     s = rng.integers(0, 3, 128).astype(np.int64)
-    store, _, _ = build_prefix_store(s, 0.75, seed=3)
+    _, store = _built(s, 0.75, seed=3)
     scheme = scheme_init(256, 3, 2, seed=3)
-    d = DoubledView(s)
+    doubled = np.concatenate((s, s[::-1]))
     ones, zeros = (1, 1), (0, 0)
     for _ in range(60):
         i = int(rng.integers(0, 256))
         j = int(rng.integers(i, 256))
         start = store.entry(i - 1)[1] if i > 0 else zeros
         pows = tuple(pow(x, i, M61) for x in scheme.bases)
-        frag = fp_of(d.materialize(i, j + 1), scheme).tolist()
+        frag = fp_of(doubled[i : j + 1], scheme).tolist()
         assert fragments_equal(store.entry(j)[1], start, pows, frag[3:], zeros, ones)
         # a different fragment of the same length does not match
-        other = fp_of(np.append(d.materialize(i, j), 3), scheme).tolist()
+        other = fp_of(np.append(doubled[i:j], 3), scheme).tolist()
         assert not fragments_equal(store.entry(j)[1], start, pows, other[3:], zeros, ones)
 
 
@@ -99,14 +122,14 @@ def test_build_round_count_depends_only_on_epsilon():
     rounds = set()
     for n in (2**10, 2**12, 2**14, 2**16):
         s = (np.arange(n) % 3).astype(np.int64)
-        _, _, r = build_prefix_store(s, 0.75, seed=1)
-        rounds.add(r)
+        run, _ = _built(s, 0.75, seed=1)
+        rounds.add(run.cluster.stats.rounds)
     assert len(rounds) == 1
 
 
 def test_ampc_lcp_examples_and_read_bound():
     s = np.array([ord(c) - 96 for c in "abaab"], dtype=np.int64)
-    store, _, _ = build_prefix_store(s, 0.75, seed=4)
+    _, store = _built(s, 0.75, seed=4)
     scheme = scheme_init(10, 27, 2, seed=4)
     assert ampc_lcp(store, 3, 7, scheme.bases) == 2
     store.reads = 0
@@ -115,15 +138,14 @@ def test_ampc_lcp_examples_and_read_bound():
 
     rng = np.random.default_rng(5)
     s = rng.integers(0, 3, 512).astype(np.int64)
-    store, _, _ = build_prefix_store(s, 0.75, seed=5)
+    _, store = _built(s, 0.75, seed=5)
     scheme = scheme_init(1024, 3, 2, seed=5)
-    d = DoubledView(s)
     bound = 2 * math.ceil(math.log2(1024)) + 6
     for _ in range(300):
         p1 = int(rng.integers(0, 1024))
         p2 = int(rng.integers(0, 1024))
         store.reads = 0
-        assert ampc_lcp(store, p1, p2, scheme.bases) == oracle_lcp(d, p1, p2)
+        assert ampc_lcp(store, p1, p2, scheme.bases) == oracle_lcp(s, p1, p2)
         assert store.reads <= bound
 
 
@@ -131,9 +153,9 @@ def test_ampc_lcp_letter_check_catches_a_lying_entry():
     # honest entries except one doctored value: the search stops where the
     # letters still agree, which must abort as a collision
     s = np.zeros(8, dtype=np.int64)
-    store, _, _ = build_prefix_store(s, 0.6, seed=6)
+    _, store = _built(s, 0.6, seed=6)
     scheme = scheme_init(16, 2, 2, seed=6)
-    doctored = store.dump()
+    doctored = {e: store.entry(e) for e in range(16)}
     sym, vals = doctored[12]
     doctored[12] = (sym, tuple((v + 1) % ((1 << 61) - 1) for v in vals))
     fake = PrefixStore(doctored.get, 8)
@@ -195,13 +217,6 @@ def test_ampc_round_count_fixed_at_given_epsilon():
     assert len(rounds) == 1
 
 
-def test_store_dump_is_debuggable():
-    s = np.array([1, 0, 1], dtype=np.int64)
-    store, _, _ = build_prefix_store(s, 0.5, seed=1)
-    dump = store.dump()
-    assert set(range(6)) <= set(dump.keys())
-
-
 def test_owned_leaves_partition_the_leaves():
     for n, eps in ((1, 0.5), (100, 0.5), (333, 0.75), (4096, 0.75)):
         run = AmpcPalindromes(np.zeros(n, np.int64), eps)
@@ -215,18 +230,15 @@ def test_owned_leaves_partition_the_leaves():
 def test_prefix_entries_are_one_read_only_array_per_leaf():
     rng = np.random.default_rng(10)
     s = rng.integers(0, 3, 300).astype(np.int64)
-    run = AmpcPalindromes(s, 0.75, seed=3)
-    run.build_prefix_entries()
+    run, store = _built(s, 0.75, seed=3)
     layers = run.scheme.layers
-    entries = {key: val for key, val in run.cluster.shared.dump().items() if key[0] == "p"}
-    assert sorted(entries) == [("p", leaf) for leaf in range(len(run.leaves))]
+    entries = {key: val for key, val in _published(run).items() if key[0] == "p"}
     for (_, leaf), arr in entries.items():
         lo, hi = run.leaves[leaf]
         assert arr.dtype == np.int64 and not arr.flags.writeable
         assert arr.shape == (1 + layers, hi - lo)
     # the store view reads the same columns, as Python ints (ampc_lcp
     # multiplies two 61-bit residues)
-    store, _, _ = build_prefix_store(s, 0.75, seed=3)
     for e in rng.integers(0, 600, 50).tolist():
         leaf = next(k for k, (lo, hi) in enumerate(run.leaves) if lo <= e < hi)
         col = entries[("p", leaf)][:, e - run.leaves[leaf][0]].tolist()
@@ -236,13 +248,14 @@ def test_prefix_entries_are_one_read_only_array_per_leaf():
 
 
 def test_prefix_entry_outside_the_doubled_string_raises():
-    s = np.array([1, 0, 1, 1], dtype=np.int64)
-    store, _, _ = build_prefix_store(s, 0.5, seed=1)
-    store.entry(0)
-    store.entry(7)
-    for e in (-1, 8):
-        with pytest.raises(KeyError):
+    for text in ([1, 0, 1, 1], [1, 0, 1]):
+        s = np.array(text, dtype=np.int64)
+        _, store = _built(s, 0.5, seed=1)
+        for e in range(2 * s.size):
             store.entry(e)
+        for e in (-1, 2 * s.size):
+            with pytest.raises(KeyError):
+                store.entry(e)
 
 
 def test_leaf_owner_is_asked_once_per_leaf(monkeypatch):
@@ -270,13 +283,12 @@ def test_tree_nodes_are_flat_read_only_fingerprint_nodes():
     assert run.depth >= 4
     run.build_prefix_entries()
     layers = run.scheme.layers
-    d = DoubledView(s)
-    nodes = {key: val for key, val in run.cluster.shared.dump().items() if key[0] == "t"}
-    assert {key[1] for key in nodes} == set(range(run.depth))
+    doubled = np.concatenate((s, s[::-1]))
+    nodes = {key: val for key, val in _published(run).items() if key[0] == "t"}
     for (_, level, idx), nd in nodes.items():
         assert nd.dtype == np.int64 and not nd.flags.writeable
         assert nd.shape == (1 + 2 * layers,) and words_of(nd) == 1 + 2 * layers
         span = run.fanout ** level
         leaves = run.leaves[idx * span : (idx + 1) * span]
         lo, hi = leaves[0][0], leaves[-1][1]
-        assert np.array_equal(nd, fp_of(d.materialize(lo, hi), run.scheme)), (level, idx)
+        assert np.array_equal(nd, fp_of(doubled[lo:hi], run.scheme)), (level, idx)

@@ -88,9 +88,14 @@ def test_alphabet_restriction_rejected(tmp_path, capsys):
 
 
 def test_epsilon_out_of_range_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--random", "64", "2",
-                           "--mode", "ampc", "--epsilon", "1.2")
-    assert code == 2 and "epsilon" in err
+    # NaN fails every range comparison, so the cluster must check it before
+    # the block plan computes with it
+    for mode, eps, bound in (("ampc", "1.2", "(0, 1)"), ("ampc", "nan", "(0, 1)"),
+                             ("mpc", "nan", "(0, 0.5]")):
+        code, out, err = run_cli(capsys, "verify", "--random", "64", "2",
+                                 "--mode", mode, "--epsilon", eps)
+        assert code == 2 and out == ""
+        assert f"{mode} mode requires epsilon in {bound}" in err, (mode, eps)
 
 
 def test_missing_input_is_usage_error(capsys):
@@ -166,3 +171,23 @@ def test_negative_symbols_are_usage_error(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "solve", "--unary", "4", "--mode", mode)
         assert code == 2 and out == ""
         assert "position 2" in err and "-3" in err
+
+
+def test_cluster_options_with_a_plain_mode_are_usage_errors(capsys):
+    for mode in ("sequential", "oracle"):
+        for extra in (("--epsilon", "7"), ("--memory-constant", "0"), ("--epsilon", "0.5")):
+            for command in ("solve", "verify"):
+                code, out, err = run_cli(capsys, command, "--random", "8", "2",
+                                         "--mode", mode, *extra)
+                assert code == 2 and out == "", (mode, extra, command)
+                assert f"--mode {mode} takes no {extra[0]}" in err
+    # the cluster modes keep their defaults
+    _, out, _ = run_cli(capsys, "solve", "--random", "8", "2", "--format", "json")
+    report = json.loads(out)
+    assert report["epsilon"] == 0.5 and report["memory"]["cap"] == 64 * report["block_len"]
+
+
+def test_exhaustive_with_an_input_is_usage_error(capsys):
+    for source in (("--unary", "3"), ("--random", "8", "2"), ("--fibonacci", "5")):
+        code, out, err = run_cli(capsys, "verify", *source, "--exhaustive", "3", "2")
+        assert code == 2 and out == "" and "--exhaustive" in err, source

