@@ -89,23 +89,34 @@ def power_tables(bases, size: int) -> tuple[np.ndarray, np.ndarray]:
     return pows, inv
 
 
-def manacher_tables(sym):
-    """All maximal palindrome lengths of ``sym``, odd and even centers.
+def manacher_tables(sym, hi=None):
+    """Maximal palindrome lengths of ``sym`` at its first ``hi`` centers, odd and even.
 
     Returns (odd, even, ops): odd[c] is the length of the longest palindrome
-    centered at position c (always odd, >= 1); even[m] the length of the
-    longest palindrome centered between positions m and m+1 (even, >= 0).
-    Linear time; no sentinel transform, so indices equal text positions.
-    ``ops`` counts two per center and one per matched letter pair.
+    of ``sym`` centered at position c (always odd, >= 1); even[m] the length
+    of the longest palindrome centered between positions m and m+1 (even,
+    >= 0). No sentinel transform, so indices equal text positions. ``ops``
+    counts two per center and one per matched letter pair.
+
+    ``hi`` (at most ``len(sym)``, the default) stops both scans after their
+    first ``hi`` center iterations: odd is returned for c < hi and even for
+    m < hi - 1, the gaps left of position hi - 1. Arms still run over the
+    whole of ``sym``, and every mirror a center copies lies left of it, so
+    each scanned value equals the full scan's and the scan stays linear in
+    ``len(sym)``; ops never exceed the full scan's. A bound on the left end
+    would not: a center past it whose mirror lies before it must extend its
+    arm from scratch, which is quadratic on a long run.
     """
     n = len(sym)
+    if hi is None:
+        hi = n
     s = sym.tolist()
     ops = 0
     # odd centers: d[i] = arm length k, palindrome s[i-k+1 .. i+k-1]
     d = [0] * n
     left = 0
     right = -1
-    for i in range(n):
+    for i in range(hi):
         if i > right:
             k = 1
         else:
@@ -123,13 +134,13 @@ def manacher_tables(sym):
         if i + k - 1 > right:
             left = i - k + 1
             right = i + k - 1
-    odd = np.array(d, np.int64)
+    odd = np.array(d if hi == n else d[:hi], np.int64)
     odd *= 2
     odd -= 1
     # even centers, reusing d: d[i] = arm length k, palindrome s[i-k .. i+k-1]
     left = 0
     right = -1
-    for i in range(n):
+    for i in range(hi):
         if i > right:
             k = 0
         else:
@@ -147,7 +158,7 @@ def manacher_tables(sym):
         if i + k - 1 > right:
             left = i - k
             right = i + k - 1
-    even = np.array(d[1:], np.int64)
+    even = np.array(d[1:hi], np.int64)
     even *= 2
     return odd, even, np.int64(ops)
 

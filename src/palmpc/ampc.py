@@ -205,7 +205,7 @@ class AmpcPalindromes(BlockPipeline):
         b = self.plan.block_len
 
         if role.kind != "store":
-            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"]))
+            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"], role.scan_end))
         if role.kind == "middle":
             ctx.payload["prefix_lens"] = _prefix_pal_lengths_from_tables(
                 ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success or PASS, 1 verification mismatch, 2 usage error,
 3 aborted on a detected fingerprint collision, 4 aborted by the simulated
-engine (a machine's memory cap or shared-read budget exceeded).
+engine (a machine's memory cap or shared-read budget exceeded), 141 standard
+output closed by its reader (128 + SIGPIPE, as a shell pipeline reports it).
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -41,7 +43,7 @@ def _add_input_args(p: argparse.ArgumentParser):
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("mpc", "ampc", "sequential", "oracle"),
                    default="mpc")
-    # None when not given, so that _check_run_args can tell what was asked for
+    # None when not given, so that _check_args can tell what was asked for
     p.add_argument("--epsilon", type=float, default=None,
                    help=f"mpc and ampc only (default {DEFAULT_EPSILON})")
     p.add_argument("--seed", type=int, default=0)
@@ -53,11 +55,14 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    help="include wall time in json output (breaks byte-identical reruns)")
 
 
-def _check_run_args(args) -> None:
-    """Reject cluster options a mode ignores; fill in the cluster defaults.
+def _check_args(args) -> None:
+    """Reject options that the input or the mode would ignore; fill in the cluster defaults.
 
-    Their ranges are checked once, by ``ClusterConfig``.
+    The cluster options' ranges are checked once, by ``ClusterConfig``.
     """
+    if args.alphabet is not None and args.input is None:
+        raise ValueError("--alphabet applies only to --input files; "
+                         "the generators choose their own alphabet")
     given = [opt for opt, value in (("--epsilon", args.epsilon),
                                     ("--memory-constant", args.memory_constant))
              if value is not None]
@@ -236,8 +241,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"solve": cmd_solve, "verify": cmd_verify}
     try:
-        _check_run_args(args)
-        return handlers[args.command](args)
+        _check_args(args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()            # a closed pipe fails here, not at interpreter exit
+        return code
     except CollisionAbort as exc:
         print(f"collision abort: {exc}", file=sys.stderr)
         return 3
@@ -245,6 +252,11 @@ def main(argv=None) -> int:
         print(f"engine abort: {exc}; raise --memory-constant (now {args.memory_constant} "
               f"words per block symbol)", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader has gone, so there is no one to tell; the rest of the
+        # buffered output goes to the null device, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,7 @@ def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
     for bl in range(1, n // 4 + 1):
         for i in range(n - 4 * bl + 1):
             views += 1
-            f_odd, f_even, _ = manacher_tables(sym[i : i + 4 * bl])
+            f_odd, f_even, _ = manacher_tables(sym[i : i + 4 * bl], 2 * bl + 1)
             plens = _prefix_pal_lengths_from_tables(f_odd, f_even, 2 * bl, 4 * bl)
             wave = first_wave(plens, i, n)
             answers = [lcp_doubled(sym, q.p1, q.p2) for q in wave]

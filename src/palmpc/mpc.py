@@ -125,6 +125,16 @@ class MachineRole:
     scan_spans: tuple[tuple[int, int], ...]  # doubled-string ranges this machine fingerprints
     tail_ship_to: int              # middle machine to send our block-tail letters to, or -1
 
+    @property
+    def scan_end(self) -> int:
+        """Letter centers the local Manacher scan covers: up to the last owned center.
+
+        A middle machine owns block 2 of its superblock, so it scans 2b + 1 of
+        its 4b; the first machine scans b + 1; the last, whose owned centers
+        reach the end of its letters, scans all of them.
+        """
+        return (self.own_u_hi - 2 * self.letters_lo) // 2 + 1
+
 
 @dataclass(frozen=True)
 class BlockPlan:
@@ -257,7 +267,9 @@ class BlockPipeline:
         else:
             base = 2 * role.letters_lo
             by_center = PalindromeTable(odd, even).lengths_by_center()
-            ctx.payload["own_lengths"] = by_center[role.own_u_lo - base : role.own_u_hi - base]
+            own = by_center[role.own_u_lo - base : role.own_u_hi - base]
+            ctx.add_work(own.size)
+            ctx.payload["own_lengths"] = own
 
     @staticmethod
     def _keep_merged(ctx: StepContext, lengths) -> None:
@@ -668,10 +680,9 @@ class MpcPalindromes(BlockPipeline):
 
         self.lcp.scan(ctx)
         if role.kind != "store":
-            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"]))
+            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"], role.scan_end))
 
         if role.kind in ("first", "last"):
-            ctx.add_work(ctx.payload["own_lengths"].size)
             self.cluster.stats.bump("local_only_machines")
         elif role.kind == "middle":
             b = self.plan.block_len

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -85,6 +89,28 @@ def test_alphabet_restriction_rejected(tmp_path, capsys):
     path.write_bytes(bytes([0, 5, 200]))
     code, _, err = run_cli(capsys, "solve", "--input", str(path), "--alphabet", "4")
     assert code == 2 and "alphabet" in err
+    # a generator picks its own alphabet, so the option would be ignored
+    for argv in (("solve", "--random", "5", "3", "--mode", "sequential"),
+                 ("solve", "--unary", "8"), ("verify", "--exhaustive", "3", "2")):
+        code, out, err = run_cli(capsys, *argv, "--alphabet", "2")
+        assert code == 2 and out == "", argv
+        assert "--alphabet applies only to --input" in err, argv
+
+
+def test_closed_stdout_exits_141_silently():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    try:
+        for fmt in ("json", "text"):
+            done = subprocess.run(
+                [sys.executable, "-m", "palmpc", "solve", "--unary", "200", "--mode",
+                 "sequential", "--format", fmt], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=60)
+            assert done.returncode == 141 and done.stderr == b"", (fmt, done.stderr)
+    finally:
+        os.close(write_end)
 
 
 def test_epsilon_out_of_range_is_usage_error(capsys):

@@ -9,6 +9,13 @@ counters shows up as a diff.
 Regenerate (only when an output change is intended and explained):
 
     PYTHONPATH=src python3 tests/test_golden.py --write
+
+Before that, count what the change moves: ``--diff`` prints, per JSON field
+of the report and for ``table_sha256``, how many recorded entries the
+current code changes, and lists every entry whose observed memory constant
+rose.
+
+    PYTHONPATH=src python3 tests/test_golden.py --diff
 """
 
 import contextlib
@@ -82,8 +89,61 @@ def test_golden_grid_is_byte_identical():
         assert not diff, f"{section}: {len(diff)} entries changed, first {diff[:3]}"
 
 
+def _fields(report: dict, prefix: str = ""):
+    """(dotted field name, value) for every leaf of a JSON report."""
+    for key, value in report.items():
+        if isinstance(value, dict):
+            yield from _fields(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def diff_grid(want: dict, got: dict) -> list[str]:
+    """Per field, how many entries of ``want`` differ in ``got``; then each entry whose
+    observed memory constant rose."""
+    keys = sorted(want["solve"].keys() & got["solve"].keys())
+    changed: dict[str, int] = {}
+    rose = []
+    for key in keys:
+        old, new = want["solve"][key], got["solve"][key]
+        old_fields = dict(_fields(json.loads(old["stdout"])))
+        new_fields = dict(_fields(json.loads(new["stdout"])))
+        old_fields["table_sha256"], new_fields["table_sha256"] = \
+            old["table_sha256"], new["table_sha256"]
+        for field in old_fields.keys() | new_fields.keys():
+            differs = old_fields.get(field, "absent") != new_fields.get(field, "absent")
+            changed[field] = changed.get(field, 0) + differs
+        before = old_fields.get("memory.observed_constant")
+        after = new_fields.get("memory.observed_constant")
+        if before is not None and after is not None and after > before:
+            rose.append(f"  {key}: {before} -> {after}")
+    lines = [f"{len(keys)} entries compared, {len(want['solve'].keys() - got['solve'].keys())} "
+             f"recorded only, {len(got['solve'].keys() - want['solve'].keys())} computed only"]
+    lines += [f"{field:32s} {changed[field]:5d} changed" for field in sorted(changed)]
+    lines.append(f"memory.observed_constant rose in {len(rose)} entries" + (":" if rose else ""))
+    return lines + rose
+
+
+def test_diff_counts_changed_fields_and_lists_rising_constants():
+    def entry(work, constant, sha="a"):
+        report = {"work": work, "memory": {"observed_constant": constant, "cap": 64}}
+        return {"stdout": json.dumps(report) + "\n", "table_sha256": sha}
+
+    want = {"solve": {"x": entry(10, 5), "y": entry(10, 5), "z": entry(1, 1)}}
+    got = {"solve": {"x": entry(9, 4), "y": entry(10, 6, "b")}}
+    lines = diff_grid(want, got)
+    assert lines[0] == "2 entries compared, 1 recorded only, 0 computed only"
+    counts = {line.split()[0]: int(line.split()[1]) for line in lines[1:5]}
+    assert counts == {"memory.cap": 0, "memory.observed_constant": 2, "table_sha256": 1,
+                      "work": 1}
+    assert lines[5:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6"]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(compute_grid(), indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(compute_grid(), indent=1, sort_keys=True) + "\n")
+    elif sys.argv[1:] == ["--diff"]:
+        print("\n".join(diff_grid(json.loads(GOLDEN.read_text()), compute_grid())))
+    else:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write | --diff")

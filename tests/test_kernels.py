@@ -186,6 +186,32 @@ def test_scalar_kernels_equal_the_array_loops(n):
             assert lcp_doubled(sym, p1, p2) == _lcp_ref(sym, p1, p2), (family, p1, p2)
 
 
+@pytest.mark.parametrize("n", range(24))
+def test_bounded_manacher_is_a_prefix_of_the_full_scan(n):
+    for family, sym in _texts(n):
+        odd, even, ops = manacher_tables(sym)
+        for hi in range(n + 1):
+            h_odd, h_even, h_ops = manacher_tables(sym, hi)
+            assert h_odd.tolist() == odd[:hi].tolist(), (family, hi)
+            assert h_even.tolist() == even[: max(hi - 1, 0)].tolist(), (family, hi)
+            assert h_ops <= ops, (family, hi)
+
+
+def test_bounded_manacher_stays_linear_on_a_run_then_break():
+    # The bound is on the right end only. A scan that also skipped the
+    # centers left of some lo would find no mirror for a center past lo; with
+    # lo = b here, each center of the zero run right of b extends its arm from
+    # scratch, about b**2 letter pairs in all instead of a few per letter.
+    b = 1024
+    sym = np.random.default_rng(6).integers(0, 2, 4 * b).astype(np.int64)
+    sym[0], sym[1 : 2 * b], sym[2 * b] = 1, 0, 1
+    odd, even, _ = manacher_tables(sym)
+    h_odd, h_even, ops = manacher_tables(sym, 2 * b + 1)
+    assert h_odd.tolist() == odd[: 2 * b + 1].tolist()
+    assert h_even.tolist() == even[: 2 * b].tolist()
+    assert ops <= 4 * sym.size
+
+
 # ---------------------------------------------------------------------------
 # power tables: once per run
 
