@@ -60,13 +60,27 @@ from .mpc import (
 
 
 def _scale_offset_mod(vals, mul, add, out):
-    """out[l, i] = (add[l] + mul[l] * vals[l, i]) mod (2**61 - 1), one row per layer.
+    """out = (add + mul * vals) mod (2**61 - 1), elementwise.
 
-    ``mul`` and ``add`` are uint64 arrays with one entry per row; ``out`` may
-    be ``vals`` itself. ``ops`` is one per entry.
+    ``mul`` and ``add`` are uint64 arrays that broadcast against ``vals``: a
+    column of one entry per row, or one entry per value. ``out`` may be
+    ``vals`` itself. ``ops`` is one per entry.
     """
-    out[:] = (mulmod61(vals.astype(np.uint64), mul[:, None]) + add[:, None]) % np.uint64(M61)
+    out[:] = (mulmod61(vals.astype(np.uint64), mul) + add) % np.uint64(M61)
     return np.int64(vals.size)
+
+
+def _offset_leaves(entries, widths, lefts, layers: int):
+    """Offset side-by-side leaves by their left contexts, in one pass.
+
+    ``entries`` holds the leaves as consecutive column ranges of ``widths``
+    columns: row 0 the symbols, rows 1 .. layers the prefix values local to
+    each leaf. Each leaf's values are scaled by the powers and offset by the
+    values of its node in ``lefts``, in place. ``ops`` is one per value.
+    """
+    left = np.array(lefts, np.uint64).reshape(-1, 1 + 2 * layers).T
+    return _scale_offset_mod(entries[1:], np.repeat(left[1 : 1 + layers], widths, axis=1),
+                             np.repeat(left[1 + layers :], widths, axis=1), entries[1:])
 
 
 def leaf_bounds(n: int, block_len: int, block_count: int) -> list[tuple[int, int]]:
@@ -187,8 +201,11 @@ class AmpcPalindromes(BlockPipeline):
         self.leaves = leaf_bounds(self.n, self.plan.block_len, self.plan.block_count)
         self.leaf_starts = [lo for lo, _ in self.leaves]
         self.owned_leaves: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
-        for leaf in range(len(self.leaves)):
-            self.owned_leaves[_leaf_owner(self.plan, leaf)].append(leaf)
+        self.owned_widths: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
+        for leaf, (lo, hi) in enumerate(self.leaves):
+            owner = _leaf_owner(self.plan, leaf)
+            self.owned_leaves[owner].append(leaf)
+            self.owned_widths[owner].append(hi - lo)
         self.tree_sizes = _level_sizes(len(self.leaves), self.fanout)
         self.best_sizes = _level_sizes(self.plan.machine_count, self.fanout)
         self.depth = len(self.tree_sizes) - 1
@@ -210,20 +227,22 @@ class AmpcPalindromes(BlockPipeline):
             ctx.payload["prefix_lens"] = _prefix_pal_lengths_from_tables(
                 ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
 
-        # per leaf, the array it will publish: row 0 its symbols, rows 1.. its
-        # prefix values, local to the leaf until the context round offsets them
-        leafpfx = {}
+        # the owned leaves side by side, each a column range of one array: row 0
+        # their symbols, rows 1.. their prefix values, local to each leaf until
+        # the context round offsets them
+        entries = np.empty((1 + self.scheme.layers, sum(self.owned_widths[m])), np.int64)
+        col = 0
         for leaf in self.owned_leaves[m]:
             lo, hi = self.leaves[leaf]
-            entries = np.empty((1 + self.scheme.layers, hi - lo), np.int64)
-            entries[0] = _materialize_doubled(ctx.payload["letters"],
-                                              ctx.payload["letters_lo"], n, lo, hi)
-            ctx.add_work(int(prefix_fp_scan(entries[0], self.pows, entries[1:])))
-            leafpfx[leaf] = entries
+            cols = entries[:, col : col + hi - lo]
+            cols[0] = _materialize_doubled(ctx.payload["letters"],
+                                           ctx.payload["letters_lo"], n, lo, hi)
+            ctx.add_work(int(prefix_fp_scan(cols[0], self.pows, cols[1:])))
             ctx.shared_write(("t", 0, leaf),
                              node(hi - lo, [pow(x, hi - lo, M61) for x in self.bases],
-                                  entries[1:, -1].tolist()))
-        ctx.payload["leafpfx"] = leafpfx
+                                  cols[1:, -1].tolist()))
+            col += hi - lo
+        ctx.payload["leafpfx"] = entries
 
     @staticmethod
     def _tree_node(ctx: StepContext, level: int, idx: int):
@@ -255,19 +274,22 @@ class AmpcPalindromes(BlockPipeline):
     def _r_context(self, ctx: StepContext) -> None:
         fanout = self.fanout
         layers = self.scheme.layers
-        leafpfx = ctx.payload.get("leafpfx", {})
-        for leaf, entries in leafpfx.items():
+        entries = ctx.payload.pop("leafpfx")
+        lefts = []
+        for leaf in self.owned_leaves[ctx.machine_id]:
             # the left siblings along the leaf's path, top level first
             siblings = [self._tree_node(ctx, level, idx)
                         for level in range(self.depth - 1, -1, -1)
                         for idx in range(leaf // fanout ** (level + 1) * fanout,
                                          leaf // fanout ** level)]
             ctx.add_work(len(siblings) * layers)
-            left = concat(siblings, layers).astype(np.uint64)
-            ctx.add_work(int(_scale_offset_mod(entries[1:], left[1 : 1 + layers],
-                                               left[1 + layers :], entries[1:])))
-            ctx.shared_write(("p", leaf), entries)
-        ctx.payload.pop("leafpfx", None)
+            lefts.append(concat(siblings, layers))
+        widths = self.owned_widths[ctx.machine_id]
+        ctx.add_work(int(_offset_leaves(entries, widths, lefts, layers)))
+        col = 0
+        for leaf, width in zip(self.owned_leaves[ctx.machine_id], widths):
+            ctx.shared_write(("p", leaf), entries[:, col : col + width])
+            col += width
 
     # -- query round: every LCP answered adaptively, then merge and local best
 

@@ -8,7 +8,9 @@ from palmpc.ampc import (
     AmpcPalindromes,
     PrefixStore,
     _leaf_owner,
+    _offset_leaves,
     _prefix_entry_getter,
+    _scale_offset_mod,
     ampc_lcp,
     leaf_bounds,
     solve_ampc,
@@ -292,3 +294,36 @@ def test_tree_nodes_are_flat_read_only_fingerprint_nodes():
         leaves = run.leaves[idx * span : (idx + 1) * span]
         lo, hi = leaves[0][0], leaves[-1][1]
         assert np.array_equal(nd, fp_of(doubled[lo:hi], run.scheme)), (level, idx)
+
+
+def test_one_pass_offset_equals_per_leaf_offsets():
+    # n=2000 at eps=0.75 has 7-symbol blocks and a 5-symbol tail block; the
+    # last machine owns three blocks, the tail among them, and their mirrors
+    rng = np.random.default_rng(13)
+    s = rng.integers(0, 3, 2000).astype(np.int64)
+    run = AmpcPalindromes(s, 0.75, seed=5)
+    run.cluster.run_round(run._r1_leaves)
+    layers = run.scheme.layers
+    K = run.plan.block_count
+    for m, leaves in enumerate(run.owned_leaves):
+        width = sum(hi - lo for lo, hi in (run.leaves[leaf] for leaf in leaves))
+        assert words_of(run.cluster.machines[m].payload["leafpfx"]) == (1 + layers) * width
+    m = _leaf_owner(run.plan, K - 1)
+    assert {K - 1, K} <= set(run.owned_leaves[m])
+    widths = run.owned_widths[m]
+    assert len(set(widths)) > 1
+    entries = run.cluster.machines[m].payload["leafpfx"]
+    lefts = [fp_of(rng.integers(0, 3, int(rng.integers(0, 50))), run.scheme) for _ in widths]
+
+    one_pass = entries.copy()
+    ops = _offset_leaves(one_pass, widths, lefts, layers)
+    per_leaf = entries.copy()
+    col = 0
+    for width, left in zip(widths, lefts):
+        vals = per_leaf[1:, col : col + width]
+        left = left.astype(np.uint64)
+        _scale_offset_mod(vals, left[1 : 1 + layers, None], left[1 + layers :, None], vals)
+        col += width
+    assert np.array_equal(one_pass, per_leaf)
+    assert np.array_equal(one_pass[0], entries[0])
+    assert ops == layers * sum(widths)

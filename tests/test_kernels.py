@@ -88,7 +88,8 @@ def test_scale_offset_matches_bigint():
         vals = rng.integers(0, M61, (len(muls), size))
         vals[:, 0] = M61 - 1
         out = np.full(vals.shape, -1, np.int64)
-        ops = _scale_offset_mod(vals, np.array(muls, np.uint64), np.array(adds, np.uint64), out)
+        ops = _scale_offset_mod(vals, np.array(muls, np.uint64)[:, None],
+                                np.array(adds, np.uint64)[:, None], out)
         for row, (mul, add) in enumerate(zip(muls, adds)):
             assert out[row].tolist() == [(add + mul * v) % M61 for v in vals[row].tolist()]
         assert ops == vals.size
