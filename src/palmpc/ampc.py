@@ -12,20 +12,31 @@ the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
 ``settle`` steps -- but answers LCP queries differently. A fan-out-s
 prefix tree (s = block length) over the 2K leaf segments of the doubled
 string builds phi(doubled[0..e]) for every position e. Each tree node
-("t", level, idx) is a ``fingerprint`` node, folded with
-``fingerprint.concat``. Two fragments compare from two prefix entries each
-(``fingerprint.fragments_equal``), so one machine can binary search an LCP
-value adaptively inside a single round, center queries included. Every
-answer is spot-checked against the stored mismatch letters; a contradiction
-aborts as a hash collision. Like the messaging pipeline's checks, this one is
-one-sided and partial: a false match that ends the search where the letters
-differ goes unseen.
+("t", level, idx) is a ``fingerprint`` node. Two fragments compare from two
+prefix entries each (``fingerprint.fragments_equal``), so one machine can
+binary search an LCP value adaptively inside a single round, center queries
+included. Every answer is spot-checked against the stored mismatch letters; a
+contradiction aborts as a hash collision. Like the messaging pipeline's
+checks, this one is one-sided and partial: a false match that ends the search
+where the letters differ goes unseen.
 
-Each machine builds the entries of the leaves it owns and publishes them as
-one read-only int64 array per leaf, under key ("p", leaf): row 0 holds the
-leaf's symbols, row 1 + l the layer-l prefix values. The store is still read
-and metered one position at a time: ``PrefixStore.entry(e)`` makes one shared
-read of the leaf array holding e and returns that column as Python ints.
+The tree is the up-sweep of a prefix scan. Round 1 publishes each leaf's node
+under ("t", 0, leaf). The combine round that builds node ("t", level, idx)
+folds its children with ``fingerprint.running_folds`` and, in the same fold,
+publishes under ("f", level, idx) the running folds of those children: row
+j - 1 is the node of children 0 .. j - 1, the context left of child j. The
+context round then folds a leaf's left context from the top level's left
+siblings of its ancestor, one read each (fewer than s), and at most one read
+per lower level, of the parent's running fold; a first child needs none. That
+replaces the up to s - 1 sibling reads per level of a plain tree.
+
+Each machine keeps the leaves it owns as one int64 array, each leaf a column
+range: row 0 holds the symbols, row 1 + l the layer-l prefix values, local to
+the leaf. The context round offsets all of them by their left contexts in one
+pass and publishes each leaf's columns as one read-only array under key
+("p", leaf). The store is still read and metered one position at a time:
+``PrefixStore.entry(e)`` makes one shared read of the leaf array holding e and
+returns that column as Python ints.
 
 Round schedule: 1 (local phase + leaf scans) + (depth - 1) combine rounds +
 1 (path contexts + prefix entries) + 1 (all queries, merge, per-machine best)
@@ -41,7 +52,7 @@ import numpy as np
 
 from ._kernels import M61, manacher_tables, mulmod61, power_tables, prefix_fp_scan
 from .engine import CollisionAbort, StepContext
-from .fingerprint import FingerprintScheme, concat, fragments_equal, node
+from .fingerprint import FingerprintScheme, concat, fragments_equal, node, running_folds
 from .strings import _prefix_pal_lengths_from_tables
 from .structural import (
     InconsistentMergeError,
@@ -245,13 +256,14 @@ class AmpcPalindromes(BlockPipeline):
         ctx.payload["leafpfx"] = entries
 
     @staticmethod
-    def _tree_node(ctx: StepContext, level: int, idx: int):
-        rec = ctx.shared_read(("t", level, idx))
+    def _tree_read(ctx: StepContext, key):
+        rec = ctx.shared_read(key)
         if rec is None:
-            raise InconsistentMergeError(f"missing tree node ({level}, {idx})")
+            raise InconsistentMergeError(f"missing tree record {key}")
         return rec
 
-    # -- combine rounds: one tree level per round, root omitted (never needed)
+    # -- combine rounds: one tree level per round, root omitted (never needed);
+    #    each node comes with the running folds of its children
 
     def _combine_level(self, level: int):
         fanout = self.fanout
@@ -262,30 +274,40 @@ class AmpcPalindromes(BlockPipeline):
 
         def step(ctx: StepContext) -> None:
             for idx in range(ctx.machine_id, node_count, M):
-                children = [self._tree_node(ctx, level - 1, child) for child in
+                children = [self._tree_read(ctx, ("t", level - 1, child)) for child in
                             range(idx * fanout, min((idx + 1) * fanout, counts[level - 1]))]
                 ctx.add_work(len(children) * layers)
-                ctx.shared_write(("t", level, idx), concat(children, layers))
+                folds = running_folds(children, layers)
+                ctx.shared_write(("t", level, idx), folds[-1])
+                # row j - 1: the fold of children 0 .. j - 1, left of child j >= 1
+                ctx.shared_write(("f", level, idx), folds[1:-1])
 
         return step
 
     # -- context round: left-context of every owned leaf, then final entries
 
-    def _r_context(self, ctx: StepContext) -> None:
+    def _left_context(self, ctx: StepContext, leaf: int):
+        """Node of the doubled string left of ``leaf``.
+
+        Reads the top level's left siblings of the leaf's ancestor one by
+        one, then, per lower level, the parent's running fold left of the
+        ancestor there: one read, none for a first child.
+        """
         fanout = self.fanout
-        layers = self.scheme.layers
+        top = self.depth - 1
+        nodes = [self._tree_read(ctx, ("t", top, idx)) for idx in range(leaf // fanout ** top)]
+        for level in range(top - 1, -1, -1):
+            parent, child = divmod(leaf // fanout ** level, fanout)
+            if child:
+                nodes.append(self._tree_read(ctx, ("f", level + 1, parent))[child - 1])
+        ctx.add_work(len(nodes) * self.scheme.layers)
+        return concat(nodes, self.scheme.layers)
+
+    def _r_context(self, ctx: StepContext) -> None:
         entries = ctx.payload.pop("leafpfx")
-        lefts = []
-        for leaf in self.owned_leaves[ctx.machine_id]:
-            # the left siblings along the leaf's path, top level first
-            siblings = [self._tree_node(ctx, level, idx)
-                        for level in range(self.depth - 1, -1, -1)
-                        for idx in range(leaf // fanout ** (level + 1) * fanout,
-                                         leaf // fanout ** level)]
-            ctx.add_work(len(siblings) * layers)
-            lefts.append(concat(siblings, layers))
+        lefts = [self._left_context(ctx, leaf) for leaf in self.owned_leaves[ctx.machine_id]]
         widths = self.owned_widths[ctx.machine_id]
-        ctx.add_work(int(_offset_leaves(entries, widths, lefts, layers)))
+        ctx.add_work(int(_offset_leaves(entries, widths, lefts, self.scheme.layers)))
         col = 0
         for leaf, width in zip(self.owned_leaves[ctx.machine_id], widths):
             ctx.shared_write(("p", leaf), entries[:, col : col + width])

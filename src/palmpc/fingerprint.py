@@ -6,7 +6,8 @@ constant time per layer: fp(UV) = fp(U) + x**|U| * fp(V).
 
 A *node* holds what that identity needs, as one read-only int64 array
 ``[len, x_1**len .. x_L**len, fp_1 .. fp_L]``: 1 + 2L words, which is also
-its metered size. ``concat`` folds nodes left to right. ``fragments_equal``
+its metered size. ``running_folds`` folds nodes left to right and keeps
+every prefix fold; ``concat`` is its last row. ``fragments_equal``
 compares two fragments read off prefix fingerprints, cross-multiplied by
 the powers at their starts, so no modular inverse is ever needed.
 
@@ -16,6 +17,7 @@ the cost of twice the words. The default is two.
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,18 +75,32 @@ def node(length: int, pows, vals) -> np.ndarray:
     return out
 
 
-def concat(nodes, layers: int) -> np.ndarray:
-    """Node of the concatenation of ``nodes`` in order; the empty node if there are none."""
+def running_folds(nodes, layers: int) -> np.ndarray:
+    """The k + 1 prefix folds of k nodes, as one read-only (k + 1, 1 + 2L) array.
+
+    Row j is the node of the concatenation of ``nodes[:j]``: row 0 is the
+    empty node and row k the node of them all.
+    """
     cols = np.array(nodes, np.int64).reshape(-1, 1 + 2 * layers).T.tolist()
-    pows, vals = [], []
+    pow_rows, val_rows = [], []
     for l in range(layers):
         p, v = 1, 0
+        pows, vals = [p], [v]
         for c_pow, c_val in zip(cols[1 + l], cols[1 + layers + l]):
             v = (v + p * c_val) % M61
             p = p * c_pow % M61
-        pows.append(p)
-        vals.append(v)
-    return node(sum(cols[0]), pows, vals)
+            pows.append(p)
+            vals.append(v)
+        pow_rows.append(pows)
+        val_rows.append(vals)
+    out = np.array([[0, *accumulate(cols[0])], *pow_rows, *val_rows], np.int64).T
+    out.setflags(write=False)
+    return out
+
+
+def concat(nodes, layers: int) -> np.ndarray:
+    """Node of the concatenation of ``nodes`` in order; the empty node if there are none."""
+    return running_folds(nodes, layers)[-1]
 
 
 def fragments_equal(end_a, start_a, pow_a, end_b, start_b, pow_b) -> bool:

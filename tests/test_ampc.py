@@ -32,13 +32,15 @@ def _built(s, epsilon, seed):
 
 
 def _published(run):
-    """Every tree node and prefix entry the build publishes, read by key.
+    """Every tree node, running fold and prefix entry the build publishes, read by key.
 
     The store's total words must equal theirs, so no other key is published.
     """
     shared = run.cluster.shared
     keys = [("t", level, idx) for level in range(run.depth)
             for idx in range(run.tree_sizes[level])]
+    keys += [("f", level, idx) for level in range(1, run.depth)
+             for idx in range(run.tree_sizes[level])]
     keys += [("p", leaf) for leaf in range(len(run.leaves))]
     values = {key: shared.snapshot_get(key) for key in keys}
     assert all(value is not None for value in values.values())
@@ -327,3 +329,64 @@ def test_one_pass_offset_equals_per_leaf_offsets():
     assert np.array_equal(one_pass, per_leaf)
     assert np.array_equal(one_pass[0], entries[0])
     assert ops == layers * sum(widths)
+
+
+def _leaf_range(run, level: int, first: int, last: int) -> tuple[int, int]:
+    """Doubled-string range of the level-``level`` nodes first .. last - 1."""
+    span = run.fanout ** level
+    leaves = run.leaves[first * span : last * span]
+    return leaves[0][0], leaves[-1][1]
+
+
+@pytest.mark.parametrize("epsilon", [0.75, 0.9])
+def test_running_folds_cover_the_left_children(epsilon):
+    # n=2000 gives a depth-4 tree at eps=0.75 (fan-out 7) and a depth-7 one
+    # at eps=0.9 (fan-out 3)
+    rng = np.random.default_rng(14)
+    s = rng.integers(0, 3, 2000).astype(np.int64)
+    run, _ = _built(s, epsilon, seed=6)
+    assert run.depth == (4 if epsilon == 0.75 else 7)
+    doubled = np.concatenate((s, s[::-1]))
+    folds = {key: val for key, val in _published(run).items() if key[0] == "f"}
+    for (_, level, idx), rows in folds.items():
+        children = min(run.fanout, run.tree_sizes[level - 1] - idx * run.fanout)
+        assert rows.shape == (children - 1, 1 + 2 * run.scheme.layers)
+        assert not rows.flags.writeable
+        for j, row in enumerate(rows, start=1):
+            lo, hi = _leaf_range(run, level - 1, idx * run.fanout, idx * run.fanout + j)
+            assert np.array_equal(row, fp_of(doubled[lo:hi], run.scheme)), (level, idx, j)
+
+
+class _CountingContext:
+    """Stands in for a step context: reads the published snapshot and counts the reads."""
+
+    def __init__(self, shared):
+        self._get = shared.snapshot_get
+        self.reads = 0
+
+    def shared_read(self, key):
+        self.reads += 1
+        return self._get(key)
+
+    def add_work(self, ops):
+        pass
+
+
+@pytest.mark.parametrize("epsilon", [0.75, 0.9])
+def test_left_context_reads_one_fold_per_lower_level(epsilon):
+    rng = np.random.default_rng(15)
+    s = rng.integers(0, 3, 2000).astype(np.int64)
+    run, _ = _built(s, epsilon, seed=7)
+    doubled = np.concatenate((s, s[::-1]))
+    fanout, top = run.fanout, run.depth - 1
+    saved = 0
+    for leaf, (lo, _) in enumerate(run.leaves):
+        ctx = _CountingContext(run.cluster.shared)
+        left = run._left_context(ctx, leaf)
+        assert np.array_equal(left, fp_of(doubled[:lo], run.scheme)), leaf
+        ancestors = [leaf // fanout ** level for level in range(top + 1)]
+        want = ancestors[top] + sum(1 for idx in ancestors[:top] if idx % fanout)
+        sibling_reads = sum(idx % fanout for idx in ancestors[:top]) + ancestors[top]
+        assert ctx.reads == want <= sibling_reads, leaf
+        saved += sibling_reads - ctx.reads
+    assert saved > 0

@@ -11,6 +11,7 @@ from palmpc.fingerprint import (
     fp_of,
     fragments_equal,
     node,
+    running_folds,
     scheme_init,
 )
 
@@ -79,6 +80,21 @@ def test_concat_toy_examples():
     # values near the modulus wrap
     big = FingerprintScheme(bases=(M61 - 1,))
     assert concat([fp_of([M61 - 1], big)] * 2, 1).tolist() == fp_of([M61 - 1] * 2, big).tolist()
+
+
+def test_running_folds_are_the_prefix_concatenations():
+    sch = scheme_init(128, 4, 2, seed=12)
+    rng = np.random.default_rng(13)
+    for k in (0, 1, 2, 7):
+        texts = [rng.integers(0, 4, int(rng.integers(0, 12))) for _ in range(k)]
+        folds = running_folds([fp_of(t, sch) for t in texts], 2)
+        assert folds.shape == (k + 1, 5) and folds.dtype == np.int64
+        assert not folds.flags.writeable
+        assert folds[0].tolist() == fp_of([], sch).tolist() == [0, 1, 1, 0, 0]
+        for j in range(k + 1):
+            prefix = np.concatenate([np.zeros(0, np.int64), *texts[:j]])
+            assert np.array_equal(folds[j], fp_of(prefix, sch)), (k, j)
+        assert np.array_equal(concat([fp_of(t, sch) for t in texts], 2), folds[-1])
 
 
 def test_fp_eq_examples():

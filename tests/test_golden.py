@@ -13,7 +13,7 @@ Regenerate (only when an output change is intended and explained):
 Before that, count what the change moves: ``--diff`` prints, per JSON field
 of the report and for ``table_sha256``, how many recorded entries the
 current code changes, and lists every entry whose observed memory constant
-rose.
+or peak shared reads per machine and round rose.
 
     PYTHONPATH=src python3 tests/test_golden.py --diff
 """
@@ -98,12 +98,16 @@ def _fields(report: dict, prefix: str = ""):
             yield prefix + key, value
 
 
+# fields that no change may raise unnoticed: --diff lists every entry where one rose
+WATCHED = ("memory.observed_constant", "shared_reads_peak")
+
+
 def diff_grid(want: dict, got: dict) -> list[str]:
-    """Per field, how many entries of ``want`` differ in ``got``; then each entry whose
-    observed memory constant rose."""
+    """Per field, how many entries of ``want`` differ in ``got``; then, per ``WATCHED``
+    field, each entry where it rose."""
     keys = sorted(want["solve"].keys() & got["solve"].keys())
     changed: dict[str, int] = {}
-    rose = []
+    rose: dict[str, list[str]] = {field: [] for field in WATCHED}
     for key in keys:
         old, new = want["solve"][key], got["solve"][key]
         old_fields = dict(_fields(json.loads(old["stdout"])))
@@ -113,30 +117,35 @@ def diff_grid(want: dict, got: dict) -> list[str]:
         for field in old_fields.keys() | new_fields.keys():
             differs = old_fields.get(field, "absent") != new_fields.get(field, "absent")
             changed[field] = changed.get(field, 0) + differs
-        before = old_fields.get("memory.observed_constant")
-        after = new_fields.get("memory.observed_constant")
-        if before is not None and after is not None and after > before:
-            rose.append(f"  {key}: {before} -> {after}")
+        for field in WATCHED:
+            before, after = old_fields.get(field), new_fields.get(field)
+            if before is not None and after is not None and after > before:
+                rose[field].append(f"  {key}: {before} -> {after}")
     lines = [f"{len(keys)} entries compared, {len(want['solve'].keys() - got['solve'].keys())} "
              f"recorded only, {len(got['solve'].keys() - want['solve'].keys())} computed only"]
     lines += [f"{field:32s} {changed[field]:5d} changed" for field in sorted(changed)]
-    lines.append(f"memory.observed_constant rose in {len(rose)} entries" + (":" if rose else ""))
-    return lines + rose
+    for field, entries in rose.items():
+        lines.append(f"{field} rose in {len(entries)} entries" + (":" if entries else ""))
+        lines += entries
+    return lines
 
 
 def test_diff_counts_changed_fields_and_lists_rising_constants():
-    def entry(work, constant, sha="a"):
-        report = {"work": work, "memory": {"observed_constant": constant, "cap": 64}}
+    def entry(work, constant, reads, sha="a"):
+        report = {"work": work, "memory": {"observed_constant": constant, "cap": 64},
+                  "shared_reads_peak": reads}
         return {"stdout": json.dumps(report) + "\n", "table_sha256": sha}
 
-    want = {"solve": {"x": entry(10, 5), "y": entry(10, 5), "z": entry(1, 1)}}
-    got = {"solve": {"x": entry(9, 4), "y": entry(10, 6, "b")}}
+    want = {"solve": {"w": entry(3, 2, 7), "x": entry(10, 5, 7), "y": entry(10, 5, 0),
+                      "z": entry(1, 1, 1)}}
+    got = {"solve": {"w": entry(3, 2, 8), "x": entry(9, 4, 6), "y": entry(10, 6, 0, "b")}}
     lines = diff_grid(want, got)
-    assert lines[0] == "2 entries compared, 1 recorded only, 0 computed only"
-    counts = {line.split()[0]: int(line.split()[1]) for line in lines[1:5]}
-    assert counts == {"memory.cap": 0, "memory.observed_constant": 2, "table_sha256": 1,
-                      "work": 1}
-    assert lines[5:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6"]
+    assert lines[0] == "3 entries compared, 1 recorded only, 0 computed only"
+    counts = {line.split()[0]: int(line.split()[1]) for line in lines[1:6]}
+    assert counts == {"memory.cap": 0, "memory.observed_constant": 2, "shared_reads_peak": 2,
+                      "table_sha256": 1, "work": 1}
+    assert lines[6:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6",
+                         "shared_reads_peak rose in 1 entries:", "  w: 7 -> 8"]
 
 
 if __name__ == "__main__":
