@@ -8,11 +8,11 @@ model: machines never need to receive one message from everybody at once.
 
 The algorithm keeps the block decomposition and per-superblock analysis of
 the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
-``mpc.BlockPipeline``, and drives the same ``structural.first_wave``/
-``settle`` steps -- but answers LCP queries differently. A fan-out-s
-prefix tree (s = block length) over the 2K leaf segments of the doubled
-string builds phi(doubled[0..e]) for every position e. Each tree node
-("t", level, idx) is a ``fingerprint`` node. Two fragments compare from two
+``mpc.BlockPipeline``, and runs the same driver, ``mpc.superblock_waves`` --
+but answers LCP queries differently. A fan-out-s prefix tree (s = block
+length) over the 2K leaf segments of the doubled string builds
+phi(doubled[0..e]) for every position e. Each tree node ("t", level, idx) is
+a ``fingerprint`` node. Two fragments compare from two
 prefix entries each (``fingerprint.fragments_equal``), so one machine can
 binary search an LCP value adaptively inside a single round, center queries
 included. Every answer is spot-checked against the stored mismatch letters; a
@@ -50,24 +50,16 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ._kernels import M61, manacher_tables, mulmod61, power_tables, prefix_fp_scan
+from ._kernels import M61, mulmod61, power_tables, prefix_fp_scan
 from .engine import CollisionAbort, StepContext
 from .fingerprint import FingerprintScheme, concat, fragments_equal, node, running_folds
-from .strings import _prefix_pal_lengths_from_tables
-from .structural import (
-    InconsistentMergeError,
-    _merge_b2,
-    _periodic_resolve,
-    case_name,
-    first_wave,
-    settle,
-)
-from .mpc import (
-    BlockPipeline,
-    BlockPlan,
-    MpcResult,
-    _materialize_doubled,
-)
+from .structural import InconsistentMergeError
+from .mpc import BlockPipeline, BlockPlan, MpcResult, _materialize_doubled, superblock_waves
+
+# The benchmark's span tracer hooks these four as attributes of this module too.
+# Only _merge_b2 is called here; the shared code calls the rest in palmpc.mpc.
+from .mpc import (  # noqa: F401
+    _merge_b2, _periodic_resolve, _prefix_pal_lengths_from_tables, manacher_tables)
 
 
 def _scale_offset_mod(vals, mul, add, out):
@@ -228,15 +220,11 @@ class AmpcPalindromes(BlockPipeline):
 
     def _r1_leaves(self, ctx: StepContext) -> None:
         m = ctx.machine_id
-        role = self.plan.roles[m]
         n = self.n
-        b = self.plan.block_len
 
-        if role.kind != "store":
-            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"], role.scan_end))
-        if role.kind == "middle":
-            ctx.payload["prefix_lens"] = _prefix_pal_lengths_from_tables(
-                ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
+        prefix_lens = self._local_scan(ctx)
+        if prefix_lens is not None:
+            ctx.payload["prefix_lens"] = prefix_lens
 
         # the owned leaves side by side, each a column range of one array: row 0
         # their symbols, rows 1.. their prefix values, local to each leaf until
@@ -322,28 +310,14 @@ class AmpcPalindromes(BlockPipeline):
         m = ctx.machine_id
         role = self.plan.roles[m]
         if role.kind == "middle":
-            n = self.n
-            i = role.sb_start
-            stats = self.cluster.stats
             store = self._store_view(ctx)
-            prefix_lens = ctx.payload["prefix_lens"]
-            case = case_name(prefix_lens)
-            stats.bump(f"classified_{case}")
-            wave = first_wave(prefix_lens, i, n)
-            answers = [ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave]
-            periodic = None
-            if case == "periodic":
-                # the wave is [left, right], or [right] at start 0 where left is ignored
-                periodic = _periodic_resolve(prefix_lens, i, n, answers[0], answers[-1])
-            results, wave2 = settle(wave, answers, n, periodic)
-            settled, _ = settle(wave2, [ampc_lcp(store, q.p1, q.p2, self.bases)
-                                        for q in wave2], n)
-            if wave:
-                stats.bump("lcp_queries", len(wave) + len(wave2))
-            if wave2:
-                stats.bump("simultaneous_centers")
+            waves = superblock_waves(ctx.payload["prefix_lens"], role.sb_start, self.n,
+                                     self.cluster.stats)
+            wave = next(waves)
+            wave = waves.send([ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave])
+            settled = waves.send([ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave])
             self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                             i, self.plan.block_len, results + settled))
+                                             role.sb_start, self.plan.block_len, settled))
 
         best = self._local_best(ctx)
         if best is None:

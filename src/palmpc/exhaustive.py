@@ -1,11 +1,11 @@
 """Exhaustive small-instance sweeps against the brute-force oracle.
 
-Two levels. ``sweep_views`` drives the per-superblock machinery (local scan,
-classification, bounded queries answered by literal comparison, merge) over
-every fragment position and block length of every string up to a size
-bound, comparing each owned center against the oracle's table and counting
-queries; it calls the same kernels and ``structural`` resolution steps the
-pipelines run, so a violation those steps detect raises here too.
+Two levels. ``sweep_views`` runs the per-superblock machinery (local scan,
+the ``mpc.superblock_waves`` driver with its queries answered by literal
+comparison, merge) over every fragment position and block length of every
+string up to a size bound, comparing each owned center against the oracle's
+table and counting queries; it calls the same kernels and the same driver
+the pipelines run, so a violation the driver's steps detect raises here too.
 ``sweep_pipeline`` runs the whole distributed solver per string instead,
 which is slower but covers placement, routing, and reduction too.
 """
@@ -16,9 +16,11 @@ import operator
 import numpy as np
 
 from ._kernels import lcp_doubled, manacher_tables
+from .engine import RunStats
+from .mpc import superblock_waves
 from .oracle import oracle_lps, oracle_maximal_palindromes
 from .strings import _prefix_pal_lengths_from_tables
-from .structural import _merge_b2, _periodic_resolve, case_name, first_wave, settle
+from .structural import _merge_b2
 
 
 def _all_strings(max_len: int, sigma: int):
@@ -31,9 +33,9 @@ def _all_strings(max_len: int, sigma: int):
 def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
     """All (start, block_len) views of one string: (views, mismatches, max_queries).
 
-    Each view runs the resolver steps in the order ``AmpcPalindromes`` runs
-    them, with every LCP query answered by literal comparison. ``want`` holds
-    the string's maximal palindrome lengths by center half-index.
+    Each view drives ``superblock_waves`` as ``AmpcPalindromes`` does, with
+    every LCP query answered by literal comparison. ``want`` holds the
+    string's maximal palindrome lengths by center half-index.
     """
     n = sym.size
     views = mismatches = max_queries = 0
@@ -42,16 +44,13 @@ def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
             views += 1
             f_odd, f_even, _ = manacher_tables(sym[i : i + 4 * bl], 2 * bl + 1)
             plens = _prefix_pal_lengths_from_tables(f_odd, f_even, 2 * bl, 4 * bl)
-            wave = first_wave(plens, i, n)
-            answers = [lcp_doubled(sym, q.p1, q.p2) for q in wave]
-            periodic = None
-            if case_name(plens) == "periodic":
-                # the wave is [left, right], or [right] at start 0 where left is ignored
-                periodic = _periodic_resolve(plens, i, n, answers[0], answers[-1])
-            results, wave2 = settle(wave, answers, n, periodic)
-            settled, _ = settle(wave2, [lcp_doubled(sym, q.p1, q.p2) for q in wave2], n)
-            max_queries = max(max_queries, len(wave) + len(wave2))
-            merged = _merge_b2(f_odd, f_even, i, bl, results + settled)
+            stats = RunStats()
+            waves = superblock_waves(plens, i, n, stats)
+            wave = next(waves)
+            wave = waves.send([lcp_doubled(sym, q.p1, q.p2) for q in wave])
+            settled = waves.send([lcp_doubled(sym, q.p1, q.p2) for q in wave])
+            max_queries = max(max_queries, stats.counters.get("lcp_queries", 0))
+            merged = _merge_b2(f_odd, f_even, i, bl, settled)
             lo = 2 * (i + bl)
             mismatches += sum(map(operator.ne, merged.tolist(), want[lo : lo + 2 * bl]))
     return views, mismatches, max_queries

@@ -2,9 +2,10 @@
 
 ``BlockPipeline`` is the set-up and per-machine skeleton that this messaging
 pipeline (``MpcPalindromes``) and the adaptive one (``palmpc.ampc``) share:
-placed letters, local tables, merge, per-machine best and export. The case
-analysis of each superblock comes from ``structural.first_wave``/``settle``;
-``FingerprintLcp`` answers its LCP queries, in two waves.
+placed letters, the local scan, merge, per-machine best and export. Each
+superblock is resolved by ``superblock_waves``, the one driver of the
+``structural`` case analysis, in two waves of LCP queries; here
+``FingerprintLcp`` answers them.
 
 Decomposition
 -------------
@@ -99,6 +100,7 @@ from .strings import (
 )
 from .structural import (
     InconsistentMergeError,
+    _center,
     _merge_b2,
     _periodic_resolve,
     case_name,
@@ -160,6 +162,8 @@ def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
     """Block/superblock decomposition and per-machine duties for (n, epsilon)."""
     if n < 1:
         raise ValueError("text must be nonempty")
+    if not 0.0 < epsilon < 1.0:    # also rejects NaN
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     b = ceil_power(n, 1.0 - epsilon)
     K = math.ceil(n / b)
     M = K
@@ -216,6 +220,37 @@ class MpcResult:
     plan: BlockPlan
 
 
+def superblock_waves(prefix_lens, start: int, n: int, stats: RunStats):
+    """Resolve the superblock at ``start`` of a length-n text in two waves of LCP queries.
+
+    A generator, and the one driver of the ``structural`` steps. It yields
+    the first wave (one center query, or the period probes), takes that
+    wave's answers and yields the second wave: the center query of the one
+    periodic center that no cap settles, or nothing. It then takes the second
+    wave's answers and yields the settled (u, length) pairs for
+    ``_merge_b2``. ``stats`` counts the superblock's case, its LCP queries
+    and a simultaneous center.
+    """
+    case = case_name(prefix_lens)
+    stats.bump(f"classified_{case}")
+    wave = first_wave(prefix_lens, start, n)
+    if wave:
+        stats.bump("lcp_queries", len(wave))
+    answers = yield wave
+    settled = settle(wave, answers, n)
+    wave = []
+    if case == "periodic":
+        # the wave was [left, right], or [right] at start 0 where left is ignored
+        resolved, center_u = _periodic_resolve(prefix_lens, start, n, answers[0], answers[-1])
+        settled += resolved
+        if center_u >= 0:
+            wave = [_center(center_u, n)]
+            stats.bump("simultaneous_centers")
+            stats.bump("lcp_queries")
+    answers = yield wave
+    yield settled + settle(wave, answers, n)
+
+
 class BlockPipeline:
     """Set-up and per-machine skeleton shared by the messaging and adaptive pipelines.
 
@@ -224,12 +259,13 @@ class BlockPipeline:
     block plan and the scheme (drawn from the seed unless given), and places
     each machine's letter slice (round 0).
 
-    Both pipelines keep the same local tables, merge the resolved prefix
-    centers the same way and reduce the same per-machine best; they differ
-    only in how they answer the superblocks' LCP queries. Subclasses set the
-    cluster ``MODE``, define ``run()``, and call the kernels (Manacher, prefix
-    palindromes, periodic resolution, merge) from their own round steps,
-    handing the outputs to the helpers here.
+    Both pipelines run the same local scan in round 1 (``_local_scan``),
+    resolve each superblock with ``superblock_waves``, merge the settled
+    prefix centers the same way and reduce the same per-machine best; they
+    differ only in how they answer the superblocks' LCP queries. Subclasses
+    set the cluster ``MODE`` and define ``run()``. The driver's generator
+    state, like the messaging pipeline's ``_Query`` records, lives in the
+    simulator, outside what the engine meters.
     """
 
     MODE: str
@@ -257,19 +293,27 @@ class BlockPipeline:
             payload["letters"] = letters
             payload["letters_lo"] = role.letters_lo
 
-    def _keep_tables(self, ctx: StepContext, odd, even, ops) -> None:
-        """Keep the local Manacher tables, or on an edge machine its owned slice."""
-        ctx.add_work(int(ops))
+    def _local_scan(self, ctx: StepContext) -> np.ndarray | None:
+        """Round 1's local phase: Manacher up to the last owned center, on every
+        machine but a store. A middle machine keeps the tables and returns the
+        prefix palindromes of its superblock; an edge machine keeps its owned
+        lengths, which are final, and returns None."""
         role = self.plan.roles[ctx.machine_id]
-        if role.kind == "middle":
-            ctx.payload["f_odd"] = odd
-            ctx.payload["f_even"] = even
-        else:
+        if role.kind == "store":
+            return None
+        odd, even, ops = manacher_tables(ctx.payload["letters"], role.scan_end)
+        ctx.add_work(int(ops))
+        if role.kind != "middle":
             base = 2 * role.letters_lo
             by_center = PalindromeTable(odd, even).lengths_by_center()
             own = by_center[role.own_u_lo - base : role.own_u_hi - base]
             ctx.add_work(own.size)
             ctx.payload["own_lengths"] = own
+            return None
+        ctx.payload["f_odd"] = odd
+        ctx.payload["f_even"] = even
+        b = self.plan.block_len
+        return _prefix_pal_lengths_from_tables(odd, even, 2 * b, 4 * b)
 
     @staticmethod
     def _keep_merged(ctx: StepContext, lengths) -> None:
@@ -359,14 +403,12 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Query:
     """Driver-side record of one in-flight LCP query of an origin machine."""
 
-    __slots__ = ("qid", "kind", "p1", "p2", "center_u", "t_star", "w_cap", "answer")
+    __slots__ = ("qid", "p1", "p2", "t_star", "w_cap", "answer")
 
-    def __init__(self, qid: int, kind: str, p1: int, p2: int, center_u: int = -1):
+    def __init__(self, qid: int, p1: int, p2: int):
         self.qid = qid
-        self.kind = kind          # "left" | "right" | "center"
         self.p1 = p1
         self.p2 = p2
-        self.center_u = center_u
         self.t_star = -1          # first mismatching window
         self.w_cap = 0            # comparable letters inside window t_star
         self.answer = -1
@@ -381,13 +423,12 @@ class FingerprintLcp:
     alternately, with ``ask`` in any round.
     """
 
-    def __init__(self, plan: BlockPlan, scheme: FingerprintScheme, stats: RunStats):
+    def __init__(self, plan: BlockPlan, scheme: FingerprintScheme):
         if plan.window > plan.block_len:
             raise AssertionError("window width exceeds block length; epsilon > 0.5?")
         self.plan = plan
         self.n = plan.n
         self.scheme = scheme
-        self.stats = stats
         # simulator-side, not metered: sized to the longest window-scan buffer
         w = plan.window
         longest = max((min(hi + w - 1, 2 * self.n) - lo for role in plan.roles
@@ -486,14 +527,13 @@ class FingerprintLcp:
 
     # -- queries
 
-    def ask(self, ctx: StepContext, specs) -> list[_Query]:
-        """Register queries (kind, p1, p2[, center_u]) here; broadcast their chain requests."""
+    def ask(self, ctx: StepContext, wave) -> list[_Query]:
+        """Register a wave's queries here; broadcast their chain requests."""
         per = self.queries.setdefault(ctx.machine_id, {})
-        queries = [_Query(len(per) + k, *spec) for k, spec in enumerate(specs)]
+        queries = [_Query(len(per) + k, q.p1, q.p2) for k, q in enumerate(wave)]
         per.update((q.qid, q) for q in queries)
         if not queries:
             return queries
-        self.stats.bump("lcp_queries", len(queries))
         key = np.asarray([2 * q.qid + s for q in queries for s in (0, 1)], np.int64)
         pos = np.asarray([p for q in queries for p in (q.p1, q.p2)], np.int64)
         ctx.send("cq", [BROADCAST], [0, key.size],
@@ -668,9 +708,9 @@ class MpcPalindromes(BlockPipeline):
     def __init__(self, text, epsilon: float, seed: int = 0, memory_constant: int = 64,
                  scheme: FingerprintScheme | None = None):
         super().__init__(text, epsilon, seed, memory_constant, scheme)
-        self.lcp = FingerprintLcp(self.plan, self.scheme, self.cluster.stats)
-        self.waves: dict[int, list[_Query]] = {}     # per machine, the wave in flight
-        self.resolved: dict = {}                    # per machine, what wave 1 settled
+        self.lcp = FingerprintLcp(self.plan, self.scheme)
+        # per middle machine, its superblock driver and the wave in flight
+        self.waves: dict[int, tuple] = {}
 
     # -- round 1: local phase
 
@@ -679,23 +719,19 @@ class MpcPalindromes(BlockPipeline):
         role = self.plan.roles[m]
 
         self.lcp.scan(ctx)
-        if role.kind != "store":
-            self._keep_tables(ctx, *manacher_tables(ctx.payload["letters"], role.scan_end))
-
+        prefix_lens = self._local_scan(ctx)
         if role.kind in ("first", "last"):
             self.cluster.stats.bump("local_only_machines")
         elif role.kind == "middle":
-            b = self.plan.block_len
-            prefix_lens = _prefix_pal_lengths_from_tables(
-                ctx.payload["f_odd"], ctx.payload["f_even"], 2 * b, 4 * b)
-            ctx.add_work(2 * b)
-            case = case_name(prefix_lens)
-            self.cluster.stats.bump(f"classified_{case}")
-            if case == "periodic":
-                # unread, but metered memory: dropping it changes the stats
+            ctx.add_work(2 * self.plan.block_len)
+            if case_name(prefix_lens) == "periodic":
+                # metered memory that nothing reads but the resolve's metering:
+                # it stands in for the up to 2b - 1 settled pairs that the
+                # driver holds between rounds 5 and 9 on a unary superblock
                 ctx.payload["period"] = int(prefix_lens[-1] - prefix_lens[-2])
                 ctx.payload["prefix_lens"] = prefix_lens
-            self.waves[m] = self.lcp.ask(ctx, first_wave(prefix_lens, role.sb_start, self.n))
+            waves = superblock_waves(prefix_lens, role.sb_start, self.n, self.cluster.stats)
+            self.waves[m] = waves, self.lcp.ask(ctx, next(waves))
 
         if role.tail_ship_to >= 0:
             # letters just left of the target's superblock, for first-window checks
@@ -707,40 +743,29 @@ class MpcPalindromes(BlockPipeline):
             _send_rows(ctx, "tail", [role.tail_ship_to], lo=[target_sb - w],
                        data=seg.reshape(-1, 1))
 
-    # -- round 5: first-wave resolution and second-wave requests
+    # -- round 5: first-wave answers in, second-wave requests out
 
     def _r5_resolve(self, ctx: StepContext) -> None:
         self.lcp.consume(ctx)
         m = ctx.machine_id
-        role = self.plan.roles[m]
-        if role.kind != "middle":
+        if m not in self.waves:
             return
-        wave = self.waves[m]
-        answers = [q.answer for q in wave]
-        periodic = None
-        prefix_lens = ctx.payload.get("prefix_lens")
-        if prefix_lens is not None:
-            # the wave is [left, right], or [right] at start 0 where left is ignored
-            periodic = _periodic_resolve(prefix_lens, role.sb_start, self.n,
-                                         answers[0], answers[-1])
-            ctx.add_work(prefix_lens.size)
-        self.resolved[m], wave2 = settle(wave, answers, self.n, periodic)
-        if wave2:
-            self.cluster.stats.bump("simultaneous_centers")
-        self.waves[m] = self.lcp.ask(ctx, wave2)
+        waves, wave = self.waves[m]
+        wave = waves.send([q.answer for q in wave])
+        # the periodic resolve walks every prefix palindrome
+        ctx.add_work(len(ctx.payload.get("prefix_lens", ())))
+        self.waves[m] = waves, self.lcp.ask(ctx, wave)
 
     # -- round 9
 
     def _r9_finalize(self, ctx: StepContext) -> None:
         self.lcp.consume(ctx)
         m = ctx.machine_id
-        role = self.plan.roles[m]
-        if role.kind == "middle":
-            wave = self.waves[m]
-            settled, _ = settle(wave, [q.answer for q in wave], self.n)
+        if m in self.waves:
+            waves, wave = self.waves.pop(m)
             self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                             role.sb_start, self.plan.block_len,
-                                             self.resolved[m] + settled))
+                                             self.plan.roles[m].sb_start, self.plan.block_len,
+                                             waves.send([q.answer for q in wave])))
         best = self._local_best(ctx)
         if best is not None:
             _send_rows(ctx, "best", [0], len=[best[0]], start=[best[1]])

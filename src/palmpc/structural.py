@@ -19,14 +19,14 @@ what keeps the query count per superblock at three or fewer:
   simultaneously. Every other center is settled by arithmetic: the side
   where periodicity breaks first caps the palindrome.
 
-The case analysis is written once, as pure steps that every caller runs:
-``first_wave`` lists a superblock's first queries, ``_periodic_resolve``
-settles a periodic run from its probe answers, ``settle`` turns a wave's
-answers into settled (u, length) pairs plus the next wave (at most one
-center query), and ``_merge_b2`` merges them with the local table. Each step
-raises on the violation it can see. The two pipelines differ only in how
-they answer the queries; the exhaustive sweep (``palmpc.exhaustive``) runs
-the same steps with queries answered by literal comparison.
+The case analysis is written once, as pure steps: ``first_wave`` lists a
+superblock's first queries, ``_periodic_resolve`` settles a periodic run from
+its probe answers, ``settle`` turns a wave's center answers into settled
+(u, length) pairs, and ``_merge_b2`` merges them with the local table. Each
+step raises on the violation it can see. One driver sequences them,
+``mpc.superblock_waves``, and every caller runs it: both pipelines, which
+differ only in how they answer the queries, and the exhaustive sweep
+(``palmpc.exhaustive``), which answers them by literal comparison.
 """
 
 from typing import NamedTuple
@@ -113,26 +113,19 @@ def _periodic_resolve(prefix_lens, start, n, left_lcp, right_lcp):
     return resolved, center_query_u
 
 
-def settle(wave, answers, n: int, periodic=None) -> tuple[list[tuple[int, int]], list[Query]]:
-    """What one wave's LCP answers settle, and the next wave still needed.
+def settle(wave, answers, n: int) -> list[tuple[int, int]]:
+    """The (u, length) pairs that one wave's LCP answers settle.
 
-    Each center query settles its own center as a (u, length) pair. The
-    doubled text has no separator at the text boundary, so a palindrome
-    touching the right edge can keep matching into the mirrored half; the
-    right arm is capped at the n - c symbols it actually has. ``periodic`` is
-    the output of ``_periodic_resolve`` on the probe answers of a periodic
-    superblock: it settles every prefix palindrome but at most one, whose
-    center query is returned as the next wave. At most 3 queries are ever
-    needed per superblock.
+    Each center query settles its own center; period probes settle nothing
+    by themselves. The doubled text has no separator at the text boundary,
+    so a palindrome touching the right edge can keep matching into the
+    mirrored half; the right arm is capped at the n - c symbols it actually
+    has.
     """
     if answers and min(answers) < 0:
         raise InconsistentMergeError("LCP query left unanswered")
-    results = [(q.center_u, 2 * min(int(a), n - q.p1) - 1 + q.center_u % 2)
-               for q, a in zip(wave, answers) if q.kind == "center"]
-    if periodic is None:
-        return results, []
-    resolved, center_u = periodic
-    return results + resolved, ([_center(center_u, n)] if center_u >= 0 else [])
+    return [(q.center_u, 2 * min(int(a), n - q.p1) - 1 + q.center_u % 2)
+            for q, a in zip(wave, answers) if q.kind == "center"]
 
 
 def _merge_b2(odd_f, even_f, start, block_len, resolved):

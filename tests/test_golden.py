@@ -12,8 +12,8 @@ Regenerate (only when an output change is intended and explained):
 
 Before that, count what the change moves: ``--diff`` prints, per JSON field
 of the report and for ``table_sha256``, how many recorded entries the
-current code changes, and lists every entry whose observed memory constant
-or peak shared reads per machine and round rose.
+current code changes, in all and per mode, and lists every entry whose
+observed memory constant or peak shared reads per machine and round rose.
 
     PYTHONPATH=src python3 tests/test_golden.py --diff
 """
@@ -103,11 +103,12 @@ WATCHED = ("memory.observed_constant", "shared_reads_peak")
 
 
 def diff_grid(want: dict, got: dict) -> list[str]:
-    """Per field, how many entries of ``want`` differ in ``got``; then, per ``WATCHED``
-    field, each entry where it rose."""
+    """Per field, how many entries of ``want`` differ in ``got``, in all and per recorded
+    mode; then, per ``WATCHED`` field, each entry where it rose."""
     keys = sorted(want["solve"].keys() & got["solve"].keys())
-    changed: dict[str, int] = {}
+    changed: dict[str, dict[str, int]] = {}
     rose: dict[str, list[str]] = {field: [] for field in WATCHED}
+    modes = sorted({json.loads(want["solve"][key]["stdout"])["mode"] for key in keys})
     for key in keys:
         old, new = want["solve"][key], got["solve"][key]
         old_fields = dict(_fields(json.loads(old["stdout"])))
@@ -116,14 +117,17 @@ def diff_grid(want: dict, got: dict) -> list[str]:
             old["table_sha256"], new["table_sha256"]
         for field in old_fields.keys() | new_fields.keys():
             differs = old_fields.get(field, "absent") != new_fields.get(field, "absent")
-            changed[field] = changed.get(field, 0) + differs
+            by_mode = changed.setdefault(field, dict.fromkeys(modes, 0))
+            by_mode[old_fields["mode"]] += differs
         for field in WATCHED:
             before, after = old_fields.get(field), new_fields.get(field)
             if before is not None and after is not None and after > before:
                 rose[field].append(f"  {key}: {before} -> {after}")
     lines = [f"{len(keys)} entries compared, {len(want['solve'].keys() - got['solve'].keys())} "
              f"recorded only, {len(got['solve'].keys() - want['solve'].keys())} computed only"]
-    lines += [f"{field:32s} {changed[field]:5d} changed" for field in sorted(changed)]
+    for field in sorted(changed):
+        by_mode = ", ".join(f"{mode} {count}" for mode, count in changed[field].items())
+        lines.append(f"{field:32s} {sum(changed[field].values()):5d} changed ({by_mode})")
     for field, entries in rose.items():
         lines.append(f"{field} rose in {len(entries)} entries" + (":" if entries else ""))
         lines += entries
@@ -131,20 +135,26 @@ def diff_grid(want: dict, got: dict) -> list[str]:
 
 
 def test_diff_counts_changed_fields_and_lists_rising_constants():
-    def entry(work, constant, reads, sha="a"):
+    def entry(work, constant, reads, sha="a", mode="mpc"):
         report = {"work": work, "memory": {"observed_constant": constant, "cap": 64},
-                  "shared_reads_peak": reads}
+                  "shared_reads_peak": reads, "mode": mode}
         return {"stdout": json.dumps(report) + "\n", "table_sha256": sha}
 
-    want = {"solve": {"w": entry(3, 2, 7), "x": entry(10, 5, 7), "y": entry(10, 5, 0),
-                      "z": entry(1, 1, 1)}}
-    got = {"solve": {"w": entry(3, 2, 8), "x": entry(9, 4, 6), "y": entry(10, 6, 0, "b")}}
+    want = {"solve": {"w": entry(3, 2, 7), "x": entry(10, 5, 7, mode="ampc"),
+                      "y": entry(10, 5, 0), "z": entry(1, 1, 1)}}
+    got = {"solve": {"w": entry(3, 2, 8), "x": entry(9, 4, 6, mode="ampc"),
+                     "y": entry(10, 6, 0, "b")}}
     lines = diff_grid(want, got)
     assert lines[0] == "3 entries compared, 1 recorded only, 0 computed only"
-    counts = {line.split()[0]: int(line.split()[1]) for line in lines[1:6]}
-    assert counts == {"memory.cap": 0, "memory.observed_constant": 2, "shared_reads_peak": 2,
-                      "table_sha256": 1, "work": 1}
-    assert lines[6:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6",
+    counts = {line.split()[0]: line.split(maxsplit=1)[1] for line in lines[1:7]}
+    assert counts == {
+        "memory.cap": "0 changed (ampc 0, mpc 0)",
+        "memory.observed_constant": "2 changed (ampc 1, mpc 1)",
+        "mode": "0 changed (ampc 0, mpc 0)",
+        "shared_reads_peak": "2 changed (ampc 1, mpc 1)",
+        "table_sha256": "1 changed (ampc 0, mpc 1)",
+        "work": "1 changed (ampc 1, mpc 0)"}
+    assert lines[7:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6",
                          "shared_reads_peak rose in 1 entries:", "  w: 7 -> 8"]
 
 

@@ -56,6 +56,12 @@ def test_plan_window_never_exceeds_block():
             assert plan.window <= plan.block_len
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, -1.0, float("nan")])
+def test_plan_rejects_epsilon_outside_the_open_unit_interval(eps):
+    with pytest.raises(ValueError, match=rf"epsilon must be in \(0, 1\), got {eps}"):
+        plan_decomposition(64, eps)
+
+
 def _installed_store(s, epsilon, seed):
     """A run after its scan and install rounds, whose machines hold both window stores."""
     run = MpcPalindromes(s, epsilon, seed=seed)

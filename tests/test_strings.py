@@ -17,7 +17,7 @@ from palmpc.structural import InconsistentMergeError, Query, _center, settle
 def _via_lcp(u, n, text):
     """Maximal palindrome length at center u from one oracle LCP query, as the pipelines ask it."""
     q = _center(u, n)
-    [(center_u, length)], _ = settle([q], [oracle_lcp(text, q.p1, q.p2)], n)
+    [(center_u, length)] = settle([q], [oracle_lcp(text, q.p1, q.p2)], n)
     assert center_u == u
     return length
 

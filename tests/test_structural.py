@@ -3,8 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from palmpc import exhaustive
-from palmpc.mpc import BlockPipeline
+from palmpc import exhaustive, mpc
+from palmpc.engine import RunStats
+from palmpc.mpc import BlockPipeline, superblock_waves
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import _prefix_pal_lengths_from_tables, as_symbols, manacher
 from palmpc.structural import (
@@ -25,16 +26,11 @@ def prefix_lens(frag, block_len):
 
 def resolve(s, start, block_len, lcp):
     """Both query waves of the superblock of s at ``start``, answered by ``lcp``."""
-    n = len(s)
     plens = prefix_lens(as_symbols(s)[start : start + 4 * block_len], block_len)
-    wave = first_wave(plens, start, n)
-    answers = [lcp(q.p1, q.p2) for q in wave]
-    periodic = None
-    if case_name(plens) == "periodic":
-        periodic = _periodic_resolve(plens, start, n, answers[0], answers[-1])
-    results, wave2 = settle(wave, answers, n, periodic)
-    settled, _ = settle(wave2, [lcp(q.p1, q.p2) for q in wave2], n)
-    return results + settled
+    waves = superblock_waves(plens, start, len(s), RunStats())
+    wave = next(waves)
+    wave = waves.send([lcp(q.p1, q.p2) for q in wave])
+    return waves.send([lcp(q.p1, q.p2) for q in wave])
 
 
 def merge(s, start, block_len, resolved):
@@ -108,7 +104,7 @@ def _pair(u, n):
 
 def test_settle_checks_answers_and_resolve_errors():
     wave = [Query("center", *_pair(8, 10), 8)]
-    assert settle(wave, [3], 10) == ([(8, 5)], [])
+    assert settle(wave, [3], 10) == [(8, 5)]
     with pytest.raises(InconsistentMergeError):
         settle(wave, [-1], 10)
     # two prefix palindromes of one length both reach the run's two ends
@@ -119,11 +115,16 @@ def test_settle_checks_answers_and_resolve_errors():
     # center takes its own query instead of a cap
     plens = np.array([3, 5], np.int64)
     assert _periodic_resolve(plens, 1, 20, 1, 2) == ([(6, 3)], 4)
-    # the one center no cap settles becomes the next wave
-    periodic = _periodic_resolve(plens, 1, 20, 0, 3)
-    assert periodic == ([(4, 3)], 6)
-    got, nxt = settle([], [], 20, periodic)
-    assert got == [(4, 3)] and nxt == [Query("center", *_pair(6, 20), 6)]
+    assert _periodic_resolve(plens, 1, 20, 0, 3) == ([(4, 3)], 6)
+    # the driver turns the one center no cap settles into the second wave,
+    # and that center query's answer settles it
+    stats = RunStats()
+    waves = superblock_waves(plens, 1, 20, stats)
+    assert next(waves) == [Query("left", 37, 39), Query("right", 1, 3)]
+    assert waves.send([0, 3]) == [Query("center", *_pair(6, 20), 6)]
+    assert waves.send([2]) == [(4, 3), (6, 3)]
+    assert stats.counters == {"classified_periodic": 1, "lcp_queries": 3,
+                              "simultaneous_centers": 1}
 
 
 def test_budget_never_exceeds_three():
@@ -269,21 +270,19 @@ def test_exhaustive_small_binary_against_oracle():
 
 
 def test_sweep_runs_the_shared_resolver(monkeypatch):
-    # the exhaustive sweep must fail when the resolver the pipelines run is wrong
-    real_settle = exhaustive.settle
+    # the exhaustive sweep must fail when the driver the pipelines run is wrong
+    real_settle = mpc.settle
 
     def off_by_one(*args):
-        results, wave = real_settle(*args)
-        return [(u, length + 1) for u, length in results], wave
+        return [(u, length + 1) for u, length in real_settle(*args)]
 
     def drop_one(*args):
-        results, wave = real_settle(*args)
-        return results[1:], wave
+        return real_settle(*args)[1:]
 
     assert exhaustive.sweep_views(8, 2)["mismatches"] == 0
-    monkeypatch.setattr(exhaustive, "settle", off_by_one)
+    monkeypatch.setattr(mpc, "settle", off_by_one)
     assert exhaustive.sweep_views(8, 2)["mismatches"] > 0
-    monkeypatch.setattr(exhaustive, "settle", drop_one)
+    monkeypatch.setattr(mpc, "settle", drop_one)
     with pytest.raises(InconsistentMergeError, match="reaches its fragment start unresolved"):
         exhaustive.sweep_views(8, 2)
 
