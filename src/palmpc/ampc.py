@@ -311,10 +311,11 @@ class AmpcPalindromes(BlockPipeline):
         role = self.plan.roles[m]
         if role.kind == "middle":
             store = self._store_view(ctx)
-            waves = superblock_waves(ctx.payload["prefix_lens"], role.sb_start, self.n,
-                                     self.cluster.stats)
+            prefix_lens = ctx.payload["prefix_lens"]
+            waves = superblock_waves(prefix_lens, role.sb_start, self.n, self.cluster.stats)
             wave = next(waves)
             wave = waves.send([ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave])
+            self._meter_resolve(ctx, prefix_lens)
             settled = waves.send([ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave])
             self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
                                              role.sb_start, self.plan.block_len, settled))

@@ -296,8 +296,8 @@ class BlockPipeline:
     def _local_scan(self, ctx: StepContext) -> np.ndarray | None:
         """Round 1's local phase: Manacher up to the last owned center, on every
         machine but a store. A middle machine keeps the tables and returns the
-        prefix palindromes of its superblock; an edge machine keeps its owned
-        lengths, which are final, and returns None."""
+        prefix palindromes of its superblock (2b ops); an edge machine keeps its
+        owned lengths, which are final, counts as local-only and returns None."""
         role = self.plan.roles[ctx.machine_id]
         if role.kind == "store":
             return None
@@ -309,11 +309,19 @@ class BlockPipeline:
             own = by_center[role.own_u_lo - base : role.own_u_hi - base]
             ctx.add_work(own.size)
             ctx.payload["own_lengths"] = own
+            self.cluster.stats.bump("local_only_machines")
             return None
         ctx.payload["f_odd"] = odd
         ctx.payload["f_even"] = even
         b = self.plan.block_len
+        ctx.add_work(2 * b)
         return _prefix_pal_lengths_from_tables(odd, even, 2 * b, 4 * b)
+
+    @staticmethod
+    def _meter_resolve(ctx: StepContext, prefix_lens) -> None:
+        """Meter the periodic resolve: one op per prefix palindrome of a periodic superblock."""
+        if case_name(prefix_lens) == "periodic":
+            ctx.add_work(len(prefix_lens))
 
     @staticmethod
     def _keep_merged(ctx: StepContext, lengths) -> None:
@@ -720,10 +728,7 @@ class MpcPalindromes(BlockPipeline):
 
         self.lcp.scan(ctx)
         prefix_lens = self._local_scan(ctx)
-        if role.kind in ("first", "last"):
-            self.cluster.stats.bump("local_only_machines")
-        elif role.kind == "middle":
-            ctx.add_work(2 * self.plan.block_len)
+        if prefix_lens is not None:
             if case_name(prefix_lens) == "periodic":
                 # metered memory that nothing reads but the resolve's metering:
                 # it stands in for the up to 2b - 1 settled pairs that the
@@ -752,8 +757,7 @@ class MpcPalindromes(BlockPipeline):
             return
         waves, wave = self.waves[m]
         wave = waves.send([q.answer for q in wave])
-        # the periodic resolve walks every prefix palindrome
-        ctx.add_work(len(ctx.payload.get("prefix_lens", ())))
+        self._meter_resolve(ctx, ctx.payload.get("prefix_lens", ()))
         self.waves[m] = waves, self.lcp.ask(ctx, wave)
 
     # -- round 9

@@ -180,7 +180,7 @@ def test_ampc_equals_mpc_at_shared_epsilon():
     texts = (rng.integers(0, 2, 600).astype(np.int64), unary_text(600).symbols,
              fibonacci_text(600).symbols)
     keys = ("classified_empty", "classified_single", "classified_periodic",
-            "lcp_queries", "simultaneous_centers")
+            "lcp_queries", "simultaneous_centers", "local_only_machines")
     for s in texts:
         a = solve_ampc(s, 0.5, seed=9)
         m = solve_mpc(s, 0.5, seed=9)
