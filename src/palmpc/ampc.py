@@ -56,8 +56,8 @@ from .fingerprint import FingerprintScheme, concat, fragments_equal, node, runni
 from .structural import InconsistentMergeError
 from .mpc import BlockPipeline, BlockPlan, MpcResult, _materialize_doubled, superblock_waves
 
-# The benchmark's span tracer hooks these four as attributes of this module too.
-# Only _merge_b2 is called here; the shared code calls the rest in palmpc.mpc.
+# The benchmark's span tracer hooks these four as attributes of this module too,
+# though only the shared code in palmpc.mpc calls them.
 from .mpc import (  # noqa: F401
     _merge_b2, _periodic_resolve, _prefix_pal_lengths_from_tables, manacher_tables)
 
@@ -316,9 +316,8 @@ class AmpcPalindromes(BlockPipeline):
             wave = next(waves)
             wave = waves.send([ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave])
             self._meter_resolve(ctx, prefix_lens)
-            settled = waves.send([ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave])
-            self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                             role.sb_start, self.plan.block_len, settled))
+            self._keep_merged(ctx, waves.send([ampc_lcp(store, q.p1, q.p2, self.bases)
+                                               for q in wave]))
 
         best = self._local_best(ctx)
         if best is None:

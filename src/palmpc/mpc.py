@@ -323,9 +323,12 @@ class BlockPipeline:
         if case_name(prefix_lens) == "periodic":
             ctx.add_work(len(prefix_lens))
 
-    @staticmethod
-    def _keep_merged(ctx: StepContext, lengths) -> None:
-        """Keep a middle machine's owned lengths, the output of ``_merge_b2``."""
+    def _keep_merged(self, ctx: StepContext, settled) -> None:
+        """Merge a middle machine's settled prefix centers with its local tables and
+        keep its owned lengths."""
+        lengths = _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
+                            self.plan.roles[ctx.machine_id].sb_start, self.plan.block_len,
+                            settled)
         ctx.add_work(lengths.size)
         ctx.payload["own_lengths"] = lengths
 
@@ -748,7 +751,7 @@ class MpcPalindromes(BlockPipeline):
             _send_rows(ctx, "tail", [role.tail_ship_to], lo=[target_sb - w],
                        data=seg.reshape(-1, 1))
 
-    # -- round 5: first-wave answers in, second-wave requests out
+    # -- round 5: first-wave resolution and second-wave requests
 
     def _r5_resolve(self, ctx: StepContext) -> None:
         self.lcp.consume(ctx)
@@ -767,9 +770,7 @@ class MpcPalindromes(BlockPipeline):
         m = ctx.machine_id
         if m in self.waves:
             waves, wave = self.waves.pop(m)
-            self._keep_merged(ctx, _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                                             self.plan.roles[m].sb_start, self.plan.block_len,
-                                             waves.send([q.answer for q in wave])))
+            self._keep_merged(ctx, waves.send([q.answer for q in wave]))
         best = self._local_best(ctx)
         if best is not None:
             _send_rows(ctx, "best", [0], len=[best[0]], start=[best[1]])

@@ -1,11 +1,11 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from palmpc import exhaustive, mpc
-from palmpc.engine import RunStats
-from palmpc.mpc import BlockPipeline, superblock_waves
+from palmpc.engine import RunStats, StepContext
+from palmpc.inputs import unary_text
+from palmpc.mpc import MpcPalindromes, superblock_waves
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import _prefix_pal_lengths_from_tables, as_symbols, manacher
 from palmpc.structural import (
@@ -171,12 +171,18 @@ def test_merge_uses_local_when_not_prefix():
 
 def test_merge_missing_entry_raises():
     # "aaaa" at position 1: owned center 4 reaches the fragment start, and
-    # with nothing resolved the merge names it and raises before the
-    # pipelines keep any lengths
+    # with nothing resolved the merge names it and raises
     local = manacher(as_symbols("aaaa"))
-    ctx = SimpleNamespace(payload={}, add_work=lambda ops: None)
     with pytest.raises(InconsistentMergeError, match=r"center u=4 "):
-        BlockPipeline._keep_merged(ctx, _merge_b2(local.odd, local.even, 1, 1, []))
+        _merge_b2(local.odd, local.even, 1, 1, [])
+    # a pipeline's middle machine raises before it keeps any lengths: machine
+    # 1 of a unary text owns block 1 of the 8-letter blocks, whose first
+    # center u=16 reaches its superblock's start
+    run = MpcPalindromes(unary_text(64).symbols, 0.5)
+    run.cluster.run_round(run._r1_local)
+    ctx = StepContext(run.cluster, 1, {})
+    with pytest.raises(InconsistentMergeError, match=r"center u=16 "):
+        run._keep_merged(ctx, [])
     assert "own_lengths" not in ctx.payload
 
 
