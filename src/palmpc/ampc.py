@@ -8,11 +8,11 @@ model: machines never need to receive one message from everybody at once.
 
 The algorithm keeps the block decomposition and per-superblock analysis of
 the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
-``mpc.BlockPipeline``, and runs the same driver, ``mpc.superblock_waves`` --
-but answers LCP queries differently. A fan-out-s prefix tree (s = block
-length) over the 2K leaf segments of the doubled string builds
-phi(doubled[0..e]) for every position e. Each tree node ("t", level, idx) is
-a ``fingerprint`` node. Two fragments compare from two
+``mpc.BlockPipeline``, and runs the same superblock driver,
+``mpc.superblock_waves`` -- but answers LCP queries differently. A fan-out-s
+prefix tree (s = block length) over the 2K leaf segments of the doubled
+string builds phi(doubled[0..e]) for every position e. Each tree node
+("t", level, idx) is a ``fingerprint`` node. Two fragments compare from two
 prefix entries each (``fingerprint.fragments_equal``), so one machine can
 binary search an LCP value adaptively inside a single round, center queries
 included. Every answer is spot-checked against the stored mismatch letters; a
