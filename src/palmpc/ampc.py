@@ -115,41 +115,34 @@ def _level_sizes(count: int, fanout: int) -> list[int]:
     return sizes
 
 
-def _prefix_entry_getter(read, leaf_starts: list[int]):
-    """Position getter over the per-leaf prefix arrays under keys ("p", leaf).
-
-    ``get(e)`` returns (symbol, per-layer prefix values) at doubled position
-    e, or None when there is no entry, and makes exactly one ``read`` per
-    call: that of the leaf array holding e. Values are Python ints, so
-    callers may multiply two 61-bit residues without overflow.
-    """
-    def get(e: int):
-        leaf = bisect_right(leaf_starts, e) - 1   # -1 for e < 0: no such key
-        arr = read(("p", leaf))
-        off = e - leaf_starts[leaf]
-        if arr is None or off >= arr.shape[1]:
-            return None
-        symbol, *values = arr[:, off].tolist()
-        return symbol, tuple(values)
-
-    return get
-
-
 class PrefixStore:
-    """Read view over the shared prefix entries, for direct use and tests."""
+    """The per-leaf prefix arrays under keys ("p", leaf), read one position at a time.
 
-    def __init__(self, snapshot_get, n: int):
-        self._get = snapshot_get
+    ``read`` fetches a key's value: ``StepContext.shared_read`` in a step,
+    the published snapshot outside one.
+    """
+
+    __slots__ = ("_read", "_leaf_starts", "n")
+
+    def __init__(self, read, leaf_starts: list[int], n: int):
+        self._read = read
+        self._leaf_starts = leaf_starts
         self.n = n
-        self.reads = 0
 
     def entry(self, e: int):
-        """(symbol, per-layer prefix values) at doubled position e."""
-        self.reads += 1
-        rec = self._get(e)
-        if rec is None:
+        """(symbol, per-layer prefix values) at doubled position e.
+
+        Makes exactly one ``read``: that of the leaf array holding e. Values
+        are Python ints, so callers may multiply two 61-bit residues without
+        overflow.
+        """
+        leaf = bisect_right(self._leaf_starts, e) - 1   # -1 for e < 0: no such key
+        arr = self._read(("p", leaf))
+        off = e - self._leaf_starts[leaf]
+        if arr is None or off >= arr.shape[1]:
             raise KeyError(f"no prefix entry at position {e}")
-        return rec
+        symbol, *values = arr[:, off].tolist()
+        return symbol, tuple(values)
 
 
 def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> int:
@@ -303,14 +296,11 @@ class AmpcPalindromes(BlockPipeline):
 
     # -- query round: every LCP answered adaptively, then merge and local best
 
-    def _store_view(self, ctx: StepContext) -> PrefixStore:
-        return PrefixStore(_prefix_entry_getter(ctx.shared_read, self.leaf_starts), self.n)
-
     def _r_query(self, ctx: StepContext) -> None:
         m = ctx.machine_id
         role = self.plan.roles[m]
         if role.kind == "middle":
-            store = self._store_view(ctx)
+            store = PrefixStore(ctx.shared_read, self.leaf_starts, self.n)
             prefix_lens = ctx.payload["prefix_lens"]
             waves = superblock_waves(prefix_lens, role.sb_start, self.n, self.cluster.stats)
             wave = next(waves)

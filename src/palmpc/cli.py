@@ -14,7 +14,7 @@ import time
 
 from . import inputs
 from .ampc import solve_ampc
-from .engine import CollisionAbort, EngineError
+from .engine import CollisionAbort, EngineError, RunStats
 from .exhaustive import sweep_pipeline
 from .mpc import solve_mpc
 from .oracle import oracle_lps, oracle_maximal_palindromes
@@ -126,30 +126,25 @@ def _run_mode(mode: str, text: Text, epsilon: float, seed: int, memory_constant:
     return _PlainResult(table, oracle_lps(text.symbols))
 
 
+def _blank(fields: dict) -> dict:
+    return {key: _blank(value) if isinstance(value, dict) else None
+            for key, value in fields.items()}
+
+
+# the run fields of the sequential and oracle modes, which run no cluster
+_NO_RUN = _blank(RunStats().to_dict())
+
+
 def _report(mode, desc, epsilon, seed, result, wall_ms) -> dict:
     stats = result.stats
-    distributed = stats is not None
     return {
         "mode": mode,
         "input": desc,
-        "epsilon": epsilon if distributed else None,
+        "epsilon": epsilon if stats is not None else None,
         "seed": seed,
         "lps": {"start": result.lps_start, "length": result.lps_length,
                 "substring": None},
-        "rounds": stats.rounds if distributed else None,
-        "machine_count": stats.machine_count if distributed else None,
-        "block_len": stats.block_len if distributed else None,
-        "memory": {
-            "per_machine_peak": stats.peak_memory_words if distributed else None,
-            "cap": stats.cap_words if distributed else None,
-            "observed_constant": stats.observed_memory_constant() if distributed else None,
-            "total_peak": stats.total_memory_peak if distributed else None,
-        },
-        "work": stats.total_work if distributed else None,
-        "message_words": stats.message_words if distributed else None,
-        "shared_words": stats.shared_words if distributed else None,
-        "shared_reads_peak": stats.shared_reads_peak if distributed else None,
-        "counters": dict(stats.counters) if distributed else None,
+        **(stats.to_dict() if stats is not None else _NO_RUN),
         "wall_ms": round(wall_ms, 3),
     }
 

@@ -4,8 +4,13 @@ One process simulates a cluster of machines that compute in synchronous
 rounds: every machine runs a step against its own payload and inbox only,
 then all outboxes are exchanged atomically. Memory is metered in abstract
 words (one symbol, position, length or per-layer hash value = 1 word) and
-checked against the per-machine cap at every round boundary. Work is
-whatever the steps declare plus one unit per message word moved.
+checked against the per-machine cap at two points of every round: after the
+steps, each machine's payload plus its outbox, and at the boundary, its
+payload plus what it received. Each point is one check over per-machine
+arrays, so an overrun names the lowest machine id over the cap, whatever the
+step order. Work is whatever the steps declare plus one unit per message
+word moved. ``RunStats.to_dict()`` gives a run's numbers in the layout of
+the run fields of ``palmpc solve --format json``.
 
 Every message is a columnar batch: ``send`` ships flat arrays with rows on
 the last axis, cut into segments, each segment one logical message to one
@@ -147,15 +152,6 @@ class MessageBatch(NamedTuple):
 
 
 @dataclass
-class MachineState:
-    machine_id: int
-    payload: dict = field(default_factory=dict)
-
-    def local_words(self) -> int:
-        return words_of(self.payload)
-
-
-@dataclass
 class RunStats:
     rounds: int = 0
     total_work: int = 0
@@ -163,7 +159,6 @@ class RunStats:
     machine_count: int = 0
     block_len: int = 0
     cap_words: int = 0
-    memory_constant: int = 0
     per_machine_peak: np.ndarray | None = None
     total_memory_peak: int = 0
     shared_words: int = 0
@@ -187,20 +182,21 @@ class RunStats:
         return math.ceil(self.peak_memory_words / self.block_len)
 
     def to_dict(self) -> dict:
+        """The run fields of ``palmpc solve --format json``, in its layout."""
         return {
             "rounds": self.rounds,
-            "total_work": self.total_work,
-            "message_words": self.message_words,
             "machine_count": self.machine_count,
             "block_len": self.block_len,
-            "cap_words": self.cap_words,
-            "memory_constant": self.memory_constant,
-            "per_machine_peak": self.peak_memory_words,
-            "observed_memory_constant": self.observed_memory_constant(),
-            "total_memory_peak": self.total_memory_peak,
+            "memory": {
+                "per_machine_peak": self.peak_memory_words,
+                "cap": self.cap_words,
+                "observed_constant": self.observed_memory_constant(),
+                "total_peak": self.total_memory_peak,
+            },
+            "work": self.total_work,
+            "message_words": self.message_words,
             "shared_words": self.shared_words,
             "shared_reads_peak": self.shared_reads_peak,
-            "exported_outside_run": self.exported_outside_run,
             "counters": dict(self.counters),
         }
 
@@ -221,11 +217,9 @@ class SharedStore:
         self._pending: dict = {}     # key -> (value, words)
         self.total_words = 0
 
-    def write(self, key, value) -> int:
+    def write(self, key, value) -> None:
         _freeze(value)
-        words = words_of(value)
-        self._pending[key] = (value, words)
-        return words
+        self._pending[key] = (value, words_of(value))
 
     def snapshot_get(self, key):
         return self._snapshot.get(key)
@@ -250,7 +244,7 @@ class StepContext:
 
     def __init__(self, cluster: "Cluster", machine_id: int, batches: dict):
         self.machine_id = machine_id
-        self.payload = cluster.machines[machine_id].payload
+        self.payload = cluster.payloads[machine_id]
         self.batches = batches
         self._cluster = cluster
         self._batches: list[MessageBatch] = []
@@ -298,10 +292,8 @@ class StepContext:
         self._work += int(ops)
 
     def shared_write(self, key, value) -> None:
-        store = self._cluster.require_shared()
-        self._cluster.stats.shared_words = max(
-            self._cluster.stats.shared_words, store.total_words + store.write(key, value)
-        )
+        """Buffer a write; every machine may read it from the next round on."""
+        self._cluster.require_shared().write(key, value)
 
     def shared_read(self, key):
         """Read a whole shared value from the previous round's snapshot."""
@@ -317,45 +309,53 @@ StepFn = Callable[[StepContext], None]
 class Cluster:
     def __init__(self, config: ClusterConfig):
         self.config = config
-        self.machines = [MachineState(m) for m in range(config.machine_count)]
+        self.payloads: list[dict] = [{} for _ in range(config.machine_count)]
         self.stats = RunStats(
             machine_count=config.machine_count,
             block_len=config.block_len,
             cap_words=config.memory_cap_words,
-            memory_constant=config.memory_constant,
             per_machine_peak=np.zeros(config.machine_count, dtype=np.int64),
         )
         self.shared = SharedStore() if config.mode == "ampc" else None
         self._delivered: dict[int, dict] = {}   # only machines with batches pending
-        self._inbox_words = np.zeros(config.machine_count, dtype=np.int64)
 
     def require_shared(self) -> SharedStore:
         if self.shared is None:
             raise EngineError("shared store is only available in ampc mode")
         return self.shared
 
-    def _meter(self, machine_id: int, words: int) -> None:
-        stats = self.stats
-        if words > self.config.memory_cap_words:
-            raise MemoryCapExceeded(machine_id, stats.rounds, words, self.config.memory_cap_words)
-        if words > stats.per_machine_peak[machine_id]:
-            stats.per_machine_peak[machine_id] = words
+    def _meter(self, words: np.ndarray) -> None:
+        """Check every machine's words against the cap, then raise its peak."""
+        cap = self.config.memory_cap_words
+        over = np.flatnonzero(words > cap)
+        if over.size:
+            m = int(over[0])
+            raise MemoryCapExceeded(m, self.stats.rounds, int(words[m]), cap)
+        np.maximum(self.stats.per_machine_peak, words, out=self.stats.per_machine_peak)
 
     def run_round(self, step: StepFn, order: list[int] | None = None) -> None:
         """Execute one synchronous round: compute on every machine, then exchange.
 
-        ``order`` permutes step execution for determinism testing; results are
-        independent of it because steps only see their own state and inbox and
-        deliveries are normalized to (sender, sequence) order.
+        ``order``, a permutation of the machines, sets the step execution
+        order for determinism testing; results are independent of it because
+        steps only see their own state and inbox, deliveries are normalized
+        to (sender, sequence) order and memory is checked over all machines
+        at once.
         """
         config = self.config
         stats = self.stats
-        machine_ids = order if order is not None else range(config.machine_count)
+        M = config.machine_count
+        if order is None:
+            order = range(M)
+        elif sorted(order) != list(range(M)):
+            raise EngineError(f"order must be a permutation of the {M} machines")
 
+        inboxes, self._delivered = self._delivered, {}
+        local = np.zeros(M, np.int64)
+        outbox = np.zeros(M, np.int64)
         batches_by_src: dict[int, list[MessageBatch]] = {}
-        local_after: dict[int, int] = {}
-        for m in machine_ids:
-            ctx = StepContext(self, m, self.drain_inbox(m))
+        for m in order:
+            ctx = StepContext(self, m, inboxes.get(m, _NO_BATCHES))
             step(ctx)
             stats.total_work += ctx._work
             if ctx._reads > stats.shared_reads_peak:
@@ -364,21 +364,16 @@ class Cluster:
                 raise EngineError(
                     f"machine {m} made {ctx._reads} shared reads in round "
                     f"{stats.rounds}, budget {config.shared_read_cap}")
-            local = self.machines[m].local_words()
-            outbox_words = sum(int(batch.words.sum()) for batch in ctx._batches)
-            local_after[m] = local
-            self._meter(m, local + outbox_words)
+            local[m] = words_of(self.payloads[m])
             if ctx._batches:
+                outbox[m] = sum(int(batch.words.sum()) for batch in ctx._batches)
                 batches_by_src[m] = ctx._batches
+        self._meter(local + outbox)
 
-        boundary_total = 0
-        self._deliver_batches([batch for src in sorted(batches_by_src)
-                               for batch in batches_by_src[src]])
-        for m in range(config.machine_count):
-            local = local_after[m] if m in local_after else self.machines[m].local_words()
-            total = local + int(self._inbox_words[m])
-            self._meter(m, total)
-            boundary_total += total
+        boundary = local + self._deliver_batches(
+            [batch for src in sorted(batches_by_src) for batch in batches_by_src[src]])
+        self._meter(boundary)
+        boundary_total = int(boundary.sum())
         if self.shared is not None:
             self.shared.publish()
             stats.shared_words = max(stats.shared_words, self.shared.total_words)
@@ -386,14 +381,15 @@ class Cluster:
         stats.total_memory_peak = max(stats.total_memory_peak, boundary_total)
         stats.rounds += 1
 
-    def _deliver_batches(self, batches: list[MessageBatch]) -> None:
+    def _deliver_batches(self, batches: list[MessageBatch]) -> np.ndarray:
         """Merge each tag's batches and hand every destination one entry per tag.
 
         ``batches`` arrive in (sender, sequence) order; rows keep that order
-        within each destination.
+        within each destination. Returns the words each machine received.
         """
         machine_count = self.config.machine_count
         stats = self.stats
+        received = np.zeros(machine_count, np.int64)
         by_tag: dict[str, list[MessageBatch]] = {}
         for batch in batches:
             by_tag.setdefault(batch.tag, []).append(batch)
@@ -413,7 +409,7 @@ class Cluster:
             bcast_words = int(words[bcast].sum())
             inbox_words += bcast_words
             moved = int(inbox_words.sum())
-            self._inbox_words += inbox_words
+            received += inbox_words
             stats.message_words += moved
             stats.total_work += moved
 
@@ -436,13 +432,4 @@ class Cluster:
                 lo, hi = bounds[dst], bounds[dst + 1]
                 self._delivered.setdefault(dst, {})[tag] = {
                     name: col[..., lo:hi] for name, col in merged.items()}
-
-    def drain_inbox(self, machine_id: int) -> dict:
-        """Consume a machine's pending inbox without running a round.
-
-        Returns the merged batches, one entry per tag. The delivery (and its
-        metering) already happened at the previous round boundary; this is the
-        receiving side of that exchange.
-        """
-        self._inbox_words[machine_id] = 0
-        return self._delivered.pop(machine_id, _NO_BATCHES)
+        return received

@@ -287,7 +287,7 @@ class BlockPipeline:
         self.scheme = scheme if scheme is not None else scheme_init(2 * n, sigma, seed=seed)
         # placement (round 0): each machine receives its role's letter slice
         for m, role in enumerate(self.plan.roles):
-            payload = self.cluster.machines[m].payload
+            payload = self.cluster.payloads[m]
             letters = sym[role.letters_lo : role.letters_hi].copy()
             letters.setflags(write=False)
             payload["letters"] = letters
@@ -348,15 +348,14 @@ class BlockPipeline:
         flat = np.full(2 * self.n - 1, -1, np.int64)
         for m, role in enumerate(self.plan.roles):
             if role.own_u_hi > role.own_u_lo:
-                flat[role.own_u_lo : role.own_u_hi] = \
-                    self.cluster.machines[m].payload["own_lengths"]
+                flat[role.own_u_lo : role.own_u_hi] = self.cluster.payloads[m]["own_lengths"]
         if (flat < 0).any():
             raise InconsistentMergeError("gathered table has unowned centers")
         return PalindromeTable(odd=flat[0::2].copy(), even=flat[1::2].copy())
 
     @property
     def lps(self) -> tuple[int, int]:
-        return self.cluster.machines[0].payload["lps"]
+        return self.cluster.payloads[0]["lps"]
 
     def solve(self) -> MpcResult:
         """Run every round; the table, the leftmost-longest palindrome and the stats."""

@@ -9,7 +9,6 @@ from palmpc.ampc import (
     PrefixStore,
     _leaf_owner,
     _offset_leaves,
-    _prefix_entry_getter,
     _scale_offset_mod,
     ampc_lcp,
     leaf_bounds,
@@ -26,8 +25,7 @@ def _built(s, epsilon, seed):
     """A run after the rounds that publish the prefix entries, and a store view over them."""
     run = AmpcPalindromes(s, epsilon, seed=seed)
     run.build_prefix_entries()
-    store = PrefixStore(_prefix_entry_getter(run.cluster.shared.snapshot_get, run.leaf_starts),
-                        run.n)
+    store = PrefixStore(run.cluster.shared.snapshot_get, run.leaf_starts, run.n)
     return run, store
 
 
@@ -133,36 +131,42 @@ def test_build_round_count_depends_only_on_epsilon():
 
 def test_ampc_lcp_examples_and_read_bound():
     s = np.array([ord(c) - 96 for c in "abaab"], dtype=np.int64)
-    _, store = _built(s, 0.75, seed=4)
+    run, _ = _built(s, 0.75, seed=4)
+    counter = _CountingContext(run.cluster.shared)
+    store = PrefixStore(counter.shared_read, run.leaf_starts, run.n)
     scheme = scheme_init(10, 27, 2, seed=4)
     assert ampc_lcp(store, 3, 7, scheme.bases) == 2
-    store.reads = 0
+    counter.reads = 0
     assert ampc_lcp(store, 2, 2, scheme.bases) == 8
-    assert store.reads == 0       # identical suffixes answered with no reads
+    assert counter.reads == 0       # identical suffixes answered with no reads
 
     rng = np.random.default_rng(5)
     s = rng.integers(0, 3, 512).astype(np.int64)
-    _, store = _built(s, 0.75, seed=5)
+    run, _ = _built(s, 0.75, seed=5)
+    counter = _CountingContext(run.cluster.shared)
+    store = PrefixStore(counter.shared_read, run.leaf_starts, run.n)
     scheme = scheme_init(1024, 3, 2, seed=5)
     bound = 2 * math.ceil(math.log2(1024)) + 6
     for _ in range(300):
         p1 = int(rng.integers(0, 1024))
         p2 = int(rng.integers(0, 1024))
-        store.reads = 0
+        counter.reads = 0
         assert ampc_lcp(store, p1, p2, scheme.bases) == oracle_lcp(s, p1, p2)
-        assert store.reads <= bound
+        assert counter.reads <= bound
 
 
 def test_ampc_lcp_letter_check_catches_a_lying_entry():
     # honest entries except one doctored value: the search stops where the
     # letters still agree, which must abort as a collision
     s = np.zeros(8, dtype=np.int64)
-    _, store = _built(s, 0.6, seed=6)
+    run, _ = _built(s, 0.6, seed=6)
     scheme = scheme_init(16, 2, 2, seed=6)
-    doctored = {e: store.entry(e) for e in range(16)}
-    sym, vals = doctored[12]
-    doctored[12] = (sym, tuple((v + 1) % ((1 << 61) - 1) for v in vals))
-    fake = PrefixStore(doctored.get, 8)
+    doctored = {("p", leaf): run.cluster.shared.snapshot_get(("p", leaf)).copy()
+                for leaf in range(len(run.leaves))}
+    leaf = next(leaf for leaf, (lo, hi) in enumerate(run.leaves) if lo <= 12 < hi)
+    vals = doctored["p", leaf][1:, 12 - run.leaves[leaf][0]]
+    vals[:] = (vals + 1) % M61
+    fake = PrefixStore(doctored.get, run.leaf_starts, 8)
     with pytest.raises(CollisionAbort):
         ampc_lcp(fake, 0, 2, scheme.bases)
 
@@ -309,12 +313,12 @@ def test_one_pass_offset_equals_per_leaf_offsets():
     K = run.plan.block_count
     for m, leaves in enumerate(run.owned_leaves):
         width = sum(hi - lo for lo, hi in (run.leaves[leaf] for leaf in leaves))
-        assert words_of(run.cluster.machines[m].payload["leafpfx"]) == (1 + layers) * width
+        assert words_of(run.cluster.payloads[m]["leafpfx"]) == (1 + layers) * width
     m = _leaf_owner(run.plan, K - 1)
     assert {K - 1, K} <= set(run.owned_leaves[m])
     widths = run.owned_widths[m]
     assert len(set(widths)) > 1
-    entries = run.cluster.machines[m].payload["leafpfx"]
+    entries = run.cluster.payloads[m]["leafpfx"]
     lefts = [fp_of(rng.integers(0, 3, int(rng.integers(0, 50))), run.scheme) for _ in widths]
 
     one_pass = entries.copy()

@@ -4,9 +4,12 @@
 ``palmpc.ampc``. A kernel that a pipeline stops importing leaves its hook
 missing; one that is called through another module is never traced, and its
 metric silently reads 0. This solves a small periodic text in each mode under
-the hooks and checks both.
+the hooks and checks both. It also runs the benchmark's own self-test, so
+that a change to what ``solvebench/run.py`` reads of the package fails here.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +20,8 @@ from palmpc.ampc import solve_ampc
 from palmpc.inputs import unary_text
 from palmpc.mpc import solve_mpc
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "solvebench"))
+SOLVEBENCH = Path(__file__).resolve().parent.parent / "solvebench"
+sys.path.insert(0, str(SOLVEBENCH))
 import spans  # noqa: E402
 
 KERNEL_SPANS = ("kernels.manacher", "strings.prefix_pals", "structural.periodic_resolve",
@@ -37,3 +41,12 @@ def test_every_hook_resolves_and_every_kernel_is_traced(solve, epsilon):
 def test_benchmark_numba_stamp_reads_false():
     # solvebench/run.py stamps this name into every record
     assert _kernels.NUMBA_ENABLED is False
+
+
+def test_benchmark_selftest_passes():
+    # run.py reads RunStats (rounds, observed_memory_constant(), message_words,
+    # total_work, total_memory_peak, counters) and spans.py wraps run_round
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(SOLVEBENCH / "selftest.py")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

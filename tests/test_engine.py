@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from palmpc import engine
 from palmpc.engine import (
     BROADCAST,
     Cluster,
     ClusterConfig,
     EngineError,
-    MachineState,
     MemoryCapExceeded,
     UnknownMachineError,
     words_of,
@@ -51,10 +51,10 @@ def test_exact_power_sizing_is_stable():
 
 def test_identity_round_only_advances_counter():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
-    cl.machines[2].payload["x"] = np.arange(3)
+    cl.payloads[2]["x"] = np.arange(3)
     cl.run_round(lambda ctx: None)
     assert cl.stats.rounds == 1
-    assert cl.machines[2].payload["x"].tolist() == [0, 1, 2]
+    assert cl.payloads[2]["x"].tolist() == [0, 1, 2]
 
 
 def test_fan_in_within_cap():
@@ -81,6 +81,28 @@ def test_cap_violation_aborts_with_machine_and_round():
     with pytest.raises(MemoryCapExceeded) as err:
         cl.run_round(blow)
     assert err.value.machine == 1 and err.value.round_no == 0
+
+
+def test_cap_violation_names_the_lowest_machine_under_every_order():
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))    # cap 256 words
+
+    def blow(ctx):
+        if ctx.machine_id in (1, 3):
+            ctx.payload["x"] = np.zeros(300, np.int64)
+
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [3, 0, 1, 2]):
+        with pytest.raises(MemoryCapExceeded) as err:
+            cl.run_round(blow, order=order)
+        assert (err.value.machine, err.value.words) == (1, 300), order
+
+
+def test_order_must_be_a_permutation_of_the_machines():
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    for order in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 3, 0], [1, 2, 3, 4]):
+        with pytest.raises(EngineError, match="permutation"):
+            cl.run_round(lambda ctx: None, order=order)
+    cl.run_round(lambda ctx: None, order=[2, 0, 3, 1])
+    assert cl.stats.rounds == 1
 
 
 def test_unknown_destination_rejected():
@@ -117,7 +139,7 @@ def test_determinism_under_execution_order():
         for phase in (phase_send, phase_recv):
             order = list(rng.permutation(8))
             cl.run_round(phase, order=order)
-        return [cl.machines[m].payload.get("acc") for m in range(8)], cl.stats.to_dict()
+        return [cl.payloads[m].get("acc") for m in range(8)], cl.stats.to_dict()
 
     state_a, stats_a = run(1)
     state_b, stats_b = run(2)
@@ -148,11 +170,11 @@ def test_steps_only_see_their_own_state():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
 
     def probe(ctx):
-        assert ctx.payload is cl.machines[ctx.machine_id].payload
+        assert ctx.payload is cl.payloads[ctx.machine_id]
         ctx.payload["mine"] = ctx.machine_id
 
     cl.run_round(probe)
-    assert [cl.machines[m].payload["mine"] for m in range(4)] == [0, 1, 2, 3]
+    assert [cl.payloads[m]["mine"] for m in range(4)] == [0, 1, 2, 3]
 
 
 def test_words_of_units():
@@ -178,15 +200,14 @@ def test_round_accounting_is_size_independent():
 
 
 def test_each_payload_is_counted_once_per_round(monkeypatch):
-    calls = []
-    local_words = MachineState.local_words
-
-    def counting(self):
-        calls.append(self.machine_id)
-        return local_words(self)
-
-    monkeypatch.setattr(MachineState, "local_words", counting)
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    calls = []
+
+    def counting(obj):
+        calls.extend(m for m, payload in enumerate(cl.payloads) if obj is payload)
+        return words_of(obj)
+
+    monkeypatch.setattr(engine, "words_of", counting)
 
     def r1(ctx):
         m = ctx.machine_id
@@ -207,13 +228,24 @@ def test_each_payload_is_counted_once_per_round(monkeypatch):
     # messages: 4 "d" rows of 1 + 3 words, 4 x (2 + 3) "t" words, 4 copies of
     # a 1 + 3-word broadcast; work: 6 declared plus the 52 words moved
     assert cl.stats.to_dict() == {
-        "rounds": 3, "total_work": 58, "message_words": 52, "machine_count": 4,
-        "block_len": 4, "cap_words": 256, "memory_constant": 64, "per_machine_peak": 22,
-        "observed_memory_constant": 6, "total_memory_peak": 46, "shared_words": 0,
-        "shared_reads_peak": 0, "exported_outside_run": False, "counters": {}}
+        "rounds": 3, "machine_count": 4, "block_len": 4,
+        "memory": {"per_machine_peak": 22, "cap": 256, "observed_constant": 6,
+                   "total_peak": 46},
+        "work": 58, "message_words": 52, "shared_words": 0, "shared_reads_peak": 0,
+        "counters": {}}
     # machine m: x (m + 1 words) plus 9 outbox words after round 1; machine 3
     # also receives 4 + 2 + 3 x 4 words at that boundary, with its 4 of x
     assert cl.stats.per_machine_peak.tolist() == [10, 11, 12, 22]
+
+
+def test_shared_words_counts_published_snapshots_only():
+    # a rewritten key replaces its old value: 10 words, then 2
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.75, mode="ampc"))
+    for words in (10, 2):
+        cl.run_round(lambda ctx: ctx.shared_write("k", np.zeros(words, np.int64))
+                     if ctx.machine_id == 0 else None)
+    assert cl.shared.total_words == 2
+    assert cl.stats.shared_words == 10 == cl.stats.total_memory_peak
 
 
 def test_shared_store_requires_ampc_mode():
@@ -300,7 +332,7 @@ def test_send_meters_segments_like_dicts():
                     in_words[m] += words
                     parts[m] += [(src, key, rows, vals) for key, rows, vals in groups]
         got, stats, peaks = _exchange(messages)
-        assert stats["message_words"] == stats["total_work"] == sent, seed
+        assert stats["message_words"] == stats["work"] == sent, seed
         assert peaks.tolist() == np.maximum(out_words, in_words).tolist(), seed
         assert got.keys() == {m for m in range(machines) if parts[m]}
         for m, cols in got.items():

@@ -72,7 +72,7 @@ def _installed_store(s, epsilon, seed):
 
 def _class_positions(run, m):
     # machine m keeps the windows at doubled positions p with p mod w == m
-    count = run.cluster.machines[m].payload["cls_vals"].shape[1]
+    count = run.cluster.payloads[m]["cls_vals"].shape[1]
     return m + run.plan.window * np.arange(count, dtype=np.int64)
 
 
@@ -94,7 +94,7 @@ def test_store_values_match_direct_fingerprints():
     w = run.plan.window
     checked = 0
     for m in range(run.plan.machine_count):
-        values = run.cluster.machines[m].payload["cls_vals"]
+        values = run.cluster.payloads[m]["cls_vals"]
         for k, pos in enumerate(_class_positions(run, m).tolist()):
             frag = doubled[pos : pos + w]
             want = tuple(fp_of(frag, scheme)[3:].tolist())
@@ -221,7 +221,7 @@ def test_table_slices_cover_the_string():
     run.run()
     flat = np.full(2 * s.size - 1, -1, np.int64)
     for m, role in enumerate(run.plan.roles):
-        lengths = run.cluster.machines[m].payload.get("own_lengths", np.empty(0, np.int64))
+        lengths = run.cluster.payloads[m].get("own_lengths", np.empty(0, np.int64))
         assert lengths.size == role.own_u_hi - role.own_u_lo
         flat[role.own_u_lo : role.own_u_hi] = lengths
     want = oracle_maximal_palindromes(s).lengths_by_center()
