@@ -1,9 +1,9 @@
 """Hot numeric kernels: scalar loops in plain Python and numpy array code.
 
-* The scalar-loop kernels (Manacher, doubled-string LCP) read their input
-  through ``tolist()`` and keep their working tables in Python lists, which
-  Python indexes several times faster than numpy scalars. The list copy lives
-  only for one kernel call.
+* The scalar-loop kernel (Manacher) reads its input through ``tolist()`` and
+  keeps its working tables in Python lists, which Python indexes several
+  times faster than numpy scalars. The list copy lives only for one kernel
+  call.
 * The fingerprint kernels are array code. They use the prefix-difference form
   over power tables that the pipelines build once per run with
   :func:`power_tables`.
@@ -161,27 +161,6 @@ def manacher_tables(sym, hi=None):
     even = np.array(d[1:hi], np.int64)
     even *= 2
     return odd, even, np.int64(ops)
-
-
-def lcp_doubled(base, p1, p2):
-    """Longest common prefix of two suffixes of base . reverse(base).
-
-    Positions index the logical doubled string of length 2n; position k >= n
-    reads base[2n - 1 - k]. Literal symbol-by-symbol comparison.
-    """
-    s = base.tolist()
-    n = len(s)
-    total = 2 * n
-    length = 0
-    while p1 + length < total and p2 + length < total:
-        pa = p1 + length
-        pb = p2 + length
-        sa = s[pa] if pa < n else s[total - 1 - pa]
-        sb = s[pb] if pb < n else s[total - 1 - pb]
-        if sa != sb:
-            break
-        length += 1
-    return length
 
 
 def fragment_fp_scan(letters, span, width, pows, inv_pows, out):

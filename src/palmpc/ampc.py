@@ -8,17 +8,17 @@ model: machines never need to receive one message from everybody at once.
 
 The algorithm keeps the block decomposition and per-superblock analysis of
 the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
-``mpc.BlockPipeline``, and runs the same superblock driver,
-``mpc.superblock_waves`` -- but answers LCP queries differently. A fan-out-s
-prefix tree (s = block length) over the 2K leaf segments of the doubled
-string builds phi(doubled[0..e]) for every position e. Each tree node
-("t", level, idx) is a ``fingerprint`` node. Two fragments compare from two
-prefix entries each (``fingerprint.fragments_equal``), so one machine can
-binary search an LCP value adaptively inside a single round, center queries
-included. Every answer is spot-checked against the stored mismatch letters; a
-contradiction aborts as a hash collision. Like the messaging pipeline's
-checks, this one is one-sided and partial: a false match that ends the search
-where the letters differ goes unseen.
+``mpc.BlockPipeline``, and runs the same local scan, ``mpc.superblock_scan``,
+and superblock driver, ``mpc.superblock_waves`` -- but answers LCP queries
+differently. A fan-out-s prefix tree (s = block length) over the 2K leaf
+segments of the doubled string builds phi(doubled[0..e]) for every position
+e. Each tree node ("t", level, idx) is a ``fingerprint`` node. Two fragments
+compare from two prefix entries each (``fingerprint.fragments_equal``), so
+one machine can binary search an LCP value adaptively inside a single round,
+center queries included. Every answer is spot-checked against the stored
+mismatch letters; a contradiction aborts as a hash collision. Like the
+messaging pipeline's checks, this one is one-sided and partial: a false match
+that ends the search where the letters differ goes unseen.
 
 The tree is the up-sweep of a prefix scan. Round 1 publishes each leaf's node
 under ("t", 0, leaf). The combine round that builds node ("t", level, idx)
@@ -53,6 +53,7 @@ import numpy as np
 from ._kernels import M61, mulmod61, power_tables, prefix_fp_scan
 from .engine import CollisionAbort, StepContext
 from .fingerprint import FingerprintScheme, concat, fragments_equal, node, running_folds
+from .strings import lps_index
 from .structural import InconsistentMergeError
 from .mpc import BlockPipeline, BlockPlan, MpcResult, _materialize_doubled, superblock_waves
 
@@ -328,19 +329,17 @@ class AmpcPalindromes(BlockPipeline):
 
         def step(ctx: StepContext) -> None:
             for idx in range(ctx.machine_id, node_count, M):
-                best = None
-                for child in range(idx * fanout, min((idx + 1) * fanout, counts[level - 1])):
-                    rec = ctx.shared_read(("b", level - 1, child))
-                    if rec is None:
-                        continue
-                    ctx.add_work(1)
-                    if best is None or rec[0] > best[0] or \
-                            (rec[0] == best[0] and rec[1] < best[1]):
-                        best = rec
-                if best is not None:
-                    ctx.shared_write(("b", level, idx), best)
-                    if final and idx == 0 and ctx.machine_id == 0:
-                        ctx.payload["lps"] = (best[1], best[0])
+                children = range(idx * fanout, min((idx + 1) * fanout, counts[level - 1]))
+                recs = [rec for rec in (ctx.shared_read(("b", level - 1, child))
+                                        for child in children) if rec is not None]
+                if not recs:
+                    continue
+                ctx.add_work(len(recs))
+                lengths, starts = zip(*recs)
+                best = recs[lps_index(lengths, starts)]
+                ctx.shared_write(("b", level, idx), best)
+                if final and idx == 0 and ctx.machine_id == 0:
+                    ctx.payload["lps"] = (best[1], best[0])
 
         return step
 

@@ -121,7 +121,7 @@ def _run_mode(mode: str, text: Text, epsilon: float, seed: int, memory_constant:
         return solve_ampc(text.symbols, epsilon, seed=seed, memory_constant=memory_constant)
     if mode == "sequential":
         table = manacher(text.symbols)
-        return _PlainResult(table, leftmost_longest(table.lengths_by_center(), 0, len(text)))
+        return _PlainResult(table, leftmost_longest(table.lengths_by_center(), 0))
     table = oracle_maximal_palindromes(text.symbols)
     return _PlainResult(table, oracle_lps(text.symbols))
 

@@ -48,12 +48,17 @@ class UnknownMachineError(EngineError):
 
 
 class MemoryCapExceeded(EngineError):
-    def __init__(self, machine: int, round_no: int, words: int, cap: int):
-        super().__init__(
-            f"machine {machine} holds {words} words at round {round_no} boundary, cap {cap}"
-        )
+    """A machine over its word cap. ``round_no`` counts from 1, the first
+    ``run_round``, and ``check`` is the metering point that saw it: "step"
+    (payload plus outbox) or "boundary" (payload plus received)."""
+
+    def __init__(self, machine: int, round_no: int, words: int, cap: int, check: str):
+        where = (f"after its round {round_no} step (payload plus outbox)" if check == "step"
+                 else f"at the round {round_no} boundary (payload plus received)")
+        super().__init__(f"machine {machine} holds {words} words {where}, cap {cap}")
         self.machine = machine
         self.round_no = round_no
+        self.check = check
         self.words = words
         self.cap = cap
 
@@ -163,7 +168,6 @@ class RunStats:
     total_memory_peak: int = 0
     shared_words: int = 0
     shared_reads_peak: int = 0
-    exported_outside_run: bool = False
     counters: dict = field(default_factory=dict)
 
     def bump(self, key: str, amount: int = 1) -> None:
@@ -324,13 +328,13 @@ class Cluster:
             raise EngineError("shared store is only available in ampc mode")
         return self.shared
 
-    def _meter(self, words: np.ndarray) -> None:
-        """Check every machine's words against the cap, then raise its peak."""
+    def _meter(self, words: np.ndarray, check: str) -> None:
+        """Check every machine's words against the cap at ``check``, then raise its peak."""
         cap = self.config.memory_cap_words
         over = np.flatnonzero(words > cap)
         if over.size:
             m = int(over[0])
-            raise MemoryCapExceeded(m, self.stats.rounds, int(words[m]), cap)
+            raise MemoryCapExceeded(m, self.stats.rounds + 1, int(words[m]), cap, check)
         np.maximum(self.stats.per_machine_peak, words, out=self.stats.per_machine_peak)
 
     def run_round(self, step: StepFn, order: list[int] | None = None) -> None:
@@ -363,16 +367,16 @@ class Cluster:
             if self.shared is not None and ctx._reads > config.shared_read_cap:
                 raise EngineError(
                     f"machine {m} made {ctx._reads} shared reads in round "
-                    f"{stats.rounds}, budget {config.shared_read_cap}")
+                    f"{stats.rounds + 1}, budget {config.shared_read_cap}")
             local[m] = words_of(self.payloads[m])
             if ctx._batches:
                 outbox[m] = sum(int(batch.words.sum()) for batch in ctx._batches)
                 batches_by_src[m] = ctx._batches
-        self._meter(local + outbox)
+        self._meter(local + outbox, "step")
 
         boundary = local + self._deliver_batches(
             [batch for src in sorted(batches_by_src) for batch in batches_by_src[src]])
-        self._meter(boundary)
+        self._meter(boundary, "boundary")
         boundary_total = int(boundary.sum())
         if self.shared is not None:
             self.shared.publish()

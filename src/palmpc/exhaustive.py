@@ -1,13 +1,14 @@
 """Exhaustive small-instance sweeps against the brute-force oracle.
 
-Two levels. ``sweep_views`` runs the per-superblock machinery (local scan,
-the ``mpc.superblock_waves`` driver with its queries answered by literal
-comparison, merge) over every fragment position and block length of every
-string up to a size bound, comparing each owned center against the oracle's
-table and counting queries; it calls the same kernels and the same driver
-the pipelines run, so a violation the driver's steps detect raises here too.
-``sweep_pipeline`` runs the whole distributed solver per string instead,
-which is slower but covers placement, routing, and reduction too.
+Two levels. ``sweep_views`` runs the per-superblock machinery over every
+fragment position and block length of every string up to a size bound: the
+local phase the pipelines run (``mpc.superblock_scan``), the
+``mpc.superblock_waves`` driver with its queries answered by literal
+comparison (``oracle_lcp``), and ``_merge_b2``. It compares each owned center
+against the oracle's table and counts queries; a violation the driver's steps
+detect raises here too. ``sweep_pipeline`` runs the whole distributed solver
+per string instead, which is slower but covers placement, routing, and
+reduction too.
 """
 
 import itertools
@@ -15,11 +16,9 @@ import operator
 
 import numpy as np
 
-from ._kernels import lcp_doubled, manacher_tables
 from .engine import RunStats
-from .mpc import superblock_waves
-from .oracle import oracle_lps, oracle_maximal_palindromes
-from .strings import _prefix_pal_lengths_from_tables
+from .mpc import superblock_scan, superblock_waves
+from .oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
 from .structural import _merge_b2
 
 
@@ -33,24 +32,24 @@ def _all_strings(max_len: int, sigma: int):
 def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
     """All (start, block_len) views of one string: (views, mismatches, max_queries).
 
-    Each view drives ``superblock_waves`` as ``AmpcPalindromes`` does, with
-    every LCP query answered by literal comparison. ``want`` holds the
-    string's maximal palindrome lengths by center half-index.
+    Each view runs ``superblock_scan`` and drives ``superblock_waves`` as
+    ``AmpcPalindromes`` does, with every LCP query answered by literal
+    comparison. ``want`` holds the string's maximal palindrome lengths by
+    center half-index.
     """
     n = sym.size
     views = mismatches = max_queries = 0
     for bl in range(1, n // 4 + 1):
         for i in range(n - 4 * bl + 1):
             views += 1
-            f_odd, f_even, _ = manacher_tables(sym[i : i + 4 * bl], 2 * bl + 1)
-            plens = _prefix_pal_lengths_from_tables(f_odd, f_even, 2 * bl, 4 * bl)
+            lengths, plens, _ = superblock_scan(sym[i : i + 4 * bl], bl)
             stats = RunStats()
             waves = superblock_waves(plens, i, n, stats)
             wave = next(waves)
-            wave = waves.send([lcp_doubled(sym, q.p1, q.p2) for q in wave])
-            settled = waves.send([lcp_doubled(sym, q.p1, q.p2) for q in wave])
+            wave = waves.send([oracle_lcp(sym, q.p1, q.p2) for q in wave])
+            settled = waves.send([oracle_lcp(sym, q.p1, q.p2) for q in wave])
             max_queries = max(max_queries, stats.counters.get("lcp_queries", 0))
-            merged = _merge_b2(f_odd, f_even, i, bl, settled)
+            merged = _merge_b2(lengths, i, bl, settled)
             lo = 2 * (i + bl)
             mismatches += sum(map(operator.ne, merged.tolist(), want[lo : lo + 2 * bl]))
     return views, mismatches, max_queries

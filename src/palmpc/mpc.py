@@ -2,10 +2,10 @@
 
 ``BlockPipeline`` is the set-up and per-machine skeleton that this messaging
 pipeline (``MpcPalindromes``) and the adaptive one (``palmpc.ampc``) share:
-placed letters, the local scan, merge, per-machine best and export. Each
-superblock is resolved by ``superblock_waves``, the one driver of the
-``structural`` case analysis, in two waves of LCP queries; here
-``FingerprintLcp`` answers them.
+placed letters, the local scan, merge, per-machine best and export. A middle
+machine's local scan is ``superblock_scan``, and its superblock is resolved by
+``superblock_waves``, the one driver of the ``structural`` case analysis, in
+two waves of LCP queries; here ``FingerprintLcp`` answers them.
 
 Decomposition
 -------------
@@ -60,7 +60,7 @@ Round schedule (fixed; R0 = 10 rounds for every input and size)
  6 serve: second-wave chains
  7 consume: compared; refinement requested
  8 serve: refinements
- 9 consume: final lengths merged with local tables; each best to machine 0
+ 9 consume: final lengths merged with local lengths; each best to machine 0
 10 machine 0 reduces to the leftmost-longest palindromic substring
 
 The guarantee is Monte Carlo: with random bases a false fingerprint match
@@ -96,6 +96,8 @@ from .strings import (
     PalindromeTable,
     _prefix_pal_lengths_from_tables,
     leftmost_longest,
+    lengths_by_center,
+    lps_index,
     pipeline_symbols,
 )
 from .structural import (
@@ -126,16 +128,6 @@ class MachineRole:
     sb_start: int                  # superblock start (middle machines, else -1)
     scan_spans: tuple[tuple[int, int], ...]  # doubled-string ranges this machine fingerprints
     tail_ship_to: int              # middle machine to send our block-tail letters to, or -1
-
-    @property
-    def scan_end(self) -> int:
-        """Letter centers the local Manacher scan covers: up to the last owned center.
-
-        A middle machine owns block 2 of its superblock, so it scans 2b + 1 of
-        its 4b; the first machine scans b + 1; the last, whose owned centers
-        reach the end of its letters, scans all of them.
-        """
-        return (self.own_u_hi - 2 * self.letters_lo) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -174,12 +166,6 @@ def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
         return 2 * n - hi, 2 * n - lo
 
     roles: list[MachineRole] = []
-    if K == 1:
-        roles.append(MachineRole("first", 0, n, 0, max(2 * n - 1, 0), -1,
-                                 ((0, n), (n, 2 * n)), -1))
-        return BlockPlan(n=n, epsilon=epsilon, block_len=b, block_count=K,
-                         machine_count=M, window=w, tail_block=K, roles=tuple(roles))
-
     # tail is the first block whose superblock would overrun the text; the
     # last machine owns every center from there on, using the final letters
     tail = 1
@@ -191,10 +177,11 @@ def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
         # its leftward probes locally
         ship = m + 1 if 2 <= m + 1 <= tail - 1 else -1
         if m == 0:
-            hi = min(2 * b, n)
+            # a single block (b >= n) is the whole text
+            first = min(b, n)
             roles.append(MachineRole(
-                "first", 0, hi, 0, min(2 * b, 2 * n - 1), -1,
-                ((0, b), image(0, b)), ship))
+                "first", 0, min(2 * b, n), 0, min(2 * b, 2 * n - 1), -1,
+                ((0, first), image(0, first)), ship))
         elif 1 <= m <= tail - 1:
             sb = (m - 1) * b
             roles.append(MachineRole(
@@ -251,6 +238,22 @@ def superblock_waves(prefix_lens, start: int, n: int, stats: RunStats):
     yield settled + settle(wave, answers, n)
 
 
+def superblock_scan(letters: np.ndarray, block_len: int):
+    """Round 1's local phase on the 4b letters of one superblock.
+
+    Manacher runs up to the last owned center, 2b + 1 letter centers, and
+    its result is kept as the 4b + 1 lengths by local center half-index.
+    Returns (lengths, prefix_lens, ops): those lengths, the ascending
+    lengths of the prefix palindromes centered in [2b, 4b) that
+    ``superblock_waves`` resolves, and the scan's ops plus 2b for reading
+    off the prefix palindromes.
+    """
+    odd, even, ops = manacher_tables(letters, 2 * block_len + 1)
+    lengths = lengths_by_center(odd, even)
+    prefix_lens = _prefix_pal_lengths_from_tables(lengths, 2 * block_len, 4 * block_len)
+    return lengths, prefix_lens, int(ops) + 2 * block_len
+
+
 class BlockPipeline:
     """Set-up and per-machine skeleton shared by the messaging and adaptive pipelines.
 
@@ -295,27 +298,28 @@ class BlockPipeline:
 
     def _local_scan(self, ctx: StepContext) -> np.ndarray | None:
         """Round 1's local phase: Manacher up to the last owned center, on every
-        machine but a store. A middle machine keeps the tables and returns the
-        prefix palindromes of its superblock (2b ops); an edge machine keeps its
-        owned lengths, which are final, counts as local-only and returns None."""
+        machine but a store. A middle machine runs ``superblock_scan``, keeps its
+        lengths and returns the prefix palindromes of its superblock; an edge
+        machine keeps its owned lengths, which are final, counts as local-only
+        and returns None."""
         role = self.plan.roles[ctx.machine_id]
         if role.kind == "store":
             return None
-        odd, even, ops = manacher_tables(ctx.payload["letters"], role.scan_end)
-        ctx.add_work(int(ops))
-        if role.kind != "middle":
-            base = 2 * role.letters_lo
-            by_center = PalindromeTable(odd, even).lengths_by_center()
-            own = by_center[role.own_u_lo - base : role.own_u_hi - base]
-            ctx.add_work(own.size)
-            ctx.payload["own_lengths"] = own
-            self.cluster.stats.bump("local_only_machines")
-            return None
-        ctx.payload["f_odd"] = odd
-        ctx.payload["f_even"] = even
-        b = self.plan.block_len
-        ctx.add_work(2 * b)
-        return _prefix_pal_lengths_from_tables(odd, even, 2 * b, 4 * b)
+        if role.kind == "middle":
+            lengths, prefix_lens, ops = superblock_scan(ctx.payload["letters"],
+                                                        self.plan.block_len)
+            ctx.add_work(ops)
+            ctx.payload["f_lengths"] = lengths
+            return prefix_lens
+        # up to the last owned center: b + 1 letter centers on the first
+        # machine, all of them on the last, whose owned centers end its letters
+        base = 2 * role.letters_lo
+        odd, even, ops = manacher_tables(ctx.payload["letters"], (role.own_u_hi - base) // 2 + 1)
+        own = lengths_by_center(odd, even)[role.own_u_lo - base : role.own_u_hi - base]
+        ctx.add_work(int(ops) + own.size)
+        ctx.payload["own_lengths"] = own
+        self.cluster.stats.bump("local_only_machines")
+        return None
 
     @staticmethod
     def _meter_resolve(ctx: StepContext, prefix_lens) -> None:
@@ -324,11 +328,10 @@ class BlockPipeline:
             ctx.add_work(len(prefix_lens))
 
     def _keep_merged(self, ctx: StepContext, settled) -> None:
-        """Merge a middle machine's settled prefix centers with its local tables and
+        """Merge a middle machine's settled prefix centers with its local lengths and
         keep its owned lengths."""
-        lengths = _merge_b2(ctx.payload["f_odd"], ctx.payload["f_even"],
-                            self.plan.roles[ctx.machine_id].sb_start, self.plan.block_len,
-                            settled)
+        lengths = _merge_b2(ctx.payload["f_lengths"], self.plan.roles[ctx.machine_id].sb_start,
+                            self.plan.block_len, settled)
         ctx.add_work(lengths.size)
         ctx.payload["own_lengths"] = lengths
 
@@ -338,13 +341,12 @@ class BlockPipeline:
         if role.own_u_hi <= role.own_u_lo:
             return None
         lengths = ctx.payload["own_lengths"]
-        start, length = leftmost_longest(lengths, role.own_u_lo, self.n)
+        start, length = leftmost_longest(lengths, role.own_u_lo)
         ctx.add_work(lengths.size)
         return length, start
 
     def export_table(self) -> PalindromeTable:
         """Gather the distributed table; desk-scale convenience outside the metered run."""
-        self.cluster.stats.exported_outside_run = True
         flat = np.full(2 * self.n - 1, -1, np.int64)
         for m, role in enumerate(self.plan.roles):
             if role.own_u_hi > role.own_u_lo:
@@ -779,7 +781,7 @@ class MpcPalindromes(BlockPipeline):
             return
         best = ctx.batches["best"]
         ctx.add_work(best["len"].size)
-        top = np.lexsort((best["start"], -best["len"]))[0]    # longest, then leftmost
+        top = lps_index(best["len"], best["start"])
         ctx.payload["lps"] = (int(best["start"][top]), int(best["len"][top]))
 
     # -- driver

@@ -59,6 +59,15 @@ class Text:
         return int(self.symbols.size)
 
 
+def lengths_by_center(odd: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """Odd-center and even-center lengths interleaved by center half-index u:
+    odd[c] at u = 2c, even[m] at u = 2m + 1."""
+    out = np.empty(odd.size + even.size, dtype=np.int64)
+    out[0::2] = odd
+    out[1::2] = even
+    return out
+
+
 @dataclass(frozen=True)
 class PalindromeTable:
     """Maximal palindrome lengths: odd[c] per position, even[m] per gap."""
@@ -72,16 +81,9 @@ class PalindromeTable:
             return int(self.odd[u // 2])
         return int(self.even[(u - 1) // 2])
 
-    @property
-    def center_count(self) -> int:
-        return int(self.odd.size + self.even.size)
-
     def lengths_by_center(self) -> np.ndarray:
         """All 2n-1 lengths ordered by center half-index."""
-        out = np.empty(self.center_count, dtype=np.int64)
-        out[0::2] = self.odd
-        out[1::2] = self.even
-        return out
+        return lengths_by_center(self.odd, self.even)
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,13 +93,20 @@ class PalindromeTable:
         )
 
 
-def leftmost_longest(lengths: np.ndarray, first_u: int, n: int) -> tuple[int, int]:
+def lps_index(lengths, starts) -> int:
+    """Index of the longest palindrome among (lengths[i], starts[i]), the leftmost
+    (smallest start) among equal lengths."""
+    lengths = np.asarray(lengths)
+    ties = np.flatnonzero(lengths == lengths.max())
+    return int(ties[np.argmin(np.asarray(starts)[ties])])
+
+
+def leftmost_longest(lengths: np.ndarray, first_u: int) -> tuple[int, int]:
     """(start, length) of the leftmost-longest palindrome, from the lengths of
-    the consecutive centers first_u, first_u + 1, ... of a text of length n.
+    the consecutive centers first_u, first_u + 1, ...
     """
-    us = np.arange(first_u, first_u + lengths.size, dtype=np.int64)
-    starts = (us - lengths + 1) // 2
-    best = int(np.argmax(lengths * (2 * n) - starts))
+    starts = (np.arange(first_u, first_u + lengths.size, dtype=np.int64) - lengths + 1) // 2
+    best = lps_index(lengths, starts)
     return int(starts[best]), int(lengths[best])
 
 
@@ -108,11 +117,11 @@ def manacher(text) -> PalindromeTable:
     return PalindromeTable(odd=odd, even=even)
 
 
-def _prefix_pal_lengths_from_tables(odd, even, lo_u, hi_u):
+def _prefix_pal_lengths_from_tables(lengths, lo_u, hi_u):
     """Center half-indices u in [lo_u, hi_u) whose maximal palindrome reaches position 0.
 
+    ``lengths`` holds the maximal palindrome lengths by center half-index.
     Returned as u + 1, the length of that prefix palindrome, in ascending order.
     """
-    odd, even = odd.tolist(), even.tolist()
-    return np.array([u + 1 for u in range(lo_u, hi_u)
-                     if (even if u % 2 else odd)[u // 2] > u], np.int64)
+    return np.array([u + 1 for u, lam in enumerate(lengths[lo_u:hi_u].tolist(), lo_u)
+                     if lam > u], np.int64)

@@ -22,11 +22,14 @@ what keeps the query count per superblock at three or fewer:
 The case analysis is written once, as pure steps: ``first_wave`` lists a
 superblock's first queries, ``_periodic_resolve`` settles a periodic run from
 its probe answers, ``settle`` turns a wave's center answers into settled
-(u, length) pairs, and ``_merge_b2`` merges them with the local table. Each
-step raises on the violation it can see. One driver sequences them,
-``mpc.superblock_waves``, and every caller runs it: both pipelines, which
-differ only in how they answer the queries, and the exhaustive sweep
-(``palmpc.exhaustive``), which answers them by literal comparison.
+(u, length) pairs, and ``_merge_b2`` merges them with the local lengths. Each
+step raises on the violation it can see. Their input is the output of
+``mpc.superblock_scan``, the one local phase: the superblock's maximal
+palindrome lengths by local center half-index, and its prefix palindromes.
+One driver sequences the steps, ``mpc.superblock_waves``, and every caller
+runs scan and driver: both pipelines, which differ only in how they answer
+the queries, and the exhaustive sweep (``palmpc.exhaustive``), which answers
+them by literal comparison (``oracle.oracle_lcp``).
 """
 
 from typing import NamedTuple
@@ -128,16 +131,17 @@ def settle(wave, answers, n: int) -> list[tuple[int, int]]:
             for q, a in zip(wave, answers) if q.kind == "center"]
 
 
-def _merge_b2(odd_f, even_f, start, block_len, resolved):
+def _merge_b2(lengths, start, block_len, resolved):
     """Final lengths for the owned centers of one superblock.
 
-    Owned centers are the half-indices u in [2(start+b), 2(start+2b)). A
-    center whose local maximal palindrome does not reach the fragment's left
-    edge is already globally maximal (a palindrome of an owned center that
-    touches the fragment's right edge necessarily touches the left one too);
-    the rest take their lengths from ``resolved``, a list of (u, length)
-    pairs. A prefix-touching center with no resolved entry raises
-    ``InconsistentMergeError``.
+    ``lengths`` holds the superblock's local maximal palindrome lengths by
+    local center half-index. Owned centers are the half-indices u in
+    [2(start+b), 2(start+2b)). A center whose local maximal palindrome does
+    not reach the fragment's left edge is already globally maximal (a
+    palindrome of an owned center that touches the fragment's right edge
+    necessarily touches the left one too); the rest take their lengths from
+    ``resolved``, a list of (u, length) pairs. A prefix-touching center with
+    no resolved entry raises ``InconsistentMergeError``.
     """
     lo = 2 * (start + block_len)
     count = 2 * block_len
@@ -146,11 +150,9 @@ def _merge_b2(odd_f, even_f, start, block_len, resolved):
     for u, length in reversed(resolved):
         if lo <= u < lo + count:
             known[u - lo] = length
-    # local lengths by owned center: u_loc = count + j reads odd_f or even_f at u_loc // 2
-    lams = [0] * count
-    lams[0::2] = odd_f[block_len : 2 * block_len].tolist()
-    lams[1::2] = even_f[block_len : 2 * block_len].tolist()
-    # a local palindrome shorter than u_loc starts after the fragment's left edge
+    # owned center j sits at local half-index count + j; a local palindrome
+    # shorter than that starts after the fragment's left edge
+    lams = lengths[count : 2 * count].tolist()
     out = [lam if lam < count + j else known[j] for j, lam in enumerate(lams)]
     if min(out) < 0:
         missing = next(lo + j for j, length in enumerate(out) if length < 0)

@@ -195,6 +195,18 @@ def test_ampc_equals_mpc_at_shared_epsilon():
     assert m.stats.counters["simultaneous_centers"] > 0
 
 
+@pytest.mark.parametrize("solve, epsilon", [(solve_mpc, 0.5), (solve_ampc, 0.75)])
+def test_pipelines_take_the_leftmost_of_equal_longest_palindromes(solve, epsilon):
+    # distinct symbols: every center ties at length 1
+    s = np.arange(10, 266, dtype=np.int64)
+    r = solve(s, epsilon)
+    assert (r.lps_start, r.lps_length) == (0, 1)
+    # two copies of one length-5 palindrome, owned by different machines
+    s[100:105] = s[200:205] = [1, 2, 3, 2, 1]
+    r = solve(s, epsilon)
+    assert (r.lps_start, r.lps_length) == (100, 5) == oracle_lps(s)
+
+
 def test_ampc_bypasses_the_mpc_epsilon_bound():
     s = (np.arange(300) % 5).astype(np.int64)
     with pytest.raises(ValueError):

@@ -163,8 +163,16 @@ def test_engine_abort_maps_to_exit_4(capsys):
         code, out, err = run_cli(capsys, command, "--unary", "4096", "--memory-constant", "8")
         assert code == 4 and out == "", command
         assert len(err.splitlines()) == 1
-        assert "machine 0 holds" in err and "round 0" in err and "cap 512" in err
+        assert "machine 0 holds" in err and "round 1" in err and "cap 512" in err
         assert "raise --memory-constant" in err
+
+
+def test_engine_abort_numbers_rounds_as_the_pipelines_do(capsys):
+    # the overrun is seen after the steps of MPC's round 1, the local scans;
+    # round 0 is the placement, which runs no step
+    code, out, err = run_cli(capsys, "solve", "--random", "50", "2", "--memory-constant", "1")
+    assert code == 4 and out == ""
+    assert "machine 0 holds 147 words after its round 1 step (payload plus outbox)" in err
 
 
 def test_memory_constant_below_one_is_usage_error(capsys):

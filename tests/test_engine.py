@@ -80,7 +80,9 @@ def test_cap_violation_aborts_with_machine_and_round():
 
     with pytest.raises(MemoryCapExceeded) as err:
         cl.run_round(blow)
-    assert err.value.machine == 1 and err.value.round_no == 0
+    assert err.value.machine == 1 and err.value.round_no == 1
+    assert err.value.check == "step"
+    assert "after its round 1 step (payload plus outbox)" in str(err.value)
 
 
 def test_cap_violation_names_the_lowest_machine_under_every_order():
@@ -382,7 +384,9 @@ def test_oversized_batch_names_receiver_and_round():
 
     with pytest.raises(MemoryCapExceeded) as err:
         cl.run_round(flood)
-    assert (err.value.machine, err.value.round_no, err.value.words) == (2, 1, 404)
+    assert (err.value.machine, err.value.round_no, err.value.words) == (2, 2, 404)
+    assert err.value.check == "boundary"
+    assert "at the round 2 boundary (payload plus received)" in str(err.value)
 
 
 def test_send_rejects_offsets_that_do_not_cut_the_columns():

@@ -8,7 +8,6 @@ import palmpc.mpc as mpc
 from palmpc._kernels import (
     M61,
     fragment_fp_scan,
-    lcp_doubled,
     manacher_tables,
     power_tables,
     prefix_fp_scan,
@@ -16,6 +15,7 @@ from palmpc._kernels import (
 from palmpc.ampc import _scale_offset_mod
 from palmpc.fingerprint import scheme_init
 from palmpc.inputs import fibonacci_text
+from palmpc.oracle import oracle_lcp
 
 # ---------------------------------------------------------------------------
 # fingerprint kernels against Python bigints
@@ -184,7 +184,7 @@ def test_scalar_kernels_equal_the_array_loops(n):
         pairs = [(0, 0), (0, 2 * n), (2 * n, 2 * n)]
         pairs += [tuple(int(v) for v in rng.integers(0, 2 * n + 1, 2)) for _ in range(20)]
         for p1, p2 in pairs:
-            assert lcp_doubled(sym, p1, p2) == _lcp_ref(sym, p1, p2), (family, p1, p2)
+            assert oracle_lcp(sym, p1, p2) == _lcp_ref(sym, p1, p2), (family, p1, p2)
 
 
 @pytest.mark.parametrize("n", range(24))

@@ -226,9 +226,6 @@ def test_table_slices_cover_the_string():
         flat[role.own_u_lo : role.own_u_hi] = lengths
     want = oracle_maximal_palindromes(s).lengths_by_center()
     assert np.array_equal(flat, want)
-    assert run.cluster.stats.exported_outside_run is False
-    run.export_table()
-    assert run.cluster.stats.exported_outside_run is True
 
 
 def test_memory_caps_hold_across_modes_and_sizes():

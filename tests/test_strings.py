@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palmpc._kernels import manacher_tables
 from palmpc.mpc import _materialize_doubled
 from palmpc.oracle import oracle_lcp, oracle_maximal_palindromes
 from palmpc.strings import (
     Text,
     _prefix_pal_lengths_from_tables,
     as_symbols,
+    leftmost_longest,
+    lps_index,
     manacher,
 )
 from palmpc.structural import InconsistentMergeError, Query, _center, settle
@@ -24,8 +25,8 @@ def _via_lcp(u, n, text):
 
 def _prefix_pals(fragment, block_len):
     """Palindromic prefix lengths of a 4-block fragment centered in its second block."""
-    odd, even, _ = manacher_tables(as_symbols(fragment))
-    return _prefix_pal_lengths_from_tables(odd, even, 2 * block_len, 4 * block_len).tolist()
+    lengths = manacher(fragment).lengths_by_center()
+    return _prefix_pal_lengths_from_tables(lengths, 2 * block_len, 4 * block_len).tolist()
 
 
 def test_manacher_examples():
@@ -150,7 +151,15 @@ def test_lengths_by_center_interleaves():
     t = manacher("abaab")
     flat = t.lengths_by_center()
     assert flat.tolist() == [1, 0, 3, 0, 1, 4, 1, 0, 1]
-    assert t.center_count == 9
+
+
+def test_lps_rule_takes_the_leftmost_of_equal_lengths():
+    assert lps_index([3, 5, 5, 2], [0, 9, 4, 1]) == 2
+    assert lps_index(np.array([5, 5, 5]), np.array([7, 2, 2])) == 1
+    # "abacdc": "aba" (u=2) and "cdc" (u=8) tie at length 3
+    table = manacher("abacdc")
+    assert leftmost_longest(table.lengths_by_center(), 0) == (0, 3)
+    assert leftmost_longest(table.lengths_by_center()[3:], 3) == (3, 3)
 
 
 def _fact1_period_prefix_scan(max_len):

@@ -20,8 +20,8 @@ from palmpc.structural import (
 
 
 def prefix_lens(frag, block_len):
-    local = manacher(as_symbols(frag))
-    return _prefix_pal_lengths_from_tables(local.odd, local.even, 2 * block_len, 4 * block_len)
+    lengths = manacher(as_symbols(frag)).lengths_by_center()
+    return _prefix_pal_lengths_from_tables(lengths, 2 * block_len, 4 * block_len)
 
 
 def resolve(s, start, block_len, lcp):
@@ -35,8 +35,8 @@ def resolve(s, start, block_len, lcp):
 
 def merge(s, start, block_len, resolved):
     """(first owned center, owned lengths) from the local table and the resolved centers."""
-    local = manacher(as_symbols(s)[start : start + 4 * block_len])
-    return 2 * (start + block_len), _merge_b2(local.odd, local.even, start, block_len, resolved)
+    lengths = manacher(as_symbols(s)[start : start + 4 * block_len]).lengths_by_center()
+    return 2 * (start + block_len), _merge_b2(lengths, start, block_len, resolved)
 
 
 def counting_lcp(text):
@@ -172,9 +172,9 @@ def test_merge_uses_local_when_not_prefix():
 def test_merge_missing_entry_raises():
     # "aaaa" at position 1: owned center 4 reaches the fragment start, and
     # with nothing resolved the merge names it and raises
-    local = manacher(as_symbols("aaaa"))
+    lengths = manacher(as_symbols("aaaa")).lengths_by_center()
     with pytest.raises(InconsistentMergeError, match=r"center u=4 "):
-        _merge_b2(local.odd, local.even, 1, 1, [])
+        _merge_b2(lengths, 1, 1, [])
     # a pipeline's middle machine raises before it keeps any lengths: machine
     # 1 of a unary text owns block 1 of the 8-letter blocks, whose first
     # center u=16 reaches its superblock's start
@@ -186,7 +186,7 @@ def test_merge_missing_entry_raises():
     assert "own_lengths" not in ctx.payload
 
 
-def _merge_b2_linear_scan(odd_f, even_f, start, block_len, resolved_u, resolved_len):
+def _merge_b2_linear_scan(lengths, start, block_len, resolved_u, resolved_len):
     # reference: each prefix-touching center scans the resolved list for its first entry
     lo = 2 * (start + block_len)
     hi = 2 * (start + 2 * block_len)
@@ -194,7 +194,7 @@ def _merge_b2_linear_scan(odd_f, even_f, start, block_len, resolved_u, resolved_
     missing_u = -1
     for u_abs in range(lo, hi):
         u_loc = u_abs - 2 * start
-        lam = odd_f[u_loc // 2] if u_loc % 2 == 0 else even_f[(u_loc - 1) // 2]
+        lam = lengths[u_loc]
         if (u_loc - lam + 1) // 2 > 0:
             out[u_abs - lo] = lam
             continue
@@ -235,14 +235,14 @@ def test_merge_lookup_equals_linear_scan():
         order = rng.permutation(len(res_u))
         res_u = np.asarray(res_u, np.int64)[order]
         res_len = np.asarray(res_len, np.int64)[order]
-        want_out, want_missing = _merge_b2_linear_scan(local.odd, local.even, start, bl,
-                                                       res_u, res_len)
+        lengths = local.lengths_by_center()
+        want_out, want_missing = _merge_b2_linear_scan(lengths, start, bl, res_u, res_len)
         resolved = list(zip(res_u.tolist(), res_len.tolist()))
         if want_missing >= 0:
             with pytest.raises(InconsistentMergeError, match=rf"center u={want_missing} "):
-                _merge_b2(local.odd, local.even, start, bl, resolved)
+                _merge_b2(lengths, start, bl, resolved)
             continue
-        got_out = _merge_b2(local.odd, local.even, start, bl, resolved)
+        got_out = _merge_b2(lengths, start, bl, resolved)
         assert got_out.tolist() == want_out.tolist()
     assert min(shapes.values()) >= 10, shapes
 
@@ -289,6 +289,19 @@ def test_sweep_runs_the_shared_resolver(monkeypatch):
     monkeypatch.setattr(mpc, "settle", off_by_one)
     assert exhaustive.sweep_views(8, 2)["mismatches"] > 0
     monkeypatch.setattr(mpc, "settle", drop_one)
+    with pytest.raises(InconsistentMergeError, match="reaches its fragment start unresolved"):
+        exhaustive.sweep_views(8, 2)
+
+
+def test_sweep_runs_the_shared_local_scan(monkeypatch):
+    # the exhaustive sweep must fail when the local phase the pipelines run
+    # is wrong: here it drops each superblock's longest prefix palindrome
+    real_prefix_pals = mpc._prefix_pal_lengths_from_tables
+
+    def drop_longest(*args):
+        return real_prefix_pals(*args)[:-1]
+
+    monkeypatch.setattr(mpc, "_prefix_pal_lengths_from_tables", drop_longest)
     with pytest.raises(InconsistentMergeError, match="reaches its fragment start unresolved"):
         exhaustive.sweep_views(8, 2)
 
