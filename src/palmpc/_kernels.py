@@ -1,16 +1,15 @@
-"""Hot numeric kernels: scalar loops in plain Python and numpy array code.
+"""Hot numeric kernels: scalar loops on Python ints and numpy array code.
 
-* The scalar-loop kernel (Manacher) reads its input through ``tolist()`` and
-  keeps its working tables in Python lists, which Python indexes several
-  times faster than numpy scalars. The list copy lives only for one kernel
-  call.
-* The fingerprint kernels are array code. They use the prefix-difference form
-  over power tables that the pipelines build once per run with
-  :func:`power_tables`.
+* The scalar loops (Manacher, the leaf prefix scan) read their input through
+  ``tolist()`` and keep their working values in Python lists, which Python
+  indexes several times faster than numpy scalars.
+* The window fingerprint scan is array code in the prefix-difference form,
+  on uint64 values modulo the Mersenne prime 2**61 - 1. Multiplication goes
+  through :func:`mulmod61`, the only operation whose intermediates would not
+  fit in 64 bits.
 
-All fingerprint arithmetic is carried out modulo the Mersenne prime 2**61 - 1
-in uint64 values; multiplication goes through :func:`mulmod61`, which is the
-only operation whose intermediates would not fit in 64 bits.
+Both fingerprint scans read power tables that each run builds once with
+:func:`power_tables`.
 """
 
 import numpy as np
@@ -192,9 +191,15 @@ def prefix_fp_scan(letters, pows, out):
     columns wide. Two modular operations per position and layer, which is
     what the returned ``ops`` counts.
     """
-    n = letters.size
+    syms = letters.tolist()
+    n = len(syms)
     layers = out.shape[0]
-    out[:] = _cumsum_mod61(mulmod61(letters.astype(np.uint64), pows[:layers, :n]))
+    for l, row in enumerate(pows[:layers, :n].tolist()):
+        acc, vals = 0, []
+        for s, p in zip(syms, row):
+            acc = (acc + s * p) % M61
+            vals.append(acc)
+        out[l] = vals
     return np.int64(2 * n * layers)
 
 

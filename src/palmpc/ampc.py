@@ -15,10 +15,10 @@ segments of the doubled string builds phi(doubled[0..e]) for every position
 e. Each tree node ("t", level, idx) is a ``fingerprint`` node. Two fragments
 compare from two prefix entries each (``fingerprint.fragments_equal``), so
 one machine can binary search an LCP value adaptively inside a single round,
-center queries included. Every answer is spot-checked against the stored
-mismatch letters; a contradiction aborts as a hash collision. Like the
-messaging pipeline's checks, this one is one-sided and partial: a false match
-that ends the search where the letters differ goes unseen.
+center queries included. A probe whose fragments match compares their end
+letters too, and every answer is spot-checked against the mismatch letters;
+a contradiction aborts as a hash collision. Like the messaging pipeline's
+checks, these are one-sided and partial.
 
 The tree is the up-sweep of a prefix scan. Round 1 publishes each leaf's node
 under ("t", 0, leaf). The combine round that builds node ("t", level, idx)
@@ -30,13 +30,16 @@ siblings of its ancestor, one read each (fewer than s), and at most one read
 per lower level, of the parent's running fold; a first child needs none. That
 replaces the up to s - 1 sibling reads per level of a plain tree.
 
-Each machine keeps the leaves it owns as one int64 array, each leaf a column
-range: row 0 holds the symbols, row 1 + l the layer-l prefix values, local to
-the leaf. The context round offsets all of them by their left contexts in one
-pass and publishes each leaf's columns as one read-only array under key
-("p", leaf). The store is still read and metered one position at a time:
-``PrefixStore.entry(e)`` makes one shared read of the leaf array holding e and
-returns that column as Python ints.
+Each machine keeps the leaves it owns as one int64 array, each leaf a row
+range: column 0 holds the symbols, column 1 + l the layer-l prefix values,
+local to the leaf. The context round offsets all of them by their left
+contexts in one pass and publishes each leaf's rows as one read-only,
+C-contiguous (width, 1 + L) array under key ("p", leaf). The store is still
+read and metered one position at a time: ``PrefixStore.entry(e)`` makes one
+shared read of the leaf array holding e and returns that row as Python ints.
+A leaf is b letters wide, a dozen at eps=0.75, where a numpy call costs more
+than its arithmetic, so the leaf scan, the context fold and the offset all
+run on Python ints, which also keep products of 61-bit residues exact.
 
 Round schedule: 1 (local phase + leaf scans) + (depth - 1) combine rounds +
 1 (path contexts + prefix entries) + 1 (all queries, merge, per-machine best)
@@ -50,7 +53,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ._kernels import M61, mulmod61, power_tables, prefix_fp_scan
+from ._kernels import M61, power_tables, prefix_fp_scan
 from .engine import CollisionAbort, StepContext
 from .fingerprint import FingerprintScheme, concat, fragments_equal, node, running_folds
 from .strings import lps_index
@@ -63,28 +66,22 @@ from .mpc import (  # noqa: F401
     _merge_b2, _periodic_resolve, _prefix_pal_lengths_from_tables, manacher_tables)
 
 
-def _scale_offset_mod(vals, mul, add, out):
-    """out = (add + mul * vals) mod (2**61 - 1), elementwise.
+def _offset_leaves(entries, widths, lefts, layers: int) -> int:
+    """Offset stacked leaves by their left context nodes ``lefts``, in place.
 
-    ``mul`` and ``add`` are uint64 arrays that broadcast against ``vals``: a
-    column of one entry per row, or one entry per value. ``out`` may be
-    ``vals`` itself. ``ops`` is one per entry.
+    ``entries`` holds one row range of ``widths`` rows per leaf: the symbols,
+    then the leaf-local prefix value of each layer. ``ops`` is one per value.
     """
-    out[:] = (mulmod61(vals.astype(np.uint64), mul) + add) % np.uint64(M61)
-    return np.int64(vals.size)
-
-
-def _offset_leaves(entries, widths, lefts, layers: int):
-    """Offset side-by-side leaves by their left contexts, in one pass.
-
-    ``entries`` holds the leaves as consecutive column ranges of ``widths``
-    columns: row 0 the symbols, rows 1 .. layers the prefix values local to
-    each leaf. Each leaf's values are scaled by the powers and offset by the
-    values of its node in ``lefts``, in place. ``ops`` is one per value.
-    """
-    left = np.array(lefts, np.uint64).reshape(-1, 1 + 2 * layers).T
-    return _scale_offset_mod(entries[1:], np.repeat(left[1 : 1 + layers], widths, axis=1),
-                             np.repeat(left[1 + layers :], widths, axis=1), entries[1:])
+    # Python ints, not numpy scalars: int64 * int64 would overflow silently
+    lefts = np.array(lefts, np.int64).reshape(-1, 1 + 2 * layers).tolist()
+    for l, vals in enumerate(entries[:, 1:].T.tolist(), start=1):
+        out, col = [], 0
+        for width, left in zip(widths, lefts):
+            mul, add = left[l], left[layers + l]
+            out += [(add + mul * v) % M61 for v in vals[col : col + width]]
+            col += width
+        entries[:, l] = out
+    return layers * len(entries)
 
 
 def leaf_bounds(n: int, block_len: int, block_count: int) -> list[tuple[int, int]]:
@@ -93,14 +90,8 @@ def leaf_bounds(n: int, block_len: int, block_count: int) -> list[tuple[int, int
     Leaves 0..K-1 are the text blocks; leaves K..2K-1 are the reversed block
     images, which appear in reverse block order past position n.
     """
-    K = block_count
-    bounds = []
-    for k in range(K):
-        bounds.append((k * block_len, min((k + 1) * block_len, n)))
-    for k in range(K, 2 * K):
-        j = 2 * K - 1 - k
-        bounds.append((2 * n - min((j + 1) * block_len, n), 2 * n - j * block_len))
-    return bounds
+    bounds = [(k * block_len, min((k + 1) * block_len, n)) for k in range(block_count)]
+    return bounds + [(2 * n - hi, 2 * n - lo) for lo, hi in reversed(bounds)]
 
 
 def _leaf_owner(plan: BlockPlan, leaf: int) -> int:
@@ -140,10 +131,10 @@ class PrefixStore:
         leaf = bisect_right(self._leaf_starts, e) - 1   # -1 for e < 0: no such key
         arr = self._read(("p", leaf))
         off = e - self._leaf_starts[leaf]
-        if arr is None or off >= arr.shape[1]:
+        if arr is None or off >= len(arr):
             raise KeyError(f"no prefix entry at position {e}")
-        symbol, *values = arr[:, off].tolist()
-        return symbol, tuple(values)
+        row = arr[off].tolist()
+        return row[0], tuple(row[1:])
 
 
 def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> int:
@@ -151,8 +142,9 @@ def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> in
 
     Maintains: prefixes of length lo are fingerprint-equal. Each probe reads
     the prefix entries at the two fragment ends and compares the fragments
-    with ``fragments_equal``. The mismatch letters are checked literally at
-    the end; their equality would prove a collision.
+    with ``fragments_equal``; if they match, the letters those entries hold
+    must agree as well. The mismatch letters are checked literally at the
+    end. Either contradiction proves a collision.
     """
     n2 = 2 * store.n
     if p1 == p2:
@@ -164,24 +156,20 @@ def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> in
     base1 = store.entry(p1 - 1)[1] if p1 > 0 else (0,) * layers
     base2 = store.entry(p2 - 1)[1] if p2 > 0 else (0,) * layers
 
-    def equal_prefixes(length: int) -> bool:
-        end1 = store.entry(p1 + length - 1)[1]
-        end2 = store.entry(p2 + length - 1)[1]
-        return fragments_equal(end1, base1, pow1, end2, base2, pow2)
-
     lo, hi = 0, l_max
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if equal_prefixes(mid):
-            lo = mid
-        else:
+        sym1, end1 = store.entry(p1 + mid - 1)
+        sym2, end2 = store.entry(p2 + mid - 1)
+        if not fragments_equal(end1, base1, pow1, end2, base2, pow2):
             hi = mid - 1
-    if lo < l_max:
-        s1 = store.entry(p1 + lo)[0]
-        s2 = store.entry(p2 + lo)[0]
-        if s1 == s2:
-            raise CollisionAbort(
-                f"binary search at ({p1}, {p2}) stopped where letters agree")
+        elif sym1 != sym2:
+            raise CollisionAbort(f"fragments of length {mid} at ({p1}, {p2}) "
+                                 f"match but end on different letters")
+        else:
+            lo = mid
+    if lo < l_max and store.entry(p1 + lo)[0] == store.entry(p2 + lo)[0]:
+        raise CollisionAbort(f"binary search at ({p1}, {p2}) stopped where letters agree")
     return lo
 
 
@@ -207,8 +195,8 @@ class AmpcPalindromes(BlockPipeline):
         self.best_sizes = _level_sizes(self.plan.machine_count, self.fanout)
         self.depth = len(self.tree_sizes) - 1
         self.best_depth = len(self.best_sizes) - 1
-        # simulator-side, not metered: sized to the longest leaf
-        self.pows, _ = power_tables(self.bases, max(hi - lo for lo, hi in self.leaves))
+        # simulator-side, not metered: x**i for i up to the longest leaf width
+        self.pows, _ = power_tables(self.bases, max(hi - lo for lo, hi in self.leaves) + 1)
 
     # -- round 1: local palindrome phase plus leaf prefix scans
 
@@ -220,21 +208,20 @@ class AmpcPalindromes(BlockPipeline):
         if prefix_lens is not None:
             ctx.payload["prefix_lens"] = prefix_lens
 
-        # the owned leaves side by side, each a column range of one array: row 0
-        # their symbols, rows 1.. their prefix values, local to each leaf until
-        # the context round offsets them
-        entries = np.empty((1 + self.scheme.layers, sum(self.owned_widths[m])), np.int64)
-        col = 0
+        # the owned leaves stacked, each a row range of one array: column 0
+        # their symbols, columns 1.. their prefix values, local to each leaf
+        # until the context round offsets them
+        entries = np.empty((sum(self.owned_widths[m]), 1 + self.scheme.layers), np.int64)
+        row = 0
         for leaf in self.owned_leaves[m]:
             lo, hi = self.leaves[leaf]
-            cols = entries[:, col : col + hi - lo]
-            cols[0] = _materialize_doubled(ctx.payload["letters"],
-                                           ctx.payload["letters_lo"], n, lo, hi)
-            ctx.add_work(int(prefix_fp_scan(cols[0], self.pows, cols[1:])))
+            rows = entries[row : row + hi - lo]
+            rows[:, 0] = _materialize_doubled(ctx.payload["letters"],
+                                              ctx.payload["letters_lo"], n, lo, hi)
+            ctx.add_work(int(prefix_fp_scan(rows[:, 0], self.pows, rows[:, 1:].T)))
             ctx.shared_write(("t", 0, leaf),
-                             node(hi - lo, [pow(x, hi - lo, M61) for x in self.bases],
-                                  cols[1:, -1].tolist()))
-            col += hi - lo
+                             node(hi - lo, self.pows[:, hi - lo].tolist(), rows[-1, 1:].tolist()))
+            row += hi - lo
         ctx.payload["leafpfx"] = entries
 
     @staticmethod
@@ -289,11 +276,11 @@ class AmpcPalindromes(BlockPipeline):
         entries = ctx.payload.pop("leafpfx")
         lefts = [self._left_context(ctx, leaf) for leaf in self.owned_leaves[ctx.machine_id]]
         widths = self.owned_widths[ctx.machine_id]
-        ctx.add_work(int(_offset_leaves(entries, widths, lefts, self.scheme.layers)))
-        col = 0
+        ctx.add_work(_offset_leaves(entries, widths, lefts, self.scheme.layers))
+        row = 0
         for leaf, width in zip(self.owned_leaves[ctx.machine_id], widths):
-            ctx.shared_write(("p", leaf), entries[:, col : col + width])
-            col += width
+            ctx.shared_write(("p", leaf), entries[row : row + width])
+            row += width
 
     # -- query round: every LCP answered adaptively, then merge and local best
 

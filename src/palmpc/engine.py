@@ -301,10 +301,9 @@ class StepContext:
 
     def shared_read(self, key):
         """Read a whole shared value from the previous round's snapshot."""
-        store = self._cluster.require_shared()
-        value = store.snapshot_get(key)
+        store = self._cluster.shared or self._cluster.require_shared()   # raises in mpc mode
         self._reads += 1
-        return value
+        return store.snapshot_get(key)
 
 
 StepFn = Callable[[StepContext], None]

@@ -4,7 +4,7 @@ Two levels. ``sweep_views`` runs the per-superblock machinery over every
 fragment position and block length of every string up to a size bound: the
 local phase the pipelines run (``mpc.superblock_scan``), the
 ``mpc.superblock_waves`` driver with its queries answered by literal
-comparison (``oracle_lcp``), and ``_merge_b2``. It compares each owned center
+comparison (``doubled_lcp``), and ``_merge_b2``. It compares each owned center
 against the oracle's table and counts queries; a violation the driver's steps
 detect raises here too. ``sweep_pipeline`` runs the whole distributed solver
 per string instead, which is slower but covers placement, routing, and
@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import RunStats
 from .mpc import superblock_scan, superblock_waves
-from .oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
+from .oracle import doubled_lcp, oracle_lps, oracle_maximal_palindromes
 from .structural import _merge_b2
 
 
@@ -38,6 +38,7 @@ def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
     center half-index.
     """
     n = sym.size
+    doubled = sym.tolist() + sym[::-1].tolist()
     views = mismatches = max_queries = 0
     for bl in range(1, n // 4 + 1):
         for i in range(n - 4 * bl + 1):
@@ -46,8 +47,8 @@ def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
             stats = RunStats()
             waves = superblock_waves(plens, i, n, stats)
             wave = next(waves)
-            wave = waves.send([oracle_lcp(sym, q.p1, q.p2) for q in wave])
-            settled = waves.send([oracle_lcp(sym, q.p1, q.p2) for q in wave])
+            wave = waves.send([doubled_lcp(doubled, q.p1, q.p2) for q in wave])
+            settled = waves.send([doubled_lcp(doubled, q.p1, q.p2) for q in wave])
             max_queries = max(max_queries, stats.counters.get("lcp_queries", 0))
             merged = _merge_b2(lengths, i, bl, settled)
             lo = 2 * (i + bl)

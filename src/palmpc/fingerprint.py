@@ -6,8 +6,8 @@ constant time per layer: fp(UV) = fp(U) + x**|U| * fp(V).
 
 A *node* holds what that identity needs, as one read-only int64 array
 ``[len, x_1**len .. x_L**len, fp_1 .. fp_L]``: 1 + 2L words, which is also
-its metered size. ``running_folds`` folds nodes left to right and keeps
-every prefix fold; ``concat`` is its last row. ``fragments_equal``
+its metered size. ``running_folds`` folds nodes left to right on Python ints
+and keeps every prefix fold; ``concat`` is the last fold. ``fragments_equal``
 compares two fragments read off prefix fingerprints, cross-multiplied by
 the powers at their starts, so no modular inverse is ever needed.
 
@@ -17,7 +17,6 @@ the cost of twice the words. The default is two.
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -75,32 +74,35 @@ def node(length: int, pows, vals) -> np.ndarray:
     return out
 
 
+def _folds(nodes, layers: int) -> list[list[int]]:
+    """The k + 1 prefix folds of k nodes, as flat node lists of Python ints."""
+    folds = [[0] + [1] * layers + [0] * layers]
+    for nd in nodes:
+        nd = nd.tolist()
+        fold = folds[-1][:]
+        fold[0] += nd[0]
+        for l in range(1, layers + 1):
+            fold[layers + l] = (fold[layers + l] + fold[l] * nd[layers + l]) % M61
+            fold[l] = fold[l] * nd[l] % M61
+        folds.append(fold)
+    return folds
+
+
 def running_folds(nodes, layers: int) -> np.ndarray:
     """The k + 1 prefix folds of k nodes, as one read-only (k + 1, 1 + 2L) array.
 
     Row j is the node of the concatenation of ``nodes[:j]``: row 0 is the
     empty node and row k the node of them all.
     """
-    cols = np.array(nodes, np.int64).reshape(-1, 1 + 2 * layers).T.tolist()
-    pow_rows, val_rows = [], []
-    for l in range(layers):
-        p, v = 1, 0
-        pows, vals = [p], [v]
-        for c_pow, c_val in zip(cols[1 + l], cols[1 + layers + l]):
-            v = (v + p * c_val) % M61
-            p = p * c_pow % M61
-            pows.append(p)
-            vals.append(v)
-        pow_rows.append(pows)
-        val_rows.append(vals)
-    out = np.array([[0, *accumulate(cols[0])], *pow_rows, *val_rows], np.int64).T
+    out = np.array(_folds(nodes, layers), np.int64)
     out.setflags(write=False)
     return out
 
 
 def concat(nodes, layers: int) -> np.ndarray:
     """Node of the concatenation of ``nodes`` in order; the empty node if there are none."""
-    return running_folds(nodes, layers)[-1]
+    fold = _folds(nodes, layers)[-1]
+    return node(fold[0], fold[1 : 1 + layers], fold[1 + layers :])
 
 
 def fragments_equal(end_a, start_a, pow_a, end_b, start_b, pow_b) -> bool:
@@ -112,8 +114,10 @@ def fragments_equal(end_a, start_a, pow_a, end_b, start_b, pow_b) -> bool:
     (end_a - start_a) * x**p_b == (end_b - start_b) * x**p_a. The caller
     checks that the lengths agree.
     """
-    return all((ea - sa) * pb % M61 == (eb - sb) * pa % M61
-               for ea, sa, pa, eb, sb, pb in zip(end_a, start_a, pow_a, end_b, start_b, pow_b))
+    for ea, sa, pa, eb, sb, pb in zip(end_a, start_a, pow_a, end_b, start_b, pow_b):
+        if (ea - sa) * pb % M61 != (eb - sb) * pa % M61:
+            return False
+    return True
 
 
 def fp_of(text, scheme: FingerprintScheme) -> np.ndarray:

@@ -42,7 +42,11 @@ def oracle_maximal_palindromes(text) -> PalindromeTable:
 def oracle_lcp(text, p1: int, p2: int) -> int:
     """Symbol-by-symbol longest common prefix of two suffixes of text . reverse(text)."""
     sym = as_symbols(text).tolist()
-    doubled = sym + sym[::-1]
+    return doubled_lcp(sym + sym[::-1], p1, p2)
+
+
+def doubled_lcp(doubled: list, p1: int, p2: int) -> int:
+    """Longest common prefix of two suffixes of ``doubled``, a prebuilt list of symbols."""
     total = len(doubled)
     if not (0 <= p1 <= total and 0 <= p2 <= total):
         raise ValueError("suffix positions out of range")

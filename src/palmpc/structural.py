@@ -29,7 +29,7 @@ palindrome lengths by local center half-index, and its prefix palindromes.
 One driver sequences the steps, ``mpc.superblock_waves``, and every caller
 runs scan and driver: both pipelines, which differ only in how they answer
 the queries, and the exhaustive sweep (``palmpc.exhaustive``), which answers
-them by literal comparison (``oracle.oracle_lcp``).
+them by literal comparison (``oracle.doubled_lcp``).
 """
 
 from typing import NamedTuple

@@ -9,13 +9,12 @@ from palmpc.ampc import (
     PrefixStore,
     _leaf_owner,
     _offset_leaves,
-    _scale_offset_mod,
     ampc_lcp,
     leaf_bounds,
     solve_ampc,
 )
-from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, words_of
-from palmpc.fingerprint import fp_of, fragments_equal, scheme_init
+from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, StepContext, words_of
+from palmpc.fingerprint import FingerprintScheme, fp_of, fragments_equal, scheme_init
 from palmpc.inputs import fibonacci_text, unary_text
 from palmpc.mpc import solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
@@ -164,7 +163,7 @@ def test_ampc_lcp_letter_check_catches_a_lying_entry():
     doctored = {("p", leaf): run.cluster.shared.snapshot_get(("p", leaf)).copy()
                 for leaf in range(len(run.leaves))}
     leaf = next(leaf for leaf, (lo, hi) in enumerate(run.leaves) if lo <= 12 < hi)
-    vals = doctored["p", leaf][1:, 12 - run.leaves[leaf][0]]
+    vals = doctored["p", leaf][12 - run.leaves[leaf][0], 1:]
     vals[:] = (vals + 1) % M61
     fake = PrefixStore(doctored.get, run.leaf_starts, 8)
     with pytest.raises(CollisionAbort):
@@ -256,14 +255,14 @@ def test_prefix_entries_are_one_read_only_array_per_leaf():
     for (_, leaf), arr in entries.items():
         lo, hi = run.leaves[leaf]
         assert arr.dtype == np.int64 and not arr.flags.writeable
-        assert arr.shape == (1 + layers, hi - lo)
-    # the store view reads the same columns, as Python ints (ampc_lcp
+        assert arr.shape == (hi - lo, 1 + layers) and arr.flags.c_contiguous
+    # the store view reads the same rows, as Python ints (ampc_lcp
     # multiplies two 61-bit residues)
     for e in rng.integers(0, 600, 50).tolist():
         leaf = next(k for k, (lo, hi) in enumerate(run.leaves) if lo <= e < hi)
-        col = entries[("p", leaf)][:, e - run.leaves[leaf][0]].tolist()
+        row = entries[("p", leaf)][e - run.leaves[leaf][0]].tolist()
         sym, vals = store.entry(e)
-        assert (sym, vals) == (col[0], tuple(col[1:]))
+        assert (sym, vals) == (row[0], tuple(row[1:]))
         assert all(type(v) is int for v in (sym, *vals))
 
 
@@ -335,15 +334,16 @@ def test_one_pass_offset_equals_per_leaf_offsets():
 
     one_pass = entries.copy()
     ops = _offset_leaves(one_pass, widths, lefts, layers)
-    per_leaf = entries.copy()
-    col = 0
+    per_leaf = entries.tolist()
+    row = 0
     for width, left in zip(widths, lefts):
-        vals = per_leaf[1:, col : col + width]
-        left = left.astype(np.uint64)
-        _scale_offset_mod(vals, left[1 : 1 + layers, None], left[1 + layers :, None], vals)
-        col += width
-    assert np.array_equal(one_pass, per_leaf)
-    assert np.array_equal(one_pass[0], entries[0])
+        left = left.tolist()
+        for vals in per_leaf[row : row + width]:
+            vals[1:] = [(left[1 + layers + l] + left[1 + l] * v) % M61
+                        for l, v in enumerate(vals[1:])]
+        row += width
+    assert one_pass.tolist() == per_leaf
+    assert np.array_equal(one_pass[:, 0], entries[:, 0])
     assert ops == layers * sum(widths)
 
 
@@ -406,3 +406,60 @@ def test_left_context_reads_one_fold_per_lower_level(epsilon):
         assert ctx.reads == want <= sibling_reads, leaf
         saved += sibling_reads - ctx.reads
     assert saved > 0
+
+
+def _audit_texts():
+    """150 near-periodic texts: a random period-p word, resized, up to three letters changed."""
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        n = rng.integers(50, 601)
+        sigma = rng.integers(2, 5)
+        p = rng.integers(1, 6)
+        s = np.resize(rng.integers(0, sigma, p), n)
+        for _ in range(rng.integers(0, 4)):
+            s[rng.integers(0, n)] = rng.integers(0, sigma)
+        yield s.astype(np.int64)
+
+
+def test_forced_collision_audit_counts():
+    # One hash layer whose base has multiplicative order k, so fingerprints
+    # collide often (order 1: a fingerprint is a symbol sum). Every run is
+    # silently wrong, aborted, or exact; the end-letter check of each
+    # fingerprint match turns silent runs into aborts, and these counts pin
+    # what it catches.
+    want = {1: (13, 53, 84), 2: (26, 27, 97), 5: (4, 11, 135)}
+    texts = list(_audit_texts())
+    for order, counts in want.items():
+        scheme = FingerprintScheme(bases=(pow(37, (M61 - 1) // order, M61),))
+        silent = abort = exact = 0
+        for s in texts:
+            try:
+                r = solve_ampc(s, 0.75, scheme=scheme)
+            except CollisionAbort:
+                abort += 1
+                continue
+            if r.table == oracle_maximal_palindromes(s) and \
+                    (r.lps_start, r.lps_length) == oracle_lps(s):
+                exact += 1
+            else:
+                silent += 1
+        assert (silent, abort, exact) == counts, order
+
+
+def test_every_shared_read_of_a_solve_is_pinned(monkeypatch):
+    # the golden grid pins only the peak reads per machine and round; this
+    # pins the total over every machine and round of one solve
+    reads = [0]
+    shared_read = StepContext.shared_read
+
+    def counted(self, key):
+        reads[0] += 1
+        return shared_read(self, key)
+
+    monkeypatch.setattr(StepContext, "shared_read", counted)
+    texts = {"unary": (unary_text(4096).symbols, 31433),
+             "random": (np.random.default_rng(16).integers(0, 2, 4096).astype(np.int64), 5052)}
+    for name, (s, want) in texts.items():
+        reads[0] = 0
+        solve_ampc(s, 0.75, seed=0)
+        assert reads[0] == want, name

@@ -12,8 +12,8 @@ from palmpc._kernels import (
     power_tables,
     prefix_fp_scan,
 )
-from palmpc.ampc import _scale_offset_mod
-from palmpc.fingerprint import scheme_init
+from palmpc.ampc import _offset_leaves
+from palmpc.fingerprint import node, scheme_init
 from palmpc.inputs import fibonacci_text
 from palmpc.oracle import oracle_lcp
 
@@ -80,19 +80,35 @@ def test_prefix_scan_matches_bigint():
         assert prefix_fp_scan(sym, pows, out[:1]) == 2 * n
 
 
-def test_scale_offset_matches_bigint():
+def test_offset_leaves_matches_bigint():
+    # Context nodes arrive as int64 arrays and the local values sit near
+    # M61 - 1, so any product of two numpy int64 scalars would overflow
+    # silently; the offset must multiply Python ints. Base M61 - 1 gives the
+    # multiplier M61 - 1 at every odd length.
     rng = np.random.default_rng(5)
-    muls = [1, M61 - 1, int(rng.integers(0, M61))]
-    adds = [0, M61 - 1, 12345]
-    for size in (1, 2, 17, 500):
-        vals = rng.integers(0, M61, (len(muls), size))
-        vals[:, 0] = M61 - 1
-        out = np.full(vals.shape, -1, np.int64)
-        ops = _scale_offset_mod(vals, np.array(muls, np.uint64)[:, None],
-                                np.array(adds, np.uint64)[:, None], out)
-        for row, (mul, add) in enumerate(zip(muls, adds)):
-            assert out[row].tolist() == [(add + mul * v) % M61 for v in vals[row].tolist()]
-        assert ops == vals.size
+    bases = (1, 2, M61 - 1)
+    layers = len(bases)
+    widths = list(range(1, 149))
+    lefts = []
+    for _ in widths:
+        length = int(rng.integers(1, 1 << 20))
+        vals = (M61 - 1 - rng.integers(0, 8, layers)).tolist()
+        lefts.append(node(length, [pow(x, length, M61) for x in bases], vals))
+    entries = np.empty((sum(widths), 1 + layers), np.int64)
+    entries[:, 0] = rng.integers(0, 4, len(entries))
+    entries[:, 1:] = rng.integers(M61 - 8, M61, (len(entries), layers))
+    entries[::7, 1:] = rng.integers(0, M61, (len(entries[::7]), layers))
+    before = entries.tolist()
+    ops = _offset_leaves(entries, widths, lefts, layers)
+    assert ops == layers * len(entries)
+    row = 0
+    for width, left in zip(widths, lefts):
+        left = left.tolist()
+        for got, old in zip(entries[row : row + width].tolist(), before[row : row + width]):
+            assert got[0] == old[0]
+            assert got[1:] == [(left[1 + layers + l] + left[1 + l] * old[1 + l]) % M61
+                               for l in range(layers)], width
+        row += width
 
 
 def test_power_tables_match_pow():
