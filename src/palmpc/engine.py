@@ -3,7 +3,9 @@
 One process simulates a cluster of machines that compute in synchronous
 rounds: every machine runs a step against its own payload and inbox only,
 then all outboxes are exchanged atomically. Memory is metered in abstract
-words (one symbol, position, length or per-layer hash value = 1 word) and
+words (one symbol, position, length or per-layer hash value = 1 word). A
+payload is a dict of flat values, each metered by ``words_of``: an array by
+its size, an int as one word, a tuple of ints by its length. Memory is
 checked against the per-machine cap at two points of every round: after the
 steps, each machine's payload plus its outbox, and at the boundary, its
 payload plus what it received. Each point is one check over per-machine
@@ -117,34 +119,21 @@ class ClusterConfig:
         return self.memory_constant * (self.block_len + 2 * max(1, self.n).bit_length() + 2)
 
 
-def words_of(obj) -> int:
-    """Metered size of a payload in abstract words."""
-    if obj is None:
-        return 0
-    if isinstance(obj, np.ndarray):
-        return int(obj.size)
-    if isinstance(obj, (int, float, bool, np.integer, np.floating)):
+def words_of(value) -> int:
+    """Metered words of one payload or shared value.
+
+    An array costs its size, an int (numpy ints included) one word, and a
+    tuple of ints its length. Anything else raises ``TypeError``, so no value
+    goes unmetered.
+    """
+    if isinstance(value, np.ndarray):
+        return value.size
+    if type(value) is int or isinstance(value, np.integer):
         return 1
-    if isinstance(obj, dict):
-        obj = obj.values()
-    elif not isinstance(obj, (list, tuple)):
-        raise TypeError(f"cannot meter payload of type {type(obj).__name__}")
-    total = 0
-    for v in obj:
-        # arrays, the common member of a payload, are sized without a call
-        total += v.size if isinstance(v, np.ndarray) else words_of(v)
-    return total
-
-
-def _freeze(obj):
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _freeze(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _freeze(v)
+    if isinstance(value, tuple) and all(
+            type(v) is int or isinstance(v, np.integer) for v in value):
+        return len(value)
+    raise TypeError(f"cannot meter a value of type {type(value).__name__}")
 
 
 class MessageBatch(NamedTuple):
@@ -210,9 +199,9 @@ class SharedStore:
 
     Reads always hit the snapshot published at the previous round boundary;
     writes are buffered and become visible only after the barrier. Keys are
-    any hashable; values are numpy arrays, scalars or tuples of them, metered
-    by ``words_of``. Each ``StepContext.shared_read`` of a key is one metered
-    read, whatever the size of the value.
+    any hashable; values are what ``words_of`` meters: arrays, which a write
+    makes read-only, ints and tuples of ints. Each ``StepContext.shared_read``
+    of a key is one metered read, whatever the size of the value.
     """
 
     def __init__(self):
@@ -222,8 +211,10 @@ class SharedStore:
         self.total_words = 0
 
     def write(self, key, value) -> None:
-        _freeze(value)
-        self._pending[key] = (value, words_of(value))
+        words = words_of(value)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        self._pending[key] = (value, words)
 
     def snapshot_get(self, key):
         return self._snapshot.get(key)
@@ -367,7 +358,8 @@ class Cluster:
                 raise EngineError(
                     f"machine {m} made {ctx._reads} shared reads in round "
                     f"{stats.rounds + 1}, budget {config.shared_read_cap}")
-            local[m] = words_of(self.payloads[m])
+            local[m] = sum(v.size if isinstance(v, np.ndarray) else words_of(v)
+                           for v in self.payloads[m].values())
             if ctx._batches:
                 outbox[m] = sum(int(batch.words.sum()) for batch in ctx._batches)
                 batches_by_src[m] = ctx._batches

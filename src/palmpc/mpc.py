@@ -38,7 +38,10 @@ window t*, then fetch the windows ending at each offset inside window t*
 (full-width windows, one per class, balanced) and scan for the first unequal
 one. Windows below t* agree, so two such shifted windows are equal exactly
 when the in-window prefixes up to the shift are equal. A mismatch inside the
-very first window is settled against letters instead.
+very first window is settled against letters instead. Both reply kinds go
+through one gather, which requires each side of a query to receive exactly
+the rows it asked for (every window of its chain, every window of its
+refinement scan) and raises ``InconsistentMergeError`` otherwise.
 
 ``MpcPalindromes``' rounds call ``scan`` and ``ask``, ``install``, then
 ``consume`` (chains compared, refinement scans finished, first-window
@@ -216,15 +219,17 @@ def superblock_waves(prefix_lens, start: int, n: int, stats: RunStats):
     periodic center that no cap settles, or nothing. It then takes the second
     wave's answers and yields the settled (u, length) pairs for
     ``_merge_b2``. ``stats`` counts the superblock's case, its LCP queries
-    and a simultaneous center.
+    and a simultaneous center. Before the second wave it checks the
+    superblock's query budget: both waves together hold at most 3 queries,
+    else it raises ``AssertionError`` naming the superblock start.
     """
     case = case_name(prefix_lens)
     stats.bump(f"classified_{case}")
-    wave = first_wave(prefix_lens, start, n)
-    if wave:
-        stats.bump("lcp_queries", len(wave))
-    answers = yield wave
-    settled = settle(wave, answers, n)
+    first = first_wave(prefix_lens, start, n)
+    if first:
+        stats.bump("lcp_queries", len(first))
+    answers = yield first
+    settled = settle(first, answers, n)
     wave = []
     if case == "periodic":
         # the wave was [left, right], or [right] at start 0 where left is ignored
@@ -234,6 +239,9 @@ def superblock_waves(prefix_lens, start: int, n: int, stats: RunStats):
             wave = [_center(center_u, n)]
             stats.bump("simultaneous_centers")
             stats.bump("lcp_queries")
+    if len(first) + len(wave) > 3:
+        raise AssertionError(f"superblock at {start} issued {len(first) + len(wave)} "
+                             "LCP queries, over the budget of 3")
     answers = yield wave
     yield settled + settle(wave, answers, n)
 
@@ -594,37 +602,44 @@ class FingerprintLcp:
         for q in first:
             self._first_window_answer(ctx, q)
 
+    def _replies(self, ctx: StepContext, tag: str, index: str, span):
+        """(query, side-0 values, side-1 values) for each query with replies under ``tag``.
+
+        The batch is sorted by (key, ``index``) once. Each side's ``index``
+        column must be exactly first, first + 1, ..., first + count - 1,
+        where (first, count) = ``span(q, p)`` at that side's position p: a
+        missing, duplicated or stray reply raises ``InconsistentMergeError``.
+        """
+        batch = ctx.batches.get(tag)
+        if batch is None:
+            return
+        per = self.queries[ctx.machine_id]
+        order = np.lexsort((batch[index], batch["key"]))
+        keys, bounds = _runs(batch["key"][order])
+        part = dict(zip(keys.tolist(), zip(bounds[:-1].tolist(), bounds[1:].tolist())))
+        all_index = batch[index][order]
+        all_vals = batch["vals"][:, order]
+        for qid in sorted({key // 2 for key in part}):
+            q = per[qid]
+            sides = []
+            for side, p in ((0, q.p1), (1, q.p2)):
+                lo, hi = part.get(2 * qid + side, (0, 0))
+                first, count = span(q, p)
+                if not np.array_equal(all_index[lo:hi], np.arange(first, first + count)):
+                    raise InconsistentMergeError(
+                        f"{tag!r} replies for ({q.p1}, {q.p2}) side {side} are incomplete")
+                sides.append(all_vals[:, lo:hi])
+            yield q, sides[0], sides[1]
+
     def _compare_chains(self, ctx: StepContext) -> list[_Query]:
-        m = ctx.machine_id
         n = self.n
         w = self.plan.window
-        cr = ctx.batches.get("cr")
-        if cr is None:
-            return []
-        per = self.queries.get(m, {})
-        # chain parts from every server, ordered by (key, row)
-        order = np.lexsort((cr["rows"], cr["key"]))
-        keys, bounds = _runs(cr["key"][order])
-        part = dict(zip(keys.tolist(), zip(bounds[:-1].tolist(), bounds[1:].tolist())))
-        all_rows = cr["rows"][order]
-        all_vals = cr["vals"][:, order]
-
         first: list[_Query] = []
         singles_pos: list[np.ndarray] = []
         singles_key: list[np.ndarray] = []
-        for qid in sorted({key // 2 for key in part}):
-            q = per[qid]
-            chain = {}
-            for side, pos in ((0, q.p1), (1, q.p2)):
-                lo, hi = part.get(2 * qid + side, (0, 0))
-                rows = all_rows[lo:hi]
-                base_row = pos // w
-                if rows.size and (rows[0] != base_row or
-                                  not np.array_equal(rows, np.arange(base_row, base_row + rows.size))):
-                    raise InconsistentMergeError("chain rows arrived with gaps")
-                chain[side] = all_vals[:, lo:hi]
-
-            vi, vj = chain[0], chain[1]
+        # one row per window at p, p + w, ... below 2n
+        for q, vi, vj in self._replies(ctx, "cr", "rows",
+                                       lambda q, p: (p // w, -(-(2 * n - p) // w))):
             li = 2 * n - q.p1
             lj = 2 * n - q.p2
             t_max = min(vi.shape[1], vj.shape[1])
@@ -647,46 +662,24 @@ class FingerprintLcp:
             for side, pos in ((0, q.p1), (1, q.p2)):
                 anchor = pos + q.t_star * w
                 singles_pos.append(np.arange(anchor + 1 - w, anchor + q.w_cap + 1 - w))
-                singles_key.append(np.full(q.w_cap, 2 * qid + side, np.int64))
+                singles_key.append(np.full(q.w_cap, 2 * q.qid + side, np.int64))
 
         if singles_pos:
             pos_arr = np.concatenate(singles_pos)
             order = np.argsort(pos_arr % w, kind="stable")
             dests, offsets = _runs(pos_arr[order] % w)
             ctx.send("sq", dests, offsets,
-                     {"o": np.full(order.size, m, np.int64),
+                     {"o": np.full(order.size, ctx.machine_id, np.int64),
                       "key": np.concatenate(singles_key)[order], "pos": pos_arr[order]},
                      headers=("o",))
         return first
 
     def _finish_refinements(self, ctx: StepContext) -> None:
-        sr = ctx.batches.get("sr")
-        if sr is None:
-            return
         w = self.plan.window
-        per = self.queries.get(ctx.machine_id, {})
-        order = np.argsort(sr["key"] // 2, kind="stable")
-        qids, bounds = _runs(sr["key"][order] // 2)
-        for qid, lo, hi in zip(qids.tolist(), bounds[:-1], bounds[1:]):
-            q = per[qid]
-            idx = order[lo:hi]
-            side = sr["key"][idx] % 2
-            pos = sr["pos"][idx]
-            vals = sr["vals"][:, idx]
-            anchor0 = q.p1 + q.t_star * w
-            anchor1 = q.p2 + q.t_star * w
-            by_delta = {}
-            for s, anchor in ((0, anchor0), (1, anchor1)):
-                mask = side == s
-                delta = pos[mask] - (anchor - w)
-                v = np.full((self.scheme.layers, q.w_cap + 1), -1, np.int64)
-                v[:, delta] = vals[:, mask]
-                if (v[:, 1:] < 0).any():
-                    raise InconsistentMergeError(
-                        f"refinement responses for ({q.p1}, {q.p2}) are incomplete")
-                by_delta[s] = v
-            eq = np.all(by_delta[0][:, 1:] == by_delta[1][:, 1:], axis=0)
-            run, tainted = first_unequal_run(eq)
+        # the windows ending at each offset 1 .. w_cap inside window t_star
+        for q, v0, v1 in self._replies(ctx, "sr", "pos",
+                                       lambda q, p: (p + q.t_star * w + 1 - w, q.w_cap)):
+            run, tainted = first_unequal_run(np.all(v0 == v1, axis=0))
             ctx.add_work(q.w_cap)
             if tainted:
                 raise CollisionAbort(
@@ -793,13 +786,6 @@ class MpcPalindromes(BlockPipeline):
                   self._r10_reduce]
         for phase in phases:
             self.cluster.run_round(phase)
-        budget = 3 * self.plan.machine_count
-        issued = self.cluster.stats.counters.get("lcp_queries", 0)
-        if issued > budget:
-            raise AssertionError(f"{issued} LCP queries exceed the 3-per-machine budget")
-        for m, per in self.lcp.queries.items():
-            if len(per) > 3:
-                raise AssertionError(f"machine {m} issued {len(per)} LCP queries")
 
 
 def solve_mpc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,

@@ -75,12 +75,6 @@ class PalindromeTable:
     odd: np.ndarray
     even: np.ndarray
 
-    def length_at(self, u: int) -> int:
-        """Length of the maximal palindrome at center half-index u."""
-        if u % 2 == 0:
-            return int(self.odd[u // 2])
-        return int(self.even[(u - 1) // 2])
-
     def lengths_by_center(self) -> np.ndarray:
         """All 2n-1 lengths ordered by center half-index."""
         return lengths_by_center(self.odd, self.even)

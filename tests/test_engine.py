@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from palmpc import engine
 from palmpc.engine import (
     BROADCAST,
     Cluster,
@@ -181,11 +180,19 @@ def test_steps_only_see_their_own_state():
 
 def test_words_of_units():
     assert words_of(np.zeros(5, np.int64)) == 5
-    assert words_of(7) == 1
-    assert words_of({"a": np.zeros(2), "b": (1, 2)}) == 4
-    assert words_of(None) == 0
+    assert words_of(np.zeros((2, 3), np.int64)) == 6
+    assert words_of(7) == words_of(np.int64(7)) == 1
+    assert words_of((1, np.int64(2))) == 2
     with pytest.raises(TypeError):
         words_of(object())
+
+
+@pytest.mark.parametrize("value", [[1, 2], {"a": 1}, 1.5, None, True,
+                                   (1, np.zeros(2, np.int64))])
+def test_words_of_rejects_values_that_are_not_flat(value):
+    # a container would hide what it holds from the meter
+    with pytest.raises(TypeError, match="cannot meter"):
+        words_of(value)
 
 
 def test_round_accounting_is_size_independent():
@@ -201,15 +208,22 @@ def test_round_accounting_is_size_independent():
     assert counts == {5}
 
 
-def test_each_payload_is_counted_once_per_round(monkeypatch):
+def test_each_payload_is_counted_once_per_round():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     calls = []
 
-    def counting(obj):
-        calls.extend(m for m, payload in enumerate(cl.payloads) if obj is payload)
-        return words_of(obj)
+    class Counted(dict):
+        """A machine's payload that records each walk over its values."""
 
-    monkeypatch.setattr(engine, "words_of", counting)
+        def __init__(self, machine):
+            super().__init__()
+            self.machine = machine
+
+        def values(self):
+            calls.append(self.machine)
+            return super().values()
+
+    cl.payloads = [Counted(m) for m in range(4)]
 
     def r1(ctx):
         m = ctx.machine_id
@@ -280,10 +294,10 @@ def _random_messages(seed: int, machines: int) -> dict:
     return out
 
 
-def _as_dict(src: int, groups) -> dict:
-    """The dict message one segment stands for; an int stands in for the tag word."""
-    return {"t": 0, "o": src, "key": [key for key, _, _ in groups],
-            "rows": [rows for _, rows, _ in groups], "vals": [vals for _, _, vals in groups]}
+def _dict_words(groups) -> int:
+    """Words of the dict message one segment stands for: its tag, its origin, one
+    word per key, and the words of its rows and values."""
+    return 2 + sum(1 + rows.size + vals.size for _, rows, vals in groups)
 
 
 def _exchange(messages: dict, order=None):
@@ -326,7 +340,7 @@ def test_send_meters_segments_like_dicts():
         parts = {m: [] for m in range(machines)}     # (src, key, rows, vals) received
         for src in range(machines):
             for dst, groups in messages[src]:
-                words = words_of(_as_dict(src, groups))
+                words = _dict_words(groups)
                 targets = range(machines) if dst == BROADCAST else (dst,)
                 sent += words * len(targets)
                 out_words[src] += words

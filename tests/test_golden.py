@@ -14,6 +14,8 @@ Before that, count what the change moves: ``--diff`` prints, per JSON field
 of the report and for ``table_sha256``, how many recorded entries the
 current code changes, in all and per mode, and lists every entry whose
 observed memory constant or peak shared reads per machine and round rose.
+It exits 1 when any entry differs, is recorded only or is computed only,
+exactly when ``test_golden_grid_is_byte_identical`` fails, and 0 otherwise.
 
     PYTHONPATH=src python3 tests/test_golden.py --diff
 """
@@ -134,6 +136,11 @@ def diff_grid(want: dict, got: dict) -> list[str]:
     return lines
 
 
+def diff_status(want: dict, got: dict) -> int:
+    """Exit status of ``--diff``: 1 when any entry differs in a byte or exists on one side only."""
+    return int(want["solve"] != got["solve"])
+
+
 def test_diff_counts_changed_fields_and_lists_rising_constants():
     def entry(work, constant, reads, sha="a", mode="mpc"):
         report = {"work": work, "memory": {"observed_constant": constant, "cap": 64},
@@ -158,11 +165,27 @@ def test_diff_counts_changed_fields_and_lists_rising_constants():
                          "shared_reads_peak rose in 1 entries:", "  w: 7 -> 8"]
 
 
+def test_diff_exits_nonzero_on_any_difference():
+    def grid(**entries):
+        return {"solve": {key: {"stdout": json.dumps({"work": work, "mode": "mpc"}) + "\n",
+                                "table_sha256": "a"} for key, work in entries.items()}}
+
+    assert diff_status(grid(x=1, y=2), grid(x=1, y=2)) == 0
+    assert diff_status(grid(x=1, y=2), grid(x=1, y=3)) == 1       # one field changed
+    assert diff_status(grid(x=1, y=2), grid(x=1)) == 1            # recorded only
+    assert diff_status(grid(x=1), grid(x=1, y=2)) == 1            # computed only
+    sha = grid(x=1)
+    sha["solve"]["x"]["table_sha256"] = "b"
+    assert diff_status(grid(x=1), sha) == 1                       # table changed
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(compute_grid(), indent=1, sort_keys=True) + "\n")
     elif sys.argv[1:] == ["--diff"]:
-        print("\n".join(diff_grid(json.loads(GOLDEN.read_text()), compute_grid())))
+        recorded, computed = json.loads(GOLDEN.read_text()), compute_grid()
+        print("\n".join(diff_grid(recorded, computed)))
+        sys.exit(diff_status(recorded, computed))
     else:
         sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write | --diff")

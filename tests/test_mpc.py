@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from palmpc import mpc
 from palmpc._kernels import first_unequal_run
+from palmpc.ampc import solve_ampc
 from palmpc.engine import CollisionAbort, StepContext
 from palmpc.fingerprint import FingerprintScheme, fp_of, scheme_init
 from palmpc.inputs import fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import (
     MAX_TEXT_LEN,
+    FingerprintLcp,
     MpcPalindromes,
     plan_decomposition,
     solve_mpc,
@@ -203,6 +206,70 @@ def test_query_budget_instrumented():
             assert len(per) <= 3
 
 
+@pytest.mark.parametrize("solve, eps", [(solve_mpc, 0.5), (solve_ampc, 0.75)])
+def test_superblock_query_budget_is_checked_in_both_pipelines(monkeypatch, solve, eps):
+    # pad each periodic first wave [left, right] to four queries by repeating
+    # its first one in front, so its first and last answers keep their meaning
+    first_wave = mpc.first_wave
+
+    def padded(prefix_lens, start, n):
+        wave = first_wave(prefix_lens, start, n)
+        return wave[:1] * 2 + wave if len(wave) == 2 else wave
+
+    monkeypatch.setattr(mpc, "first_wave", padded)
+    with pytest.raises(AssertionError,
+                       match=r"superblock at \d+ issued [45] LCP queries, over the budget of 3"):
+        solve(unary_text(1024).symbols, eps)
+
+
+def _tamper_replies(monkeypatch, tag, edit):
+    """Pass the first ``tag`` batch that any machine consumes through ``edit``.
+
+    Returns a list that gets the tampered machine's id."""
+    consume = FingerprintLcp.consume
+    tampered = []
+
+    def tampering(self, ctx):
+        batch = ctx.batches.get(tag)
+        if batch is not None and not tampered:
+            ctx.batches[tag] = edit(batch)
+            tampered.append(ctx.machine_id)
+        consume(self, ctx)
+
+    monkeypatch.setattr(FingerprintLcp, "consume", tampering)
+    return tampered
+
+
+def _keep(batch, keep):
+    return {name: col[..., keep] for name, col in batch.items()}
+
+
+def _drop_chain_tail(cr):
+    # the highest window row of the first key's chain
+    mine = np.flatnonzero(cr["key"] == cr["key"][0])
+    keep = np.ones(cr["key"].size, bool)
+    keep[mine[np.argmax(cr["rows"][mine])]] = False
+    return _keep(cr, keep)
+
+
+def _drop_chain_side(cr):
+    return _keep(cr, cr["key"] != cr["key"][0])
+
+
+def _duplicate_first_row(sr):
+    return _keep(sr, np.r_[0, np.arange(sr["key"].size)])
+
+
+@pytest.mark.parametrize("text", [unary_text, fibonacci_text, thue_morse_text])
+@pytest.mark.parametrize("tag, edit", [("cr", _drop_chain_tail), ("cr", _drop_chain_side),
+                                       ("sr", _duplicate_first_row)])
+def test_incomplete_or_duplicated_replies_are_rejected(monkeypatch, text, tag, edit):
+    tampered = _tamper_replies(monkeypatch, tag, edit)
+    with pytest.raises(InconsistentMergeError, match=f"'{tag}' replies for .* are incomplete"):
+        solve_mpc(text(512).symbols, 0.5)
+    assert tampered
+
+
 def test_edge_machines_finish_locally_without_queries():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -267,7 +334,6 @@ def test_degenerate_scheme_on_random_binary_text_aborts_or_is_exact():
 
 
 def test_pipelines_reject_negative_symbols_with_position():
-    from palmpc.ampc import solve_ampc
     from palmpc.strings import manacher
 
     text = np.array([2, 1, 2, 0, -1, 7], np.int64)
@@ -281,8 +347,6 @@ def test_pipelines_reject_negative_symbols_with_position():
 def test_pipelines_reject_symbols_beyond_the_modulus_under_an_explicit_scheme():
     # an explicit scheme skips scheme_init's alphabet check, so the range check
     # must sit with the symbols: fingerprints of 2**61 - 1 and 0 coincide
-    from palmpc.ampc import solve_ampc
-
     text = fibonacci_text(4096).symbols.copy()
     text[1] = (1 << 61) - 1
     scheme = scheme_init(8192, 2, seed=1)

@@ -99,9 +99,9 @@ def test_via_lcp_equals_manacher():
     for _ in range(200):
         n = int(rng.integers(1, 65))
         s = rng.integers(0, int(rng.choice([2, 3])), n)
-        table = manacher(s)
+        lengths = manacher(s).lengths_by_center()
         for u in range(2 * n - 1):
-            assert _via_lcp(u, n, s) == table.length_at(u)
+            assert _via_lcp(u, n, s) == lengths[u]
 
 
 def test_prefix_palindromes_examples():
@@ -136,9 +136,9 @@ def test_table_entries_are_maximal_palindromes():
     for _ in range(100):
         n = int(rng.integers(1, 50))
         s = rng.integers(0, 2, n)
-        table = manacher(s)
+        lengths = manacher(s).lengths_by_center()
         for u in range(2 * n - 1):
-            lam = table.length_at(u)
+            lam = int(lengths[u])
             lo = (u - lam + 1) // 2
             hi = (u + lam - 1) // 2
             frag = s[lo : hi + 1]

@@ -82,7 +82,7 @@ def test_single_issues_one_query():
     res = resolve("ababxx", 0, 1, lcp)
     assert len(calls) == 1
     orc = oracle_maximal_palindromes("ababxx")
-    assert res == [(2, orc.length_at(2))]
+    assert res == [(2, orc.lengths_by_center()[2])]
 
 
 def test_plan_queries_shapes():
@@ -162,10 +162,10 @@ def test_merge_uses_local_when_not_prefix():
         if case_name(prefix_lens(s[i : i + 4 * bl], bl)) != "empty":
             continue
         hits += 1
-        local = manacher(s[i : i + 4 * bl])
+        local = manacher(s[i : i + 4 * bl]).lengths_by_center()
         u_lo, lengths = merge(s, i, bl, [])
         for j, u in enumerate(range(u_lo, u_lo + lengths.size)):
-            assert lengths[j] == local.length_at(u - 2 * i)
+            assert lengths[j] == local[u - 2 * i]
     assert hits > 20
 
 
@@ -215,10 +215,10 @@ def test_merge_lookup_equals_linear_scan():
     for _ in range(300):
         bl = int(rng.integers(1, 7))
         start = int(rng.integers(0, 20))
-        local = manacher(rng.integers(0, 2, 4 * bl))
+        lengths = manacher(rng.integers(0, 2, 4 * bl)).lengths_by_center()
         lo, hi = 2 * (start + bl), 2 * (start + 2 * bl)
         touching = [u for u in range(lo, hi)
-                    if (u - 2 * start - local.length_at(u - 2 * start) + 1) // 2 <= 0]
+                    if (u - 2 * start - lengths[u - 2 * start] + 1) // 2 <= 0]
         res_u, res_len = [], []
         for u in touching:
             if rng.random() < 0.3:
@@ -235,7 +235,6 @@ def test_merge_lookup_equals_linear_scan():
         order = rng.permutation(len(res_u))
         res_u = np.asarray(res_u, np.int64)[order]
         res_len = np.asarray(res_len, np.int64)[order]
-        lengths = local.lengths_by_center()
         want_out, want_missing = _merge_b2_linear_scan(lengths, start, bl, res_u, res_len)
         resolved = list(zip(res_u.tolist(), res_len.tolist()))
         if want_missing >= 0:
@@ -254,9 +253,9 @@ def test_right_touch_implies_left_touch():
     for _ in range(400):
         bl = int(rng.integers(1, 5))
         frag = rng.integers(0, 2, 4 * bl)
-        local = manacher(frag)
+        local = manacher(frag).lengths_by_center()
         for u in range(2 * bl, 4 * bl):
-            lam = local.length_at(u)
+            lam = int(local[u])
             if (u + lam - 1) // 2 == 4 * bl - 1:
                 assert (u - lam + 1) // 2 == 0
 
@@ -266,13 +265,13 @@ def test_exhaustive_small_binary_against_oracle():
     for n in range(4, 13):
         for code in range(1 << n):
             s = np.array([(code >> j) & 1 for j in range(n)], dtype=np.int64)
-            orc = oracle_maximal_palindromes(s)
+            orc = oracle_maximal_palindromes(s).lengths_by_center()
             lcp = lambda a, b: oracle_lcp(s, a, b)
             for bl in range(1, n // 4 + 1):
                 for i in range(0, n - 4 * bl + 1):
                     u_lo, lengths = merge(s, i, bl, resolve(s, i, bl, lcp))
                     for j, u in enumerate(range(u_lo, u_lo + lengths.size)):
-                        assert lengths[j] == orc.length_at(u), (s.tolist(), i, bl, u)
+                        assert lengths[j] == orc[u], (s.tolist(), i, bl, u)
 
 
 def test_sweep_runs_the_shared_resolver(monkeypatch):
