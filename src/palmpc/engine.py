@@ -14,15 +14,15 @@ step order. Work is whatever the steps declare plus one unit per message
 word moved. ``RunStats.to_dict()`` gives a run's numbers in the layout of
 the run fields of ``palmpc solve --format json``.
 
-Every message is a columnar batch: ``send`` ships flat arrays with rows on
-the last axis, cut into segments, each segment one logical message to one
-machine. A segment is metered exactly as the equivalent dict message would
-be: one tag word, plus the words of its rows, plus one word per header value
-(a column declared as a header costs one word per run of equal values in the
-segment, as a dict holding one scalar per group would). At the round
-boundary each tag's batches from all senders are merged, in (sender,
-sequence) order, and every destination receives one read-only entry per tag
-in ``ctx.batches``.
+Every message is a columnar batch: ``send`` checks flat arrays with rows on
+the last axis, cut into segments (each one logical message to one machine),
+and enqueues them. At the round boundary each tag's batches from all senders
+are merged in (sender, sequence) order and metered there, once: a segment
+costs what the equivalent dict message would, one tag word, plus the words
+of its rows, plus one word per run of equal values in each header column (as
+a dict holding one scalar per group would). A broadcast segment is charged
+to its sender once and to every receiver. Every destination receives one
+read-only entry per tag in ``ctx.batches``.
 
 The adaptive variant adds a shared read-only store: values written during
 round r become visible to every machine in round r+1, never earlier, and
@@ -141,7 +141,7 @@ class MessageBatch(NamedTuple):
     tag: str
     dsts: np.ndarray
     offsets: np.ndarray
-    words: np.ndarray     # metered words per segment
+    headers: tuple
     cols: dict
 
 
@@ -249,12 +249,10 @@ class StepContext:
     def send(self, tag: str, dsts, offsets, cols: dict, headers: tuple = ()) -> None:
         """Send rows [offsets[i], offsets[i+1]) of every column to dsts[i], for each i.
 
-        Columns hold their rows on the last axis. Each segment is metered as one
-        message: one tag word plus its rows' words, except that a column named
-        in ``headers`` (1-D) costs one word per run of equal values in the
-        segment, i.e. one header value per nonempty group of rows. A
-        destination of BROADCAST delivers the segment to every machine and is
-        charged to the sender once.
+        Columns hold their rows on the last axis; ``headers`` names the 1-D
+        columns metered per run of equal values. A destination of BROADCAST
+        delivers the segment to every machine. The columns are frozen here and
+        metered at the round boundary, by the rule of the module docstring.
         """
         dsts = np.asarray(dsts, np.int64)
         offsets = np.asarray(offsets, np.int64)
@@ -262,26 +260,12 @@ class StepContext:
         if unknown.any():
             raise UnknownMachineError(f"machine {self.machine_id} sent to unknown "
                                       f"machine {int(dsts[unknown][0])}")
-        counts = np.diff(offsets)
-        if (offsets.size != dsts.size + 1 or offsets[0] != 0 or (counts < 0).any()
+        if (offsets.size != dsts.size + 1 or offsets[0] != 0 or (np.diff(offsets) < 0).any()
                 or any(col.shape[-1] != offsets[-1] for col in cols.values())):
             raise EngineError(f"batch {tag!r}: offsets do not cut the columns into segments")
-        rows = int(offsets[-1])
-        row_words = sum(col.size // max(rows, 1) for name, col in cols.items()
-                        if name not in headers)
-        words = 1 + counts * row_words
-        if headers:
-            seg_of_row = np.repeat(np.arange(dsts.size), counts)
-            first_rows = offsets[:-1][counts > 0]
-        for name in headers:
-            col = cols[name]
-            run_start = np.ones(rows, bool)
-            run_start[1:] = col[1:] != col[:-1]
-            run_start[first_rows] = True
-            words += np.bincount(seg_of_row[run_start], minlength=dsts.size)
         for col in cols.values():
             col.setflags(write=False)
-        self._batches.append(MessageBatch(tag, dsts, offsets, words, cols))
+        self._batches.append(MessageBatch(tag, dsts, offsets, tuple(headers), cols))
 
     def add_work(self, ops: int) -> None:
         self._work += int(ops)
@@ -346,27 +330,25 @@ class Cluster:
 
         inboxes, self._delivered = self._delivered, {}
         local = np.zeros(M, np.int64)
-        outbox = np.zeros(M, np.int64)
-        batches_by_src: dict[int, list[MessageBatch]] = {}
+        reads = np.zeros(M, np.int64)
+        outboxes: list = [()] * M
         for m in order:
             ctx = StepContext(self, m, inboxes.get(m, _NO_BATCHES))
             step(ctx)
             stats.total_work += ctx._work
-            if ctx._reads > stats.shared_reads_peak:
-                stats.shared_reads_peak = ctx._reads
-            if self.shared is not None and ctx._reads > config.shared_read_cap:
-                raise EngineError(
-                    f"machine {m} made {ctx._reads} shared reads in round "
-                    f"{stats.rounds + 1}, budget {config.shared_read_cap}")
+            reads[m] = ctx._reads
             local[m] = sum(v.size if isinstance(v, np.ndarray) else words_of(v)
                            for v in self.payloads[m].values())
-            if ctx._batches:
-                outbox[m] = sum(int(batch.words.sum()) for batch in ctx._batches)
-                batches_by_src[m] = ctx._batches
-        self._meter(local + outbox, "step")
+            outboxes[m] = ctx._batches
+        stats.shared_reads_peak = max(stats.shared_reads_peak, int(reads.max()))
+        over = np.flatnonzero(reads > config.shared_read_cap)
+        if over.size:
+            raise EngineError(f"machine {over[0]} made {reads[over[0]]} shared reads in round "
+                              f"{stats.rounds + 1}, budget {config.shared_read_cap}")
 
-        boundary = local + self._deliver_batches(
-            [batch for src in sorted(batches_by_src) for batch in batches_by_src[src]])
+        sent, received = self._deliver_batches(outboxes)
+        self._meter(local + sent, "step")
+        boundary = local + received
         self._meter(boundary, "boundary")
         boundary_total = int(boundary.sum())
         if self.shared is not None:
@@ -376,33 +358,49 @@ class Cluster:
         stats.total_memory_peak = max(stats.total_memory_peak, boundary_total)
         stats.rounds += 1
 
-    def _deliver_batches(self, batches: list[MessageBatch]) -> np.ndarray:
-        """Merge each tag's batches and hand every destination one entry per tag.
+    def _deliver_batches(self, outboxes: list) -> tuple[np.ndarray, np.ndarray]:
+        """Meter and merge each tag's batches; hand every destination one entry per tag.
 
-        ``batches`` arrive in (sender, sequence) order; rows keep that order
-        within each destination. Returns the words each machine received.
+        ``outboxes[m]`` holds machine m's batches in sequence order; rows keep
+        (sender, sequence) order within each destination. Returns the words
+        each machine sent and the words each received.
         """
         machine_count = self.config.machine_count
         stats = self.stats
+        sent = np.zeros(machine_count, np.int64)
         received = np.zeros(machine_count, np.int64)
-        by_tag: dict[str, list[MessageBatch]] = {}
-        for batch in batches:
-            by_tag.setdefault(batch.tag, []).append(batch)
+        by_tag: dict[str, list[tuple[int, MessageBatch]]] = {}
+        for src, batches in enumerate(outboxes):
+            for batch in batches:
+                by_tag.setdefault(batch.tag, []).append((src, batch))
         for tag, group in by_tag.items():
-            names = group[0].cols.keys()
-            if any(batch.cols.keys() != names for batch in group):
-                raise EngineError(f"batches tagged {tag!r} carry different columns")
-            dsts = np.concatenate([batch.dsts for batch in group])
-            counts = np.concatenate([np.diff(batch.offsets) for batch in group])
-            words = np.concatenate([batch.words for batch in group])
-            cols = {name: np.concatenate([batch.cols[name] for batch in group], axis=-1)
+            names, headers = group[0][1].cols.keys(), group[0][1].headers
+            if any(batch.cols.keys() != names or batch.headers != headers for _, batch in group):
+                raise EngineError(f"batches tagged {tag!r} carry different columns or headers")
+            dsts = np.concatenate([batch.dsts for _, batch in group])
+            counts = np.concatenate([np.diff(batch.offsets) for _, batch in group])
+            cols = {name: np.concatenate([batch.cols[name] for _, batch in group], axis=-1)
                     for name in names}
+
+            words = 1 + counts * sum(math.prod(col.shape[:-1]) for name, col in cols.items()
+                                     if name not in headers)
+            if headers:
+                seg_of_row = np.repeat(np.arange(dsts.size), counts)
+                first_rows = (np.cumsum(counts) - counts)[counts > 0]
+            for name in headers:
+                col = cols[name]
+                run_start = np.ones(col.size, bool)
+                run_start[1:] = col[1:] != col[:-1]
+                run_start[first_rows] = True
+                words += np.bincount(seg_of_row[run_start], minlength=dsts.size)
+            sent += np.bincount(
+                np.repeat([src for src, _ in group], [batch.dsts.size for _, batch in group]),
+                weights=words, minlength=machine_count).astype(np.int64)
 
             bcast = dsts == BROADCAST
             inbox_words = np.bincount(dsts[~bcast], weights=words[~bcast],
                                       minlength=machine_count).astype(np.int64)
-            bcast_words = int(words[bcast].sum())
-            inbox_words += bcast_words
+            inbox_words += int(words[bcast].sum())
             moved = int(inbox_words.sum())
             received += inbox_words
             stats.message_words += moved
@@ -427,4 +425,4 @@ class Cluster:
                 lo, hi = bounds[dst], bounds[dst + 1]
                 self._delivered.setdefault(dst, {})[tag] = {
                     name: col[..., lo:hi] for name, col in merged.items()}
-        return received
+        return sent, received

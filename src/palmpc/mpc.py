@@ -515,9 +515,9 @@ class FingerprintLcp:
         w = self.plan.window
         M = self.plan.machine_count
         layers = self.scheme.layers
-        cls_rows = -(-(2 * n - m) // w) if m < w else 0
+        cls_rows = -(-(2 * n - m) // w)
         row_count = len(range(m, -(-2 * n // w), M))
-        ctx.payload["cls_vals"] = cls_vals = np.full((layers, max(cls_rows, 0)), -1, np.int64)
+        ctx.payload["cls_vals"] = cls_vals = np.full((layers, cls_rows), -1, np.int64)
         ctx.payload["str_vals"] = str_vals = np.full((layers, row_count, w), -1, np.int64)
         fc = ctx.batches.get("fc")
         if fc is not None:

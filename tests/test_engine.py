@@ -264,6 +264,23 @@ def test_shared_words_counts_published_snapshots_only():
     assert cl.stats.shared_words == 10 == cl.stats.total_memory_peak
 
 
+def test_shared_read_budget_names_the_lowest_machine_under_every_order():
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.75, mode="ampc"))
+    budget = cl.config.shared_read_cap
+    assert (cl.config.machine_count, budget) == (8, 896)
+
+    def read(ctx):
+        if ctx.machine_id in (1, 7):
+            for _ in range(budget + 1):
+                ctx.shared_read("k")
+
+    for order in (list(range(8)), list(range(7, -1, -1)), [7, 3, 1, 0, 2, 4, 5, 6]):
+        with pytest.raises(EngineError, match=f"machine 1 made {budget + 1} shared reads "
+                                              f"in round 1, budget {budget}"):
+            cl.run_round(read, order=order)
+    assert cl.stats.shared_reads_peak == budget + 1
+
+
 def test_shared_store_requires_ampc_mode():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
     with pytest.raises(EngineError):
@@ -277,18 +294,19 @@ def _random_messages(seed: int, machines: int) -> dict:
     """Per sender, a list of (dst, groups): each group is (key, rows, vals).
 
     Groups are nonempty: a header value is carried by the rows of its group.
+    Keys are distinct within a message but drawn from a small pool, so equal
+    keys meet across messages, senders and ``send`` calls.
     """
     rng = np.random.default_rng(seed)
     out = {}
     for src in range(machines):
         msgs = []
-        for _ in range(int(rng.integers(0, 4))):
+        for _ in range(int(rng.integers(0, 6))):
             dst = BROADCAST if rng.random() < 0.2 else int(rng.integers(0, machines))
             groups = []
-            for g in range(int(rng.integers(1, 4))):
+            for key in rng.choice(4, int(rng.integers(1, 4)), replace=False).tolist():
                 k = int(rng.integers(1, 5))
-                groups.append((10 * src + g, rng.integers(0, 99, k),
-                               rng.integers(0, 99, (2, k))))
+                groups.append((key, rng.integers(0, 99, k), rng.integers(0, 99, (2, k))))
             msgs.append((dst, groups))
         out[src] = msgs
     return out
@@ -305,18 +323,21 @@ def _exchange(messages: dict, order=None):
     cl = Cluster(ClusterConfig(n=64, epsilon=0.5))
 
     def send(ctx):
+        # a sender's messages go out in two calls, so a tag's batches meet
+        # within one sender as well as across senders
         msgs = messages[ctx.machine_id]
-        if not msgs:
-            return
-        counts = [sum(rows.size for _, rows, _ in groups) for _, groups in msgs]
-        groups = [g for _, gs in msgs for g in gs]
-        rows = np.concatenate([r for _, r, _ in groups])
-        ctx.send("x", [dst for dst, _ in msgs], np.cumsum([0] + counts),
-                 {"o": np.full(rows.size, ctx.machine_id),
-                  "key": np.concatenate([np.full(r.size, key) for key, r, _ in groups]),
-                  "rows": rows,
-                  "vals": np.concatenate([v for _, _, v in groups], axis=1)},
-                 headers=("o", "key"))
+        for part in (msgs[:len(msgs) // 2], msgs[len(msgs) // 2:]):
+            if not part:
+                continue
+            counts = [sum(rows.size for _, rows, _ in groups) for _, groups in part]
+            groups = [g for _, gs in part for g in gs]
+            rows = np.concatenate([r for _, r, _ in groups])
+            ctx.send("x", [dst for dst, _ in part], np.cumsum([0] + counts),
+                     {"o": np.full(rows.size, ctx.machine_id),
+                      "key": np.concatenate([np.full(r.size, key) for key, r, _ in groups]),
+                      "rows": rows,
+                      "vals": np.concatenate([v for _, _, v in groups], axis=1)},
+                     headers=("o", "key"))
 
     got = {}
 
@@ -401,6 +422,17 @@ def test_oversized_batch_names_receiver_and_round():
     assert (err.value.machine, err.value.round_no, err.value.words) == (2, 2, 404)
     assert err.value.check == "boundary"
     assert "at the round 2 boundary (payload plus received)" in str(err.value)
+
+
+def test_one_tag_must_declare_the_same_headers_in_a_round():
+    def send(ctx):
+        m = ctx.machine_id
+        ctx.send("x", [0], [0, 2], {"k": np.array([m, m])}, headers=("k",) if m == 1 else ())
+
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+        cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+        with pytest.raises(EngineError, match="different columns or headers"):
+            cl.run_round(send, order=order)
 
 
 def test_send_rejects_offsets_that_do_not_cut_the_columns():
