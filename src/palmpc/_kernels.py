@@ -97,25 +97,40 @@ def manacher_tables(sym, hi=None):
     >= 0). No sentinel transform, so indices equal text positions. ``ops``
     counts two per center and one per matched letter pair.
 
-    ``hi`` (at most ``len(sym)``, the default) stops both scans after their
-    first ``hi`` center iterations: odd is returned for c < hi and even for
-    m < hi - 1, the gaps left of position hi - 1. Arms still run over the
-    whole of ``sym``, and every mirror a center copies lies left of it, so
-    each scanned value equals the full scan's and the scan stays linear in
-    ``len(sym)``; ops never exceed the full scan's. A bound on the left end
-    would not: a center past it whose mirror lies before it must extend its
-    arm from scratch, which is quadratic on a long run.
+    ``hi`` (in [0, ``len(sym)``], the default ``len(sym)``) stops both scans
+    after their first ``hi`` center iterations: odd is returned for c < hi
+    and even for m < hi - 1, the gaps left of position hi - 1. Arms still run
+    over the whole of ``sym``, and every mirror a center copies lies left of
+    it, so each scanned value equals the full scan's and the scan stays
+    linear in ``len(sym)``; ops never exceed the full scan's. A bound on the
+    left end would not: a center past it whose mirror lies before it must
+    extend its arm from scratch, which is quadratic on a long run.
+
+    Only centers whose first letter pair matches are visited. Any other
+    center (odd with s[i-1] != s[i+1], even with s[i-1] != s[i], or one with
+    no room for an arm) ends at arm 1 (odd) or 0 (even) whatever the scan
+    state: a mirror inside the current palindrome would carry the same
+    mismatch, so the scan also starts it at that arm, matches no pair and
+    spends exactly its 2 ops. Its reach, i (odd) or i - 1 (even), lies left
+    of every later center, so it never changes where a later center starts.
+    The tables are therefore prefilled with those arms, ``ops`` starts at the
+    2 per center of both scans, and each visited center adds its matched
+    pairs.
     """
     n = len(sym)
     if hi is None:
         hi = n
+    if not 0 <= hi <= n:
+        raise ValueError(f"hi={hi} is outside [0, {n}]")
     s = sym.tolist()
-    ops = 0
-    # odd centers: d[i] = arm length k, palindrome s[i-k+1 .. i+k-1]
-    d = [0] * n
+    ops = 4 * hi
+    # odd centers: d[i] = arm length k, palindrome s[i-k+1 .. i+k-1];
+    # centers 1 .. top - 1 have room for an arm
+    top = max(min(hi, n - 1), 1)
+    d = [1] * n
     left = 0
     right = -1
-    for i in range(hi):
+    for i in (np.flatnonzero(sym[: top - 1] == sym[2 : top + 1]) + 1).tolist():
         if i > right:
             k = 1
         else:
@@ -129,17 +144,19 @@ def manacher_tables(sym, hi=None):
         while k < room and s[i - k] == s[i + k]:
             k += 1
         d[i] = k
-        ops += 2 + k - k0
+        ops += k - k0
         if i + k - 1 > right:
             left = i - k + 1
             right = i + k - 1
     odd = np.array(d if hi == n else d[:hi], np.int64)
     odd *= 2
     odd -= 1
-    # even centers, reusing d: d[i] = arm length k, palindrome s[i-k .. i+k-1]
+    # even centers: d[i] = arm length k, palindrome s[i-k .. i+k-1]
+    top = max(hi, 1)
+    d = [0] * n
     left = 0
     right = -1
-    for i in range(hi):
+    for i in (np.flatnonzero(sym[: top - 1] == sym[1:top]) + 1).tolist():
         if i > right:
             k = 0
         else:
@@ -153,7 +170,7 @@ def manacher_tables(sym, hi=None):
         while k < room and s[i - k - 1] == s[i + k]:
             k += 1
         d[i] = k
-        ops += 2 + k - k0
+        ops += k - k0
         if i + k - 1 > right:
             left = i - k
             right = i + k - 1

@@ -49,8 +49,6 @@ well as on epsilon. At eps=0.75 the total is 9 rounds for every n from 2**10
 to 2**16; at eps=0.9 the same sizes give 21, 15, 17, 18, 19, 21 and 17 rounds.
 """
 
-from bisect import bisect_right
-
 import numpy as np
 
 from ._kernels import M61, power_tables, prefix_fp_scan
@@ -114,26 +112,35 @@ class PrefixStore:
     the published snapshot outside one.
     """
 
-    __slots__ = ("_read", "_leaf_starts", "n")
+    __slots__ = ("_read", "_leaf_starts", "_width", "_last", "n")
 
     def __init__(self, read, leaf_starts: list[int], n: int):
         self._read = read
         self._leaf_starts = leaf_starts
+        # leaf 1 starts one block in (or at n, when one block holds the text)
+        self._width = leaf_starts[1]
+        self._last = len(leaf_starts) - 1
         self.n = n
 
     def entry(self, e: int):
         """(symbol, per-layer prefix values) at doubled position e.
 
-        Makes exactly one ``read``: that of the leaf array holding e. Values
-        are Python ints, so callers may multiply two 61-bit residues without
+        Makes exactly one ``read``: that of the leaf array holding e. Every
+        block but the last is b wide, so text position e lies in leaf e // b
+        and mirrored position e >= n in the image of block (2n - 1 - e) // b;
+        an e outside the doubled string names a missing leaf. Values are
+        Python ints, so callers may multiply two 61-bit residues without
         overflow.
         """
-        leaf = bisect_right(self._leaf_starts, e) - 1   # -1 for e < 0: no such key
+        n = self.n
+        if e < n:
+            leaf = e // self._width
+        else:
+            leaf = self._last - (2 * n - 1 - e) // self._width
         arr = self._read(("p", leaf))
-        off = e - self._leaf_starts[leaf]
-        if arr is None or off >= len(arr):
+        if arr is None:
             raise KeyError(f"no prefix entry at position {e}")
-        row = arr[off].tolist()
+        row = arr[e - self._leaf_starts[leaf]].tolist()
         return row[0], tuple(row[1:])
 
 

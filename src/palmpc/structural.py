@@ -141,20 +141,26 @@ def _merge_b2(lengths, start, block_len, resolved):
     palindrome of an owned center that touches the fragment's right edge
     necessarily touches the left one too); the rest take their lengths from
     ``resolved``, a list of (u, length) pairs. A prefix-touching center with
-    no resolved entry raises ``InconsistentMergeError``.
+    no resolved entry raises ``InconsistentMergeError``. The result is a new
+    int64 array, sharing no memory with ``lengths``.
     """
     lo = 2 * (start + block_len)
     count = 2 * block_len
+    # owned center j sits at local half-index count + j; a local palindrome
+    # shorter than that starts after the fragment's left edge
+    lams = lengths[count : 2 * count]
+    touch = np.flatnonzero(lams >= np.arange(count, 2 * count))
+    out = lams.astype(np.int64)       # a copy: the result must not alias ``lengths``
+    if touch.size == 0:
+        return out
     # resolved length per owned center; filled backwards so the first entry wins
     known = [-1] * count
     for u, length in reversed(resolved):
         if lo <= u < lo + count:
             known[u - lo] = length
-    # owned center j sits at local half-index count + j; a local palindrome
-    # shorter than that starts after the fragment's left edge
-    lams = lengths[count : 2 * count].tolist()
-    out = [lam if lam < count + j else known[j] for j, lam in enumerate(lams)]
-    if min(out) < 0:
-        missing = next(lo + j for j, length in enumerate(out) if length < 0)
+    picked = np.array(known, np.int64)[touch]
+    if picked.min() < 0:
+        missing = lo + int(touch[np.argmax(picked < 0)])
         raise InconsistentMergeError(f"center u={missing} reaches its fragment start unresolved")
-    return np.array(out, np.int64)
+    out[touch] = picked
+    return out

@@ -14,7 +14,7 @@ from palmpc._kernels import (
 )
 from palmpc.ampc import _offset_leaves
 from palmpc.fingerprint import node, scheme_init
-from palmpc.inputs import fibonacci_text
+from palmpc.inputs import alternating_text, fibonacci_text, thue_morse_text
 from palmpc.oracle import oracle_lcp
 
 # ---------------------------------------------------------------------------
@@ -131,14 +131,15 @@ def test_scheme_rejects_alphabets_beyond_the_modulus():
 # scalar kernels against the array loops they replaced
 
 
-def _manacher_ref(sym):
+def _manacher_ref(sym, hi=None):
     n = sym.size
-    odd = np.empty(n, np.int64)
-    even = np.empty(max(n - 1, 0), np.int64)
+    hi = n if hi is None else hi
+    odd = np.empty(hi, np.int64)
+    even = np.empty(max(hi - 1, 0), np.int64)
     ops = np.int64(0)
     d1 = np.empty(n, np.int64)
     left, right = 0, -1
-    for i in range(n):
+    for i in range(hi):
         k = 1 if i > right else min(d1[left + right - i], right - i + 1)
         while i - k >= 0 and i + k < n and sym[i - k] == sym[i + k]:
             k += 1
@@ -150,7 +151,7 @@ def _manacher_ref(sym):
         odd[i] = 2 * k - 1
     d2 = np.empty(n, np.int64)
     left, right = 0, -1
-    for i in range(n):
+    for i in range(hi):
         k = 0 if i > right else min(d2[left + right - i + 1], right - i + 1)
         while i - k - 1 >= 0 and i + k < n and sym[i - k - 1] == sym[i + k]:
             k += 1
@@ -159,7 +160,7 @@ def _manacher_ref(sym):
         ops += 2
         if i + k - 1 > right:
             left, right = i - k, i + k - 1
-    for m in range(n - 1):
+    for m in range(hi - 1):
         even[m] = 2 * d2[m + 1]
     return odd, even, ops
 
@@ -203,15 +204,62 @@ def test_scalar_kernels_equal_the_array_loops(n):
             assert oracle_lcp(sym, p1, p2) == _lcp_ref(sym, p1, p2), (family, p1, p2)
 
 
+def _bounded_families(n):
+    """The texts the bounded scan is pinned on: every shape of mirror and arm."""
+    rng = np.random.default_rng(2000 + n)
+    yield "random-2", rng.integers(0, 2, n).astype(np.int64)
+    yield "random-3", rng.integers(0, 3, n).astype(np.int64)
+    yield "unary", np.zeros(n, np.int64)
+    yield "fibonacci", fibonacci_text(n).symbols if n else np.zeros(0, np.int64)
+    yield "thue-morse", thue_morse_text(n).symbols if n else np.zeros(0, np.int64)
+    yield "alternating", alternating_text(n).symbols if n else np.zeros(0, np.int64)
+    run = np.zeros(n, np.int64)                 # a run, then a break, then noise
+    run[n // 2 :] = rng.integers(0, 2, n - n // 2)
+    if n:
+        run[n // 2] = 1
+    yield "run-then-break", run
+    periodic = (np.arange(n) % 3 == 0).astype(np.int64)
+    for flips in (1, 2, 3):
+        text = periodic.copy()
+        if n:
+            text[rng.integers(0, n, flips)] ^= 1
+        yield f"periodic-{flips}-flips", text
+
+
+def _assert_bounded_equals_ref(sym, hi, family):
+    odd, even, ops = manacher_tables(sym, hi)
+    w_odd, w_even, w_ops = _manacher_ref(sym, hi)
+    assert odd.tolist() == w_odd.tolist(), (family, hi)
+    assert even.tolist() == w_even.tolist(), (family, hi)
+    assert ops == w_ops, (family, hi)
+
+
 @pytest.mark.parametrize("n", range(24))
 def test_bounded_manacher_is_a_prefix_of_the_full_scan(n):
-    for family, sym in _texts(n):
+    for family, sym in _bounded_families(n):
         odd, even, ops = manacher_tables(sym)
         for hi in range(n + 1):
             h_odd, h_even, h_ops = manacher_tables(sym, hi)
             assert h_odd.tolist() == odd[:hi].tolist(), (family, hi)
             assert h_even.tolist() == even[: max(hi - 1, 0)].tolist(), (family, hi)
             assert h_ops <= ops, (family, hi)
+            _assert_bounded_equals_ref(sym, hi, family)
+
+
+@pytest.mark.parametrize("b", [12, 128])
+def test_bounded_manacher_ops_equal_the_reference_on_superblocks(b):
+    # a middle machine's scan: 2b + 1 letter centers of a 4b-letter superblock
+    for family, sym in _bounded_families(4 * b):
+        _assert_bounded_equals_ref(sym, 2 * b + 1, family)
+
+
+def test_manacher_rejects_a_bound_outside_the_text():
+    sym = np.array([0, 1, 1, 0], np.int64)
+    for hi in (-1, 5):
+        with pytest.raises(ValueError, match=f"hi={hi} "):
+            manacher_tables(sym, hi)
+    with pytest.raises(ValueError):
+        manacher_tables(np.zeros(0, np.int64), 1)
 
 
 def test_bounded_manacher_stays_linear_on_a_run_then_break():

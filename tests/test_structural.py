@@ -186,6 +186,19 @@ def test_merge_missing_entry_raises():
     assert "own_lengths" not in ctx.payload
 
 
+def test_merge_result_does_not_share_memory_with_lengths():
+    # the pipelines keep the local lengths as payload state ("f_lengths"),
+    # so the owned lengths must be a copy whether or not a center touches
+    untouched = manacher(as_symbols("abcd")).lengths_by_center()
+    out = _merge_b2(untouched, 0, 1, [])
+    assert out.tolist() == untouched[2:4].tolist()
+    assert not np.shares_memory(out, untouched)
+    touched = manacher(as_symbols("aaaa")).lengths_by_center()
+    out = _merge_b2(touched, 1, 1, [(4, 7), (5, 8)])     # both owned centers touch
+    assert out.tolist() == [7, 8]
+    assert not np.shares_memory(out, touched)
+
+
 def _merge_b2_linear_scan(lengths, start, block_len, resolved_u, resolved_len):
     # reference: each prefix-touching center scans the resolved list for its first entry
     lo = 2 * (start + block_len)
