@@ -149,7 +149,8 @@ def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> in
 
     Maintains: prefixes of length lo are fingerprint-equal. Each probe reads
     the prefix entries at the two fragment ends and compares the fragments
-    with ``fragments_equal``; if they match, the letters those entries hold
+    with ``fragments_equal``, scaled by one power per layer that the query
+    computes once; if they match, the letters those entries hold
     must agree as well. The mismatch letters are checked literally at the
     end. Either contradiction proves a collision.
     """
@@ -158,8 +159,10 @@ def ampc_lcp(store: PrefixStore, p1: int, p2: int, bases: tuple[int, ...]) -> in
         return n2 - p1
     layers = len(bases)
     l_max = n2 - max(p1, p2)
-    pow1 = tuple(pow(x, p1, M61) for x in bases)
-    pow2 = tuple(pow(x, p2, M61) for x in bases)
+    # one power per layer: the fragment that starts first is scaled by
+    # x**|p2 - p1| (fragments_equal's single-power form)
+    shift = tuple(pow(x, abs(p2 - p1), M61) for x in bases)
+    pow1, pow2 = ((1,) * layers, shift) if p1 < p2 else (shift, (1,) * layers)
     base1 = store.entry(p1 - 1)[1] if p1 > 0 else (0,) * layers
     base2 = store.entry(p2 - 1)[1] if p2 > 0 else (0,) * layers
 
@@ -340,15 +343,19 @@ class AmpcPalindromes(BlockPipeline):
     def build_prefix_entries(self) -> None:
         """Rounds up to and including the context round, which publishes the entries."""
         self.cluster.run_round(self._r1_leaves)
+        M = self.plan.machine_count
         for level in range(1, self.depth):
-            self.cluster.run_round(self._combine_level(level))
+            self.cluster.run_round(self._combine_level(level),
+                                   machines=range(min(self.tree_sizes[level], M)))
         self.cluster.run_round(self._r_context)
 
     def run(self) -> None:
         self.build_prefix_entries()
         self.cluster.run_round(self._r_query)
+        M = self.plan.machine_count
         for level in range(1, self.best_depth + 1):
-            self.cluster.run_round(self._best_level(level))
+            self.cluster.run_round(self._best_level(level),
+                                   machines=range(min(self.best_sizes[level], M)))
 
 
 def solve_ampc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,

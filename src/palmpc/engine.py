@@ -296,11 +296,16 @@ class Cluster:
         )
         self.shared = SharedStore() if config.mode == "ampc" else None
         self._delivered: dict[int, dict] = {}   # only machines with batches pending
+        self._local = np.full(config.machine_count, -1, np.int64)   # payload words, -1: uncounted
 
     def require_shared(self) -> SharedStore:
         if self.shared is None:
             raise EngineError("shared store is only available in ampc mode")
         return self.shared
+
+    def _payload_words(self, m: int) -> int:
+        return sum(v.size if isinstance(v, np.ndarray) else words_of(v)
+                   for v in self.payloads[m].values())
 
     def _meter(self, words: np.ndarray, check: str) -> None:
         """Check every machine's words against the cap at ``check``, then raise its peak."""
@@ -311,35 +316,45 @@ class Cluster:
             raise MemoryCapExceeded(m, self.stats.rounds + 1, int(words[m]), cap, check)
         np.maximum(self.stats.per_machine_peak, words, out=self.stats.per_machine_peak)
 
-    def run_round(self, step: StepFn, order: list[int] | None = None) -> None:
-        """Execute one synchronous round: compute on every machine, then exchange.
+    def run_round(self, step: StepFn, machines=None) -> None:
+        """Execute one synchronous round: compute on the machines that step, then exchange.
 
-        ``order``, a permutation of the machines, sets the step execution
-        order for determinism testing; results are independent of it because
-        steps only see their own state and inbox, deliveries are normalized
-        to (sender, sequence) order and memory is checked over all machines
-        at once.
+        ``machines`` lists the machines that step, in step order; the default
+        is all of them. Results are independent of the order because steps
+        only see their own state and inbox, deliveries are normalized to
+        (sender, sequence) order and memory is checked over all machines at
+        once. A machine left out must have no batches pending; it keeps the
+        payload words of its last count, and one never counted is counted
+        now, since placement fills payloads outside any round.
         """
         config = self.config
         stats = self.stats
         M = config.machine_count
-        if order is None:
-            order = range(M)
-        elif sorted(order) != list(range(M)):
-            raise EngineError(f"order must be a permutation of the {M} machines")
+        if machines is None:
+            machines = range(M)
+        else:
+            stepping = set(machines)
+            if len(stepping) < len(machines) or stepping and not (
+                    0 <= min(stepping) and max(stepping) < M):
+                raise EngineError(f"machines must be distinct ids of the {M} machines")
+            idle = self._delivered.keys() - stepping
+            if idle:
+                raise EngineError(f"machine {min(idle)} has batches pending but does not "
+                                  f"step in round {stats.rounds + 1}")
 
         inboxes, self._delivered = self._delivered, {}
-        local = np.zeros(M, np.int64)
+        local = self._local
         reads = np.zeros(M, np.int64)
         outboxes: list = [()] * M
-        for m in order:
+        for m in machines:
             ctx = StepContext(self, m, inboxes.get(m, _NO_BATCHES))
             step(ctx)
             stats.total_work += ctx._work
             reads[m] = ctx._reads
-            local[m] = sum(v.size if isinstance(v, np.ndarray) else words_of(v)
-                           for v in self.payloads[m].values())
+            local[m] = self._payload_words(m)
             outboxes[m] = ctx._batches
+        for m in np.flatnonzero(local < 0).tolist():
+            local[m] = self._payload_words(m)
         stats.shared_reads_peak = max(stats.shared_reads_peak, int(reads.max()))
         over = np.flatnonzero(reads > config.shared_read_cap)
         if over.size:

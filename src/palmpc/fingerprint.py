@@ -9,7 +9,8 @@ A *node* holds what that identity needs, as one read-only int64 array
 its metered size. ``running_folds`` folds nodes left to right on Python ints
 and keeps every prefix fold; ``concat`` is the last fold. ``fragments_equal``
 compares two fragments read off prefix fingerprints, cross-multiplied by
-the powers at their starts, so no modular inverse is ever needed.
+the powers at their starts or by the one power between them, so no modular
+inverse is ever needed.
 
 Layers multiply: two layers square the per-comparison failure probability at
 the cost of twice the words. The default is two.
@@ -109,10 +110,12 @@ def fragments_equal(end_a, start_a, pow_a, end_b, start_b, pow_b) -> bool:
     """Whether two equal-length fragments have equal fingerprints in every layer.
 
     A fragment S[p:e] is given by the per-layer prefix fingerprints
-    ``end`` = fp(S[:e]) and ``start`` = fp(S[:p]) and the powers ``pow`` =
-    x**p, so fp(S[p:e]) = (end - start) * x**-p. Equality is tested as
-    (end_a - start_a) * x**p_b == (end_b - start_b) * x**p_a. The caller
-    checks that the lengths agree.
+    ``end`` = fp(S[:e]) and ``start`` = fp(S[:p]), so fp(S[p:e]) =
+    (end - start) * x**-p. Equality is tested as (end_a - start_a) * pow_b
+    == (end_b - start_b) * pow_a. The powers may be x**p_a and x**p_b or,
+    for p_a <= p_b, the single-power form pow_a = 1 and pow_b = x**(p_b - p_a):
+    x**p_a is invertible, so both decide alike. The caller checks that the
+    lengths agree.
     """
     for ea, sa, pa, eb, sb, pb in zip(end_a, start_a, pow_a, end_b, start_b, pow_b):
         if (ea - sa) * pb % M61 != (eb - sb) * pa % M61:

@@ -770,8 +770,6 @@ class MpcPalindromes(BlockPipeline):
             _send_rows(ctx, "best", [0], len=[best[0]], start=[best[1]])
 
     def _r10_reduce(self, ctx: StepContext) -> None:
-        if ctx.machine_id != 0:
-            return
         best = ctx.batches["best"]
         ctx.add_work(best["len"].size)
         top = lps_index(best["len"], best["start"])
@@ -782,10 +780,10 @@ class MpcPalindromes(BlockPipeline):
     def run(self) -> None:
         lcp = self.lcp
         phases = [self._r1_local, lcp.install, lcp.consume, lcp.serve,
-                  self._r5_resolve, lcp.serve, lcp.consume, lcp.serve, self._r9_finalize,
-                  self._r10_reduce]
+                  self._r5_resolve, lcp.serve, lcp.consume, lcp.serve, self._r9_finalize]
         for phase in phases:
             self.cluster.run_round(phase)
+        self.cluster.run_round(self._r10_reduce, machines=[0])
 
 
 def solve_mpc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,

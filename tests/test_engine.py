@@ -93,17 +93,74 @@ def test_cap_violation_names_the_lowest_machine_under_every_order():
 
     for order in ([0, 1, 2, 3], [3, 2, 1, 0], [3, 0, 1, 2]):
         with pytest.raises(MemoryCapExceeded) as err:
-            cl.run_round(blow, order=order)
+            cl.run_round(blow, machines=order)
         assert (err.value.machine, err.value.words) == (1, 300), order
 
 
-def test_order_must_be_a_permutation_of_the_machines():
+def test_machines_must_be_distinct_known_ids():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
-    for order in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 3, 0], [1, 2, 3, 4]):
-        with pytest.raises(EngineError, match="permutation"):
-            cl.run_round(lambda ctx: None, order=order)
-    cl.run_round(lambda ctx: None, order=[2, 0, 3, 1])
-    assert cl.stats.rounds == 1
+    for machines in ([0, 1, 2, 2], [0, 1, 2, 3, 0], [1, 2, 3, 4], [-1, 0]):
+        with pytest.raises(EngineError, match="distinct ids of the 4 machines"):
+            cl.run_round(lambda ctx: None, machines=machines)
+    stepped = []
+    for machines in ([2, 0, 3, 1], [3, 1], []):
+        cl.run_round(lambda ctx: stepped.append(ctx.machine_id), machines=machines)
+    assert stepped == [2, 0, 3, 1, 3, 1]
+    assert cl.stats.rounds == 3
+
+
+def test_a_machine_left_out_must_have_no_batches_pending():
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    cl.run_round(lambda ctx: ctx.send("x", [2], [0, 1], {"v": np.array([7])})
+                 if ctx.machine_id == 0 else None)
+    with pytest.raises(EngineError, match="machine 2 has batches pending but does not "
+                                          "step in round 2"):
+        cl.run_round(lambda ctx: None, machines=[0, 1, 3])
+    got = []
+    cl.run_round(lambda ctx: got.append(ctx.batches["x"]["v"].tolist()), machines=[2])
+    assert got == [[7]]
+
+
+def test_partial_rounds_meter_every_payload_as_a_full_recount():
+    # machine 3 is filled before round 1 and never steps; the others step in
+    # some rounds and not in others. Every step grows its payload, so each
+    # boundary's metered totals are also the peaks, and must equal a recount.
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.75, mode="ampc"))
+    cl.payloads[3]["placed"] = np.zeros(5, np.int64)
+    rng = np.random.default_rng(0)
+
+    def grow(ctx):
+        ctx.payload[f"r{cl.stats.rounds}"] = np.zeros(int(rng.integers(1, 9)), np.int64)
+        ctx.shared_write(("k", ctx.machine_id), cl.stats.rounds)
+
+    for machines in ([0, 1, 2, 4, 5, 6, 7], [5, 1], [], [7, 6, 0], None, [2]):
+        cl.run_round(grow, machines=machines)
+        words = [sum(words_of(v) for v in payload.values()) for payload in cl.payloads]
+        assert cl.stats.per_machine_peak.tolist() == words, machines
+        assert cl.stats.total_memory_peak == sum(words) + cl.shared.total_words, machines
+    assert list(cl.payloads[3]) == ["placed", "r4"]
+
+
+def test_in_place_payload_update_of_a_stepping_machine_is_metered():
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))    # cap 256 words
+    cl.payloads[1]["x"] = np.zeros(10, np.int64)
+    cl.run_round(lambda ctx: None)
+    assert cl.stats.per_machine_peak[1] == 10
+
+    def grow(ctx):
+        ctx.payload["x"] = np.resize(ctx.payload["x"], 40)
+        ctx.payload["y"] = 3
+
+    cl.run_round(grow, machines=[1])
+    assert cl.stats.per_machine_peak.tolist() == [0, 41, 0, 0]
+    assert cl.stats.total_memory_peak == 41
+
+    def blow(ctx):
+        ctx.payload["x"] = np.resize(ctx.payload["x"], 300)
+
+    with pytest.raises(MemoryCapExceeded) as err:
+        cl.run_round(blow, machines=[1])
+    assert (err.value.machine, err.value.words) == (1, 301)
 
 
 def test_unknown_destination_rejected():
@@ -139,7 +196,7 @@ def test_determinism_under_execution_order():
 
         for phase in (phase_send, phase_recv):
             order = list(rng.permutation(8))
-            cl.run_round(phase, order=order)
+            cl.run_round(phase, machines=order)
         return [cl.payloads[m].get("acc") for m in range(8)], cl.stats.to_dict()
 
     state_a, stats_a = run(1)
@@ -277,7 +334,7 @@ def test_shared_read_budget_names_the_lowest_machine_under_every_order():
     for order in (list(range(8)), list(range(7, -1, -1)), [7, 3, 1, 0, 2, 4, 5, 6]):
         with pytest.raises(EngineError, match=f"machine 1 made {budget + 1} shared reads "
                                               f"in round 1, budget {budget}"):
-            cl.run_round(read, order=order)
+            cl.run_round(read, machines=order)
     assert cl.stats.shared_reads_peak == budget + 1
 
 
@@ -345,9 +402,9 @@ def _exchange(messages: dict, order=None):
         if "x" in ctx.batches:
             got[ctx.machine_id] = ctx.batches["x"]
 
-    cl.run_round(send, order=order)
+    cl.run_round(send, machines=order)
     peaks = cl.stats.per_machine_peak.copy()
-    cl.run_round(receive, order=order)
+    cl.run_round(receive, machines=order)
     return got, cl.stats.to_dict(), peaks
 
 
@@ -432,7 +489,7 @@ def test_one_tag_must_declare_the_same_headers_in_a_round():
     for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
         cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
         with pytest.raises(EngineError, match="different columns or headers"):
-            cl.run_round(send, order=order)
+            cl.run_round(send, machines=order)
 
 
 def test_send_rejects_offsets_that_do_not_cut_the_columns():

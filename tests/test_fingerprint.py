@@ -104,6 +104,28 @@ def test_fp_eq_examples():
     assert not _same(fp_of("a", sch), fp_of("aa", sch))
 
 
+def test_single_power_form_decides_as_the_two_power_form():
+    # a base of multiplicative order 3 makes unequal fragments match often,
+    # so both outcomes occur; the forms must agree on every pair
+    x = pow(37, (M61 - 1) // 3, M61)
+    sch = FingerprintScheme(bases=(x,))
+    rng = np.random.default_rng(21)
+    s = rng.integers(0, 2, 40)
+    prefix = [_vals(fp_of(s[:e], sch)) for e in range(41)]
+    outcomes = set()
+    for _ in range(2000):
+        length = int(rng.integers(0, 10))
+        pa, pb = sorted(rng.integers(0, 41 - length, 2).tolist())
+        a, b = (prefix[pa + length], prefix[pa]), (prefix[pb + length], prefix[pb])
+        two = fragments_equal(*a, (pow(x, pa, M61),), *b, (pow(x, pb, M61),))
+        one = fragments_equal(*a, (1,), *b, (pow(x, pb - pa, M61),))
+        assert one == two, (pa, pb, length)
+        equal = s[pa : pa + length].tolist() == s[pb : pb + length].tolist()
+        assert one or not equal
+        outcomes.add((one, equal))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
 def test_scheme_rejects_bases_outside_the_field():
     for bases in ((0,), (M61,), (2, M61), (-1,), ()):
         with pytest.raises(ValueError):

@@ -12,8 +12,10 @@ Regenerate (only when an output change is intended and explained):
 
 Before that, count what the change moves: ``--diff`` prints, per JSON field
 of the report and for ``table_sha256``, how many recorded entries the
-current code changes, in all and per mode, and lists every entry whose
-observed memory constant or peak shared reads per machine and round rose.
+current code changes, in all and per mode, and for a changed numeric field
+its sum over each such mode's entries, before -> after. It lists every entry
+whose observed memory constant, rounds or peak shared reads per machine and
+round rose.
 It exits 1 when any entry differs, is recorded only or is computed only,
 exactly when ``test_golden_grid_is_byte_identical`` fails, and 0 otherwise.
 
@@ -101,14 +103,20 @@ def _fields(report: dict, prefix: str = ""):
 
 
 # fields that no change may raise unnoticed: --diff lists every entry where one rose
-WATCHED = ("memory.observed_constant", "shared_reads_peak")
+WATCHED = ("memory.observed_constant", "rounds", "shared_reads_peak")
+
+
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def diff_grid(want: dict, got: dict) -> list[str]:
     """Per field, how many entries of ``want`` differ in ``got``, in all and per recorded
-    mode; then, per ``WATCHED`` field, each entry where it rose."""
+    mode, and for a changed numeric field its sum over each mode's entries, before ->
+    after; then, per ``WATCHED`` field, each entry where it rose."""
     keys = sorted(want["solve"].keys() & got["solve"].keys())
     changed: dict[str, dict[str, int]] = {}
+    sums: dict[str, dict[str, list[int]]] = {}
     rose: dict[str, list[str]] = {field: [] for field in WATCHED}
     modes = sorted({json.loads(want["solve"][key]["stdout"])["mode"] for key in keys})
     for key in keys:
@@ -117,10 +125,14 @@ def diff_grid(want: dict, got: dict) -> list[str]:
         new_fields = dict(_fields(json.loads(new["stdout"])))
         old_fields["table_sha256"], new_fields["table_sha256"] = \
             old["table_sha256"], new["table_sha256"]
+        mode = old_fields["mode"]
         for field in old_fields.keys() | new_fields.keys():
-            differs = old_fields.get(field, "absent") != new_fields.get(field, "absent")
-            by_mode = changed.setdefault(field, dict.fromkeys(modes, 0))
-            by_mode[old_fields["mode"]] += differs
+            before, after = old_fields.get(field, "absent"), new_fields.get(field, "absent")
+            changed.setdefault(field, dict.fromkeys(modes, 0))[mode] += before != after
+            if _numeric(before) and _numeric(after):
+                total = sums.setdefault(field, {}).setdefault(mode, [0, 0])
+                total[0] += before
+                total[1] += after
         for field in WATCHED:
             before, after = old_fields.get(field), new_fields.get(field)
             if before is not None and after is not None and after > before:
@@ -129,7 +141,10 @@ def diff_grid(want: dict, got: dict) -> list[str]:
              f"recorded only, {len(got['solve'].keys() - want['solve'].keys())} computed only"]
     for field in sorted(changed):
         by_mode = ", ".join(f"{mode} {count}" for mode, count in changed[field].items())
-        lines.append(f"{field:32s} {sum(changed[field].values()):5d} changed ({by_mode})")
+        line = f"{field:32s} {sum(changed[field].values()):5d} changed ({by_mode})"
+        summed = [f"{mode} {before} -> {after}" for mode, (before, after)
+                  in sorted(sums.get(field, {}).items()) if changed[field][mode]]
+        lines.append(line + (f"; summed {', '.join(summed)}" if summed else ""))
     for field, entries in rose.items():
         lines.append(f"{field} rose in {len(entries)} entries" + (":" if entries else ""))
         lines += entries
@@ -142,26 +157,31 @@ def diff_status(want: dict, got: dict) -> int:
 
 
 def test_diff_counts_changed_fields_and_lists_rising_constants():
-    def entry(work, constant, reads, sha="a", mode="mpc"):
+    def entry(work, constant, reads, sha="a", mode="mpc", rounds=10):
         report = {"work": work, "memory": {"observed_constant": constant, "cap": 64},
-                  "shared_reads_peak": reads, "mode": mode}
+                  "shared_reads_peak": reads, "mode": mode, "rounds": rounds}
         return {"stdout": json.dumps(report) + "\n", "table_sha256": sha}
 
-    want = {"solve": {"w": entry(3, 2, 7), "x": entry(10, 5, 7, mode="ampc"),
-                      "y": entry(10, 5, 0), "z": entry(1, 1, 1)}}
-    got = {"solve": {"w": entry(3, 2, 8), "x": entry(9, 4, 6, mode="ampc"),
-                     "y": entry(10, 6, 0, "b")}}
+    want = {"solve": {"w": entry(3, 2, 7), "x": entry(10, 5, 7, mode="ampc", rounds=9),
+                      "y": entry(10, 5, 0), "z": entry(1, 1, 1),
+                      "v": entry(4, 3, 2, mode="ampc", rounds=9)}}
+    got = {"solve": {"w": entry(3, 2, 8, rounds=11), "x": entry(9, 4, 6, mode="ampc", rounds=8),
+                     "y": entry(10, 6, 0, "b"), "v": entry(4, 3, 2, mode="ampc", rounds=8)}}
     lines = diff_grid(want, got)
-    assert lines[0] == "3 entries compared, 1 recorded only, 0 computed only"
-    counts = {line.split()[0]: line.split(maxsplit=1)[1] for line in lines[1:7]}
+    assert lines[0] == "4 entries compared, 1 recorded only, 0 computed only"
+    counts = {line.split()[0]: line.split(maxsplit=1)[1] for line in lines[1:8]}
+    # sums run over every compared entry of a mode in which the field changed
     assert counts == {
         "memory.cap": "0 changed (ampc 0, mpc 0)",
-        "memory.observed_constant": "2 changed (ampc 1, mpc 1)",
+        "memory.observed_constant":
+            "2 changed (ampc 1, mpc 1); summed ampc 8 -> 7, mpc 7 -> 8",
         "mode": "0 changed (ampc 0, mpc 0)",
-        "shared_reads_peak": "2 changed (ampc 1, mpc 1)",
+        "rounds": "3 changed (ampc 2, mpc 1); summed ampc 18 -> 16, mpc 20 -> 21",
+        "shared_reads_peak": "2 changed (ampc 1, mpc 1); summed ampc 9 -> 8, mpc 7 -> 8",
         "table_sha256": "1 changed (ampc 0, mpc 1)",
-        "work": "1 changed (ampc 1, mpc 0)"}
-    assert lines[7:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6",
+        "work": "1 changed (ampc 1, mpc 0); summed ampc 14 -> 13"}
+    assert lines[8:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6",
+                         "rounds rose in 1 entries:", "  w: 10 -> 11",
                          "shared_reads_peak rose in 1 entries:", "  w: 7 -> 8"]
 
 
