@@ -10,12 +10,12 @@ The algorithm keeps the block decomposition and per-superblock analysis of
 the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
 ``mpc.BlockPipeline``, and runs the same local scan, ``mpc.superblock_scan``,
 and superblock driver, ``mpc.superblock_waves`` -- but answers LCP queries
-differently. A fan-out-s prefix tree (s = block length) over the 2K leaf
-segments of the doubled string builds phi(doubled[0..e]) for every position
-e. Each tree node ("t", level, idx) is a ``fingerprint`` node. Two fragments
-compare from two prefix entries each (``fingerprint.fragments_equal``), so
-one machine can binary search an LCP value adaptively inside a single round,
-center queries included. A probe whose fragments match compares their end
+differently. A fan-in-f prefix tree over the 2K leaf segments of the
+doubled string builds phi(doubled[0..e]) for every position e. Each tree
+node ("t", level, idx) is a ``fingerprint`` node. Two fragments compare from
+two prefix entries each (``fingerprint.fragments_equal``), so one machine
+can binary search an LCP value adaptively inside a single round, center
+queries included. A probe whose fragments match compares their end
 letters too, and every answer is spot-checked against the mismatch letters;
 a contradiction aborts as a hash collision. Like the messaging pipeline's
 checks, these are one-sided and partial.
@@ -26,9 +26,9 @@ folds its children with ``fingerprint.running_folds`` and, in the same fold,
 publishes under ("f", level, idx) the running folds of those children: row
 j - 1 is the node of children 0 .. j - 1, the context left of child j. The
 context round then folds a leaf's left context from the top level's left
-siblings of its ancestor, one read each (fewer than s), and at most one read
+siblings of its ancestor, one read each (fewer than f), and at most one read
 per lower level, of the parent's running fold; a first child needs none. That
-replaces the up to s - 1 sibling reads per level of a plain tree.
+replaces the up to f - 1 sibling reads per level of a plain tree.
 
 Each machine keeps the leaves it owns as one int64 array, each leaf a row
 range: column 0 holds the symbols, column 1 + l the layer-l prefix values,
@@ -41,12 +41,23 @@ A leaf is b letters wide, a dozen at eps=0.75, where a numpy call costs more
 than its arithmetic, so the leaf scan, the context fold and the offset all
 run on Python ints, which also keep products of 61-bit residues exact.
 
-Round schedule: 1 (local phase + leaf scans) + (depth - 1) combine rounds +
-1 (path contexts + prefix entries) + 1 (all queries, merge, per-machine best)
-+ ceil(log_s M) best-reduction rounds. The tree depth is ceil(log_s 2K) and
-both logarithms are about eps / (1 - eps), but their ceilings depend on n as
-well as on epsilon. At eps=0.75 the total is 9 rounds for every n from 2**10
-to 2**16; at eps=0.9 the same sizes give 21, 15, 17, 18, 19, 21 and 17 rounds.
+The tree and the best reduction have fan-in f = 2b (``fan_in``). The 2K
+leaves are twice the K machines, so 2b gives the tree the depth that b gives
+the machines. When 2K <= 2b, f stays b: fan-in 2b would leave a one-level
+tree, with no combine round and a context round that folds every left leaf.
+A combine step holds the f children it reads, f * (1 + 2L) words (10b at
+f = 2b and L = 2 layers), and a best step 2 words per child; no meter sees
+either.
+
+Round schedule (``round_count``): 1 (local phase + leaf scans) + (depth - 1)
+combine rounds + 1 (path contexts + prefix entries) + 1 (all queries, merge,
+per-machine best) + best_depth best-reduction rounds, with depth =
+ceil(log_f 2K) and best_depth = ceil(log_f M). Both logarithms are about
+eps / (1 - eps), but their ceilings depend on n as well as on epsilon. At
+eps=0.75 the total is 8 rounds for every n from 2**9 to 2**18; at eps=0.9,
+n = 2**10 .. 2**16 give 12, 11, 12, 12, 13, 14 and 12 rounds (fan-in b took
+21, 15, 17, 18, 19, 21 and 17). A combine or best round steps only the
+machines that build a node of its level.
 """
 
 import numpy as np
@@ -103,6 +114,21 @@ def _level_sizes(count: int, fanout: int) -> list[int]:
     while sizes[-1] > 1:
         sizes.append(-(-sizes[-1] // fanout))
     return sizes
+
+
+def fan_in(plan: BlockPlan) -> int:
+    """Fan-in of the prefix tree and of the best reduction: 2b, but b when
+    2K <= 2b (see the module docstring), and 2 for a degenerate b = 1."""
+    b = plan.block_len
+    return max(2, b if plan.block_count <= b else 2 * b)
+
+
+def round_count(plan: BlockPlan) -> int:
+    """Rounds of an adaptive run under ``plan``: 1 + (depth - 1) + 1 + 1 + best_depth."""
+    fanout = fan_in(plan)
+    depth = len(_level_sizes(2 * plan.block_count, fanout)) - 1
+    best_depth = len(_level_sizes(plan.machine_count, fanout)) - 1
+    return 1 + (depth - 1) + 1 + 1 + best_depth
 
 
 class PrefixStore:
@@ -192,7 +218,7 @@ class AmpcPalindromes(BlockPipeline):
                  scheme: FingerprintScheme | None = None):
         super().__init__(text, epsilon, seed, memory_constant, scheme)
         self.bases = self.scheme.bases
-        self.fanout = max(2, self.plan.block_len)  # degenerate b=1 still needs a tree
+        self.fanout = fan_in(self.plan)
         self.leaves = leaf_bounds(self.n, self.plan.block_len, self.plan.block_count)
         self.leaf_starts = [lo for lo, _ in self.leaves]
         self.owned_leaves: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
@@ -315,7 +341,7 @@ class AmpcPalindromes(BlockPipeline):
         else:
             ctx.shared_write(("b", 0, m), best)
 
-    # -- best reduction: fan-in-s maximum over the shared store
+    # -- best reduction: fan-in-f maximum over the shared store
 
     def _best_level(self, level: int):
         fanout = self.fanout
@@ -356,6 +382,7 @@ class AmpcPalindromes(BlockPipeline):
         for level in range(1, self.best_depth + 1):
             self.cluster.run_round(self._best_level(level),
                                    machines=range(min(self.best_sizes[level], M)))
+        assert self.cluster.stats.rounds == round_count(self.plan)
 
 
 def solve_ampc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -316,7 +316,7 @@ class Cluster:
             raise MemoryCapExceeded(m, self.stats.rounds + 1, int(words[m]), cap, check)
         np.maximum(self.stats.per_machine_peak, words, out=self.stats.per_machine_peak)
 
-    def run_round(self, step: StepFn, machines=None) -> None:
+    def run_round(self, step: StepFn, machines: Sequence[int] | None = None) -> None:
         """Execute one synchronous round: compute on the machines that step, then exchange.
 
         ``machines`` lists the machines that step, in step order; the default

@@ -10,13 +10,15 @@ from palmpc.ampc import (
     _leaf_owner,
     _offset_leaves,
     ampc_lcp,
+    fan_in,
     leaf_bounds,
+    round_count,
     solve_ampc,
 )
 from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, StepContext, words_of
 from palmpc.fingerprint import FingerprintScheme, fp_of, fragments_equal, scheme_init
 from palmpc.inputs import fibonacci_text, unary_text
-from palmpc.mpc import solve_mpc
+from palmpc.mpc import plan_decomposition, solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
 
 
@@ -227,6 +229,27 @@ def test_ampc_matches_oracle_across_epsilons():
             assert (r.lps_start, r.lps_length) == oracle_lps(s)
 
 
+def test_round_count_closed_form_from_the_plan():
+    # fan-in 2b: 8 rounds at eps=0.75 for every n from 2**9 to 2**18, and at
+    # most 14 at eps=0.9 (fan-in b took 15 to 21 there)
+    assert {round_count(plan_decomposition(2**k, 0.75)) for k in range(9, 19)} == {8}
+    assert max(round_count(plan_decomposition(2**k, 0.9)) for k in range(10, 19)) <= 14
+    # a plan whose 2K leaves fit one fan-in-2b node keeps fan-in b
+    plan = plan_decomposition(4096, 0.5)
+    assert (plan.block_len, plan.block_count, fan_in(plan)) == (64, 64, 64)
+    plan = plan_decomposition(4096, 0.75)
+    assert (plan.block_len, fan_in(plan)) == (8, 16)
+
+
+def test_ampc_round_count_is_the_closed_form_at_eps_0_9():
+    rng = np.random.default_rng(17)
+    for n in (2**10, 2**12):
+        s = rng.integers(0, 2, n).astype(np.int64)
+        r = solve_ampc(s, 0.9, seed=1)
+        assert r.stats.rounds == round_count(r.plan) == 12, n
+        assert r.table == oracle_maximal_palindromes(s)
+
+
 def test_ampc_round_count_fixed_at_given_epsilon():
     rng = np.random.default_rng(9)
     rounds = set()
@@ -294,11 +317,12 @@ def test_leaf_owner_is_asked_once_per_leaf(monkeypatch):
 
 
 def test_tree_nodes_are_flat_read_only_fingerprint_nodes():
-    # n=2000 at eps=0.75 has 7-symbol blocks: 572 leaves, tree levels of
-    # 572, 82, 12 and 2 nodes, so the store holds levels 0..3
+    # n=2000 at eps=0.9 has 3-symbol blocks: 1334 leaves and, at fan-in 6,
+    # tree levels of 1334, 223, 38, 7 and 2 nodes, so the store holds levels
+    # 0..4, three of them built by combine rounds
     rng = np.random.default_rng(12)
     s = rng.integers(0, 3, 2000).astype(np.int64)
-    run = AmpcPalindromes(s, 0.75, seed=4)
+    run = AmpcPalindromes(s, 0.9, seed=4)
     assert run.depth >= 4
     run.build_prefix_entries()
     layers = run.scheme.layers
@@ -356,12 +380,12 @@ def _leaf_range(run, level: int, first: int, last: int) -> tuple[int, int]:
 
 @pytest.mark.parametrize("epsilon", [0.75, 0.9])
 def test_running_folds_cover_the_left_children(epsilon):
-    # n=2000 gives a depth-4 tree at eps=0.75 (fan-out 7) and a depth-7 one
-    # at eps=0.9 (fan-out 3)
+    # n=2000 gives a depth-3 tree at eps=0.75 (fan-in 14, folds at levels 1
+    # and 2) and a depth-5 one at eps=0.9 (fan-in 6, folds at levels 1..4)
     rng = np.random.default_rng(14)
     s = rng.integers(0, 3, 2000).astype(np.int64)
     run, _ = _built(s, epsilon, seed=6)
-    assert run.depth == (4 if epsilon == 0.75 else 7)
+    assert run.depth == (3 if epsilon == 0.75 else 5)
     doubled = np.concatenate((s, s[::-1]))
     folds = {key: val for key, val in _published(run).items() if key[0] == "f"}
     for (_, level, idx), rows in folds.items():
@@ -457,8 +481,8 @@ def test_every_shared_read_of_a_solve_is_pinned(monkeypatch):
         return shared_read(self, key)
 
     monkeypatch.setattr(StepContext, "shared_read", counted)
-    texts = {"unary": (unary_text(4096).symbols, 31433),
-             "random": (np.random.default_rng(16).integers(0, 2, 4096).astype(np.int64), 5052)}
+    texts = {"unary": (unary_text(4096).symbols, 31571),
+             "random": (np.random.default_rng(16).integers(0, 2, 4096).astype(np.int64), 5190)}
     for name, (s, want) in texts.items():
         reads[0] = 0
         solve_ampc(s, 0.75, seed=0)
