@@ -30,10 +30,11 @@ siblings of its ancestor, one read each (fewer than f), and at most one read
 per lower level, of the parent's running fold; a first child needs none. That
 replaces the up to f - 1 sibling reads per level of a plain tree.
 
-Each machine keeps the leaves it owns as one int64 array, each leaf a row
-range: column 0 holds the symbols, column 1 + l the layer-l prefix values,
-local to the leaf. The context round offsets all of them by their left
-contexts in one pass and publishes each leaf's rows as one read-only,
+Machine m owns two leaves of its block's width: block m, and that block's
+image 2K - 1 - m. It keeps them as one int64 array, each leaf a row range:
+column 0 holds the symbols, column 1 + l the layer-l prefix values, local to
+the leaf. The context round offsets both by their left contexts in one pass
+and publishes each leaf's rows as one read-only,
 C-contiguous (width, 1 + L) array under key ("p", leaf). The store is still
 read and metered one position at a time: ``PrefixStore.entry(e)`` makes one
 shared read of the leaf array holding e and returns that row as Python ints.
@@ -101,11 +102,6 @@ def leaf_bounds(n: int, block_len: int, block_count: int) -> list[tuple[int, int
     """
     bounds = [(k * block_len, min((k + 1) * block_len, n)) for k in range(block_count)]
     return bounds + [(2 * n - hi, 2 * n - lo) for lo, hi in reversed(bounds)]
-
-
-def _leaf_owner(plan: BlockPlan, leaf: int) -> int:
-    K = plan.block_count
-    return plan.block_owner(leaf if leaf < K else 2 * K - 1 - leaf)
 
 
 def _level_sizes(count: int, fanout: int) -> list[int]:
@@ -221,18 +217,16 @@ class AmpcPalindromes(BlockPipeline):
         self.fanout = fan_in(self.plan)
         self.leaves = leaf_bounds(self.n, self.plan.block_len, self.plan.block_count)
         self.leaf_starts = [lo for lo, _ in self.leaves]
-        self.owned_leaves: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
-        self.owned_widths: list[list[int]] = [[] for _ in range(self.plan.machine_count)]
-        for leaf, (lo, hi) in enumerate(self.leaves):
-            owner = _leaf_owner(self.plan, leaf)
-            self.owned_leaves[owner].append(leaf)
-            self.owned_widths[owner].append(hi - lo)
         self.tree_sizes = _level_sizes(len(self.leaves), self.fanout)
         self.best_sizes = _level_sizes(self.plan.machine_count, self.fanout)
         self.depth = len(self.tree_sizes) - 1
         self.best_depth = len(self.best_sizes) - 1
         # simulator-side, not metered: x**i for i up to the longest leaf width
         self.pows, _ = power_tables(self.bases, max(hi - lo for lo, hi in self.leaves) + 1)
+
+    def own_leaves(self, m: int) -> tuple[int, int]:
+        """Machine m's leaves: block m and its mirror image, both the block's width."""
+        return m, 2 * self.plan.block_count - 1 - m
 
     # -- round 1: local palindrome phase plus leaf prefix scans
 
@@ -244,20 +238,19 @@ class AmpcPalindromes(BlockPipeline):
         if prefix_lens is not None:
             ctx.payload["prefix_lens"] = prefix_lens
 
-        # the owned leaves stacked, each a row range of one array: column 0
+        # the two leaves stacked, each a row range of one array: column 0
         # their symbols, columns 1.. their prefix values, local to each leaf
         # until the context round offsets them
-        entries = np.empty((sum(self.owned_widths[m]), 1 + self.scheme.layers), np.int64)
-        row = 0
-        for leaf in self.owned_leaves[m]:
+        width = self.leaves[m][1] - self.leaves[m][0]
+        entries = np.empty((2 * width, 1 + self.scheme.layers), np.int64)
+        for row, leaf in zip((0, width), self.own_leaves(m)):
             lo, hi = self.leaves[leaf]
-            rows = entries[row : row + hi - lo]
+            rows = entries[row : row + width]
             rows[:, 0] = _materialize_doubled(ctx.payload["letters"],
                                               ctx.payload["letters_lo"], n, lo, hi)
             ctx.add_work(int(prefix_fp_scan(rows[:, 0], self.pows, rows[:, 1:].T)))
             ctx.shared_write(("t", 0, leaf),
-                             node(hi - lo, self.pows[:, hi - lo].tolist(), rows[-1, 1:].tolist()))
-            row += hi - lo
+                             node(width, self.pows[:, width].tolist(), rows[-1, 1:].tolist()))
         ctx.payload["leafpfx"] = entries
 
     @staticmethod
@@ -310,13 +303,12 @@ class AmpcPalindromes(BlockPipeline):
 
     def _r_context(self, ctx: StepContext) -> None:
         entries = ctx.payload.pop("leafpfx")
-        lefts = [self._left_context(ctx, leaf) for leaf in self.owned_leaves[ctx.machine_id]]
-        widths = self.owned_widths[ctx.machine_id]
-        ctx.add_work(_offset_leaves(entries, widths, lefts, self.scheme.layers))
-        row = 0
-        for leaf, width in zip(self.owned_leaves[ctx.machine_id], widths):
+        width = entries.shape[0] // 2
+        leaves = self.own_leaves(ctx.machine_id)
+        lefts = [self._left_context(ctx, leaf) for leaf in leaves]
+        ctx.add_work(_offset_leaves(entries, (width, width), lefts, self.scheme.layers))
+        for row, leaf in zip((0, width), leaves):
             ctx.shared_write(("p", leaf), entries[row : row + width])
-            row += width
 
     # -- query round: every LCP answered adaptively, then merge and local best
 
@@ -334,8 +326,6 @@ class AmpcPalindromes(BlockPipeline):
                                                for q in wave]))
 
         best = self._local_best(ctx)
-        if best is None:
-            return
         if self.plan.machine_count == 1:
             ctx.payload["lps"] = (best[1], best[0])
         else:
@@ -353,10 +343,7 @@ class AmpcPalindromes(BlockPipeline):
         def step(ctx: StepContext) -> None:
             for idx in range(ctx.machine_id, node_count, M):
                 children = range(idx * fanout, min((idx + 1) * fanout, counts[level - 1]))
-                recs = [rec for rec in (ctx.shared_read(("b", level - 1, child))
-                                        for child in children) if rec is not None]
-                if not recs:
-                    continue
+                recs = [self._tree_read(ctx, ("b", level - 1, child)) for child in children]
                 ctx.add_work(len(recs))
                 lengths, starts = zip(*recs)
                 best = recs[lps_index(lengths, starts)]

@@ -9,12 +9,12 @@ two waves of LCP queries; here ``FingerprintLcp`` answers them.
 
 Decomposition
 -------------
-The text is cut into K = ceil(n / b) blocks of length b = ceil(n**(1-eps)).
-Machine t (for the middle range of t) owns the palindrome centers of block t
-and holds the superblock of blocks t-1 .. t+2 as its placement; consecutive
-superblocks overlap by 3b. Centers within the first block or within 3b of the
-right end can never outgrow the letters their machine already holds, so the
-first and last machines finish those locally with a plain linear scan.
+The text is cut into K = ceil(n / b) blocks of length b = ceil(n**(1-eps)),
+and machine t owns the palindrome centers of block t. A middle machine holds
+the superblock of blocks t-1 .. t+2; consecutive superblocks overlap by 3b.
+Every other machine (block 0, and each block whose superblock would overrun
+the text) is local: it holds all the letters its centers' palindromes can
+reach, fewer than 6b, and finishes them with a plain linear scan.
 
 Fingerprint stores
 ------------------
@@ -123,7 +123,7 @@ MAX_TEXT_LEN = MAX_SUPPORTED_N // 2
 
 @dataclass(frozen=True)
 class MachineRole:
-    kind: str                      # "first" | "middle" | "last" | "store"
+    kind: str                      # "middle" | "local" (finishes its block without queries)
     letters_lo: int                # S positions [letters_lo, letters_hi) placed here
     letters_hi: int
     own_u_lo: int                  # owned center half-indices [own_u_lo, own_u_hi)
@@ -141,16 +141,7 @@ class BlockPlan:
     block_count: int               # K
     machine_count: int             # M == K
     window: int                    # w, modular window width == machine count
-    tail_block: int                # first block owned by the last machine
     roles: tuple[MachineRole, ...]
-
-    def block_owner(self, block: int) -> int:
-        """Machine that places a block and owns its centers."""
-        if block == 0:
-            return 0
-        if block >= self.tail_block:
-            return self.machine_count - 1
-        return block
 
 
 def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
@@ -164,41 +155,30 @@ def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
     M = K
     w = M
 
-    def image(lo: int, hi: int) -> tuple[int, int]:
-        # doubled-string range occupied by the reversed copy of S[lo, hi)
-        return 2 * n - hi, 2 * n - lo
-
     roles: list[MachineRole] = []
-    # tail is the first block whose superblock would overrun the text; the
-    # last machine owns every center from there on, using the final letters
+    # tail is the first block whose superblock would overrun the text
     tail = 1
     while (tail + 3) * b <= n:
         tail += 1
     for m in range(M):
-        # a machine ships the w letters preceding its right neighbor's
-        # superblock so that neighbor can settle first-window mismatches of
-        # its leftward probes locally
-        ship = m + 1 if 2 <= m + 1 <= tail - 1 else -1
-        if m == 0:
-            # a single block (b >= n) is the whole text
-            first = min(b, n)
-            roles.append(MachineRole(
-                "first", 0, min(2 * b, n), 0, min(2 * b, 2 * n - 1), -1,
-                ((0, first), image(0, first)), ship))
-        elif 1 <= m <= tail - 1:
-            sb = (m - 1) * b
-            roles.append(MachineRole(
-                "middle", sb, sb + 4 * b, 2 * m * b, 2 * (m + 1) * b, sb,
-                ((m * b, (m + 1) * b), image(m * b, (m + 1) * b)), ship))
-        elif m == M - 1:
-            lo = max(0, n - 8 * b)
-            roles.append(MachineRole(
-                "last", lo, n, 2 * tail * b, 2 * n - 1, -1,
-                ((tail * b, n), image(tail * b, n)), -1))
+        lo, hi = m * b, min((m + 1) * b, n)
+        # doubled-string range of the block and of its reversed copy
+        spans = ((lo, hi), (2 * n - hi, 2 * n - lo))
+        owned = (2 * lo, min(2 * (m + 1) * b, 2 * n - 1))
+        if 1 <= m <= tail - 1:
+            # a machine ships the w letters preceding its right neighbor's
+            # superblock so that neighbor can settle first-window mismatches
+            # of its leftward probes locally
+            ship = m + 1 if m + 1 < tail else -1
+            roles.append(MachineRole("middle", lo - b, lo + 3 * b, *owned, lo - b, spans, ship))
         else:
-            roles.append(MachineRole("store", 0, 0, 0, 0, -1, (), -1))
+            # a palindrome centered at c (lo <= c < hi) lies within
+            # [2c - n + 1, 2c + 1), since the text ends cut it; the window
+            # scan of the block's image reads back to lo - w + 1 >= lo - b + 1
+            roles.append(MachineRole("local", max(0, min(2 * lo - n + 1, lo - b)),
+                                     min(n, 2 * (m + 1) * b), *owned, -1, spans, -1))
     return BlockPlan(n=n, epsilon=epsilon, block_len=b, block_count=K,
-                     machine_count=M, window=w, tail_block=tail, roles=tuple(roles))
+                     machine_count=M, window=w, roles=tuple(roles))
 
 
 @dataclass
@@ -270,10 +250,11 @@ class BlockPipeline:
     block plan and the scheme (drawn from the seed unless given), and places
     each machine's letter slice (round 0).
 
-    Both pipelines run the same local scan in round 1 (``_local_scan``),
-    resolve each superblock with ``superblock_waves``, merge the settled
-    prefix centers the same way and reduce the same per-machine best; they
-    differ only in how they answer the superblocks' LCP queries. Subclasses
+    In both pipelines every machine runs the same local scan in round 1
+    (``_local_scan``) and reduces the same best of its block; a middle
+    machine resolves its superblock with ``superblock_waves`` and merges the
+    settled prefix centers the same way. The pipelines differ only in how
+    they answer the superblocks' LCP queries. Subclasses
     set the cluster ``MODE`` and define ``run()``. The driver's generator
     state, like the messaging pipeline's ``_Query`` records, lives in the
     simulator, outside what the engine meters.
@@ -305,22 +286,17 @@ class BlockPipeline:
             payload["letters_lo"] = role.letters_lo
 
     def _local_scan(self, ctx: StepContext) -> np.ndarray | None:
-        """Round 1's local phase: Manacher up to the last owned center, on every
-        machine but a store. A middle machine runs ``superblock_scan``, keeps its
-        lengths and returns the prefix palindromes of its superblock; an edge
-        machine keeps its owned lengths, which are final, counts as local-only
-        and returns None."""
+        """Round 1's local phase: Manacher up to the last owned center. A middle
+        machine runs ``superblock_scan``, keeps its lengths and returns the
+        prefix palindromes of its superblock; a local machine keeps its owned
+        lengths, which are final, counts as local-only and returns None."""
         role = self.plan.roles[ctx.machine_id]
-        if role.kind == "store":
-            return None
         if role.kind == "middle":
             lengths, prefix_lens, ops = superblock_scan(ctx.payload["letters"],
                                                         self.plan.block_len)
             ctx.add_work(ops)
             ctx.payload["f_lengths"] = lengths
             return prefix_lens
-        # up to the last owned center: b + 1 letter centers on the first
-        # machine, all of them on the last, whose owned centers end its letters
         base = 2 * role.letters_lo
         odd, even, ops = manacher_tables(ctx.payload["letters"], (role.own_u_hi - base) // 2 + 1)
         own = lengths_by_center(odd, even)[role.own_u_lo - base : role.own_u_hi - base]
@@ -343,13 +319,10 @@ class BlockPipeline:
         ctx.add_work(lengths.size)
         ctx.payload["own_lengths"] = lengths
 
-    def _local_best(self, ctx: StepContext) -> tuple[int, int] | None:
-        """(length, start) of the leftmost-longest owned palindrome; None if nothing is owned."""
-        role = self.plan.roles[ctx.machine_id]
-        if role.own_u_hi <= role.own_u_lo:
-            return None
+    def _local_best(self, ctx: StepContext) -> tuple[int, int]:
+        """(length, start) of the leftmost-longest owned palindrome."""
         lengths = ctx.payload["own_lengths"]
-        start, length = leftmost_longest(lengths, role.own_u_lo)
+        start, length = leftmost_longest(lengths, self.plan.roles[ctx.machine_id].own_u_lo)
         ctx.add_work(lengths.size)
         return length, start
 
@@ -357,8 +330,7 @@ class BlockPipeline:
         """Gather the distributed table; desk-scale convenience outside the metered run."""
         flat = np.full(2 * self.n - 1, -1, np.int64)
         for m, role in enumerate(self.plan.roles):
-            if role.own_u_hi > role.own_u_lo:
-                flat[role.own_u_lo : role.own_u_hi] = self.cluster.payloads[m]["own_lengths"]
+            flat[role.own_u_lo : role.own_u_hi] = self.cluster.payloads[m]["own_lengths"]
         if (flat < 0).any():
             raise InconsistentMergeError("gathered table has unowned centers")
         return PalindromeTable(odd=flat[0::2].copy(), even=flat[1::2].copy())
@@ -532,7 +504,8 @@ class FingerprintLcp:
         tail = ctx.batches.get("tail")
         if tail is not None:
             ctx.payload["tail_lo"] = int(tail["lo"][0])
-            ctx.payload["tail"] = tail["data"][:, 0]
+            # a copy: a view would keep every machine's shipped letters alive
+            ctx.payload["tail"] = tail["data"][:, 0].copy()
         self.serve(ctx)
 
     def letters(self, ctx: StepContext, lo: int, hi: int) -> np.ndarray:
@@ -765,9 +738,8 @@ class MpcPalindromes(BlockPipeline):
         if m in self.waves:
             waves, wave = self.waves.pop(m)
             self._keep_merged(ctx, waves.send([q.answer for q in wave]))
-        best = self._local_best(ctx)
-        if best is not None:
-            _send_rows(ctx, "best", [0], len=[best[0]], start=[best[1]])
+        length, start = self._local_best(ctx)
+        _send_rows(ctx, "best", [0], len=[length], start=[start])
 
     def _r10_reduce(self, ctx: StepContext) -> None:
         best = ctx.batches["best"]

@@ -7,7 +7,6 @@ from palmpc._kernels import M61
 from palmpc.ampc import (
     AmpcPalindromes,
     PrefixStore,
-    _leaf_owner,
     _offset_leaves,
     ampc_lcp,
     fan_in,
@@ -263,10 +262,12 @@ def test_owned_leaves_partition_the_leaves():
     for n, eps in ((1, 0.5), (100, 0.5), (333, 0.75), (4096, 0.75)):
         run = AmpcPalindromes(np.zeros(n, np.int64), eps)
         K = run.plan.block_count
-        owned = sorted(leaf for leaves in run.owned_leaves for leaf in leaves)
-        assert owned == list(range(2 * K))
-        for m, leaves in enumerate(run.owned_leaves):
-            assert all(_leaf_owner(run.plan, leaf) == m for leaf in leaves)
+        pairs = [run.own_leaves(m) for m in range(run.plan.machine_count)]
+        assert pairs == [(m, 2 * K - 1 - m) for m in range(K)]
+        assert sorted(leaf for pair in pairs for leaf in pair) == list(range(2 * K))
+        for m, pair in enumerate(pairs):
+            # the leaves are the plan's scan spans: block m and its image
+            assert tuple(run.leaves[leaf] for leaf in pair) == run.plan.roles[m].scan_spans
 
 
 def test_prefix_entries_are_one_read_only_array_per_leaf():
@@ -300,22 +301,6 @@ def test_prefix_entry_outside_the_doubled_string_raises():
                 store.entry(e)
 
 
-def test_leaf_owner_is_asked_once_per_leaf(monkeypatch):
-    import palmpc.ampc as ampc
-
-    calls = []
-    leaf_owner = ampc._leaf_owner
-
-    def counting(plan, leaf):
-        calls.append(leaf)
-        return leaf_owner(plan, leaf)
-
-    monkeypatch.setattr(ampc, "_leaf_owner", counting)
-    s = np.random.default_rng(11).integers(0, 2, 4096).astype(np.int64)
-    r = solve_ampc(s, 0.75, seed=1)
-    assert len(calls) <= 2 * r.plan.block_count
-
-
 def test_tree_nodes_are_flat_read_only_fingerprint_nodes():
     # n=2000 at eps=0.9 has 3-symbol blocks: 1334 leaves and, at fan-in 6,
     # tree levels of 1334, 223, 38, 7 and 2 nodes, so the store holds levels
@@ -338,22 +323,20 @@ def test_tree_nodes_are_flat_read_only_fingerprint_nodes():
 
 
 def test_one_pass_offset_equals_per_leaf_offsets():
-    # n=2000 at eps=0.75 has 7-symbol blocks and a 5-symbol tail block; the
-    # last machine owns three blocks, the tail among them, and their mirrors
+    # n=2000 at eps=0.75 has 7-symbol blocks and a 5-symbol tail block; each
+    # machine holds its two leaves, both its block's width
     rng = np.random.default_rng(13)
     s = rng.integers(0, 3, 2000).astype(np.int64)
     run = AmpcPalindromes(s, 0.75, seed=5)
     run.cluster.run_round(run._r1_leaves)
     layers = run.scheme.layers
-    K = run.plan.block_count
-    for m, leaves in enumerate(run.owned_leaves):
-        width = sum(hi - lo for lo, hi in (run.leaves[leaf] for leaf in leaves))
+    for m in range(run.plan.machine_count):
+        width = sum(hi - lo for lo, hi in (run.leaves[leaf] for leaf in run.own_leaves(m)))
         assert words_of(run.cluster.payloads[m]["leafpfx"]) == (1 + layers) * width
-    m = _leaf_owner(run.plan, K - 1)
-    assert {K - 1, K} <= set(run.owned_leaves[m])
-    widths = run.owned_widths[m]
-    assert len(set(widths)) > 1
-    entries = run.cluster.payloads[m]["leafpfx"]
+    # one pass over stacked leaves of different widths
+    widths = [7, 5, 1, 7]
+    entries = np.column_stack([rng.integers(0, 3, sum(widths))]
+                              + [rng.integers(0, M61, sum(widths)) for _ in range(layers)])
     lefts = [fp_of(rng.integers(0, 3, int(rng.integers(0, 50))), run.scheme) for _ in widths]
 
     one_pass = entries.copy()

@@ -22,10 +22,12 @@ def test_plan_example_n16():
     plan = plan_decomposition(16, 0.5)
     assert plan.block_len == 4 and plan.block_count == 4
     kinds = [r.kind for r in plan.roles]
-    assert kinds == ["first", "middle", "store", "last"]
+    assert kinds == ["local", "middle", "local", "local"]
     # the lone middle machine's superblock is the whole text
     assert (plan.roles[1].letters_lo, plan.roles[1].letters_hi) == (0, 16)
-    assert plan.roles[3].own_u_lo == 2 * plan.tail_block * 4
+    # every machine owns its own block
+    assert (plan.roles[3].own_u_lo, plan.roles[3].own_u_hi) == (2 * 3 * 4, 2 * 16 - 1)
+    assert plan.roles[3].scan_spans == ((12, 16), (16, 20))
 
 
 def test_plan_example_n64():
@@ -42,13 +44,37 @@ def test_plan_example_n64():
             assert overlap == 24     # consecutive superblocks share 3 blocks
 
 
-@pytest.mark.parametrize("eps", [0.3, 0.4, 0.5])
+@pytest.mark.parametrize("eps", [0.3, 0.4, 0.5, 0.6, 0.75, 0.9])
 def test_plan_covers_every_center_once(eps):
     for n in [1, 2, 3, 5, 16, 17, 64, 100, 255, 256, 1000]:
         plan = plan_decomposition(n, eps)
+        b = plan.block_len
+        # the messaging pipeline (w <= b) scans w - 1 letters past each span;
+        # the adaptive one reads the spans alone, as its leaves
+        w = plan.window if plan.window <= b else 1
         owned = np.zeros(2 * n - 1, dtype=np.int64)
-        for role in plan.roles:
+        for m, role in enumerate(plan.roles):
             owned[role.own_u_lo : role.own_u_hi] += 1
+            # machine m owns exactly the half-indices of block m
+            assert (role.own_u_lo, role.own_u_hi) == (2 * m * b, min(2 * (m + 1) * b, 2 * n - 1))
+            assert role.kind in ("middle", "local")
+            if role.kind == "local":
+                # the longest palindrome the text ends allow at each owned
+                # center u lies within the letters
+                u = np.arange(role.own_u_lo, role.own_u_hi)
+                reach = np.minimum(u // 2, n - 1 - (u + 1) // 2)
+                assert (u // 2 - reach >= role.letters_lo).all(), (n, eps, m)
+                assert ((u + 1) // 2 + reach < role.letters_hi).all(), (n, eps, m)
+                assert role.letters_hi - role.letters_lo < 6 * b, (n, eps, m)
+            for lo, hi in role.scan_spans:
+                # each window-scan buffer maps inside the letters: its text
+                # part, and the mirror image of its part past n
+                buf_hi = min(hi + w - 1, 2 * n)
+                text = [(lo, min(buf_hi, n))] if lo < n else []
+                if buf_hi > n:
+                    text.append((2 * n - buf_hi, 2 * n - max(lo, n)))
+                for t_lo, t_hi in text:
+                    assert role.letters_lo <= t_lo and t_hi <= role.letters_hi, (n, eps, m)
         assert (owned == 1).all(), (n, eps)
 
 
@@ -104,6 +130,15 @@ def test_store_values_match_direct_fingerprints():
             assert tuple(int(v) for v in values[:, k]) == want
             checked += 1
     assert checked == 128
+
+
+def test_shipped_tail_is_kept_as_its_own_copy():
+    # a view would keep the round's whole merged tail column alive
+    s = np.random.default_rng(3).integers(0, 2, 1024).astype(np.int64)
+    run = _installed_store(s, 0.5, seed=2)
+    tails = [p["tail"] for p in run.cluster.payloads if "tail" in p]
+    assert len(tails) > 1
+    assert all(t.base is None and t.size == run.plan.window for t in tails)
 
 
 def test_letter_getter_raises_for_letters_not_held():
@@ -277,9 +312,11 @@ def test_edge_machines_finish_locally_without_queries():
         s = rng.integers(0, 2, n).astype(np.int64)
         run = MpcPalindromes(s, 0.5, seed=3)
         run.run()
-        for m, role in enumerate(run.plan.roles):
-            if role.kind in ("first", "last", "store"):
-                assert m not in run.lcp.queries or not run.lcp.queries[m]
+        local = [m for m, role in enumerate(run.plan.roles) if role.kind == "local"]
+        assert local[0] == 0 and local[-1] == run.plan.machine_count - 1
+        assert run.cluster.stats.counters["local_only_machines"] == len(local)
+        for m in local:
+            assert m not in run.lcp.queries or not run.lcp.queries[m]
 
 
 def test_table_slices_cover_the_string():
