@@ -4,9 +4,11 @@
   ``tolist()`` and keep their working values in Python lists, which Python
   indexes several times faster than numpy scalars.
 * The window fingerprint scan is array code in the prefix-difference form,
-  on uint64 values modulo the Mersenne prime 2**61 - 1. Multiplication goes
-  through :func:`mulmod61`, the only operation whose intermediates would not
-  fit in 64 bits.
+  on uint64 values modulo the Mersenne prime 2**61 - 1. One call fuses all
+  of a machine's scan buffers as zero-padded rows. Its prefix sums are
+  unreduced running sums of 31- and 30-bit limbs, and each window is reduced
+  once, by :func:`_fold61`. Multiplication goes through :func:`mulmod61`,
+  the only operation whose intermediates would not fit in 64 bits.
 
 Both fingerprint scans read power tables that each run builds once with
 :func:`power_tables`.
@@ -47,27 +49,16 @@ def mulmod61(a, b):
     acc += mid >> _U30
     acc += (mid & _MASK30) << _U31        # < 2**61
     acc += a0 * b0                        # < 2**62; acc < 2**63
-    acc = (acc & _M61_U) + (acc >> _U61)
-    return acc % _M61_U
+    return _fold61(acc)
 
 
-def _cumsum_mod61(terms):
-    """Row-wise inclusive prefix sums mod 2**61 - 1 of a 2-D uint64 array below 2**61.
+def _fold61(v):
+    """v mod 2**61 - 1 for uint64 v: one Mersenne fold, one conditional subtract.
 
-    One running sum over the flattened rows: the low 31 and the high 30 bits
-    of the terms are summed separately, recombined with 2**61 == 1
-    (hi * 2**31 == (hi mod 2**30) * 2**31 + hi div 2**30), and each row then
-    drops the running sum at the end of the row before it. Nothing overflows
-    for fewer than 2**32 terms.
+    The fold leaves v at most 2**61 + 6, so one subtract of 2**61 - 1 finishes.
     """
-    rows, cols = terms.shape
-    flat = terms.ravel()
-    lo = np.cumsum(flat & _MASK31)
-    hi = np.cumsum(flat >> _U31)
-    run = ((((hi & _MASK30) << _U31) + (hi >> _U30) + lo) % _M61_U).reshape(rows, cols)
-    before = np.zeros((rows, 1), np.uint64)
-    before[1:, 0] = run[:-1, -1]
-    return (run + (_M61_U - before)) % _M61_U
+    v = (v & _M61_U) + (v >> _U61)
+    return v - _M61_U * (v >= _M61_U)
 
 
 def power_tables(bases, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,25 +170,43 @@ def manacher_tables(sym, hi=None):
     return odd, even, np.int64(ops)
 
 
-def fragment_fp_scan(letters, span, width, pows, inv_pows, out):
-    """Sliding-window fingerprints over ``letters``, one row per hash layer.
+def fragment_fp_scan(bufs, width, pows, inv_pows, out):
+    """Sliding-window fingerprints over each buffer of ``bufs``, one row per hash layer.
 
-    out[l, j] = layer-l fingerprint of letters[j : min(j + width, total)]
-    for j in [0, span), total = len(letters). The buffer may extend up to
-    width - 1 symbols past the span so interior windows are full length.
-    ``pows``/``inv_pows`` are the tables of :func:`power_tables`, at least
-    ``total`` and ``span`` columns wide. Prefix-difference form: with C[k]
-    the fingerprint of letters[0 : k], out[j] = (C[min(j + width, total)] -
-    C[j]) * x**-j. Two modular multiplications per position and layer, which
-    is what the returned ``ops`` counts.
+    out[l, r, j] = layer-l fingerprint of bufs[r][j : j + width], cut at the
+    buffer's end, for j in [0, span), out.shape == (layers, len(bufs), span).
+    A buffer may extend up to width - 1 symbols past the span so interior
+    windows are full length; letters further on are never read. ``pows``/
+    ``inv_pows`` are the tables of :func:`power_tables`, at least span +
+    width - 1 and span columns wide.
+
+    All rows go through one pass of array code. They are zero-padded to
+    span + width - 1 letters, and a zero letter adds nothing to a
+    fingerprint, so a buffer that ends early gets its short windows. With
+    C[k] the fingerprint of a row's first k letters, out[j] = (C[j + width]
+    - C[j]) * x**-j. The prefix sums are plain cumulative sums of each
+    term's low 31 and high 30 bits, below 2**52 for rows under 2**21
+    letters; each window's difference is reduced once, recombined with
+    2**61 == 1 (hi * 2**31 == (hi mod 2**30) * 2**31 + hi div 2**30).
+    Two modular multiplications per unpadded letter and layer, which is
+    what the returned ``ops`` counts.
     """
-    total = letters.size
-    layers = out.shape[0]
-    prefix = np.zeros((layers, total + 1), np.uint64)
-    prefix[:, 1:] = _cumsum_mod61(mulmod61(letters.astype(np.uint64), pows[:layers, :total]))
-    ends = np.minimum(np.arange(span) + width, total)
-    diff = (prefix[:, ends] + (_M61_U - prefix[:, :span])) % _M61_U
-    out[:] = mulmod61(diff, inv_pows[:layers, :span])
+    layers, rows, span = out.shape
+    size = span + width - 1
+    letters = np.zeros((rows, size), np.uint64)
+    total = 0
+    for row, buf in zip(letters, bufs):
+        row[: buf.size] = buf[:size]
+        total += buf.size
+    terms = mulmod61(letters, pows[:layers, None, :size])
+    # limbs[0] and limbs[1]: running sums of the terms' low and high limbs
+    limbs = np.zeros((2, layers, rows, size + 1), np.uint64)
+    np.bitwise_and(terms, _MASK31, out=limbs[0, :, :, 1:])
+    np.right_shift(terms, _U31, out=limbs[1, :, :, 1:])
+    np.cumsum(limbs, axis=3, out=limbs)
+    lo, hi = limbs[:, :, :, width:] - limbs[:, :, :, :span]
+    sums = _fold61(lo + ((hi & _MASK30) << _U31) + (hi >> _U30))
+    out[:] = mulmod61(sums, inv_pows[:layers, None, :span])
     return np.int64(2 * total * layers)
 
 

@@ -21,6 +21,8 @@ from .mpc import superblock_scan, superblock_waves
 from .oracle import doubled_lcp, oracle_lps, oracle_maximal_palindromes
 from .structural import _merge_b2
 
+__all__ = ["sweep_pipeline", "sweep_views"]
+
 
 def _all_strings(max_len: int, sigma: int):
     """Every string over [0, sigma) of length 1 to max_len, as int64 arrays."""

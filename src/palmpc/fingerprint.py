@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import M61
-from .strings import as_symbols
 
 DEFAULT_LAYERS = 2
 
@@ -121,17 +120,3 @@ def fragments_equal(end_a, start_a, pow_a, end_b, start_b, pow_b) -> bool:
         if (ea - sa) * pb % M61 != (eb - sb) * pa % M61:
             return False
     return True
-
-
-def fp_of(text, scheme: FingerprintScheme) -> np.ndarray:
-    """Node of a whole text under ``scheme``, by Horner's rule on Python ints."""
-    sym = as_symbols(text)
-    if sym.size and int(sym.max()) >= M61:
-        raise ValueError("symbol value not below the modulus")
-    values = []
-    for x in scheme.bases:
-        acc = 0
-        for s in reversed(sym.tolist()):
-            acc = (acc * x + s) % M61
-        values.append(acc)
-    return node(sym.size, [pow(x, int(sym.size), M61) for x in scheme.bases], values)

@@ -421,63 +421,46 @@ class FingerprintLcp:
         self.plan = plan
         self.n = plan.n
         self.scheme = scheme
-        # simulator-side, not metered: sized to the longest window-scan buffer
-        w = plan.window
-        longest = max((min(hi + w - 1, 2 * self.n) - lo for role in plan.roles
-                       for lo, hi in role.scan_spans), default=0)
-        self.pows, self.inv_pows = power_tables(scheme.bases, longest)
+        # simulator-side, not metered: sized to the widest window-scan row
+        self.pows, self.inv_pows = power_tables(scheme.bases, plan.block_len + plan.window - 1)
         self.queries: dict[int, dict[int, _Query]] = {}
 
     # -- window stores
 
     def scan(self, ctx: StepContext) -> None:
-        """Fingerprint this machine's scan spans and route them to both stores."""
+        """Fingerprint this machine's scan spans and route them to both stores.
+
+        The two spans, the block and its mirror image, are nonempty and equal
+        in length, and one kernel call fingerprints both. Each span sends one
+        segment per residue class (stride w) to the class owners and one per
+        window row to the stripe owners; no segment holds both spans' rows.
+        """
         n = self.n
         w = self.plan.window
         letters = ctx.payload["letters"]
         lo = ctx.payload["letters_lo"]
-        spans = []
-        for span_lo, span_hi in self.plan.roles[ctx.machine_id].scan_spans:
-            if span_lo >= span_hi:
-                continue
-            buf_hi = min(span_hi + w - 1, 2 * n)
-            buf = _materialize_doubled(letters, lo, n, span_lo, buf_hi)
-            span = span_hi - span_lo
-            vals = np.empty((self.scheme.layers, span), np.int64)
-            ctx.add_work(int(fragment_fp_scan(buf, span, w, self.pows, self.inv_pows, vals)))
-            spans.append((span_lo, vals))
-        if spans:
-            self._send_frag_batches(ctx, spans)
-
-    def _send_frag_batches(self, ctx: StepContext,
-                           spans: list[tuple[int, np.ndarray]]) -> None:
-        """Route window fingerprints to their class-store and stripe-store owners.
-
-        ``spans`` holds (first doubled position, per-layer values) per scan
-        span. Positions within a span are consecutive, so each span sends one
-        segment per residue class (stride w) to the class owners and one per
-        window row to the stripe owners.
-        """
-        w = self.plan.window
-        M = self.plan.machine_count
-        fc_dst, fc_count, fc_rows, fs_dst, fs_count, positions = [], [], [], [], [], []
-        base = 0
-        for lo, vals in spans:
-            i = np.arange(vals.shape[1], dtype=np.int64)
-            fc_dst.append((lo + i[:w]) % w)
-            fc_count.append(np.bincount(i % w))
-            fc_rows.append(base + np.argsort(i % w, kind="stable"))
-            row = (lo + i) // w
-            fs_dst.append(np.arange(row[0], row[-1] + 1) % M)
-            fs_count.append(np.bincount(row - row[0]))
-            positions.append(lo + i)
-            base += i.size
-        pos = np.concatenate(positions)
-        vals = np.concatenate([v for _, v in spans], axis=1)
-        by_class = np.concatenate(fc_rows)
-        ctx.send("fc", np.concatenate(fc_dst), _offsets(np.concatenate(fc_count)),
-                 {"pos": pos[by_class], "vals": vals[:, by_class]})
-        ctx.send("fs", np.concatenate(fs_dst), _offsets(np.concatenate(fs_count)),
+        spans = self.plan.roles[ctx.machine_id].scan_spans
+        span = spans[0][1] - spans[0][0]
+        bufs = [_materialize_doubled(letters, lo, n, p, min(p + span + w - 1, 2 * n))
+                for p, _ in spans]
+        vals = np.empty((self.scheme.layers, len(spans), span), np.int64)
+        ctx.add_work(int(fragment_fp_scan(bufs, w, self.pows, self.inv_pows, vals)))
+        vals = vals.reshape(self.scheme.layers, -1)
+        i = np.arange(span)
+        pos = (np.array([p for p, _ in spans])[:, None] + i).ravel()
+        if span > w:
+            # sort stably by (span, class): each span's offsets by residue mod w
+            by_class = np.argsort(i % w, kind="stable")
+            order = (span * np.arange(len(spans))[:, None] + by_class).ravel()
+            cls_pos, cls_vals = pos[order], vals[:, order]
+            bounds = _offsets(np.tile(np.bincount(i % w), len(spans)))
+        else:
+            # every position is its own class segment
+            cls_pos, cls_vals, bounds = pos, vals, np.arange(pos.size + 1)
+        ctx.send("fc", cls_pos[bounds[:-1]] % w, bounds, {"pos": cls_pos, "vals": cls_vals})
+        # stripe store: runs of equal (window row, span index)
+        keys, bounds = _runs(pos // w * len(spans) + np.arange(pos.size) // span)
+        ctx.send("fs", keys // len(spans) % self.plan.machine_count, bounds,
                  {"pos": pos, "vals": vals})
 
     def install(self, ctx: StepContext) -> None:

@@ -15,10 +15,12 @@ from palmpc.ampc import (
     solve_ampc,
 )
 from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, StepContext, words_of
-from palmpc.fingerprint import FingerprintScheme, fp_of, fragments_equal, scheme_init
+from palmpc.fingerprint import FingerprintScheme, fragments_equal, scheme_init
 from palmpc.inputs import fibonacci_text, unary_text
 from palmpc.mpc import plan_decomposition, solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
+
+from fingerprint_ref import fp_of
 
 
 def _built(s, epsilon, seed):

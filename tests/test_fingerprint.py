@@ -8,12 +8,13 @@ from palmpc.fingerprint import (
     MAX_SUPPORTED_N,
     FingerprintScheme,
     concat,
-    fp_of,
     fragments_equal,
     node,
     running_folds,
     scheme_init,
 )
+
+from fingerprint_ref import fp_of
 
 TOY = FingerprintScheme(bases=(10,))
 
@@ -204,9 +205,9 @@ def test_fingerprint_word_accounting():
 
 def _fragment_values(sym: np.ndarray, length: int, scheme, tables) -> np.ndarray:
     """All fragment fingerprints of one length, via the sliding-window kernel."""
-    out = np.empty((scheme.layers, sym.size - length + 1), np.int64)
-    fragment_fp_scan(sym, sym.size - length + 1, length, *tables, out)
-    return out
+    out = np.empty((scheme.layers, 1, sym.size - length + 1), np.int64)
+    fragment_fp_scan([sym], length, *tables, out)
+    return out[:, 0]
 
 
 def test_collision_audit_desk_scale():

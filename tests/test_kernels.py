@@ -52,18 +52,40 @@ def test_window_scan_matches_bigint():
     for letters in _symbol_sets(rng):
         total = len(letters)
         sym = np.asarray(letters, np.int64)
-        pows, inv = power_tables(BASES, total)
+        pows, inv = power_tables(BASES, 2 * total + 5)
         shapes = {(total, 1), (total, total), (1, total), (total, total + 5),
                   (max(total // 2, 1), 3), (max(total - 2, 1), max(total - 1, 1))}
         for span, width in sorted(shapes):
-            out = np.full((len(BASES), span), -1, np.int64)
-            ops = fragment_fp_scan(sym, span, width, pows, inv, out)
+            out = np.full((len(BASES), 1, span), -1, np.int64)
+            ops = fragment_fp_scan([sym], width, pows, inv, out)
             for row, x in enumerate(BASES):
-                assert out[row].tolist() == _window_ref(letters, span, width, x), (x, span, width)
+                assert out[row, 0].tolist() == _window_ref(letters, span, width, x), (x, span, width)
             assert ops == 2 * total * len(BASES)
-            one = np.full((1, span), -1, np.int64)       # a single layer: the first row
-            assert fragment_fp_scan(sym, span, width, pows, inv, one) == 2 * total
+            one = np.full((1, 1, span), -1, np.int64)    # a single layer: the first row
+            assert fragment_fp_scan([sym], width, pows, inv, one) == 2 * total
             assert one[0].tolist() == out[0].tolist()
+
+
+def test_fused_rows_match_bigint():
+    # rows of different lengths in one call, as a machine's block and image
+    # buffers: full, ragged (ending inside the last windows), and shorter
+    # than the span; letters 0 and M61 - 1; widths below, at and past the span
+    rng = np.random.default_rng(6)
+    for span in (1, 2, 5, 16):
+        for width in sorted({1, max(span - 1, 1), span, span + 3, 3 * span}):
+            size = span + width - 1
+            lengths = sorted({size, max(size - width // 2, 1), max(span - 1, 1), 1})
+            rows = [rng.choice([0, 1, M61 - 1], size=k) for k in lengths]
+            rows.append(np.full(size, M61 - 1, np.int64))
+            rows.append(np.zeros(size, np.int64))
+            pows, inv = power_tables(BASES, size)
+            out = np.full((len(BASES), len(rows), span), -1, np.int64)
+            ops = fragment_fp_scan(rows, width, pows, inv, out)
+            assert ops == 2 * sum(row.size for row in rows) * len(BASES)
+            for r, row in enumerate(rows):
+                for l, x in enumerate(BASES):
+                    want = _window_ref(row.tolist(), span, width, x)
+                    assert out[l, r].tolist() == want, (span, width, r, x)
 
 
 def test_prefix_scan_matches_bigint():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from palmpc import mpc
-from palmpc._kernels import first_unequal_run
+from palmpc._kernels import first_unequal_run, fragment_fp_scan
 from palmpc.ampc import solve_ampc
 from palmpc.engine import CollisionAbort, StepContext
-from palmpc.fingerprint import FingerprintScheme, fp_of, scheme_init
+from palmpc.fingerprint import FingerprintScheme, scheme_init
 from palmpc.inputs import fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import (
     MAX_TEXT_LEN,
@@ -16,6 +16,8 @@ from palmpc.mpc import (
 )
 from palmpc.oracle import oracle_lps, oracle_maximal_palindromes
 from palmpc.structural import InconsistentMergeError
+
+from fingerprint_ref import fp_of
 
 
 def test_plan_example_n16():
@@ -139,6 +141,59 @@ def test_shipped_tail_is_kept_as_its_own_copy():
     tails = [p["tail"] for p in run.cluster.payloads if "tail" in p]
     assert len(tails) > 1
     assert all(t.base is None and t.size == run.plan.window for t in tails)
+
+
+def _per_span_routing(run, m):
+    """Machine m's window batches routed one scan span at a time, as separate
+    kernel calls: each span sends one segment per residue class, in class
+    order, and one per window row."""
+    plan, lcp = run.plan, run.lcp
+    w, M, n = plan.window, plan.machine_count, run.n
+    payload = run.cluster.payloads[m]
+    fc_dst, fc_count, fc_rows, fs_dst, fs_count, positions, values = ([] for _ in range(7))
+    base = 0
+    for lo, hi in plan.roles[m].scan_spans:
+        buf = mpc._materialize_doubled(payload["letters"], payload["letters_lo"], n, lo,
+                                       min(hi + w - 1, 2 * n))
+        vals = np.empty((run.scheme.layers, 1, hi - lo), np.int64)
+        fragment_fp_scan([buf], w, lcp.pows, lcp.inv_pows, vals)
+        i = np.arange(hi - lo)
+        fc_dst.append((lo + i[:w]) % w)
+        fc_count.append(np.bincount(i % w))
+        fc_rows.append(base + np.argsort(i % w, kind="stable"))
+        row = (lo + i) // w
+        fs_dst.append(np.arange(row[0], row[-1] + 1) % M)
+        fs_count.append(np.bincount(row - row[0]))
+        positions.append(lo + i)
+        values.append(vals[:, 0])
+        base += i.size
+    pos, vals = np.concatenate(positions), np.concatenate(values, axis=1)
+    by_class = np.concatenate(fc_rows)
+    return {"fc": (np.concatenate(fc_dst), mpc._offsets(np.concatenate(fc_count)),
+                   pos[by_class], vals[:, by_class]),
+            "fs": (np.concatenate(fs_dst), mpc._offsets(np.concatenate(fs_count)), pos, vals)}
+
+
+def test_window_routing_equals_per_span_routing(monkeypatch):
+    # one kernel call and arithmetic routing per machine give the batches of
+    # one call and one argsort per span: same segments, rows and values
+    sent = {}
+
+    def record(ctx, tag, dsts, offsets, cols, headers=()):
+        sent[ctx.machine_id, tag] = (dsts, offsets, cols["pos"], cols["vals"])
+
+    monkeypatch.setattr(StepContext, "send", record)
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 41), 333, 1024]:
+        s = rng.integers(0, 3, n).astype(np.int64)
+        for eps in (0.2, 0.35, 0.5):
+            run = MpcPalindromes(s, eps, seed=n)
+            for m in range(run.plan.machine_count):
+                sent.clear()
+                run.lcp.scan(StepContext(run.cluster, m, {}))
+                for tag, want in _per_span_routing(run, m).items():
+                    got = sent[m, tag]
+                    assert all(np.array_equal(g, v) for g, v in zip(got, want)), (n, eps, m, tag)
 
 
 def test_letter_getter_raises_for_letters_not_held():
