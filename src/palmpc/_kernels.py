@@ -176,7 +176,7 @@ def fragment_fp_scan(bufs, width, pows, inv_pows, out):
     out[l, r, j] = layer-l fingerprint of bufs[r][j : j + width], cut at the
     buffer's end, for j in [0, span), out.shape == (layers, len(bufs), span).
     A buffer may extend up to width - 1 symbols past the span so interior
-    windows are full length; letters further on are never read. ``pows``/
+    windows are full length, and no further (``ValueError``). ``pows``/
     ``inv_pows`` are the tables of :func:`power_tables`, at least span +
     width - 1 and span columns wide.
 
@@ -193,10 +193,12 @@ def fragment_fp_scan(bufs, width, pows, inv_pows, out):
     """
     layers, rows, span = out.shape
     size = span + width - 1
+    if len(bufs) != rows or max(buf.size for buf in bufs) > size:
+        raise ValueError(f"want {rows} buffers of at most {size} letters")
     letters = np.zeros((rows, size), np.uint64)
     total = 0
     for row, buf in zip(letters, bufs):
-        row[: buf.size] = buf[:size]
+        row[: buf.size] = buf
         total += buf.size
     terms = mulmod61(letters, pows[:layers, None, :size])
     # limbs[0] and limbs[1]: running sums of the terms' low and high limbs

@@ -74,6 +74,7 @@ the run as a hash collision (``CollisionAbort``). A collision that breaks
 neither check goes unseen, and the table it yields is silently wrong.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -382,6 +383,20 @@ def _send_rows(ctx: StepContext, tag: str, dsts, **cols) -> None:
              {name: np.asarray(col, np.int64) for name, col in cols.items()})
 
 
+@functools.lru_cache(maxsize=None)
+def _class_layout(span: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class-store row order and segment bounds of a machine's two scan spans.
+
+    Each span holds ``span`` consecutive positions and sends one segment per
+    residue class mod ``w``: its offsets in that class, ascending. A pure
+    function of (span, w), so machines with equal spans share one copy.
+    """
+    by_class = (np.arange(w)[:, None] + w * np.arange(-(-span // w))).ravel()
+    by_class = by_class[by_class < span]
+    return (np.concatenate((by_class, span + by_class)),
+            _offsets(np.tile(np.bincount(np.arange(span) % w), 2)))
+
+
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first value, segment bounds) of each run of equal values."""
     starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
@@ -439,29 +454,22 @@ class FingerprintLcp:
         w = self.plan.window
         letters = ctx.payload["letters"]
         lo = ctx.payload["letters_lo"]
-        spans = self.plan.roles[ctx.machine_id].scan_spans
-        span = spans[0][1] - spans[0][0]
+        (block_lo, block_hi), (image_lo, _) = self.plan.roles[ctx.machine_id].scan_spans
+        span = block_hi - block_lo
         bufs = [_materialize_doubled(letters, lo, n, p, min(p + span + w - 1, 2 * n))
-                for p, _ in spans]
-        vals = np.empty((self.scheme.layers, len(spans), span), np.int64)
+                for p in (block_lo, image_lo)]
+        vals = np.empty((self.scheme.layers, 2, span), np.int64)
         ctx.add_work(int(fragment_fp_scan(bufs, w, self.pows, self.inv_pows, vals)))
-        vals = vals.reshape(self.scheme.layers, -1)
+        vals = vals.reshape(self.scheme.layers, 2 * span)
         i = np.arange(span)
-        pos = (np.array([p for p, _ in spans])[:, None] + i).ravel()
-        if span > w:
-            # sort stably by (span, class): each span's offsets by residue mod w
-            by_class = np.argsort(i % w, kind="stable")
-            order = (span * np.arange(len(spans))[:, None] + by_class).ravel()
-            cls_pos, cls_vals = pos[order], vals[:, order]
-            bounds = _offsets(np.tile(np.bincount(i % w), len(spans)))
-        else:
-            # every position is its own class segment
-            cls_pos, cls_vals, bounds = pos, vals, np.arange(pos.size + 1)
-        ctx.send("fc", cls_pos[bounds[:-1]] % w, bounds, {"pos": cls_pos, "vals": cls_vals})
+        pos = np.concatenate((block_lo + i, image_lo + i))
+        order, bounds = _class_layout(span, w)
+        cls_pos = pos[order]
+        ctx.send("fc", cls_pos[bounds[:-1]] % w, bounds,
+                 {"pos": cls_pos, "vals": vals[:, order]})
         # stripe store: runs of equal (window row, span index)
-        keys, bounds = _runs(pos // w * len(spans) + np.arange(pos.size) // span)
-        ctx.send("fs", keys // len(spans) % self.plan.machine_count, bounds,
-                 {"pos": pos, "vals": vals})
+        keys, bounds = _runs(pos // w * 2 + np.arange(2 * span) // span)
+        ctx.send("fs", keys // 2 % self.plan.machine_count, bounds, {"pos": pos, "vals": vals})
 
     def install(self, ctx: StepContext) -> None:
         """Fill both stores from the routed windows, keep a shipped tail, then ``serve``."""

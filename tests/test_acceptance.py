@@ -12,12 +12,12 @@ import pytest
 
 from palmpc.ampc import solve_ampc
 from palmpc.engine import CollisionAbort
-from palmpc.exhaustive import sweep_views
 from palmpc.fingerprint import concat, fragments_equal, scheme_init
 from palmpc.inputs import alternating_text, fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import solve_mpc
 from palmpc.oracle import oracle_lps, oracle_maximal_palindromes
 
+from exhaustive_views import sweep_views
 from fingerprint_ref import fp_of
 
 GRID_SIZES = (256, 1024, 4096)

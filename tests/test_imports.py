@@ -8,9 +8,10 @@ covers the package and the tests.
 
 A top-level definition of the package (function, class or assigned name) must
 be read by some module of the package or of ``solvebench/`` (a load of the
-name, an attribute of that name, or an import of it), be listed in an
-``__all__``, or be the console script's entry point. Code that only its own
-tests reach fails this check.
+name, an attribute of that name, or an import of it) or be the console
+script's entry point. A package export counts through the import in
+``__init__.py``; listing a name in another module's ``__all__`` does not.
+Code that only its own tests reach fails this check.
 """
 
 import ast
@@ -73,7 +74,7 @@ def _definitions(tree) -> list[tuple[int, str]]:
 
 
 def _reads(tree) -> set[str]:
-    """Names a module loads, reads as attributes, imports or lists in ``__all__``."""
+    """Names a module loads, reads as attributes or imports."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -82,9 +83,6 @@ def _reads(tree) -> set[str]:
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {elt.value for elt in node.value.elts}
     return read
 
 
@@ -100,7 +98,7 @@ def test_the_check_sees_unread_definitions():
     package = {"a": "X = 1\n_y: int = 2\n__all__ = ['f']\ndef f(): pass\nclass C: pass\n"
                     "def g(): return X\ndef console_entry(): pass\n",
                "b": "from a import g\nimport a\na.C()\n"}
-    assert unread_definitions(package, list(package.values())) == [("a", 2, "_y")]
+    assert unread_definitions(package, list(package.values())) == [("a", 2, "_y"), ("a", 4, "f")]
 
 
 def test_every_package_definition_is_read():

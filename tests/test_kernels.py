@@ -56,14 +56,27 @@ def test_window_scan_matches_bigint():
         shapes = {(total, 1), (total, total), (1, total), (total, total + 5),
                   (max(total // 2, 1), 3), (max(total - 2, 1), max(total - 1, 1))}
         for span, width in sorted(shapes):
+            buf = sym[: span + width - 1]                # the letters the windows reach
             out = np.full((len(BASES), 1, span), -1, np.int64)
-            ops = fragment_fp_scan([sym], width, pows, inv, out)
+            ops = fragment_fp_scan([buf], width, pows, inv, out)
             for row, x in enumerate(BASES):
                 assert out[row, 0].tolist() == _window_ref(letters, span, width, x), (x, span, width)
-            assert ops == 2 * total * len(BASES)
+            assert ops == 2 * buf.size * len(BASES)
             one = np.full((1, 1, span), -1, np.int64)    # a single layer: the first row
-            assert fragment_fp_scan([sym], width, pows, inv, one) == 2 * total
+            assert fragment_fp_scan([buf], width, pows, inv, one) == 2 * buf.size
             assert one[0].tolist() == out[0].tolist()
+
+
+def test_window_scan_rejects_buffers_that_do_not_fit():
+    # a buffer past span + width - 1 letters would be counted but not read,
+    # and a buffer count unequal to the output's rows would be cut silently
+    pows, inv = power_tables(BASES, 8)
+    out = np.full((len(BASES), 2, 4), -1, np.int64)
+    buf = np.arange(6, dtype=np.int64)                   # span 4 + width 3 - 1
+    assert fragment_fp_scan([buf, buf[:2]], 3, pows, inv, out) == 2 * 8 * len(BASES)
+    for bufs in ([buf, np.arange(7, dtype=np.int64)], [buf], [buf, buf, buf]):
+        with pytest.raises(ValueError, match="want 2 buffers of at most 6 letters"):
+            fragment_fp_scan(bufs, 3, pows, inv, out)
 
 
 def test_fused_rows_match_bigint():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from palmpc import exhaustive, mpc
+from palmpc import mpc
 from palmpc.engine import RunStats, StepContext
 from palmpc.inputs import unary_text
 from palmpc.mpc import MpcPalindromes, superblock_waves
@@ -17,6 +17,8 @@ from palmpc.structural import (
     first_wave,
     settle,
 )
+
+from exhaustive_views import sweep_views
 
 
 def prefix_lens(frag, block_len):
@@ -297,12 +299,12 @@ def test_sweep_runs_the_shared_resolver(monkeypatch):
     def drop_one(*args):
         return real_settle(*args)[1:]
 
-    assert exhaustive.sweep_views(8, 2)["mismatches"] == 0
+    assert sweep_views(8, 2)["mismatches"] == 0
     monkeypatch.setattr(mpc, "settle", off_by_one)
-    assert exhaustive.sweep_views(8, 2)["mismatches"] > 0
+    assert sweep_views(8, 2)["mismatches"] > 0
     monkeypatch.setattr(mpc, "settle", drop_one)
     with pytest.raises(InconsistentMergeError, match="reaches its fragment start unresolved"):
-        exhaustive.sweep_views(8, 2)
+        sweep_views(8, 2)
 
 
 def test_sweep_runs_the_shared_local_scan(monkeypatch):
@@ -315,7 +317,7 @@ def test_sweep_runs_the_shared_local_scan(monkeypatch):
 
     monkeypatch.setattr(mpc, "_prefix_pal_lengths_from_tables", drop_longest)
     with pytest.raises(InconsistentMergeError, match="reaches its fragment start unresolved"):
-        exhaustive.sweep_views(8, 2)
+        sweep_views(8, 2)
 
 
 def _binary_palindromes(max_len):
