@@ -171,25 +171,22 @@ def manacher_tables(sym, hi=None):
 
 
 def fragment_fp_scan(bufs, width, pows, inv_pows, out):
-    """Sliding-window fingerprints over each buffer of ``bufs``, one row per hash layer.
+    """Sliding-window fingerprints of each buffer of ``bufs``, one row per hash layer.
 
     out[l, r, j] = layer-l fingerprint of bufs[r][j : j + width], cut at the
-    buffer's end, for j in [0, span), out.shape == (layers, len(bufs), span).
-    A buffer may extend up to width - 1 symbols past the span so interior
-    windows are full length, and no further (``ValueError``). ``pows``/
-    ``inv_pows`` are the tables of :func:`power_tables`, at least span +
-    width - 1 and span columns wide.
+    buffer's end, for j in [0, span); out.shape == (layers, len(bufs), span).
+    A buffer holds at most span + width - 1 letters (else ``ValueError``).
+    ``pows``/``inv_pows`` are :func:`power_tables` tables at least that many
+    and span columns wide.
 
-    All rows go through one pass of array code. They are zero-padded to
-    span + width - 1 letters, and a zero letter adds nothing to a
-    fingerprint, so a buffer that ends early gets its short windows. With
-    C[k] the fingerprint of a row's first k letters, out[j] = (C[j + width]
-    - C[j]) * x**-j. The prefix sums are plain cumulative sums of each
-    term's low 31 and high 30 bits, below 2**52 for rows under 2**21
-    letters; each window's difference is reduced once, recombined with
-    2**61 == 1 (hi * 2**31 == (hi mod 2**30) * 2**31 + hi div 2**30).
-    Two modular multiplications per unpadded letter and layer, which is
-    what the returned ``ops`` counts.
+    Rows are zero-padded to span + width - 1 letters; a zero letter adds
+    nothing to a fingerprint, so a buffer that ends early gets its short
+    windows. With C[k] the fingerprint of a row's first k letters, out[j] =
+    (C[j + width] - C[j]) * x**-j. The prefix sums are plain cumulative sums
+    of each term's low 31 and high 30 bits (below 2**52 for rows under 2**21
+    letters), and each difference is reduced once, with 2**61 == 1. Two
+    modular multiplications per unpadded letter and layer, which is what the
+    returned ``ops`` counts.
     """
     layers, rows, span = out.shape
     size = span + width - 1

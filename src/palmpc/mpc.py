@@ -130,7 +130,7 @@ class MachineRole:
     own_u_lo: int                  # owned center half-indices [own_u_lo, own_u_hi)
     own_u_hi: int
     sb_start: int                  # superblock start (middle machines, else -1)
-    scan_spans: tuple[tuple[int, int], ...]  # doubled-string ranges this machine fingerprints
+    scan_spans: tuple[tuple[int, int], tuple[int, int]]  # block, mirror image: doubled ranges
     tail_ship_to: int              # middle machine to send our block-tail letters to, or -1
 
 
