@@ -30,14 +30,17 @@ siblings of its ancestor, one read each (fewer than f), and at most one read
 per lower level, of the parent's running fold; a first child needs none. That
 replaces the up to f - 1 sibling reads per level of a plain tree.
 
-Machine m owns two leaves of its block's width: block m, and that block's
-image 2K - 1 - m. It keeps them as one int64 array, each leaf a row range:
-column 0 holds the symbols, column 1 + l the layer-l prefix values, local to
-the leaf. The context round offsets both by their left contexts in one pass
-and publishes each leaf's rows as one read-only,
-C-contiguous (width, 1 + L) array under key ("p", leaf). The store is still
-read and metered one position at a time: ``PrefixStore.entry(e)`` makes one
-shared read of the leaf array holding e and returns that row as Python ints.
+Machine m owns two leaves, its role's scan spans (``MachineRole.scan_spans``):
+block m, and that block's image 2K - 1 - m, both the block's width. Round 1
+leaves it the skeleton's state (``mpc.BlockPipeline``) plus both leaves as one
+int64 array, each leaf half of its rows: column 0 holds the symbols, column
+1 + l the layer-l prefix values, local to the leaf. The context round drops
+the placed letters, since later rounds read symbols from the store, then
+offsets both leaves by their left contexts in one pass and publishes
+each leaf's rows as one read-only, C-contiguous (width, 1 + L) array under
+key ("p", leaf). The store is still read and metered one position at a time:
+``PrefixStore.entry(e)`` makes one shared read of the leaf array holding e
+and returns that row as Python ints.
 A leaf is b letters wide, a dozen at eps=0.75, where a numpy call costs more
 than its arithmetic, so the leaf scan, the context fold and the offset all
 run on Python ints, which also keep products of 61-bit residues exact.
@@ -76,32 +79,19 @@ from .mpc import (  # noqa: F401
     _merge_b2, _periodic_resolve, _prefix_pal_lengths_from_tables, manacher_tables)
 
 
-def _offset_leaves(entries, widths, lefts, layers: int) -> int:
-    """Offset stacked leaves by their left context nodes ``lefts``, in place.
+def _offset_leaves(entries, lefts, layers: int) -> int:
+    """Offset two stacked leaves by their left context nodes ``lefts``, in place.
 
-    ``entries`` holds one row range of ``widths`` rows per leaf: the symbols,
-    then the leaf-local prefix value of each layer. ``ops`` is one per value.
+    ``entries`` holds each leaf as one half of its rows: the symbols, then
+    the leaf-local prefix value of each layer. ``ops`` is one per value.
     """
     # Python ints, not numpy scalars: int64 * int64 would overflow silently
-    lefts = np.array(lefts, np.int64).reshape(-1, 1 + 2 * layers).tolist()
+    lefts = np.array(lefts, np.int64).reshape(2, 1 + 2 * layers).tolist()
+    half = len(entries) // 2
     for l, vals in enumerate(entries[:, 1:].T.tolist(), start=1):
-        out, col = [], 0
-        for width, left in zip(widths, lefts):
-            mul, add = left[l], left[layers + l]
-            out += [(add + mul * v) % M61 for v in vals[col : col + width]]
-            col += width
-        entries[:, l] = out
+        entries[:, l] = [(left[layers + l] + left[l] * v) % M61
+                         for left, part in zip(lefts, (vals[:half], vals[half:])) for v in part]
     return layers * len(entries)
-
-
-def leaf_bounds(n: int, block_len: int, block_count: int) -> list[tuple[int, int]]:
-    """Doubled-string ranges of the 2K leaf segments, in position order.
-
-    Leaves 0..K-1 are the text blocks; leaves K..2K-1 are the reversed block
-    images, which appear in reverse block order past position n.
-    """
-    bounds = [(k * block_len, min((k + 1) * block_len, n)) for k in range(block_count)]
-    return bounds + [(2 * n - hi, 2 * n - lo) for lo, hi in reversed(bounds)]
 
 
 def _level_sizes(count: int, fanout: int) -> list[int]:
@@ -215,14 +205,16 @@ class AmpcPalindromes(BlockPipeline):
         super().__init__(text, epsilon, seed, memory_constant, scheme)
         self.bases = self.scheme.bases
         self.fanout = fan_in(self.plan)
-        self.leaves = leaf_bounds(self.n, self.plan.block_len, self.plan.block_count)
-        self.leaf_starts = [lo for lo, _ in self.leaves]
-        self.tree_sizes = _level_sizes(len(self.leaves), self.fanout)
+        self.leaf_starts = [0] * (2 * self.plan.block_count)
+        for m, role in enumerate(self.plan.roles):
+            for leaf, (lo, _) in zip(self.own_leaves(m), role.scan_spans):
+                self.leaf_starts[leaf] = lo
+        self.tree_sizes = _level_sizes(2 * self.plan.block_count, self.fanout)
         self.best_sizes = _level_sizes(self.plan.machine_count, self.fanout)
         self.depth = len(self.tree_sizes) - 1
         self.best_depth = len(self.best_sizes) - 1
-        # simulator-side, not metered: x**i for i up to the longest leaf width
-        self.pows, _ = power_tables(self.bases, max(hi - lo for lo, hi in self.leaves) + 1)
+        # simulator-side, not metered: x**i for i up to the leaf width b
+        self.pows, _ = power_tables(self.bases, self.plan.block_len + 1)
 
     def own_leaves(self, m: int) -> tuple[int, int]:
         """Machine m's leaves: block m and its mirror image, both the block's width."""
@@ -232,22 +224,18 @@ class AmpcPalindromes(BlockPipeline):
 
     def _r1_leaves(self, ctx: StepContext) -> None:
         m = ctx.machine_id
-        n = self.n
-
-        prefix_lens = self._local_scan(ctx)
-        if prefix_lens is not None:
-            ctx.payload["prefix_lens"] = prefix_lens
+        self._local_scan(ctx)
 
         # the two leaves stacked, each a row range of one array: column 0
         # their symbols, columns 1.. their prefix values, local to each leaf
         # until the context round offsets them
-        width = self.leaves[m][1] - self.leaves[m][0]
+        spans = self.plan.roles[m].scan_spans
+        width = spans[0][1] - spans[0][0]
         entries = np.empty((2 * width, 1 + self.scheme.layers), np.int64)
-        for row, leaf in zip((0, width), self.own_leaves(m)):
-            lo, hi = self.leaves[leaf]
+        for row, leaf, (lo, hi) in zip((0, width), self.own_leaves(m), spans):
             rows = entries[row : row + width]
             rows[:, 0] = _materialize_doubled(ctx.payload["letters"],
-                                              ctx.payload["letters_lo"], n, lo, hi)
+                                              ctx.payload["letters_lo"], self.n, lo, hi)
             ctx.add_work(int(prefix_fp_scan(rows[:, 0], self.pows, rows[:, 1:].T)))
             ctx.shared_write(("t", 0, leaf),
                              node(width, self.pows[:, width].tolist(), rows[-1, 1:].tolist()))
@@ -303,10 +291,12 @@ class AmpcPalindromes(BlockPipeline):
 
     def _r_context(self, ctx: StepContext) -> None:
         entries = ctx.payload.pop("leafpfx")
+        # no later round reads the letters: symbols come from the prefix store
+        del ctx.payload["letters"], ctx.payload["letters_lo"]
         width = entries.shape[0] // 2
         leaves = self.own_leaves(ctx.machine_id)
         lefts = [self._left_context(ctx, leaf) for leaf in leaves]
-        ctx.add_work(_offset_leaves(entries, (width, width), lefts, self.scheme.layers))
+        ctx.add_work(_offset_leaves(entries, lefts, self.scheme.layers))
         for row, leaf in zip((0, width), leaves):
             ctx.shared_write(("p", leaf), entries[row : row + width])
 
@@ -318,7 +308,7 @@ class AmpcPalindromes(BlockPipeline):
         if role.kind == "middle":
             store = PrefixStore(ctx.shared_read, self.leaf_starts, self.n)
             prefix_lens = ctx.payload["prefix_lens"]
-            waves = superblock_waves(prefix_lens, role.sb_start, self.n, self.cluster.stats)
+            waves = superblock_waves(prefix_lens, role.letters_lo, self.n, self.cluster.stats)
             wave = next(waves)
             wave = waves.send([ampc_lcp(store, q.p1, q.p2, self.bases) for q in wave])
             self._meter_resolve(ctx, prefix_lens)

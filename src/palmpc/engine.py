@@ -256,11 +256,13 @@ class StepContext:
         """
         dsts = np.asarray(dsts, np.int64)
         offsets = np.asarray(offsets, np.int64)
-        unknown = (dsts < BROADCAST) | (dsts >= self._cluster.config.machine_count)
-        if unknown.any():
+        machines = self._cluster.config.machine_count
+        if dsts.size and (dsts.min() < BROADCAST or dsts.max() >= machines):
+            unknown = (dsts < BROADCAST) | (dsts >= machines)
             raise UnknownMachineError(f"machine {self.machine_id} sent to unknown "
                                       f"machine {int(dsts[unknown][0])}")
-        if (offsets.size != dsts.size + 1 or offsets[0] != 0 or (np.diff(offsets) < 0).any()
+        if (offsets.size != dsts.size + 1 or offsets[0] != 0
+                or np.count_nonzero(offsets[1:] < offsets[:-1])
                 or any(col.shape[-1] != offsets[-1] for col in cols.values())):
             raise EngineError(f"batch {tag!r}: offsets do not cut the columns into segments")
         for col in cols.values():

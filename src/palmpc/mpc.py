@@ -2,8 +2,11 @@
 
 ``BlockPipeline`` is the set-up and per-machine skeleton that this messaging
 pipeline (``MpcPalindromes``) and the adaptive one (``palmpc.ampc``) share:
-placed letters, the local scan, merge, per-machine best and export. A middle
-machine's local scan is ``superblock_scan``, and its superblock is resolved by
+placed letters, the local scan, merge, per-machine best and export. The local
+scan leaves every machine the same round-1 state in both pipelines: the local
+lengths of its owned centers (``own_lengths``) and, on a middle machine, its
+superblock's prefix palindromes (``prefix_lens``). A middle machine's
+local scan is ``superblock_scan``, and its superblock is resolved by
 ``superblock_waves``, the one driver of the ``structural`` case analysis, in
 two waves of LCP queries; here ``FingerprintLcp`` answers them.
 
@@ -125,11 +128,10 @@ MAX_TEXT_LEN = MAX_SUPPORTED_N // 2
 @dataclass(frozen=True)
 class MachineRole:
     kind: str                      # "middle" | "local" (finishes its block without queries)
-    letters_lo: int                # S positions [letters_lo, letters_hi) placed here
-    letters_hi: int
+    letters_lo: int                # S positions [letters_lo, letters_hi) placed here;
+    letters_hi: int                # a middle machine's are its superblock
     own_u_lo: int                  # owned center half-indices [own_u_lo, own_u_hi)
     own_u_hi: int
-    sb_start: int                  # superblock start (middle machines, else -1)
     scan_spans: tuple[tuple[int, int], tuple[int, int]]  # block, mirror image: doubled ranges
     tail_ship_to: int              # middle machine to send our block-tail letters to, or -1
 
@@ -171,13 +173,13 @@ def plan_decomposition(n: int, epsilon: float) -> BlockPlan:
             # superblock so that neighbor can settle first-window mismatches
             # of its leftward probes locally
             ship = m + 1 if m + 1 < tail else -1
-            roles.append(MachineRole("middle", lo - b, lo + 3 * b, *owned, lo - b, spans, ship))
+            roles.append(MachineRole("middle", lo - b, lo + 3 * b, *owned, spans, ship))
         else:
             # a palindrome centered at c (lo <= c < hi) lies within
             # [2c - n + 1, 2c + 1), since the text ends cut it; the window
             # scan of the block's image reads back to lo - w + 1 >= lo - b + 1
             roles.append(MachineRole("local", max(0, min(2 * lo - n + 1, lo - b)),
-                                     min(n, 2 * (m + 1) * b), *owned, -1, spans, -1))
+                                     min(n, 2 * (m + 1) * b), *owned, spans, -1))
     return BlockPlan(n=n, epsilon=epsilon, block_len=b, block_count=K,
                      machine_count=M, window=w, roles=tuple(roles))
 
@@ -230,17 +232,17 @@ def superblock_waves(prefix_lens, start: int, n: int, stats: RunStats):
 def superblock_scan(letters: np.ndarray, block_len: int):
     """Round 1's local phase on the 4b letters of one superblock.
 
-    Manacher runs up to the last owned center, 2b + 1 letter centers, and
-    its result is kept as the 4b + 1 lengths by local center half-index.
-    Returns (lengths, prefix_lens, ops): those lengths, the ascending
-    lengths of the prefix palindromes centered in [2b, 4b) that
-    ``superblock_waves`` resolves, and the scan's ops plus 2b for reading
-    off the prefix palindromes.
+    Manacher runs up to the last owned center, 2b + 1 letter centers.
+    Returns (own, prefix_lens, ops): a copy of the local lengths of the 2b
+    owned centers, local center half-indices [2b, 4b); the ascending lengths
+    of the prefix palindromes centered there, which ``superblock_waves``
+    resolves; and the scan's ops plus 2b for reading off the prefix
+    palindromes.
     """
     odd, even, ops = manacher_tables(letters, 2 * block_len + 1)
     lengths = lengths_by_center(odd, even)
     prefix_lens = _prefix_pal_lengths_from_tables(lengths, 2 * block_len, 4 * block_len)
-    return lengths, prefix_lens, int(ops) + 2 * block_len
+    return lengths[2 * block_len : 4 * block_len].copy(), prefix_lens, int(ops) + 2 * block_len
 
 
 class BlockPipeline:
@@ -286,25 +288,25 @@ class BlockPipeline:
             payload["letters"] = letters
             payload["letters_lo"] = role.letters_lo
 
-    def _local_scan(self, ctx: StepContext) -> np.ndarray | None:
-        """Round 1's local phase: Manacher up to the last owned center. A middle
-        machine runs ``superblock_scan``, keeps its lengths and returns the
-        prefix palindromes of its superblock; a local machine keeps its owned
-        lengths, which are final, counts as local-only and returns None."""
+    def _local_scan(self, ctx: StepContext) -> None:
+        """Round 1's local phase: Manacher up to the last owned center. Every
+        machine keeps the local lengths of its owned centers as ``own_lengths``,
+        an array of its own. A middle machine runs ``superblock_scan`` and
+        keeps its superblock's prefix palindromes as ``prefix_lens``; a local
+        machine's lengths are final, and it counts as local-only."""
         role = self.plan.roles[ctx.machine_id]
         if role.kind == "middle":
-            lengths, prefix_lens, ops = superblock_scan(ctx.payload["letters"],
-                                                        self.plan.block_len)
-            ctx.add_work(ops)
-            ctx.payload["f_lengths"] = lengths
-            return prefix_lens
-        base = 2 * role.letters_lo
-        odd, even, ops = manacher_tables(ctx.payload["letters"], (role.own_u_hi - base) // 2 + 1)
-        own = lengths_by_center(odd, even)[role.own_u_lo - base : role.own_u_hi - base]
-        ctx.add_work(int(ops) + own.size)
+            own, ctx.payload["prefix_lens"], ops = superblock_scan(ctx.payload["letters"],
+                                                                   self.plan.block_len)
+        else:
+            base = 2 * role.letters_lo
+            odd, even, ops = manacher_tables(ctx.payload["letters"],
+                                             (role.own_u_hi - base) // 2 + 1)
+            own = lengths_by_center(odd, even)[role.own_u_lo - base : role.own_u_hi - base].copy()
+            ops += own.size
+            self.cluster.stats.bump("local_only_machines")
+        ctx.add_work(int(ops))
         ctx.payload["own_lengths"] = own
-        self.cluster.stats.bump("local_only_machines")
-        return None
 
     @staticmethod
     def _meter_resolve(ctx: StepContext, prefix_lens) -> None:
@@ -315,8 +317,8 @@ class BlockPipeline:
     def _keep_merged(self, ctx: StepContext, settled) -> None:
         """Merge a middle machine's settled prefix centers with its local lengths and
         keep its owned lengths."""
-        lengths = _merge_b2(ctx.payload["f_lengths"], self.plan.roles[ctx.machine_id].sb_start,
-                            self.plan.block_len, settled)
+        lengths = _merge_b2(ctx.payload["own_lengths"],
+                            self.plan.roles[ctx.machine_id].letters_lo, self.plan.block_len, settled)
         ctx.add_work(lengths.size)
         ctx.payload["own_lengths"] = lengths
 
@@ -688,20 +690,15 @@ class MpcPalindromes(BlockPipeline):
         role = self.plan.roles[m]
 
         self.lcp.scan(ctx)
-        prefix_lens = self._local_scan(ctx)
-        if prefix_lens is not None:
-            if case_name(prefix_lens) == "periodic":
-                # metered memory that nothing reads but the resolve's metering:
-                # it stands in for the up to 2b - 1 settled pairs that the
-                # driver holds between rounds 5 and 9 on a unary superblock
-                ctx.payload["period"] = int(prefix_lens[-1] - prefix_lens[-2])
-                ctx.payload["prefix_lens"] = prefix_lens
-            waves = superblock_waves(prefix_lens, role.sb_start, self.n, self.cluster.stats)
+        self._local_scan(ctx)
+        if role.kind == "middle":
+            waves = superblock_waves(ctx.payload["prefix_lens"], role.letters_lo, self.n,
+                                     self.cluster.stats)
             self.waves[m] = waves, self.lcp.ask(ctx, next(waves))
 
         if role.tail_ship_to >= 0:
             # letters just left of the target's superblock, for first-window checks
-            target_sb = self.plan.roles[role.tail_ship_to].sb_start
+            target_sb = self.plan.roles[role.tail_ship_to].letters_lo
             w = self.plan.window
             lo = ctx.payload["letters_lo"]
             seg = ctx.payload["letters"][target_sb - w - lo : target_sb - lo]
@@ -718,7 +715,7 @@ class MpcPalindromes(BlockPipeline):
             return
         waves, wave = self.waves[m]
         wave = waves.send([q.answer for q in wave])
-        self._meter_resolve(ctx, ctx.payload.get("prefix_lens", ()))
+        self._meter_resolve(ctx, ctx.payload["prefix_lens"])
         self.waves[m] = waves, self.lcp.ask(ctx, wave)
 
     # -- round 9

@@ -24,8 +24,8 @@ superblock's first queries, ``_periodic_resolve`` settles a periodic run from
 its probe answers, ``settle`` turns a wave's center answers into settled
 (u, length) pairs, and ``_merge_b2`` merges them with the local lengths. Each
 step raises on the violation it can see. Their input is the output of
-``mpc.superblock_scan``, the one local phase: the superblock's maximal
-palindrome lengths by local center half-index, and its prefix palindromes.
+``mpc.superblock_scan``, the one local phase: the local maximal palindrome
+lengths of the superblock's owned centers, and its prefix palindromes.
 One driver sequences the steps, ``mpc.superblock_waves``, and every caller
 runs scan and driver: both pipelines, which differ only in how they answer
 the queries, and the exhaustive sweep (``palmpc.exhaustive``), which answers
@@ -131,26 +131,25 @@ def settle(wave, answers, n: int) -> list[tuple[int, int]]:
             for q, a in zip(wave, answers) if q.kind == "center"]
 
 
-def _merge_b2(lengths, start, block_len, resolved):
+def _merge_b2(own, start, block_len, resolved):
     """Final lengths for the owned centers of one superblock.
 
-    ``lengths`` holds the superblock's local maximal palindrome lengths by
-    local center half-index. Owned centers are the half-indices u in
-    [2(start+b), 2(start+2b)). A center whose local maximal palindrome does
-    not reach the fragment's left edge is already globally maximal (a
-    palindrome of an owned center that touches the fragment's right edge
-    necessarily touches the left one too); the rest take their lengths from
-    ``resolved``, a list of (u, length) pairs. A prefix-touching center with
-    no resolved entry raises ``InconsistentMergeError``. The result is a new
-    int64 array, sharing no memory with ``lengths``.
+    ``own`` holds the local maximal palindrome lengths of the superblock's
+    2b owned centers, the half-indices u in [2(start+b), 2(start+2b)). A
+    center whose local maximal palindrome does not reach the fragment's left
+    edge is already globally maximal (a palindrome of an owned center that
+    touches the fragment's right edge necessarily touches the left one too);
+    the rest take their lengths from ``resolved``, a list of (u, length)
+    pairs. A prefix-touching center with no resolved entry raises
+    ``InconsistentMergeError``. The result is a new int64 array, sharing no
+    memory with ``own``.
     """
     lo = 2 * (start + block_len)
     count = 2 * block_len
     # owned center j sits at local half-index count + j; a local palindrome
     # shorter than that starts after the fragment's left edge
-    lams = lengths[count : 2 * count]
-    touch = np.flatnonzero(lams >= np.arange(count, 2 * count))
-    out = lams.astype(np.int64)       # a copy: the result must not alias ``lengths``
+    touch = np.flatnonzero(own >= np.arange(count, 2 * count))
+    out = own.astype(np.int64)        # a copy: the result must not alias ``own``
     if touch.size == 0:
         return out
     # resolved length per owned center; filled backwards so the first entry wins

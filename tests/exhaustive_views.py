@@ -33,14 +33,14 @@ def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
     for bl in range(1, n // 4 + 1):
         for i in range(n - 4 * bl + 1):
             views += 1
-            lengths, plens, _ = superblock_scan(sym[i : i + 4 * bl], bl)
+            own, plens, _ = superblock_scan(sym[i : i + 4 * bl], bl)
             stats = RunStats()
             waves = superblock_waves(plens, i, n, stats)
             wave = next(waves)
             wave = waves.send([doubled_lcp(doubled, q.p1, q.p2) for q in wave])
             settled = waves.send([doubled_lcp(doubled, q.p1, q.p2) for q in wave])
             max_queries = max(max_queries, stats.counters.get("lcp_queries", 0))
-            merged = _merge_b2(lengths, i, bl, settled)
+            merged = _merge_b2(own, i, bl, settled)
             lo = 2 * (i + bl)
             mismatches += sum(map(operator.ne, merged.tolist(), want[lo : lo + 2 * bl]))
     return views, mismatches, max_queries

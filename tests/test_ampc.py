@@ -10,14 +10,13 @@ from palmpc.ampc import (
     _offset_leaves,
     ampc_lcp,
     fan_in,
-    leaf_bounds,
     round_count,
     solve_ampc,
 )
 from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, StepContext, words_of
 from palmpc.fingerprint import FingerprintScheme, fragments_equal, scheme_init
 from palmpc.inputs import fibonacci_text, unary_text
-from palmpc.mpc import plan_decomposition, solve_mpc
+from palmpc.mpc import MpcPalindromes, plan_decomposition, solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
 
 from fingerprint_ref import fp_of
@@ -31,6 +30,11 @@ def _built(s, epsilon, seed):
     return run, store
 
 
+def _leaves(run):
+    """Each leaf's doubled-string range, from its start to the next leaf's."""
+    return list(zip(run.leaf_starts, run.leaf_starts[1:] + [2 * run.n]))
+
+
 def _published(run):
     """Every tree node, running fold and prefix entry the build publishes, read by key.
 
@@ -41,7 +45,7 @@ def _published(run):
             for idx in range(run.tree_sizes[level])]
     keys += [("f", level, idx) for level in range(1, run.depth)
              for idx in range(run.tree_sizes[level])]
-    keys += [("p", leaf) for leaf in range(len(run.leaves))]
+    keys += [("p", leaf) for leaf in range(2 * run.plan.block_count)]
     values = {key: shared.snapshot_get(key) for key in keys}
     assert all(value is not None for value in values.values())
     assert shared.total_words == sum(words_of(value) for value in values.values())
@@ -73,19 +77,6 @@ def test_shared_reads_are_metered():
     cl.run_round(lambda ctx: ctx.shared_write("k", 1))
     cl.run_round(lambda ctx: [ctx.shared_read("k") for _ in range(5)])
     assert cl.stats.shared_reads_peak == 5
-
-
-def test_leaf_bounds_tile_the_doubled_string():
-    for n in (1, 5, 16, 100, 255):
-        for b in (1, 3, 7, 16):
-            K = math.ceil(n / b)
-            bounds = leaf_bounds(n, b, K)
-            assert len(bounds) == 2 * K
-            pos = 0
-            for lo, hi in bounds:
-                assert lo == pos and hi >= lo
-                pos = hi
-            assert pos == 2 * n
 
 
 def test_prefix_entries_match_direct_evaluation():
@@ -163,10 +154,11 @@ def test_ampc_lcp_letter_check_catches_a_lying_entry():
     s = np.zeros(8, dtype=np.int64)
     run, _ = _built(s, 0.6, seed=6)
     scheme = scheme_init(16, 2, 2, seed=6)
+    leaves = _leaves(run)
     doctored = {("p", leaf): run.cluster.shared.snapshot_get(("p", leaf)).copy()
-                for leaf in range(len(run.leaves))}
-    leaf = next(leaf for leaf, (lo, hi) in enumerate(run.leaves) if lo <= 12 < hi)
-    vals = doctored["p", leaf][12 - run.leaves[leaf][0], 1:]
+                for leaf in range(len(leaves))}
+    leaf = next(leaf for leaf, (lo, hi) in enumerate(leaves) if lo <= 12 < hi)
+    vals = doctored["p", leaf][12 - leaves[leaf][0], 1:]
     vals[:] = (vals + 1) % M61
     fake = PrefixStore(doctored.get, run.leaf_starts, 8)
     with pytest.raises(CollisionAbort):
@@ -260,16 +252,71 @@ def test_ampc_round_count_fixed_at_given_epsilon():
     assert len(rounds) == 1
 
 
+def test_leaf_bounds_tile_the_doubled_string():
+    # MPC and AMPC epsilons; n=2000 at eps=0.75 has 7-symbol blocks and a
+    # 5-symbol last block
+    for n in (1, 2, 7, 100, 333, 2000, 4096):
+        for eps in (0.2, 0.35, 0.5, 0.6, 0.75, 0.9):
+            run = AmpcPalindromes(np.zeros(n, np.int64), eps)
+            K = run.plan.block_count
+            # the scan spans, placed in leaf order by the leaves that own them
+            placed = {}
+            for m, role in enumerate(run.plan.roles):
+                placed.update(zip(run.own_leaves(m), role.scan_spans))
+            leaves = [placed[leaf] for leaf in range(len(placed))]
+            assert len(leaves) == 2 * K
+            assert [lo for lo, _ in leaves] == run.leaf_starts
+            pos = 0
+            for lo, hi in leaves:
+                assert lo == pos < hi, (n, eps)
+                pos = hi
+            assert pos == 2 * n
+            for m, ((lo, hi), (image_lo, image_hi)) in enumerate(
+                    role.scan_spans for role in run.plan.roles):
+                assert (lo, hi) == (m * run.plan.block_len, min(n, (m + 1) * run.plan.block_len))
+                assert (image_lo, image_hi) == (2 * n - hi, 2 * n - lo)
+
+
 def test_owned_leaves_partition_the_leaves():
-    for n, eps in ((1, 0.5), (100, 0.5), (333, 0.75), (4096, 0.75)):
+    for n, eps in ((1, 0.5), (100, 0.5), (333, 0.75), (2000, 0.75), (4096, 0.75)):
         run = AmpcPalindromes(np.zeros(n, np.int64), eps)
         K = run.plan.block_count
         pairs = [run.own_leaves(m) for m in range(run.plan.machine_count)]
         assert pairs == [(m, 2 * K - 1 - m) for m in range(K)]
         assert sorted(leaf for pair in pairs for leaf in pair) == list(range(2 * K))
+        ends = run.leaf_starts[1:] + [2 * n]
         for m, pair in enumerate(pairs):
             # the leaves are the plan's scan spans: block m and its image
-            assert tuple(run.leaves[leaf] for leaf in pair) == run.plan.roles[m].scan_spans
+            spans = tuple((run.leaf_starts[leaf], ends[leaf]) for leaf in pair)
+            assert spans == run.plan.roles[m].scan_spans
+
+
+@pytest.mark.parametrize("pipeline, epsilon, round1",
+                         [(MpcPalindromes, 0.5, "_r1_local"), (AmpcPalindromes, 0.75, "_r1_leaves")])
+def test_round_one_leaves_each_machine_its_owned_lengths_only(pipeline, epsilon, round1):
+    rng = np.random.default_rng(18)
+    for s in (unary_text(1000).symbols, rng.integers(0, 2, 1000).astype(np.int64)):
+        run = pipeline(s, epsilon)
+        run.cluster.run_round(getattr(run, round1))
+        for role, payload in zip(run.plan.roles, run.cluster.payloads):
+            own = payload["own_lengths"]
+            assert own.size == role.own_u_hi - role.own_u_lo and own.base is None
+            keys = {"own_lengths", "letters", "letters_lo"}
+            keys |= {"prefix_lens"} if role.kind == "middle" else set()
+            keys |= {"leafpfx"} if pipeline is AmpcPalindromes else set()
+            assert payload.keys() == keys
+
+
+def test_context_round_drops_the_letters():
+    # round 1 meters the letters beside the leaves; from the context round
+    # on, symbols come from the prefix store
+    rng = np.random.default_rng(18)
+    for s in (unary_text(1000).symbols, rng.integers(0, 2, 1000).astype(np.int64)):
+        run = AmpcPalindromes(s, 0.75)
+        run.build_prefix_entries()
+        for role, payload in zip(run.plan.roles, run.cluster.payloads):
+            keys = {"own_lengths"} | ({"prefix_lens"} if role.kind == "middle" else set())
+            assert payload.keys() == keys
 
 
 def test_prefix_entries_are_one_read_only_array_per_leaf():
@@ -278,15 +325,16 @@ def test_prefix_entries_are_one_read_only_array_per_leaf():
     run, store = _built(s, 0.75, seed=3)
     layers = run.scheme.layers
     entries = {key: val for key, val in _published(run).items() if key[0] == "p"}
+    leaves = _leaves(run)
     for (_, leaf), arr in entries.items():
-        lo, hi = run.leaves[leaf]
+        lo, hi = leaves[leaf]
         assert arr.dtype == np.int64 and not arr.flags.writeable
         assert arr.shape == (hi - lo, 1 + layers) and arr.flags.c_contiguous
     # the store view reads the same rows, as Python ints (ampc_lcp
     # multiplies two 61-bit residues)
     for e in rng.integers(0, 600, 50).tolist():
-        leaf = next(k for k, (lo, hi) in enumerate(run.leaves) if lo <= e < hi)
-        row = entries[("p", leaf)][e - run.leaves[leaf][0]].tolist()
+        leaf = next(k for k, (lo, hi) in enumerate(leaves) if lo <= e < hi)
+        row = entries[("p", leaf)][e - leaves[leaf][0]].tolist()
         sym, vals = store.entry(e)
         assert (sym, vals) == (row[0], tuple(row[1:]))
         assert all(type(v) is int for v in (sym, *vals))
@@ -315,11 +363,12 @@ def test_tree_nodes_are_flat_read_only_fingerprint_nodes():
     layers = run.scheme.layers
     doubled = np.concatenate((s, s[::-1]))
     nodes = {key: val for key, val in _published(run).items() if key[0] == "t"}
+    all_leaves = _leaves(run)
     for (_, level, idx), nd in nodes.items():
         assert nd.dtype == np.int64 and not nd.flags.writeable
         assert nd.shape == (1 + 2 * layers,) and words_of(nd) == 1 + 2 * layers
         span = run.fanout ** level
-        leaves = run.leaves[idx * span : (idx + 1) * span]
+        leaves = all_leaves[idx * span : (idx + 1) * span]
         lo, hi = leaves[0][0], leaves[-1][1]
         assert np.array_equal(nd, fp_of(doubled[lo:hi], run.scheme)), (level, idx)
 
@@ -332,34 +381,33 @@ def test_one_pass_offset_equals_per_leaf_offsets():
     run = AmpcPalindromes(s, 0.75, seed=5)
     run.cluster.run_round(run._r1_leaves)
     layers = run.scheme.layers
-    for m in range(run.plan.machine_count):
-        width = sum(hi - lo for lo, hi in (run.leaves[leaf] for leaf in run.own_leaves(m)))
-        assert words_of(run.cluster.payloads[m]["leafpfx"]) == (1 + layers) * width
-    # one pass over stacked leaves of different widths
-    widths = [7, 5, 1, 7]
-    entries = np.column_stack([rng.integers(0, 3, sum(widths))]
-                              + [rng.integers(0, M61, sum(widths)) for _ in range(layers)])
-    lefts = [fp_of(rng.integers(0, 3, int(rng.integers(0, 50))), run.scheme) for _ in widths]
+    for role, payload in zip(run.plan.roles, run.cluster.payloads):
+        width = sum(hi - lo for lo, hi in role.scan_spans)
+        assert words_of(payload["leafpfx"]) == (1 + layers) * width
+    # one pass over two stacked leaves of each width a machine may hold
+    for width in (7, 5, 1):
+        entries = np.column_stack([rng.integers(0, 3, 2 * width)]
+                                  + [rng.integers(0, M61, 2 * width) for _ in range(layers)])
+        lefts = [fp_of(rng.integers(0, 3, int(rng.integers(0, 50))), run.scheme)
+                 for _ in range(2)]
 
-    one_pass = entries.copy()
-    ops = _offset_leaves(one_pass, widths, lefts, layers)
-    per_leaf = entries.tolist()
-    row = 0
-    for width, left in zip(widths, lefts):
-        left = left.tolist()
-        for vals in per_leaf[row : row + width]:
-            vals[1:] = [(left[1 + layers + l] + left[1 + l] * v) % M61
-                        for l, v in enumerate(vals[1:])]
-        row += width
-    assert one_pass.tolist() == per_leaf
-    assert np.array_equal(one_pass[:, 0], entries[:, 0])
-    assert ops == layers * sum(widths)
+        one_pass = entries.copy()
+        ops = _offset_leaves(one_pass, lefts, layers)
+        per_leaf = entries.tolist()
+        for row, left in zip((0, width), lefts):
+            left = left.tolist()
+            for vals in per_leaf[row : row + width]:
+                vals[1:] = [(left[1 + layers + l] + left[1 + l] * v) % M61
+                            for l, v in enumerate(vals[1:])]
+        assert one_pass.tolist() == per_leaf
+        assert np.array_equal(one_pass[:, 0], entries[:, 0])
+        assert ops == layers * 2 * width
 
 
 def _leaf_range(run, level: int, first: int, last: int) -> tuple[int, int]:
     """Doubled-string range of the level-``level`` nodes first .. last - 1."""
     span = run.fanout ** level
-    leaves = run.leaves[first * span : last * span]
+    leaves = _leaves(run)[first * span : last * span]
     return leaves[0][0], leaves[-1][1]
 
 
@@ -405,7 +453,7 @@ def test_left_context_reads_one_fold_per_lower_level(epsilon):
     doubled = np.concatenate((s, s[::-1]))
     fanout, top = run.fanout, run.depth - 1
     saved = 0
-    for leaf, (lo, _) in enumerate(run.leaves):
+    for leaf, (lo, _) in enumerate(_leaves(run)):
         ctx = _CountingContext(run.cluster.shared)
         left = run._left_context(ctx, leaf)
         assert np.array_equal(left, fp_of(doubled[:lo], run.scheme)), leaf

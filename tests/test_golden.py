@@ -14,8 +14,8 @@ Before that, count what the change moves: ``--diff`` prints, per JSON field
 of the report and for ``table_sha256``, how many recorded entries the
 current code changes, in all and per mode, and for a changed numeric field
 its sum over each such mode's entries, before -> after. It lists every entry
-whose observed memory constant, rounds or peak shared reads per machine and
-round rose.
+whose observed memory constant, per-machine or total memory peak, rounds or
+peak shared reads per machine and round rose.
 It exits 1 when any entry differs, is recorded only or is computed only,
 exactly when ``test_golden_grid_is_byte_identical`` fails, and 0 otherwise.
 
@@ -103,7 +103,8 @@ def _fields(report: dict, prefix: str = ""):
 
 
 # fields that no change may raise unnoticed: --diff lists every entry where one rose
-WATCHED = ("memory.observed_constant", "rounds", "shared_reads_peak")
+WATCHED = ("memory.observed_constant", "memory.per_machine_peak", "memory.total_peak", "rounds",
+           "shared_reads_peak")
 
 
 def _numeric(value) -> bool:
@@ -157,32 +158,39 @@ def diff_status(want: dict, got: dict) -> int:
 
 
 def test_diff_counts_changed_fields_and_lists_rising_constants():
-    def entry(work, constant, reads, sha="a", mode="mpc", rounds=10):
-        report = {"work": work, "memory": {"observed_constant": constant, "cap": 64},
-                  "shared_reads_peak": reads, "mode": mode, "rounds": rounds}
+    def entry(work, constant, reads, sha="a", mode="mpc", rounds=10, peak=100, total=1000):
+        memory = {"observed_constant": constant, "cap": 64, "per_machine_peak": peak,
+                  "total_peak": total}
+        report = {"work": work, "memory": memory, "shared_reads_peak": reads, "mode": mode,
+                  "rounds": rounds}
         return {"stdout": json.dumps(report) + "\n", "table_sha256": sha}
 
     want = {"solve": {"w": entry(3, 2, 7), "x": entry(10, 5, 7, mode="ampc", rounds=9),
                       "y": entry(10, 5, 0), "z": entry(1, 1, 1),
                       "v": entry(4, 3, 2, mode="ampc", rounds=9)}}
-    got = {"solve": {"w": entry(3, 2, 8, rounds=11), "x": entry(9, 4, 6, mode="ampc", rounds=8),
+    got = {"solve": {"w": entry(3, 2, 8, rounds=11, peak=101),
+                     "x": entry(9, 4, 6, mode="ampc", rounds=8, total=900),
                      "y": entry(10, 6, 0, "b"), "v": entry(4, 3, 2, mode="ampc", rounds=8)}}
     lines = diff_grid(want, got)
     assert lines[0] == "4 entries compared, 1 recorded only, 0 computed only"
-    counts = {line.split()[0]: line.split(maxsplit=1)[1] for line in lines[1:8]}
+    counts = {line.split()[0]: line.split(maxsplit=1)[1] for line in lines[1:10]}
     # sums run over every compared entry of a mode in which the field changed
     assert counts == {
         "memory.cap": "0 changed (ampc 0, mpc 0)",
         "memory.observed_constant":
             "2 changed (ampc 1, mpc 1); summed ampc 8 -> 7, mpc 7 -> 8",
+        "memory.per_machine_peak": "1 changed (ampc 0, mpc 1); summed mpc 200 -> 201",
+        "memory.total_peak": "1 changed (ampc 1, mpc 0); summed ampc 2000 -> 1900",
         "mode": "0 changed (ampc 0, mpc 0)",
         "rounds": "3 changed (ampc 2, mpc 1); summed ampc 18 -> 16, mpc 20 -> 21",
         "shared_reads_peak": "2 changed (ampc 1, mpc 1); summed ampc 9 -> 8, mpc 7 -> 8",
         "table_sha256": "1 changed (ampc 0, mpc 1)",
         "work": "1 changed (ampc 1, mpc 0); summed ampc 14 -> 13"}
-    assert lines[8:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6",
-                         "rounds rose in 1 entries:", "  w: 10 -> 11",
-                         "shared_reads_peak rose in 1 entries:", "  w: 7 -> 8"]
+    assert lines[10:] == ["memory.observed_constant rose in 1 entries:", "  y: 5 -> 6",
+                          "memory.per_machine_peak rose in 1 entries:", "  w: 100 -> 101",
+                          "memory.total_peak rose in 0 entries",
+                          "rounds rose in 1 entries:", "  w: 10 -> 11",
+                          "shared_reads_peak rose in 1 entries:", "  w: 7 -> 8"]
 
 
 def test_diff_exits_nonzero_on_any_difference():

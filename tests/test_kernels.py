@@ -123,27 +123,26 @@ def test_offset_leaves_matches_bigint():
     rng = np.random.default_rng(5)
     bases = (1, 2, M61 - 1)
     layers = len(bases)
-    widths = list(range(1, 149))
-    lefts = []
-    for _ in widths:
-        length = int(rng.integers(1, 1 << 20))
-        vals = (M61 - 1 - rng.integers(0, 8, layers)).tolist()
-        lefts.append(node(length, [pow(x, length, M61) for x in bases], vals))
-    entries = np.empty((sum(widths), 1 + layers), np.int64)
-    entries[:, 0] = rng.integers(0, 4, len(entries))
-    entries[:, 1:] = rng.integers(M61 - 8, M61, (len(entries), layers))
-    entries[::7, 1:] = rng.integers(0, M61, (len(entries[::7]), layers))
-    before = entries.tolist()
-    ops = _offset_leaves(entries, widths, lefts, layers)
-    assert ops == layers * len(entries)
-    row = 0
-    for width, left in zip(widths, lefts):
-        left = left.tolist()
-        for got, old in zip(entries[row : row + width].tolist(), before[row : row + width]):
-            assert got[0] == old[0]
-            assert got[1:] == [(left[1 + layers + l] + left[1 + l] * old[1 + l]) % M61
-                               for l in range(layers)], width
-        row += width
+    for width in range(1, 149):
+        lefts = []
+        for _ in range(2):
+            length = int(rng.integers(1, 1 << 20))
+            vals = (M61 - 1 - rng.integers(0, 8, layers)).tolist()
+            lefts.append(node(length, [pow(x, length, M61) for x in bases], vals))
+        entries = np.empty((2 * width, 1 + layers), np.int64)
+        entries[:, 0] = rng.integers(0, 4, len(entries))
+        entries[:, 1:] = rng.integers(M61 - 8, M61, (len(entries), layers))
+        entries[::7, 1:] = rng.integers(0, M61, (len(entries[::7]), layers))
+        before = entries.tolist()
+        ops = _offset_leaves(entries, lefts, layers)
+        assert ops == layers * len(entries)
+        for row, left in zip((0, width), lefts):
+            left = left.tolist()
+            for got, old in zip(entries[row : row + width].tolist(),
+                                before[row : row + width]):
+                assert got[0] == old[0]
+                assert got[1:] == [(left[1 + layers + l] + left[1 + l] * old[1 + l]) % M61
+                                   for l in range(layers)], width
 
 
 def test_power_tables_match_pow():

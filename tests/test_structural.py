@@ -26,6 +26,11 @@ def prefix_lens(frag, block_len):
     return _prefix_pal_lengths_from_tables(lengths, 2 * block_len, 4 * block_len)
 
 
+def owned_lengths(frag, block_len):
+    """Local maximal palindrome lengths of a fragment's 2b owned centers."""
+    return manacher(as_symbols(frag)).lengths_by_center()[2 * block_len : 4 * block_len]
+
+
 def resolve(s, start, block_len, lcp):
     """Both query waves of the superblock of s at ``start``, answered by ``lcp``."""
     plens = prefix_lens(as_symbols(s)[start : start + 4 * block_len], block_len)
@@ -36,9 +41,9 @@ def resolve(s, start, block_len, lcp):
 
 
 def merge(s, start, block_len, resolved):
-    """(first owned center, owned lengths) from the local table and the resolved centers."""
-    lengths = manacher(as_symbols(s)[start : start + 4 * block_len]).lengths_by_center()
-    return 2 * (start + block_len), _merge_b2(lengths, start, block_len, resolved)
+    """(first owned center, owned lengths) from the local lengths and the resolved centers."""
+    own = owned_lengths(as_symbols(s)[start : start + 4 * block_len], block_len)
+    return 2 * (start + block_len), _merge_b2(own, start, block_len, resolved)
 
 
 def counting_lcp(text):
@@ -174,34 +179,35 @@ def test_merge_uses_local_when_not_prefix():
 def test_merge_missing_entry_raises():
     # "aaaa" at position 1: owned center 4 reaches the fragment start, and
     # with nothing resolved the merge names it and raises
-    lengths = manacher(as_symbols("aaaa")).lengths_by_center()
     with pytest.raises(InconsistentMergeError, match=r"center u=4 "):
-        _merge_b2(lengths, 1, 1, [])
-    # a pipeline's middle machine raises before it keeps any lengths: machine
-    # 1 of a unary text owns block 1 of the 8-letter blocks, whose first
-    # center u=16 reaches its superblock's start
+        _merge_b2(owned_lengths("aaaa", 1), 1, 1, [])
+    # a pipeline's middle machine raises before it replaces its local
+    # lengths: machine 1 of a unary text owns block 1 of the 8-letter blocks,
+    # whose first center u=16 reaches its superblock's start
     run = MpcPalindromes(unary_text(64).symbols, 0.5)
     run.cluster.run_round(run._r1_local)
     ctx = StepContext(run.cluster, 1, {})
+    local = ctx.payload["own_lengths"]
     with pytest.raises(InconsistentMergeError, match=r"center u=16 "):
         run._keep_merged(ctx, [])
-    assert "own_lengths" not in ctx.payload
+    assert ctx.payload["own_lengths"] is local
 
 
 def test_merge_result_does_not_share_memory_with_lengths():
-    # the pipelines keep the local lengths as payload state ("f_lengths"),
-    # so the owned lengths must be a copy whether or not a center touches
-    untouched = manacher(as_symbols("abcd")).lengths_by_center()
+    # the pipelines keep the local lengths as payload state ("own_lengths")
+    # until the merge replaces them, so the result must be a copy whether or
+    # not a center touches
+    untouched = owned_lengths("abcd", 1)
     out = _merge_b2(untouched, 0, 1, [])
-    assert out.tolist() == untouched[2:4].tolist()
+    assert out.tolist() == untouched.tolist()
     assert not np.shares_memory(out, untouched)
-    touched = manacher(as_symbols("aaaa")).lengths_by_center()
+    touched = owned_lengths("aaaa", 1)
     out = _merge_b2(touched, 1, 1, [(4, 7), (5, 8)])     # both owned centers touch
     assert out.tolist() == [7, 8]
     assert not np.shares_memory(out, touched)
 
 
-def _merge_b2_linear_scan(lengths, start, block_len, resolved_u, resolved_len):
+def _merge_b2_linear_scan(own, start, block_len, resolved_u, resolved_len):
     # reference: each prefix-touching center scans the resolved list for its first entry
     lo = 2 * (start + block_len)
     hi = 2 * (start + 2 * block_len)
@@ -209,7 +215,7 @@ def _merge_b2_linear_scan(lengths, start, block_len, resolved_u, resolved_len):
     missing_u = -1
     for u_abs in range(lo, hi):
         u_loc = u_abs - 2 * start
-        lam = lengths[u_loc]
+        lam = own[u_abs - lo]
         if (u_loc - lam + 1) // 2 > 0:
             out[u_abs - lo] = lam
             continue
@@ -230,10 +236,9 @@ def test_merge_lookup_equals_linear_scan():
     for _ in range(300):
         bl = int(rng.integers(1, 7))
         start = int(rng.integers(0, 20))
-        lengths = manacher(rng.integers(0, 2, 4 * bl)).lengths_by_center()
+        own = owned_lengths(rng.integers(0, 2, 4 * bl), bl)
         lo, hi = 2 * (start + bl), 2 * (start + 2 * bl)
-        touching = [u for u in range(lo, hi)
-                    if (u - 2 * start - lengths[u - 2 * start] + 1) // 2 <= 0]
+        touching = [u for u in range(lo, hi) if (u - 2 * start - own[u - lo] + 1) // 2 <= 0]
         res_u, res_len = [], []
         for u in touching:
             if rng.random() < 0.3:
@@ -250,13 +255,13 @@ def test_merge_lookup_equals_linear_scan():
         order = rng.permutation(len(res_u))
         res_u = np.asarray(res_u, np.int64)[order]
         res_len = np.asarray(res_len, np.int64)[order]
-        want_out, want_missing = _merge_b2_linear_scan(lengths, start, bl, res_u, res_len)
+        want_out, want_missing = _merge_b2_linear_scan(own, start, bl, res_u, res_len)
         resolved = list(zip(res_u.tolist(), res_len.tolist()))
         if want_missing >= 0:
             with pytest.raises(InconsistentMergeError, match=rf"center u={want_missing} "):
-                _merge_b2(lengths, start, bl, resolved)
+                _merge_b2(own, start, bl, resolved)
             continue
-        got_out = _merge_b2(lengths, start, bl, resolved)
+        got_out = _merge_b2(own, start, bl, resolved)
         assert got_out.tolist() == want_out.tolist()
     assert min(shapes.values()) >= 10, shapes
 
