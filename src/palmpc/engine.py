@@ -10,9 +10,11 @@ checked against the per-machine cap at two points of every round: after the
 steps, each machine's payload plus its outbox, and at the boundary, its
 payload plus what it received. Each point is one check over per-machine
 arrays, so an overrun names the lowest machine id over the cap, whatever the
-step order. Work is whatever the steps declare plus one unit per message
-word moved. ``RunStats.to_dict()`` gives a run's numbers in the layout of
-the run fields of ``palmpc solve --format json``.
+step order. A stepping machine's payload is counted after its step, so state
+it holds at the start of a step and drops within it is counted only if an
+earlier round metered it. Work is whatever the steps declare plus one unit
+per message word moved. ``RunStats.to_dict()`` gives a run's numbers in the
+layout of the run fields of ``palmpc solve --format json``.
 
 Every message is a columnar batch: ``send`` checks flat arrays with rows on
 the last axis, cut into segments (each one logical message to one machine),
@@ -23,6 +25,13 @@ of its rows, plus one word per run of equal values in each header column (as
 a dict holding one scalar per group would). A broadcast segment is charged
 to its sender once and to every receiver. Every destination receives one
 read-only entry per tag in ``ctx.batches``.
+
+Delivery copies each column twice: the senders' parts are joined into one
+array in (sender, sequence, row) order, then gathered into destination
+order. The gather order is one stable sort of the rows by destination, after
+each broadcast row is expanded in its own place into one row per machine, so
+every destination keeps the (sender, sequence, row) order. A destination's
+entry is a view of the gathered columns.
 
 The adaptive variant adds a shared read-only store: values written during
 round r become visible to every machine in round r+1, never earlier, and
@@ -136,6 +145,61 @@ def words_of(value) -> int:
     raise TypeError(f"cannot meter a value of type {type(value).__name__}")
 
 
+def _concat_rows(parts: list, rows: int) -> np.ndarray:
+    """The parts of one column joined along the row axis, in C order.
+
+    ``np.concatenate`` alone returns Fortran order when every part has it,
+    and ``np.take`` would then copy the whole column once more to gather it.
+    """
+    out = np.empty(parts[0].shape[:-1] + (rows,), np.result_type(*parts))
+    return np.concatenate(parts, axis=-1, out=out)
+
+
+def _segment_words(counts: np.ndarray, cols: dict, headers: tuple) -> np.ndarray:
+    """Metered words of each segment of the joined columns, by the rule of the module docstring."""
+    words = 1 + counts * sum(math.prod(col.shape[:-1]) for name, col in cols.items()
+                             if name not in headers)
+    if headers:
+        seg_of_row = np.repeat(np.arange(counts.size), counts)
+        first_rows = (np.cumsum(counts) - counts)[counts > 0]
+    for name in headers:
+        col = cols[name]
+        run_start = np.ones(col.size, bool)
+        run_start[1:] = col[1:] != col[:-1]
+        run_start[first_rows] = True
+        words += np.bincount(seg_of_row[run_start], minlength=counts.size)
+    return words
+
+
+def _rows_by_destination(dsts: np.ndarray, counts: np.ndarray, machine_count: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): the rows of segments (dsts, counts) to gather for each machine.
+
+    Machine m receives rows ``order[bounds[m]:bounds[m + 1]]``. A broadcast row
+    is expanded in its own place into one row per machine; then one stable
+    sort on the row destination keeps the (sender, sequence, row) order of
+    the rows within each destination.
+    """
+    bcast = dsts == BROADCAST
+    rows = np.bincount(dsts[~bcast], weights=counts[~bcast],
+                       minlength=machine_count).astype(np.int64) + counts[bcast].sum()
+    bounds = np.zeros(machine_count + 1, np.int64)
+    np.cumsum(rows, out=bounds[1:])
+    # numpy's stable sort of 8- and 16-bit integers is a radix sort, so the
+    # destinations take the narrowest signed type that holds BROADCAST and
+    # every machine id
+    row_dst = np.repeat(dsts.astype(np.min_scalar_type(-machine_count)), counts)
+    if not bcast.any():
+        return np.argsort(row_dst, kind="stable"), bounds
+    copies = np.where(row_dst == BROADCAST, machine_count, 1)
+    take = np.repeat(np.arange(row_dst.size), copies)
+    row_dst = np.repeat(row_dst, copies)
+    expanded = row_dst == BROADCAST
+    row_dst[expanded] = np.tile(np.arange(machine_count),
+                                np.count_nonzero(expanded) // machine_count)
+    return take[np.argsort(row_dst, kind="stable")], bounds
+
+
 class MessageBatch(NamedTuple):
     """One ``send`` call: segment i is rows [offsets[i], offsets[i+1]) to dsts[i]."""
     tag: str
@@ -232,7 +296,9 @@ class StepContext:
 
     ``batches`` maps each tag received at the last round boundary to its
     merged columns: the rows of every segment sent to this machine under that
-    tag, in (sender, sequence) order.
+    tag, in (sender, sequence, row) order, a broadcast segment's rows in its
+    sender's sequence. The columns are read-only views of one gathered copy
+    per tag, shared by every destination.
     """
 
     __slots__ = ("machine_id", "payload", "batches", "_cluster", "_batches", "_work", "_reads")
@@ -378,9 +444,11 @@ class Cluster:
     def _deliver_batches(self, outboxes: list) -> tuple[np.ndarray, np.ndarray]:
         """Meter and merge each tag's batches; hand every destination one entry per tag.
 
-        ``outboxes[m]`` holds machine m's batches in sequence order; rows keep
-        (sender, sequence) order within each destination. Returns the words
-        each machine sent and the words each received.
+        ``outboxes[m]`` holds machine m's batches in sequence order. Each
+        column is joined across them, then gathered by one stable sort of the
+        rows by destination (``_rows_by_destination``), so rows keep (sender,
+        sequence, row) order within each destination. Returns the words each
+        machine sent and the words each received.
         """
         machine_count = self.config.machine_count
         stats = self.stats
@@ -395,21 +463,15 @@ class Cluster:
             if any(batch.cols.keys() != names or batch.headers != headers for _, batch in group):
                 raise EngineError(f"batches tagged {tag!r} carry different columns or headers")
             dsts = np.concatenate([batch.dsts for _, batch in group])
-            counts = np.concatenate([np.diff(batch.offsets) for _, batch in group])
-            cols = {name: np.concatenate([batch.cols[name] for _, batch in group], axis=-1)
+            # one diff over every batch's offsets; drop the diffs across batches
+            seams = np.cumsum([batch.dsts.size + 1 for _, batch in group])[:-1] - 1
+            counts = np.delete(np.diff(np.concatenate([batch.offsets for _, batch in group])),
+                               seams)
+            rows = int(counts.sum())
+            cols = {name: _concat_rows([batch.cols[name] for _, batch in group], rows)
                     for name in names}
 
-            words = 1 + counts * sum(math.prod(col.shape[:-1]) for name, col in cols.items()
-                                     if name not in headers)
-            if headers:
-                seg_of_row = np.repeat(np.arange(dsts.size), counts)
-                first_rows = (np.cumsum(counts) - counts)[counts > 0]
-            for name in headers:
-                col = cols[name]
-                run_start = np.ones(col.size, bool)
-                run_start[1:] = col[1:] != col[:-1]
-                run_start[first_rows] = True
-                words += np.bincount(seg_of_row[run_start], minlength=dsts.size)
+            words = _segment_words(counts, cols, headers)
             sent += np.bincount(
                 np.repeat([src for src, _ in group], [batch.dsts.size for _, batch in group]),
                 weights=words, minlength=machine_count).astype(np.int64)
@@ -423,20 +485,11 @@ class Cluster:
             stats.message_words += moved
             stats.total_work += moved
 
-            row_dst = np.repeat(dsts, counts)
-            take = np.arange(row_dst.size, dtype=np.int64)
-            if bcast.any():
-                copied = take[row_dst == BROADCAST]
-                keep = row_dst != BROADCAST
-                take = np.concatenate((take[keep], np.tile(copied, machine_count)))
-                row_dst = np.concatenate((row_dst[keep], np.repeat(
-                    np.arange(machine_count, dtype=np.int64), copied.size)))
-            # (destination, sender, sequence, row) order; keys are unique
-            order = np.argsort(row_dst * max(take.size, 1) + take)
-            take = take[order]
-            bounds = np.searchsorted(row_dst[order], np.arange(machine_count + 1))
-            merged = {name: col[..., take] for name, col in cols.items()}
-            for col in merged.values():
+            order, bounds = _rows_by_destination(dsts, counts, machine_count)
+            merged = {}
+            for name in names:
+                # drop each joined column as soon as it is gathered
+                merged[name] = col = np.take(cols.pop(name), order, axis=-1)
                 col.setflags(write=False)
             for dst in np.flatnonzero(inbox_words).tolist():
                 lo, hi = bounds[dst], bounds[dst + 1]

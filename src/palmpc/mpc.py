@@ -400,9 +400,14 @@ def _class_layout(span: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first value, segment bounds) of each run of equal values."""
-    starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
-    return values[starts], np.append(starts, values.size)
+    """(first value, segment bounds) of each run of equal values.
+
+    The bounds are int64 offsets from 0 to ``values.size``, as ``send`` takes them.
+    """
+    edge = np.ones(values.size + 1, bool)        # a run starts at i, or i == size
+    np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    return values[bounds[:-1]], bounds
 
 
 # ---------------------------------------------------------------------------

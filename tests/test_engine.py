@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from palmpc.engine import (
     Cluster,
     ClusterConfig,
     EngineError,
+    MessageBatch,
     MemoryCapExceeded,
     UnknownMachineError,
     words_of,
@@ -348,7 +351,7 @@ def test_shared_store_requires_ampc_mode():
 
 
 def _random_messages(seed: int, machines: int) -> dict:
-    """Per sender, a list of (dst, groups): each group is (key, rows, vals).
+    """Per sender, a list of (tag, dst, groups): each group is (key, rows, vals).
 
     Groups are nonempty: a header value is carried by the rows of its group.
     Keys are distinct within a message but drawn from a small pool, so equal
@@ -364,43 +367,54 @@ def _random_messages(seed: int, machines: int) -> dict:
             for key in rng.choice(4, int(rng.integers(1, 4)), replace=False).tolist():
                 k = int(rng.integers(1, 5))
                 groups.append((key, rng.integers(0, 99, k), rng.integers(0, 99, (2, k))))
-            msgs.append((dst, groups))
+            msgs.append(("x", dst, groups))
         out[src] = msgs
     return out
 
 
 def _dict_words(groups) -> int:
     """Words of the dict message one segment stands for: its tag, its origin, one
-    word per key, and the words of its rows and values."""
+    word per key, and the words of its rows and values. An empty message is its
+    tag alone: no row carries its origin."""
+    if not groups:
+        return 1
     return 2 + sum(1 + rows.size + vals.size for _, rows, vals in groups)
 
 
+def _columns(src: int, groups) -> dict:
+    """The columns of consecutive groups: origin and key headers, rows, 2-row values."""
+    rows = np.concatenate([np.zeros(0, np.int64)] + [r for _, r, _ in groups])
+    return {"o": np.full(rows.size, src),
+            "key": np.concatenate([np.zeros(0, np.int64)]
+                                  + [np.full(r.size, key) for key, r, _ in groups]),
+            "rows": rows,
+            "vals": np.concatenate([np.zeros((2, 0), np.int64)] + [v for _, _, v in groups],
+                                   axis=1)}
+
+
 def _exchange(messages: dict, order=None):
-    """One round of sends, then every machine's received columns, the stats and peaks."""
-    cl = Cluster(ClusterConfig(n=64, epsilon=0.5))
+    """One round of sends, then every machine's received batches, the stats and peaks."""
+    cl = Cluster(ClusterConfig(n=len(messages) ** 2, epsilon=0.5))    # one machine per sender
 
     def send(ctx):
-        # a sender's messages go out in two calls, so a tag's batches meet
-        # within one sender as well as across senders
+        # a sender's messages under a tag go out in two calls, so a tag's
+        # batches meet within one sender as well as across senders
         msgs = messages[ctx.machine_id]
-        for part in (msgs[:len(msgs) // 2], msgs[len(msgs) // 2:]):
-            if not part:
-                continue
-            counts = [sum(rows.size for _, rows, _ in groups) for _, groups in part]
-            groups = [g for _, gs in part for g in gs]
-            rows = np.concatenate([r for _, r, _ in groups])
-            ctx.send("x", [dst for dst, _ in part], np.cumsum([0] + counts),
-                     {"o": np.full(rows.size, ctx.machine_id),
-                      "key": np.concatenate([np.full(r.size, key) for key, r, _ in groups]),
-                      "rows": rows,
-                      "vals": np.concatenate([v for _, _, v in groups], axis=1)},
-                     headers=("o", "key"))
+        for tag in dict.fromkeys(tag for tag, _, _ in msgs):
+            mine = [(dst, groups) for t, dst, groups in msgs if t == tag]
+            for part in (mine[:len(mine) // 2], mine[len(mine) // 2:]):
+                if not part:
+                    continue
+                counts = [sum(rows.size for _, rows, _ in groups) for _, groups in part]
+                ctx.send(tag, [dst for dst, _ in part], np.cumsum([0] + counts),
+                         _columns(ctx.machine_id, [g for _, gs in part for g in gs]),
+                         headers=("o", "key"))
 
     got = {}
 
     def receive(ctx):
-        if "x" in ctx.batches:
-            got[ctx.machine_id] = ctx.batches["x"]
+        if ctx.batches:
+            got[ctx.machine_id] = dict(ctx.batches)
 
     cl.run_round(send, machines=order)
     peaks = cl.stats.per_machine_peak.copy()
@@ -408,33 +422,67 @@ def _exchange(messages: dict, order=None):
     return got, cl.stats.to_dict(), peaks
 
 
+def _check_against_dicts(messages: dict, machines: int, label=None) -> dict:
+    """Exchange ``messages`` and compare every number and row with dict messages.
+
+    Checks message words and work, every machine's step and boundary peak,
+    which machines receive each tag, and each destination's rows in (sender,
+    sequence, row) order. Returns the received batches.
+    """
+    sent = 0
+    out_words = np.zeros(machines, np.int64)
+    in_words = np.zeros(machines, np.int64)
+    parts = {}      # (machine, tag) -> [(src, key, rows, vals)] received
+    for src in range(machines):
+        for tag, dst, groups in messages[src]:
+            words = _dict_words(groups)
+            targets = range(machines) if dst == BROADCAST else (dst,)
+            sent += words * len(targets)
+            out_words[src] += words
+            for m in targets:
+                in_words[m] += words
+                parts.setdefault((m, tag), []).extend(
+                    (src, key, rows, vals) for key, rows, vals in groups)
+    got, stats, peaks = _exchange(messages)
+    assert stats["message_words"] == stats["work"] == sent, label
+    assert peaks.tolist() == np.maximum(out_words, in_words).tolist(), label
+    assert {(m, tag) for m, batches in got.items() for tag in batches} == parts.keys(), label
+    for (m, tag), want in parts.items():
+        cols = got[m][tag]
+        assert cols["o"].tolist() == [src for src, _, r, _ in want for _ in r], (label, m)
+        assert cols["key"].tolist() == [key for _, key, r, _ in want for _ in r], (label, m)
+        assert cols["rows"].tolist() == [x for _, _, r, _ in want for x in r.tolist()]
+        assert np.array_equal(cols["vals"], np.concatenate(
+            [np.zeros((2, 0), np.int64)] + [v for *_, v in want], axis=1))
+    return got
+
+
 def test_send_meters_segments_like_dicts():
-    machines = 8
-    for seed in range(8):
-        messages = _random_messages(seed, machines)
-        sent = 0
-        out_words = np.zeros(machines, np.int64)
-        in_words = np.zeros(machines, np.int64)
-        parts = {m: [] for m in range(machines)}     # (src, key, rows, vals) received
-        for src in range(machines):
-            for dst, groups in messages[src]:
-                words = _dict_words(groups)
-                targets = range(machines) if dst == BROADCAST else (dst,)
-                sent += words * len(targets)
-                out_words[src] += words
-                for m in targets:
-                    in_words[m] += words
-                    parts[m] += [(src, key, rows, vals) for key, rows, vals in groups]
-        got, stats, peaks = _exchange(messages)
-        assert stats["message_words"] == stats["work"] == sent, seed
-        assert peaks.tolist() == np.maximum(out_words, in_words).tolist(), seed
-        assert got.keys() == {m for m in range(machines) if parts[m]}
-        for m, cols in got.items():
-            want = parts[m]
-            assert cols["o"].tolist() == [src for src, _, r, _ in want for _ in r], (seed, m)
-            assert cols["key"].tolist() == [key for _, key, r, _ in want for _ in r], (seed, m)
-            assert cols["rows"].tolist() == [x for _, _, r, _ in want for x in r.tolist()]
-            assert np.array_equal(cols["vals"], np.concatenate([v for *_, v in want], axis=1))
+    # past 127 machines the destinations are sorted as 16-bit integers
+    for seed, machines in [(seed, 8) for seed in range(8)] + [(8, 200)]:
+        _check_against_dicts(_random_messages(seed, machines), machines, label=seed)
+
+
+def test_delivery_of_empty_segments_and_single_sender_tags():
+    rng = np.random.default_rng(7)
+
+    def groups(*keys):
+        return [(key, rng.integers(0, 99, 2), rng.integers(0, 99, (2, 2))) for key in keys]
+
+    # zero-row point-to-point and broadcast segments among nonempty ones; only
+    # machine 5 sends "solo", only machine 3 sends "void", which has no rows;
+    # machine 6 receives only empty segments
+    messages = {m: [] for m in range(8)}
+    messages[0] = [("x", 3, []), ("x", BROADCAST, []), ("x", 1, groups(0)),
+                   ("x", 3, groups(1, 2))]
+    messages[2] = [("x", 1, groups(3)), ("x", BROADCAST, []), ("x", 4, groups(0, 1))]
+    messages[3] = [("x", 3, []), ("void", 6, []), ("x", 3, groups(2))]
+    messages[5] = [("solo", 1, groups(1)), ("solo", 6, []), ("solo", 1, groups(0, 3))]
+    messages[7] = [("x", 0, groups(1)), ("x", 4, [])]
+    got = _check_against_dicts(messages, 8)
+    assert sorted(got[6]) == ["solo", "void", "x"]
+    assert all(col.shape[-1] == 0 for batch in got[6].values() for col in batch.values())
+    assert got[1]["solo"]["key"].tolist() == [1, 1, 0, 0, 3, 3]
 
 
 def test_send_is_independent_of_execution_order():
@@ -444,8 +492,8 @@ def test_send_is_independent_of_execution_order():
         order = list(np.random.default_rng(order_seed).permutation(8))
         got, stats, _ = _exchange(messages, order=order)
         assert stats == base_stats
-        for m, cols in base.items():
-            assert all(np.array_equal(got[m][k], v) for k, v in cols.items())
+        for m, batches in base.items():
+            assert all(np.array_equal(got[m]["x"][k], v) for k, v in batches["x"].items())
 
 
 def test_delivered_batches_are_read_only():
@@ -499,3 +547,35 @@ def test_send_rejects_offsets_that_do_not_cut_the_columns():
         cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
         with pytest.raises(EngineError, match="offsets"):
             cl.run_round(lambda ctx: ctx.send("x", dsts, offsets, cols))
+
+
+def test_delivery_peak_memory_is_bounded_by_the_column_bytes():
+    # mpc-random's round-1 traffic: 256 machines each send 512 rows in one-row
+    # segments under one tag and in two 256-row segments under another
+    machines, rows = 256, 512
+    rng = np.random.default_rng(0)
+    outboxes = []
+    for _ in range(machines):
+        outboxes.append([
+            MessageBatch("fc", rng.integers(0, machines, rows), np.arange(rows + 1), (),
+                         {"pos": rng.integers(0, 2**17, rows),
+                          "vals": rng.integers(0, 2**61, (rows, 2)).T}),
+            MessageBatch("fs", rng.integers(0, machines, 2), np.array([0, rows // 2, rows]), (),
+                         {"pos": rng.integers(0, 2**17, rows),
+                          "vals": rng.integers(0, 2**61, (2, rows))})])
+    column_bytes = sum(col.nbytes for batches in outboxes for batch in batches
+                       for col in batch.cols.values())
+    cl = Cluster(ClusterConfig(n=machines * machines, epsilon=0.5))
+    assert cl.config.machine_count == machines
+    tracemalloc.start()
+    try:
+        cl._deliver_batches(outboxes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One stable sort of the rows reads about 1.5x the column bytes: the
+    # delivered copies, one tag's merged columns and its row order. The
+    # composite-key sort it replaced read 2.2x; a sort of per-segment index
+    # arrays reads 2.7x or more, since every one-row segment costs as much
+    # as its row.
+    assert peak <= 2.4 * column_bytes

@@ -4,7 +4,7 @@ import pytest
 from palmpc import mpc
 from palmpc._kernels import first_unequal_run, fragment_fp_scan
 from palmpc.ampc import solve_ampc
-from palmpc.engine import CollisionAbort, StepContext
+from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, StepContext
 from palmpc.fingerprint import FingerprintScheme, scheme_init
 from palmpc.inputs import fibonacci_text, thue_morse_text, unary_text
 from palmpc.mpc import (
@@ -194,6 +194,41 @@ def test_window_routing_equals_per_span_routing(monkeypatch):
                 for tag, want in _per_span_routing(run, m).items():
                     got = sent[m, tag]
                     assert all(np.array_equal(g, v) for g, v in zip(got, want)), (n, eps, m, tag)
+
+
+def _runs_reference(values: list) -> tuple[list, list]:
+    """(first value, segment bounds) of each run of equal values, by a loop."""
+    firsts, bounds = [], []
+    for i, v in enumerate(values):
+        if i == 0 or v != values[i - 1]:
+            firsts.append(v)
+            bounds.append(i)
+    return firsts, bounds + [len(values)]
+
+
+LOW, HIGH = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("values", [
+    [], [7], [3, 3, 3, 3], [0, 1, 2, 5, 9], [4, 4, 1, 1, 1, 4, 1, 4, 4],
+    [-5, -5, -1, 0, 0, -7], [LOW, LOW, HIGH, HIGH, LOW, 0, -1, HIGH],
+    [HIGH, LOW, HIGH, LOW],
+])
+def test_runs_match_a_literal_reference(values):
+    arr = np.array(values, np.int64)
+    firsts, bounds = mpc._runs(arr)
+    assert (firsts.tolist(), bounds.tolist()) == _runs_reference(values)
+    assert bounds.dtype == np.int64 and bounds[0] == 0 and bounds[-1] == arr.size
+    # the bounds cut the values into segments as ``send`` takes them
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    cl.run_round(lambda ctx: ctx.send("r", np.zeros(firsts.size, np.int64), bounds, {"v": arr})
+                 if ctx.machine_id == 0 else None)
+    got = {}
+    cl.run_round(lambda ctx: got.update(ctx.batches))
+    if values:
+        assert got["r"]["v"].tolist() == values
+    else:
+        assert got == {}        # no segments, so nothing is delivered
 
 
 def test_letter_getter_raises_for_letters_not_held():
