@@ -62,6 +62,15 @@ eps=0.75 the total is 8 rounds for every n from 2**9 to 2**18; at eps=0.9,
 n = 2**10 .. 2**16 give 12, 11, 12, 12, 13, 14 and 12 rounds (fan-in b took
 21, 15, 17, 18, 19, 21 and 17). A combine or best round steps only the
 machines that build a node of its level.
+
+The count is O(1) as the paper means it, bounded by a function of eps alone:
+at most 3 + 2q rounds for every n, with q = ceil(eps / (1 - eps)). It is
+2 + depth + best_depth, where depth is the least d with f**d >= 2K, and
+K = M = ceil(n / b) <= ceil(n**eps) for b = ceil(n**(1 - eps)). If K <= b,
+as always at eps <= 1/2, then f = max(2, b) and 2K <= f**2: depth <= 2 and
+best_depth <= 1, so at most 5 rounds, while q >= 1. Otherwise q >= 2, f = 2b
+and f**q >= 2**q * n**((1 - eps) * q) >= 4 * n**eps >= 2K: both depths are
+at most q.
 """
 
 import numpy as np

@@ -10,11 +10,11 @@ checked against the per-machine cap at two points of every round: after the
 steps, each machine's payload plus its outbox, and at the boundary, its
 payload plus what it received. Each point is one check over per-machine
 arrays, so an overrun names the lowest machine id over the cap, whatever the
-step order. A stepping machine's payload is counted after its step, so state
-it holds at the start of a step and drops within it is counted only if an
-earlier round metered it. Work is whatever the steps declare plus one unit
-per message word moved. ``RunStats.to_dict()`` gives a run's numbers in the
-layout of the run fields of ``palmpc solve --format json``.
+step order. Placement fills payloads outside any round, so the first round
+counts and checks every payload before any step; a stepping machine's payload
+is counted again after each step. Work is whatever the steps declare plus one
+unit per message word moved. ``RunStats.to_dict()`` gives a run's numbers in
+the layout of the run fields of ``palmpc solve --format json``.
 
 Every message is a columnar batch: ``send`` checks flat arrays with rows on
 the last axis, cut into segments (each one logical message to one machine),
@@ -22,14 +22,14 @@ and enqueues them. At the round boundary each tag's batches from all senders
 are merged in (sender, sequence) order and metered there, once: a segment
 costs what the equivalent dict message would, one tag word, plus the words
 of its rows, plus one word per run of equal values in each header column (as
-a dict holding one scalar per group would). A broadcast segment is charged
-to its sender once and to every receiver. Every destination receives one
-read-only entry per tag in ``ctx.batches``.
+a dict holding one scalar per group would). Every segment is charged to its
+sender and to its one receiver, so sending the same rows to k machines costs
+the sender k segments. Every destination receives one read-only entry per
+tag in ``ctx.batches``.
 
 Delivery copies each column twice: the senders' parts are joined into one
 array in (sender, sequence, row) order, then gathered into destination
-order. The gather order is one stable sort of the rows by destination, after
-each broadcast row is expanded in its own place into one row per machine, so
+order. The gather order is one stable sort of the rows by destination, so
 every destination keeps the (sender, sequence, row) order. A destination's
 entry is a view of the gathered columns.
 
@@ -46,7 +46,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-BROADCAST = -1
 _NO_BATCHES = MappingProxyType({})
 
 
@@ -60,12 +59,13 @@ class UnknownMachineError(EngineError):
 
 class MemoryCapExceeded(EngineError):
     """A machine over its word cap. ``round_no`` counts from 1, the first
-    ``run_round``, and ``check`` is the metering point that saw it: "step"
-    (payload plus outbox) or "boundary" (payload plus received)."""
+    ``run_round``, and ``check`` is the metering point that saw it: "placement",
+    "step" (payload plus outbox) or "boundary" (payload plus received)."""
 
     def __init__(self, machine: int, round_no: int, words: int, cap: int, check: str):
-        where = (f"after its round {round_no} step (payload plus outbox)" if check == "step"
-                 else f"at the round {round_no} boundary (payload plus received)")
+        where = {"placement": "at placement",
+                 "step": f"after its round {round_no} step (payload plus outbox)",
+                 "boundary": f"at the round {round_no} boundary (payload plus received)"}[check]
         super().__init__(f"machine {machine} holds {words} words {where}, cap {cap}")
         self.machine = machine
         self.round_no = round_no
@@ -175,29 +175,17 @@ def _rows_by_destination(dsts: np.ndarray, counts: np.ndarray, machine_count: in
                          ) -> tuple[np.ndarray, np.ndarray]:
     """(order, bounds): the rows of segments (dsts, counts) to gather for each machine.
 
-    Machine m receives rows ``order[bounds[m]:bounds[m + 1]]``. A broadcast row
-    is expanded in its own place into one row per machine; then one stable
+    Machine m receives rows ``order[bounds[m]:bounds[m + 1]]``. One stable
     sort on the row destination keeps the (sender, sequence, row) order of
     the rows within each destination.
     """
-    bcast = dsts == BROADCAST
-    rows = np.bincount(dsts[~bcast], weights=counts[~bcast],
-                       minlength=machine_count).astype(np.int64) + counts[bcast].sum()
+    rows = np.bincount(dsts, weights=counts, minlength=machine_count).astype(np.int64)
     bounds = np.zeros(machine_count + 1, np.int64)
     np.cumsum(rows, out=bounds[1:])
     # numpy's stable sort of 8- and 16-bit integers is a radix sort, so the
-    # destinations take the narrowest signed type that holds BROADCAST and
-    # every machine id
-    row_dst = np.repeat(dsts.astype(np.min_scalar_type(-machine_count)), counts)
-    if not bcast.any():
-        return np.argsort(row_dst, kind="stable"), bounds
-    copies = np.where(row_dst == BROADCAST, machine_count, 1)
-    take = np.repeat(np.arange(row_dst.size), copies)
-    row_dst = np.repeat(row_dst, copies)
-    expanded = row_dst == BROADCAST
-    row_dst[expanded] = np.tile(np.arange(machine_count),
-                                np.count_nonzero(expanded) // machine_count)
-    return take[np.argsort(row_dst, kind="stable")], bounds
+    # destinations take the narrowest unsigned type that holds every machine id
+    row_dst = np.repeat(dsts.astype(np.min_scalar_type(machine_count - 1)), counts)
+    return np.argsort(row_dst, kind="stable"), bounds
 
 
 class MessageBatch(NamedTuple):
@@ -296,9 +284,9 @@ class StepContext:
 
     ``batches`` maps each tag received at the last round boundary to its
     merged columns: the rows of every segment sent to this machine under that
-    tag, in (sender, sequence, row) order, a broadcast segment's rows in its
-    sender's sequence. The columns are read-only views of one gathered copy
-    per tag, shared by every destination.
+    tag, in (sender, sequence, row) order. The columns are read-only views of
+    one gathered copy per tag, shared by every destination. Each segment
+    sent is charged to this machine and to its one receiver.
     """
 
     __slots__ = ("machine_id", "payload", "batches", "_cluster", "_batches", "_work", "_reads")
@@ -316,15 +304,15 @@ class StepContext:
         """Send rows [offsets[i], offsets[i+1]) of every column to dsts[i], for each i.
 
         Columns hold their rows on the last axis; ``headers`` names the 1-D
-        columns metered per run of equal values. A destination of BROADCAST
-        delivers the segment to every machine. The columns are frozen here and
-        metered at the round boundary, by the rule of the module docstring.
+        columns metered per run of equal values; each destination is a machine
+        id in [0, M). The columns are frozen here and metered at the round
+        boundary, by the rule of the module docstring.
         """
         dsts = np.asarray(dsts, np.int64)
         offsets = np.asarray(offsets, np.int64)
         machines = self._cluster.config.machine_count
-        if dsts.size and (dsts.min() < BROADCAST or dsts.max() >= machines):
-            unknown = (dsts < BROADCAST) | (dsts >= machines)
+        if dsts.size and (dsts.min() < 0 or dsts.max() >= machines):
+            unknown = (dsts < 0) | (dsts >= machines)
             raise UnknownMachineError(f"machine {self.machine_id} sent to unknown "
                                       f"machine {int(dsts[unknown][0])}")
         if (offsets.size != dsts.size + 1 or offsets[0] != 0
@@ -364,7 +352,7 @@ class Cluster:
         )
         self.shared = SharedStore() if config.mode == "ampc" else None
         self._delivered: dict[int, dict] = {}   # only machines with batches pending
-        self._local = np.full(config.machine_count, -1, np.int64)   # payload words, -1: uncounted
+        self._local = np.zeros(config.machine_count, np.int64)   # payload words at the last count
 
     def require_shared(self) -> SharedStore:
         if self.shared is None:
@@ -391,9 +379,10 @@ class Cluster:
         is all of them. Results are independent of the order because steps
         only see their own state and inbox, deliveries are normalized to
         (sender, sequence) order and memory is checked over all machines at
-        once. A machine left out must have no batches pending; it keeps the
-        payload words of its last count, and one never counted is counted
-        now, since placement fills payloads outside any round.
+        once. The first round counts and checks every placed payload before
+        any step, since placement fills payloads outside any round. A
+        machine left out must have no batches pending; it keeps the payload
+        words of its last count.
         """
         config = self.config
         stats = self.stats
@@ -410,8 +399,11 @@ class Cluster:
                 raise EngineError(f"machine {min(idle)} has batches pending but does not "
                                   f"step in round {stats.rounds + 1}")
 
-        inboxes, self._delivered = self._delivered, {}
         local = self._local
+        if stats.rounds == 0:
+            local[:] = [self._payload_words(m) for m in range(M)]
+            self._meter(local, "placement")
+        inboxes, self._delivered = self._delivered, {}
         reads = np.zeros(M, np.int64)
         outboxes: list = [()] * M
         for m in machines:
@@ -421,8 +413,6 @@ class Cluster:
             reads[m] = ctx._reads
             local[m] = self._payload_words(m)
             outboxes[m] = ctx._batches
-        for m in np.flatnonzero(local < 0).tolist():
-            local[m] = self._payload_words(m)
         stats.shared_reads_peak = max(stats.shared_reads_peak, int(reads.max()))
         over = np.flatnonzero(reads > config.shared_read_cap)
         if over.size:
@@ -476,10 +466,8 @@ class Cluster:
                 np.repeat([src for src, _ in group], [batch.dsts.size for _, batch in group]),
                 weights=words, minlength=machine_count).astype(np.int64)
 
-            bcast = dsts == BROADCAST
-            inbox_words = np.bincount(dsts[~bcast], weights=words[~bcast],
+            inbox_words = np.bincount(dsts, weights=words,
                                       minlength=machine_count).astype(np.int64)
-            inbox_words += int(words[bcast].sum())
             moved = int(inbox_words.sum())
             received += inbox_words
             stats.message_words += moved

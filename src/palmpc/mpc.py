@@ -90,7 +90,6 @@ from ._kernels import (
     power_tables,
 )
 from .engine import (
-    BROADCAST,
     Cluster,
     ClusterConfig,
     CollisionAbort,
@@ -519,7 +518,7 @@ class FingerprintLcp:
     # -- queries
 
     def ask(self, ctx: StepContext, wave) -> list[_Query]:
-        """Register a wave's queries here; broadcast their chain requests."""
+        """Register a wave's queries here; send their chain requests to every machine."""
         per = self.queries.setdefault(ctx.machine_id, {})
         queries = [_Query(len(per) + k, q.p1, q.p2) for k, q in enumerate(wave)]
         per.update((q.qid, q) for q in queries)
@@ -527,9 +526,10 @@ class FingerprintLcp:
             return queries
         key = np.asarray([2 * q.qid + s for q in queries for s in (0, 1)], np.int64)
         pos = np.asarray([p for q in queries for p in (q.p1, q.p2)], np.int64)
-        ctx.send("cq", [BROADCAST], [0, key.size],
-                 {"o": np.full(key.size, ctx.machine_id, np.int64), "key": key, "pos": pos},
-                 headers=("o",))
+        M = self.plan.machine_count
+        ctx.send("cq", np.arange(M), np.arange(M + 1) * key.size,
+                 {"o": np.full(M * key.size, ctx.machine_id, np.int64),
+                  "key": np.tile(key, M), "pos": np.tile(pos, M)}, headers=("o",))
         return queries
 
     def serve(self, ctx: StepContext) -> None:

@@ -28,8 +28,9 @@ step raises on the violation it can see. Their input is the output of
 lengths of the superblock's owned centers, and its prefix palindromes.
 One driver sequences the steps, ``mpc.superblock_waves``, and every caller
 runs scan and driver: both pipelines, which differ only in how they answer
-the queries, and the exhaustive sweep (``palmpc.exhaustive``), which answers
-them by literal comparison (``oracle.doubled_lcp``).
+the queries, and the test suite's exhaustive sweep over every superblock view
+(``sweep_views`` in ``tests/exhaustive_views.py``), which answers them by
+literal comparison (``oracle.doubled_lcp``).
 """
 
 from typing import NamedTuple

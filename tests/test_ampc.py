@@ -13,10 +13,17 @@ from palmpc.ampc import (
     round_count,
     solve_ampc,
 )
-from palmpc.engine import Cluster, ClusterConfig, CollisionAbort, StepContext, words_of
+from palmpc.engine import (
+    Cluster,
+    ClusterConfig,
+    CollisionAbort,
+    StepContext,
+    ceil_power,
+    words_of,
+)
 from palmpc.fingerprint import FingerprintScheme, fragments_equal, scheme_init
 from palmpc.inputs import fibonacci_text, unary_text
-from palmpc.mpc import MpcPalindromes, plan_decomposition, solve_mpc
+from palmpc.mpc import BlockPlan, MpcPalindromes, plan_decomposition, solve_mpc
 from palmpc.oracle import oracle_lcp, oracle_lps, oracle_maximal_palindromes
 
 from fingerprint_ref import fp_of
@@ -232,6 +239,25 @@ def test_round_count_closed_form_from_the_plan():
     assert (plan.block_len, plan.block_count, fan_in(plan)) == (64, 64, 64)
     plan = plan_decomposition(4096, 0.75)
     assert (plan.block_len, fan_in(plan)) == (8, 16)
+
+
+def test_round_count_is_bounded_by_epsilon_alone():
+    # rounds <= 3 + 2 ceil(eps / (1 - eps)) for every n (the derivation is in
+    # the ampc docstring), checked from the plan arithmetic alone: no roles
+    sizes = list(range(1, 2000)) + np.unique(
+        np.geomspace(2000, 660_561, 3000).round().astype(np.int64)).tolist()
+    assert len(sizes) == 4999
+    for k in range(1, 100):
+        eps = k / 100
+        bound = 3 + 2 * -(-k // (100 - k))
+        over = []
+        for n in sizes:
+            b = ceil_power(n, 1.0 - eps)
+            K = -(-n // b)
+            rounds = round_count(BlockPlan(n, eps, b, K, K, K, ()))
+            if rounds > bound:
+                over.append((n, rounds))
+        assert not over, (eps, bound, over[:3])
 
 
 def test_ampc_round_count_is_the_closed_form_at_eps_0_9():

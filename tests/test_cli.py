@@ -168,9 +168,13 @@ def test_engine_abort_maps_to_exit_4(capsys):
 
 
 def test_engine_abort_numbers_rounds_as_the_pipelines_do(capsys):
-    # the overrun is seen after the steps of MPC's round 1, the local scans;
-    # round 0 is the placement, which runs no step
+    # b = 8: at cap 8 the placed letters overrun before any step; at cap 40
+    # they fit (33 words at most), and the overrun is seen after the steps of
+    # MPC's round 1, the local scans
     code, out, err = run_cli(capsys, "solve", "--random", "50", "2", "--memory-constant", "1")
+    assert code == 4 and out == ""
+    assert "machine 0 holds 17 words at placement, cap 8" in err
+    code, out, err = run_cli(capsys, "solve", "--random", "50", "2", "--memory-constant", "5")
     assert code == 4 and out == ""
     assert "machine 0 holds 147 words after its round 1 step (payload plus outbox)" in err
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from palmpc.engine import (
-    BROADCAST,
     Cluster,
     ClusterConfig,
     EngineError,
@@ -144,6 +143,25 @@ def test_partial_rounds_meter_every_payload_as_a_full_recount():
     assert list(cl.payloads[3]) == ["placed", "r4"]
 
 
+def test_placed_payloads_are_metered_before_any_step():
+    # a placed payload that machine 2 drops in its round 1 step still counts
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))    # cap 256 words
+    cl.payloads[2]["x"] = np.zeros(10, np.int64)
+    cl.run_round(lambda ctx: ctx.payload.clear(), machines=[2])
+    assert cl.stats.per_machine_peak.tolist() == [0, 0, 10, 0]
+
+    # one over the cap aborts before any machine steps
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    cl.payloads[2]["x"] = np.zeros(300, np.int64)
+    stepped = []
+    with pytest.raises(MemoryCapExceeded) as err:
+        cl.run_round(lambda ctx: stepped.append(ctx.machine_id))
+    assert (err.value.machine, err.value.round_no, err.value.words) == (2, 1, 300)
+    assert err.value.check == "placement"
+    assert str(err.value) == "machine 2 holds 300 words at placement, cap 256"
+    assert stepped == []
+
+
 def test_in_place_payload_update_of_a_stepping_machine_is_metered():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))    # cap 256 words
     cl.payloads[1]["x"] = np.zeros(10, np.int64)
@@ -172,14 +190,16 @@ def test_unknown_destination_rejected():
         cl.run_round(lambda ctx: ctx.send("x", [99], [0, 1], {"v": np.ones(1, np.int64)}))
 
 
-def test_broadcast_reaches_everyone_and_meters_per_copy():
+def test_fan_out_reaches_everyone_and_meters_every_copy():
     cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
-    cl.run_round(lambda ctx: ctx.send("x", [BROADCAST], [0, 1], {"v": np.array([7])})
+    cl.run_round(lambda ctx: ctx.send("x", np.arange(4), np.arange(5), {"v": np.full(4, 7)})
                  if ctx.machine_id == 0 else None)
+    # the sender holds all 4 segments after its step; each receiver holds one
+    assert cl.stats.per_machine_peak.tolist() == [8, 2, 2, 2]
     got = {}
     cl.run_round(lambda ctx: got.__setitem__(ctx.machine_id, ctx.batches["x"]["v"].tolist()))
     assert all(got[m] == [7] for m in range(4))
-    # each of the 4 copies costs its tag word and its one value
+    # each of the 4 segments costs its tag word and its one value
     assert cl.stats.message_words == 8
 
 
@@ -296,13 +316,14 @@ def test_each_payload_is_counted_once_per_round():
         ctx.payload["got"] = ctx.batches["d"]["a"].copy()
         ctx.payload["rows"] = ctx.batches["t"]["k"].copy()
         if ctx.machine_id == 2:
-            ctx.send("b", [BROADCAST], [0, 3], {"v": np.array([1, 2, 3])})
+            ctx.send("b", np.arange(4), np.arange(5) * 3, {"v": np.tile([1, 2, 3], 4)})
 
     for step in (r1, r2, lambda ctx: None):
         cl.run_round(step)
-    assert sorted(calls) == [m for m in range(4) for _ in range(3)]
-    # messages: 4 "d" rows of 1 + 3 words, 4 x (2 + 3) "t" words, 4 copies of
-    # a 1 + 3-word broadcast; work: 6 declared plus the 52 words moved
+    # one walk at placement, before the first step, then one per round
+    assert sorted(calls) == [m for m in range(4) for _ in range(4)]
+    # messages: 4 "d" rows of 1 + 3 words, 4 x (2 + 3) "t" words, 4 segments
+    # of 1 + 3 words from machine 2; work: 6 declared plus the 52 words moved
     assert cl.stats.to_dict() == {
         "rounds": 3, "machine_count": 4, "block_len": 4,
         "memory": {"per_machine_peak": 22, "cap": 256, "observed_constant": 6,
@@ -310,8 +331,10 @@ def test_each_payload_is_counted_once_per_round():
         "work": 58, "message_words": 52, "shared_words": 0, "shared_reads_peak": 0,
         "counters": {}}
     # machine m: x (m + 1 words) plus 9 outbox words after round 1; machine 3
-    # also receives 4 + 2 + 3 x 4 words at that boundary, with its 4 of x
-    assert cl.stats.per_machine_peak.tolist() == [10, 11, 12, 22]
+    # also receives 4 + 2 + 3 x 4 words at that boundary, with its 4 of x;
+    # machine 2 holds 3 + 1 + 1 payload words and its 4 x 4 outbox words
+    # after its round 2 step
+    assert cl.stats.per_machine_peak.tolist() == [10, 11, 21, 22]
 
 
 def test_shared_words_counts_published_snapshots_only():
@@ -362,12 +385,13 @@ def _random_messages(seed: int, machines: int) -> dict:
     for src in range(machines):
         msgs = []
         for _ in range(int(rng.integers(0, 6))):
-            dst = BROADCAST if rng.random() < 0.2 else int(rng.integers(0, machines))
+            # a fan-out: the same groups to every machine, one message each
+            dsts = range(machines) if rng.random() < 0.2 else [int(rng.integers(0, machines))]
             groups = []
             for key in rng.choice(4, int(rng.integers(1, 4)), replace=False).tolist():
                 k = int(rng.integers(1, 5))
                 groups.append((key, rng.integers(0, 99, k), rng.integers(0, 99, (2, k))))
-            msgs.append(("x", dst, groups))
+            msgs += [("x", dst, groups) for dst in dsts]
         out[src] = msgs
     return out
 
@@ -394,7 +418,10 @@ def _columns(src: int, groups) -> dict:
 
 def _exchange(messages: dict, order=None):
     """One round of sends, then every machine's received batches, the stats and peaks."""
-    cl = Cluster(ClusterConfig(n=len(messages) ** 2, epsilon=0.5))    # one machine per sender
+    # one machine per sender. ``_random_messages`` sends at most 5 messages of
+    # at most 41 words to each of the M machines, so no machine sends or
+    # receives more than 205 M words: a cap of 256 M never binds
+    cl = Cluster(ClusterConfig(n=len(messages) ** 2, epsilon=0.5, memory_constant=256))
 
     def send(ctx):
         # a sender's messages under a tag go out in two calls, so a tag's
@@ -436,13 +463,11 @@ def _check_against_dicts(messages: dict, machines: int, label=None) -> dict:
     for src in range(machines):
         for tag, dst, groups in messages[src]:
             words = _dict_words(groups)
-            targets = range(machines) if dst == BROADCAST else (dst,)
-            sent += words * len(targets)
+            sent += words
             out_words[src] += words
-            for m in targets:
-                in_words[m] += words
-                parts.setdefault((m, tag), []).extend(
-                    (src, key, rows, vals) for key, rows, vals in groups)
+            in_words[dst] += words
+            parts.setdefault((dst, tag), []).extend(
+                (src, key, rows, vals) for key, rows, vals in groups)
     got, stats, peaks = _exchange(messages)
     assert stats["message_words"] == stats["work"] == sent, label
     assert peaks.tolist() == np.maximum(out_words, in_words).tolist(), label
@@ -458,8 +483,8 @@ def _check_against_dicts(messages: dict, machines: int, label=None) -> dict:
 
 
 def test_send_meters_segments_like_dicts():
-    # past 127 machines the destinations are sorted as 16-bit integers
-    for seed, machines in [(seed, 8) for seed in range(8)] + [(8, 200)]:
+    # past 256 machines the destinations are sorted as 16-bit integers
+    for seed, machines in [(seed, 8) for seed in range(8)] + [(8, 300)]:
         _check_against_dicts(_random_messages(seed, machines), machines, label=seed)
 
 
@@ -469,13 +494,13 @@ def test_delivery_of_empty_segments_and_single_sender_tags():
     def groups(*keys):
         return [(key, rng.integers(0, 99, 2), rng.integers(0, 99, (2, 2))) for key in keys]
 
-    # zero-row point-to-point and broadcast segments among nonempty ones; only
-    # machine 5 sends "solo", only machine 3 sends "void", which has no rows;
-    # machine 6 receives only empty segments
+    # zero-row segments, to one machine and to every machine, among nonempty
+    # ones; only machine 5 sends "solo", only machine 3 sends "void", which
+    # has no rows; machine 6 receives only empty segments
+    to_all = [("x", m, []) for m in range(8)]
     messages = {m: [] for m in range(8)}
-    messages[0] = [("x", 3, []), ("x", BROADCAST, []), ("x", 1, groups(0)),
-                   ("x", 3, groups(1, 2))]
-    messages[2] = [("x", 1, groups(3)), ("x", BROADCAST, []), ("x", 4, groups(0, 1))]
+    messages[0] = [("x", 3, []), *to_all, ("x", 1, groups(0)), ("x", 3, groups(1, 2))]
+    messages[2] = [("x", 1, groups(3)), *to_all, ("x", 4, groups(0, 1))]
     messages[3] = [("x", 3, []), ("void", 6, []), ("x", 3, groups(2))]
     messages[5] = [("solo", 1, groups(1)), ("solo", 6, []), ("solo", 1, groups(0, 3))]
     messages[7] = [("x", 0, groups(1)), ("x", 4, [])]
@@ -507,9 +532,9 @@ def test_delivered_batches_are_read_only():
 
 
 def test_send_rejects_unknown_destination():
-    for bad in (4, 99, -2):
+    for bad in (4, 99, -2, -1):
         cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
-        with pytest.raises(UnknownMachineError):
+        with pytest.raises(UnknownMachineError, match=f"sent to unknown machine {bad}$"):
             cl.run_round(lambda ctx: ctx.send("x", [0, bad], [0, 1, 2],
                                                    {"v": np.arange(2)}))
 

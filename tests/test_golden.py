@@ -20,8 +20,17 @@ It exits 1 when any entry differs, is recorded only or is computed only,
 exactly when ``test_golden_grid_is_byte_identical`` fails, and 0 otherwise.
 
     PYTHONPATH=src python3 tests/test_golden.py --diff
+
+A change that moves some fields on purpose names them with ``--allow``.
+The diff then exits 0 only when every entry exists on both sides and every
+changed field of an entry is named, so "re-record only the named fields" is
+checked before ``--write``:
+
+    PYTHONPATH=src python3 tests/test_golden.py --diff \
+        --allow memory.observed_constant,memory.per_machine_peak
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -107,6 +116,13 @@ WATCHED = ("memory.observed_constant", "memory.per_machine_peak", "memory.total_
            "shared_reads_peak")
 
 
+def _entry_fields(entry: dict) -> dict:
+    """Every JSON field of a recorded entry's report, plus its ``table_sha256``."""
+    fields = dict(_fields(json.loads(entry["stdout"])))
+    fields["table_sha256"] = entry["table_sha256"]
+    return fields
+
+
 def _numeric(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -121,11 +137,8 @@ def diff_grid(want: dict, got: dict) -> list[str]:
     rose: dict[str, list[str]] = {field: [] for field in WATCHED}
     modes = sorted({json.loads(want["solve"][key]["stdout"])["mode"] for key in keys})
     for key in keys:
-        old, new = want["solve"][key], got["solve"][key]
-        old_fields = dict(_fields(json.loads(old["stdout"])))
-        new_fields = dict(_fields(json.loads(new["stdout"])))
-        old_fields["table_sha256"], new_fields["table_sha256"] = \
-            old["table_sha256"], new["table_sha256"]
+        old_fields = _entry_fields(want["solve"][key])
+        new_fields = _entry_fields(got["solve"][key])
         mode = old_fields["mode"]
         for field in old_fields.keys() | new_fields.keys():
             before, after = old_fields.get(field, "absent"), new_fields.get(field, "absent")
@@ -152,9 +165,21 @@ def diff_grid(want: dict, got: dict) -> list[str]:
     return lines
 
 
-def diff_status(want: dict, got: dict) -> int:
-    """Exit status of ``--diff``: 1 when any entry differs in a byte or exists on one side only."""
-    return int(want["solve"] != got["solve"])
+def diff_status(want: dict, got: dict, allow: frozenset = frozenset()) -> int:
+    """Exit status of ``--diff``: 1 when an entry exists on one side only, or differs
+    in a field not named in ``allow`` or in a byte that no field shows; 0 otherwise."""
+    if want["solve"].keys() != got["solve"].keys():
+        return 1
+    for key, old in want["solve"].items():
+        new = got["solve"][key]
+        if old == new:
+            continue
+        old_fields, new_fields = _entry_fields(old), _entry_fields(new)
+        changed = {field for field in old_fields.keys() | new_fields.keys()
+                   if old_fields.get(field, "absent") != new_fields.get(field, "absent")}
+        if not changed or not changed <= allow:
+            return 1
+    return 0
 
 
 def test_diff_counts_changed_fields_and_lists_rising_constants():
@@ -205,15 +230,32 @@ def test_diff_exits_nonzero_on_any_difference():
     sha = grid(x=1)
     sha["solve"]["x"]["table_sha256"] = "b"
     assert diff_status(grid(x=1), sha) == 1                       # table changed
+    # --allow: exit 0 only when every changed field of every entry is named
+    work = frozenset({"work"})
+    assert diff_status(grid(x=1, y=2), grid(x=1, y=3), work) == 0
+    assert diff_status(grid(x=1, y=2), grid(x=1, y=3), frozenset({"mode"})) == 1
+    assert diff_status(grid(x=1, y=2), grid(x=1), work) == 1
+    assert diff_status(grid(x=1), sha, work) == 1
+    assert diff_status(grid(x=1), sha, frozenset({"table_sha256"})) == 0
+    spaced = grid(x=1)
+    spaced["solve"]["x"]["stdout"] = " " + spaced["solve"]["x"]["stdout"]
+    assert diff_status(grid(x=1), spaced, work) == 1             # a byte no field shows
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
+    parser = argparse.ArgumentParser(description="Record or diff the golden grid.")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--write", action="store_true")
+    action.add_argument("--diff", action="store_true")
+    parser.add_argument("--allow", metavar="FIELD[,FIELD...]", default="",
+                        help="with --diff, fields that may change")
+    args = parser.parse_args()
+    if args.allow and not args.diff:
+        parser.error("--allow needs --diff")
+    if args.write:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(compute_grid(), indent=1, sort_keys=True) + "\n")
-    elif sys.argv[1:] == ["--diff"]:
+    else:
         recorded, computed = json.loads(GOLDEN.read_text()), compute_grid()
         print("\n".join(diff_grid(recorded, computed)))
-        sys.exit(diff_status(recorded, computed))
-    else:
-        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write | --diff")
+        sys.exit(diff_status(recorded, computed, frozenset(filter(None, args.allow.split(",")))))
