@@ -8,8 +8,8 @@ model: machines never need to receive one message from everybody at once.
 
 The algorithm keeps the block decomposition and per-superblock analysis of
 the messaging pipeline -- ``AmpcPalindromes`` subclasses its skeleton,
-``mpc.BlockPipeline``, and runs the same local scan, ``mpc.superblock_scan``,
-and superblock driver, ``mpc.superblock_waves`` -- but answers LCP queries
+``mpc.BlockPipeline``, and runs the same local scan, ``mpc.local_scan``, and
+superblock driver, ``mpc.superblock_waves`` -- but answers LCP queries
 differently. A fan-in-f prefix tree over the 2K leaf segments of the
 doubled string builds phi(doubled[0..e]) for every position e. Each tree
 node ("t", level, idx) is a ``fingerprint`` node. Two fragments compare from
@@ -60,8 +60,10 @@ ceil(log_f 2K) and best_depth = ceil(log_f M). Both logarithms are about
 eps / (1 - eps), but their ceilings depend on n as well as on epsilon. At
 eps=0.75 the total is 8 rounds for every n from 2**9 to 2**18; at eps=0.9,
 n = 2**10 .. 2**16 give 12, 11, 12, 12, 13, 14 and 12 rounds (fan-in b took
-21, 15, 17, 18, 19, 21 and 17). A combine or best round steps only the
-machines that build a node of its level.
+21, 15, 17, 18, 19, 21 and 17). Every combine and best round is one
+``_tree_round``, which steps only the machines that build a node of its
+level. The query round publishes every machine's best under ("b", 0, m), and
+the root ("b", best_depth, 0) is the answer, one machine's best included.
 
 The count is O(1) as the paper means it, bounded by a function of eps alone:
 at most 3 + 2q rounds for every n, with q = ceil(eps / (1 - eps)). It is
@@ -103,14 +105,6 @@ def _offset_leaves(entries, lefts, layers: int) -> int:
     return layers * len(entries)
 
 
-def _level_sizes(count: int, fanout: int) -> list[int]:
-    """Node count of each tree level, from ``count`` leaves up to a single node."""
-    sizes = [count]
-    while sizes[-1] > 1:
-        sizes.append(-(-sizes[-1] // fanout))
-    return sizes
-
-
 def fan_in(plan: BlockPlan) -> int:
     """Fan-in of the prefix tree and of the best reduction: 2b, but b when
     2K <= 2b (see the module docstring), and 2 for a degenerate b = 1."""
@@ -118,12 +112,23 @@ def fan_in(plan: BlockPlan) -> int:
     return max(2, b if plan.block_count <= b else 2 * b)
 
 
-def round_count(plan: BlockPlan) -> int:
-    """Rounds of an adaptive run under ``plan``: 1 + (depth - 1) + 1 + 1 + best_depth."""
+def _tree_shapes(plan: BlockPlan) -> tuple[list[int], list[int]]:
+    """Node count of each level of the prefix tree over the 2K leaves and of the
+    best reduction over the M machines, from the leaves up to a single node."""
     fanout = fan_in(plan)
-    depth = len(_level_sizes(2 * plan.block_count, fanout)) - 1
-    best_depth = len(_level_sizes(plan.machine_count, fanout)) - 1
-    return 1 + (depth - 1) + 1 + 1 + best_depth
+    shapes = []
+    for count in (2 * plan.block_count, plan.machine_count):
+        sizes = [count]
+        while sizes[-1] > 1:
+            sizes.append(-(-sizes[-1] // fanout))
+        shapes.append(sizes)
+    return shapes[0], shapes[1]
+
+
+def round_count(plan: BlockPlan) -> int:
+    """Rounds of an adaptive run under ``plan``: 1 + (depth - 1) + 1 + 1 + best_depth,
+    which is one per level of either tree."""
+    return sum(map(len, _tree_shapes(plan)))
 
 
 class PrefixStore:
@@ -218,8 +223,7 @@ class AmpcPalindromes(BlockPipeline):
         for m, role in enumerate(self.plan.roles):
             for leaf, (lo, _) in zip(self.own_leaves(m), role.scan_spans):
                 self.leaf_starts[leaf] = lo
-        self.tree_sizes = _level_sizes(2 * self.plan.block_count, self.fanout)
-        self.best_sizes = _level_sizes(self.plan.machine_count, self.fanout)
+        self.tree_sizes, self.best_sizes = _tree_shapes(self.plan)
         self.depth = len(self.tree_sizes) - 1
         self.best_depth = len(self.best_sizes) - 1
         # simulator-side, not metered: x**i for i up to the leaf width b
@@ -257,27 +261,37 @@ class AmpcPalindromes(BlockPipeline):
             raise InconsistentMergeError(f"missing tree record {key}")
         return rec
 
-    # -- combine rounds: one tree level per round, root omitted (never needed);
-    #    each node comes with the running folds of its children
-
-    def _combine_level(self, level: int):
+    def _tree_round(self, kind: str, sizes: list[int], level: int, fold) -> None:
+        """One combine or best round of a fan-in-f tree with ``sizes`` nodes per
+        level: machine m steps if it builds a node (kind, level, idx), idx = m
+        mod M, and ``fold(ctx, level, idx, children)`` publishes each node from
+        its children (kind, level - 1, child), read from the shared store."""
         fanout = self.fanout
-        counts = self.tree_sizes
-        node_count = counts[level]
         M = self.plan.machine_count
-        layers = self.scheme.layers
 
         def step(ctx: StepContext) -> None:
-            for idx in range(ctx.machine_id, node_count, M):
-                children = [self._tree_read(ctx, ("t", level - 1, child)) for child in
-                            range(idx * fanout, min((idx + 1) * fanout, counts[level - 1]))]
-                ctx.add_work(len(children) * layers)
-                folds = running_folds(children, layers)
-                ctx.shared_write(("t", level, idx), folds[-1])
-                # row j - 1: the fold of children 0 .. j - 1, left of child j >= 1
-                ctx.shared_write(("f", level, idx), folds[1:-1])
+            for idx in range(ctx.machine_id, sizes[level], M):
+                children = range(idx * fanout, min((idx + 1) * fanout, sizes[level - 1]))
+                fold(ctx, level, idx, [self._tree_read(ctx, (kind, level - 1, child))
+                                       for child in children])
 
-        return step
+        self.cluster.run_round(step, machines=range(min(sizes[level], M)))
+
+    def _combine(self, ctx: StepContext, level: int, idx: int, children) -> None:
+        """Prefix-tree node ("t", level, idx) and the running folds of its children."""
+        layers = self.scheme.layers
+        ctx.add_work(len(children) * layers)
+        folds = running_folds(children, layers)
+        ctx.shared_write(("t", level, idx), folds[-1])
+        # row j - 1: the fold of children 0 .. j - 1, left of child j >= 1
+        ctx.shared_write(("f", level, idx), folds[1:-1])
+
+    @staticmethod
+    def _best(ctx: StepContext, level: int, idx: int, recs) -> None:
+        """Best-reduction node ("b", level, idx): the leftmost longest of its children."""
+        ctx.add_work(len(recs))
+        starts, lengths = zip(*recs)
+        ctx.shared_write(("b", level, idx), recs[lps_index(lengths, starts)])
 
     # -- context round: left-context of every owned leaf, then final entries
 
@@ -324,50 +338,26 @@ class AmpcPalindromes(BlockPipeline):
             self._keep_merged(ctx, waves.send([ampc_lcp(store, q.p1, q.p2, self.bases)
                                                for q in wave]))
 
-        best = self._local_best(ctx)
-        if self.plan.machine_count == 1:
-            ctx.payload["lps"] = (best[1], best[0])
-        else:
-            ctx.shared_write(("b", 0, m), best)
+        ctx.shared_write(("b", 0, m), self._local_best(ctx))
 
-    # -- best reduction: fan-in-f maximum over the shared store
-
-    def _best_level(self, level: int):
-        fanout = self.fanout
-        counts = self.best_sizes
-        node_count = counts[level]
-        M = self.plan.machine_count
-        final = level == self.best_depth
-
-        def step(ctx: StepContext) -> None:
-            for idx in range(ctx.machine_id, node_count, M):
-                children = range(idx * fanout, min((idx + 1) * fanout, counts[level - 1]))
-                recs = [self._tree_read(ctx, ("b", level - 1, child)) for child in children]
-                ctx.add_work(len(recs))
-                lengths, starts = zip(*recs)
-                best = recs[lps_index(lengths, starts)]
-                ctx.shared_write(("b", level, idx), best)
-                if final and idx == 0 and ctx.machine_id == 0:
-                    ctx.payload["lps"] = (best[1], best[0])
-
-        return step
+    @property
+    def lps(self) -> tuple[int, int]:
+        """(start, length) at the root of the best reduction."""
+        return self.cluster.shared.snapshot_get(("b", self.best_depth, 0))
 
     def build_prefix_entries(self) -> None:
         """Rounds up to and including the context round, which publishes the entries."""
         self.cluster.run_round(self._r1_leaves)
-        M = self.plan.machine_count
+        # one combine round per tree level, root omitted (never needed)
         for level in range(1, self.depth):
-            self.cluster.run_round(self._combine_level(level),
-                                   machines=range(min(self.tree_sizes[level], M)))
+            self._tree_round("t", self.tree_sizes, level, self._combine)
         self.cluster.run_round(self._r_context)
 
     def run(self) -> None:
         self.build_prefix_entries()
         self.cluster.run_round(self._r_query)
-        M = self.plan.machine_count
         for level in range(1, self.best_depth + 1):
-            self.cluster.run_round(self._best_level(level),
-                                   machines=range(min(self.best_sizes[level], M)))
+            self._tree_round("b", self.best_sizes, level, self._best)
         assert self.cluster.stats.rounds == round_count(self.plan)
 
 

@@ -75,35 +75,28 @@ def _check_args(args) -> None:
         args.memory_constant = DEFAULT_MEMORY_CONSTANT
 
 
+# the binary generator families: each flag's dest, and its generator
+_BINARY_FAMILIES = {"unary": inputs.unary_text, "alternating": inputs.alternating_text,
+                    "fibonacci": inputs.fibonacci_text, "thue_morse": inputs.thue_morse_text}
+
+
 def _resolve_text(args) -> tuple[Text, dict]:
     if args.input is not None:
         text = inputs.load_bytes(args.input, args.alphabet)
         if len(text) == 0:
             raise ValueError("text must be nonempty")
-        desc = {"kind": "file", "path": args.input, "n": len(text),
-                "sigma": text.sigma, "seed": None}
-    elif args.random is not None:
+        return text, {"kind": "file", "path": args.input, "n": len(text),
+                      "sigma": text.sigma, "seed": None}
+    if args.random is not None:
         n, sigma = args.random
-        text = inputs.random_text(n, sigma, args.seed)
-        desc = {"kind": "random", "path": None, "n": n, "sigma": sigma, "seed": args.seed}
-    elif args.unary is not None:
-        text = inputs.unary_text(args.unary)
-        desc = {"kind": "unary", "path": None, "n": args.unary, "sigma": 2, "seed": None}
-    elif args.alternating is not None:
-        text = inputs.alternating_text(args.alternating)
-        desc = {"kind": "alternating", "path": None, "n": args.alternating,
-                "sigma": 2, "seed": None}
-    elif args.fibonacci is not None:
-        text = inputs.fibonacci_text(args.fibonacci)
-        desc = {"kind": "fibonacci", "path": None, "n": args.fibonacci,
-                "sigma": 2, "seed": None}
-    elif args.thue_morse is not None:
-        text = inputs.thue_morse_text(args.thue_morse)
-        desc = {"kind": "thue-morse", "path": None, "n": args.thue_morse,
-                "sigma": 2, "seed": None}
-    else:
-        raise ValueError("no input given: use --input or one of the generators")
-    return text, desc
+        return inputs.random_text(n, sigma, args.seed), {
+            "kind": "random", "path": None, "n": n, "sigma": sigma, "seed": args.seed}
+    for dest, generate in _BINARY_FAMILIES.items():
+        n = getattr(args, dest)
+        if n is not None:
+            return generate(n), {"kind": dest.replace("_", "-"), "path": None, "n": n,
+                                 "sigma": 2, "seed": None}
+    raise ValueError("no input given: use --input or one of the generators")
 
 
 class _PlainResult:
@@ -111,7 +104,6 @@ class _PlainResult:
         self.table = table
         self.lps_start, self.lps_length = lps
         self.stats = None
-        self.plan = None
 
 
 def _run_mode(mode: str, text: Text, epsilon: float, seed: int, memory_constant: int):

@@ -3,12 +3,12 @@
 ``BlockPipeline`` is the set-up and per-machine skeleton that this messaging
 pipeline (``MpcPalindromes``) and the adaptive one (``palmpc.ampc``) share:
 placed letters, the local scan, merge, per-machine best and export. The local
-scan leaves every machine the same round-1 state in both pipelines: the local
-lengths of its owned centers (``own_lengths``) and, on a middle machine, its
-superblock's prefix palindromes (``prefix_lens``). A middle machine's
-local scan is ``superblock_scan``, and its superblock is resolved by
-``superblock_waves``, the one driver of the ``structural`` case analysis, in
-two waves of LCP queries; here ``FingerprintLcp`` answers them.
+scan, ``local_scan``, is the same on every machine of both pipelines and
+leaves it the local lengths of its owned centers (``own_lengths``) and, on a
+middle machine, its superblock's prefix palindromes (``prefix_lens``). A
+middle machine's superblock is resolved by ``superblock_waves``, the one
+driver of the ``structural`` case analysis, in two waves of LCP queries; here
+``FingerprintLcp`` answers them.
 
 Decomposition
 -------------
@@ -228,20 +228,20 @@ def superblock_waves(prefix_lens, start: int, n: int, stats: RunStats):
     yield settled + settle(wave, answers, n)
 
 
-def superblock_scan(letters: np.ndarray, block_len: int):
-    """Round 1's local phase on the 4b letters of one superblock.
+def local_scan(letters: np.ndarray, lo: int, hi: int):
+    """Round 1's local phase, the same on every machine: Manacher over its placed
+    letters up to the last owned center, hi // 2 + 1 letter centers.
 
-    Manacher runs up to the last owned center, 2b + 1 letter centers.
-    Returns (own, prefix_lens, ops): a copy of the local lengths of the 2b
-    owned centers, local center half-indices [2b, 4b); the ascending lengths
-    of the prefix palindromes centered there, which ``superblock_waves``
-    resolves; and the scan's ops plus 2b for reading off the prefix
-    palindromes.
+    Returns (own, prefix_lens, ops): a copy of the local lengths of the owned
+    centers, local center half-indices [lo, hi); the ascending lengths of the
+    prefix palindromes centered there; and the scan's ops plus hi - lo for
+    reading them off. A middle machine's owned centers are [2b, 4b) of its
+    superblock, whose prefix palindromes ``superblock_waves`` resolves.
     """
-    odd, even, ops = manacher_tables(letters, 2 * block_len + 1)
+    odd, even, ops = manacher_tables(letters, hi // 2 + 1)
     lengths = lengths_by_center(odd, even)
-    prefix_lens = _prefix_pal_lengths_from_tables(lengths, 2 * block_len, 4 * block_len)
-    return lengths[2 * block_len : 4 * block_len].copy(), prefix_lens, int(ops) + 2 * block_len
+    prefix_lens = _prefix_pal_lengths_from_tables(lengths, lo, hi)
+    return lengths[lo:hi].copy(), prefix_lens, int(ops) + hi - lo
 
 
 class BlockPipeline:
@@ -288,24 +288,21 @@ class BlockPipeline:
             payload["letters_lo"] = role.letters_lo
 
     def _local_scan(self, ctx: StepContext) -> None:
-        """Round 1's local phase: Manacher up to the last owned center. Every
-        machine keeps the local lengths of its owned centers as ``own_lengths``,
-        an array of its own. A middle machine runs ``superblock_scan`` and
-        keeps its superblock's prefix palindromes as ``prefix_lens``; a local
-        machine's lengths are final, and it counts as local-only."""
+        """Round 1's local phase: ``local_scan`` of the owned centers. Every
+        machine keeps their local lengths as ``own_lengths``, an array of its
+        own. A middle machine keeps its superblock's prefix palindromes as
+        ``prefix_lens``; a local machine's lengths are final, and it counts as
+        local-only."""
         role = self.plan.roles[ctx.machine_id]
-        if role.kind == "middle":
-            own, ctx.payload["prefix_lens"], ops = superblock_scan(ctx.payload["letters"],
-                                                                   self.plan.block_len)
-        else:
-            base = 2 * role.letters_lo
-            odd, even, ops = manacher_tables(ctx.payload["letters"],
-                                             (role.own_u_hi - base) // 2 + 1)
-            own = lengths_by_center(odd, even)[role.own_u_lo - base : role.own_u_hi - base].copy()
-            ops += own.size
-            self.cluster.stats.bump("local_only_machines")
-        ctx.add_work(int(ops))
+        base = 2 * role.letters_lo
+        own, prefix_lens, ops = local_scan(ctx.payload["letters"], role.own_u_lo - base,
+                                           role.own_u_hi - base)
+        ctx.add_work(ops)
         ctx.payload["own_lengths"] = own
+        if role.kind == "middle":
+            ctx.payload["prefix_lens"] = prefix_lens
+        else:
+            self.cluster.stats.bump("local_only_machines")
 
     @staticmethod
     def _meter_resolve(ctx: StepContext, prefix_lens) -> None:
@@ -322,11 +319,10 @@ class BlockPipeline:
         ctx.payload["own_lengths"] = lengths
 
     def _local_best(self, ctx: StepContext) -> tuple[int, int]:
-        """(length, start) of the leftmost-longest owned palindrome."""
+        """(start, length) of the leftmost-longest owned palindrome."""
         lengths = ctx.payload["own_lengths"]
-        start, length = leftmost_longest(lengths, self.plan.roles[ctx.machine_id].own_u_lo)
         ctx.add_work(lengths.size)
-        return length, start
+        return leftmost_longest(lengths, self.plan.roles[ctx.machine_id].own_u_lo)
 
     def export_table(self) -> PalindromeTable:
         """Gather the distributed table; desk-scale convenience outside the metered run."""
@@ -731,7 +727,7 @@ class MpcPalindromes(BlockPipeline):
         if m in self.waves:
             waves, wave = self.waves.pop(m)
             self._keep_merged(ctx, waves.send([q.answer for q in wave]))
-        length, start = self._local_best(ctx)
+        start, length = self._local_best(ctx)
         _send_rows(ctx, "best", [0], len=[length], start=[start])
 
     def _r10_reduce(self, ctx: StepContext) -> None:

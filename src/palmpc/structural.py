@@ -24,8 +24,9 @@ superblock's first queries, ``_periodic_resolve`` settles a periodic run from
 its probe answers, ``settle`` turns a wave's center answers into settled
 (u, length) pairs, and ``_merge_b2`` merges them with the local lengths. Each
 step raises on the violation it can see. Their input is the output of
-``mpc.superblock_scan``, the one local phase: the local maximal palindrome
-lengths of the superblock's owned centers, and its prefix palindromes.
+``mpc.local_scan`` on a middle machine, the one local phase: the local
+maximal palindrome lengths of the superblock's owned centers, and its prefix
+palindromes.
 One driver sequences the steps, ``mpc.superblock_waves``, and every caller
 runs scan and driver: both pipelines, which differ only in how they answer
 the queries, and the test suite's exhaustive sweep over every superblock view

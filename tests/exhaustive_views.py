@@ -2,7 +2,7 @@
 
 ``sweep_views`` runs, over every fragment position and block length of every
 string up to a size bound, the local phase the pipelines run
-(``mpc.superblock_scan``), the ``mpc.superblock_waves`` driver with its
+(``mpc.local_scan``), the ``mpc.superblock_waves`` driver with its
 queries answered by literal comparison (``doubled_lcp``), and ``_merge_b2``.
 It compares each owned center against the oracle's table and counts queries;
 a violation the driver's steps detect raises here too.
@@ -14,7 +14,7 @@ import numpy as np
 
 from palmpc.engine import RunStats
 from palmpc.exhaustive import _all_strings
-from palmpc.mpc import superblock_scan, superblock_waves
+from palmpc.mpc import local_scan, superblock_waves
 from palmpc.oracle import doubled_lcp, oracle_maximal_palindromes
 from palmpc.structural import _merge_b2
 
@@ -22,7 +22,7 @@ from palmpc.structural import _merge_b2
 def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
     """All (start, block_len) views of one string: (views, mismatches, max_queries).
 
-    Each view runs ``superblock_scan`` and drives ``superblock_waves`` as
+    Each view runs ``local_scan`` and drives ``superblock_waves`` as
     ``AmpcPalindromes`` does, with every LCP query answered by literal
     comparison. ``want`` holds the string's maximal palindrome lengths by
     center half-index.
@@ -33,7 +33,7 @@ def _check_all_views(sym: np.ndarray, want: list) -> tuple[int, int, int]:
     for bl in range(1, n // 4 + 1):
         for i in range(n - 4 * bl + 1):
             views += 1
-            own, plens, _ = superblock_scan(sym[i : i + 4 * bl], bl)
+            own, plens, _ = local_scan(sym[i : i + 4 * bl], 2 * bl, 4 * bl)
             stats = RunStats()
             waves = superblock_waves(plens, i, n, stats)
             wave = next(waves)

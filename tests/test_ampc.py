@@ -208,6 +208,18 @@ def test_pipelines_take_the_leftmost_of_equal_longest_palindromes(solve, epsilon
     assert (r.lps_start, r.lps_length) == (100, 5) == oracle_lps(s)
 
 
+@pytest.mark.parametrize("epsilon", [0.5, 0.75])
+def test_lps_is_the_root_of_the_best_tree(epsilon):
+    # n = 1 and 2 run on one machine, whose best is the one-node tree's root
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 7, 64, 333):
+        s = rng.integers(0, 3, n).astype(np.int64)
+        run = AmpcPalindromes(s, epsilon, seed=2)
+        r = run.solve()
+        root = run.cluster.shared.snapshot_get(("b", run.best_depth, 0))
+        assert (r.lps_start, r.lps_length) == root == oracle_lps(s), n
+
+
 def test_ampc_bypasses_the_mpc_epsilon_bound():
     s = (np.arange(300) % 5).astype(np.int64)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from palmpc.mpc import (
     MAX_TEXT_LEN,
     FingerprintLcp,
     MpcPalindromes,
+    local_scan,
     plan_decomposition,
     solve_mpc,
 )
@@ -407,6 +408,31 @@ def test_edge_machines_finish_locally_without_queries():
         assert run.cluster.stats.counters["local_only_machines"] == len(local)
         for m in local:
             assert m not in run.lcp.queries or not run.lcp.queries[m]
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.35, 0.5, 0.75])
+def test_local_scan_on_every_role(epsilon):
+    # every machine runs the one local scan on its placed letters: a local
+    # role's lengths are final, and a middle role's agree with the oracle
+    # wherever the local palindrome stops short of the superblock's left edge
+    rng = np.random.default_rng(27)
+    for n in range(1, 41):
+        for s in (rng.integers(0, 2, n).astype(np.int64), np.zeros(n, np.int64)):
+            want = oracle_maximal_palindromes(s).lengths_by_center()
+            plan = plan_decomposition(n, epsilon)
+            for role in plan.roles:
+                base = 2 * role.letters_lo
+                lo, hi = role.own_u_lo - base, role.own_u_hi - base
+                own, prefix_lens, _ = local_scan(s[role.letters_lo : role.letters_hi], lo, hi)
+                oracle = want[role.own_u_lo : role.own_u_hi]
+                if role.kind == "local":
+                    assert np.array_equal(own, oracle), (n, role)
+                    continue
+                assert (lo, hi) == (2 * plan.block_len, 4 * plan.block_len)
+                # a local palindrome centered at v reaches the edge iff its length is v + 1
+                edge = own == np.arange(lo, hi) + 1
+                assert np.array_equal(own[~edge], oracle[~edge]), (n, role)
+                assert prefix_lens.tolist() == (np.flatnonzero(edge) + lo + 1).tolist()
 
 
 def test_table_slices_cover_the_string():
