@@ -16,22 +16,16 @@ is counted again after each step. Work is whatever the steps declare plus one
 unit per message word moved. ``RunStats.to_dict()`` gives a run's numbers in
 the layout of the run fields of ``palmpc solve --format json``.
 
-Every message is a columnar batch: ``send`` checks flat arrays with rows on
+Every message is a columnar batch: ``send`` freezes flat arrays with rows on
 the last axis, cut into segments (each one logical message to one machine),
-and enqueues them. At the round boundary each tag's batches from all senders
-are merged in (sender, sequence) order and metered there, once: a segment
-costs what the equivalent dict message would, one tag word, plus the words
-of its rows, plus one word per run of equal values in each header column (as
-a dict holding one scalar per group would). Every segment is charged to its
-sender and to its one receiver, so sending the same rows to k machines costs
-the sender k segments. Every destination receives one read-only entry per
-tag in ``ctx.batches``.
-
-Delivery copies each column twice: the senders' parts are joined into one
-array in (sender, sequence, row) order, then gathered into destination
-order. The gather order is one stable sort of the rows by destination, so
-every destination keeps the (sender, sequence, row) order. A destination's
-entry is a view of the gathered columns.
+and appends them to its tag's queue. At the round boundary each queue is
+checked once over the whole tag, merged in (sender, sequence) order and
+metered; a fault names the lowest sending machine at fault, whatever the step
+order. A segment costs what the equivalent dict message would: one tag word,
+the words of its rows, and one word per run of equal values in each header
+column. Every segment is charged to its sender and to its one receiver, so
+sending the same rows to k machines costs the sender k segments. Every
+destination receives one read-only entry per tag in ``ctx.batches``.
 
 The adaptive variant adds a shared read-only store: values written during
 round r become visible to every machine in round r+1, never earlier, and
@@ -41,12 +35,9 @@ reads of the current snapshot are metered per machine per round.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-_NO_BATCHES = MappingProxyType({})
 
 
 class EngineError(RuntimeError):
@@ -145,16 +136,6 @@ def words_of(value) -> int:
     raise TypeError(f"cannot meter a value of type {type(value).__name__}")
 
 
-def _concat_rows(parts: list, rows: int) -> np.ndarray:
-    """The parts of one column joined along the row axis, in C order.
-
-    ``np.concatenate`` alone returns Fortran order when every part has it,
-    and ``np.take`` would then copy the whole column once more to gather it.
-    """
-    out = np.empty(parts[0].shape[:-1] + (rows,), np.result_type(*parts))
-    return np.concatenate(parts, axis=-1, out=out)
-
-
 def _segment_words(counts: np.ndarray, cols: dict, headers: tuple) -> np.ndarray:
     """Metered words of each segment of the joined columns, by the rule of the module docstring."""
     words = 1 + counts * sum(math.prod(col.shape[:-1]) for name, col in cols.items()
@@ -172,12 +153,12 @@ def _segment_words(counts: np.ndarray, cols: dict, headers: tuple) -> np.ndarray
 
 
 def _rows_by_destination(dsts: np.ndarray, counts: np.ndarray, machine_count: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
+                         ) -> tuple[np.ndarray, list]:
     """(order, bounds): the rows of segments (dsts, counts) to gather for each machine.
 
-    Machine m receives rows ``order[bounds[m]:bounds[m + 1]]``. One stable
-    sort on the row destination keeps the (sender, sequence, row) order of
-    the rows within each destination.
+    Machine m receives rows ``order[bounds[m]:bounds[m + 1]]``, Python ints that
+    slice faster than numpy's. One stable sort on the row destination keeps the
+    (sender, sequence, row) order of the rows within each destination.
     """
     rows = np.bincount(dsts, weights=counts, minlength=machine_count).astype(np.int64)
     bounds = np.zeros(machine_count + 1, np.int64)
@@ -185,16 +166,53 @@ def _rows_by_destination(dsts: np.ndarray, counts: np.ndarray, machine_count: in
     # numpy's stable sort of 8- and 16-bit integers is a radix sort, so the
     # destinations take the narrowest unsigned type that holds every machine id
     row_dst = np.repeat(dsts.astype(np.min_scalar_type(machine_count - 1)), counts)
-    return np.argsort(row_dst, kind="stable"), bounds
+    return np.argsort(row_dst, kind="stable"), bounds.tolist()
 
 
-class MessageBatch(NamedTuple):
-    """One ``send`` call: segment i is rows [offsets[i], offsets[i+1]) to dsts[i]."""
-    tag: str
-    dsts: np.ndarray
-    offsets: np.ndarray
-    headers: tuple
-    cols: dict
+def _join(batches: list, machine_count: int):
+    """Sort a tag's (sender, dsts, offsets, columns, headers) batches into (sender, sequence)
+    order and join them, each check run once over the whole tag; raises on a fault."""
+    batches.sort(key=lambda batch: batch[0])    # stable, and a no-op in step order
+    srcs, dsts, offsets, cols, headers = zip(*batches)
+    if any(c.keys() != cols[0].keys() for c in cols) or headers.count(headers[0]) < len(headers):
+        raise ValueError(f"different columns or headers than the first, of machine {srcs[0]}")
+    segs = np.fromiter(map(len, dsts), np.int64, len(srcs))
+    lens = np.fromiter(map(len, offsets), np.int64, len(srcs))
+    dsts = np.concatenate(dsts)
+    offsets = np.concatenate(offsets)
+    heads = np.cumsum(lens) - lens              # where each batch's offsets start
+    if dsts.ndim != 1 or offsets.ndim != 1 or (lens - segs != 1).any():
+        raise ValueError("dsts must be 1-D and offsets must cut the columns into segments")
+    seg_src = np.repeat(srcs, segs)
+    unknown = (dsts < 0) | (dsts >= machine_count)
+    if unknown.any():
+        raise UnknownMachineError(f"machine {seg_src[unknown][0]} sent to unknown machine "
+                                  f"{dsts[unknown][0]}")
+    counts = np.delete(np.diff(offsets), heads[1:] - 1)
+    rows = offsets[heads + segs].tolist()
+    parts = {name: [c[name] for c in cols] for name in cols[0]}
+    if offsets[heads].any() or (counts < 0).any() or any(
+            [part.shape[-1] for part in col] != rows for col in parts.values()):
+        raise ValueError("dsts must be 1-D and offsets must cut the columns into segments")
+    # out= keeps C order: np.concatenate alone returns Fortran order when every
+    # part has it, and np.take would then copy the whole column once more
+    joined = {name: np.concatenate(col, axis=-1, out=np.empty(
+        col[0].shape[:-1] + (sum(rows),), np.result_type(*col))) for name, col in parts.items()}
+    if any(name not in joined or joined[name].ndim != 1 for name in headers[0]):
+        raise ValueError("each header must name a 1-D column")
+    return seg_src, dsts, counts, joined, headers[0]
+
+
+def _first_fault(tag: str, batches: list, machine_count: int) -> EngineError:
+    """The error of the first batch, in the order ``_join`` left, that cannot join the first."""
+    for batch in batches:
+        try:
+            _join([batches[0], batch], machine_count)
+        except UnknownMachineError as err:
+            return err
+        except (ValueError, TypeError, IndexError) as err:
+            return EngineError(f"machine {batch[0]} sent a malformed batch {tag!r}: {err}")
+    raise AssertionError(f"batches tagged {tag!r} join one by one but not together")
 
 
 @dataclass
@@ -285,18 +303,16 @@ class StepContext:
     ``batches`` maps each tag received at the last round boundary to its
     merged columns: the rows of every segment sent to this machine under that
     tag, in (sender, sequence, row) order. The columns are read-only views of
-    one gathered copy per tag, shared by every destination. Each segment
-    sent is charged to this machine and to its one receiver.
+    one gathered copy per tag, shared by every destination.
     """
 
-    __slots__ = ("machine_id", "payload", "batches", "_cluster", "_batches", "_work", "_reads")
+    __slots__ = ("machine_id", "payload", "batches", "_cluster", "_work", "_reads")
 
     def __init__(self, cluster: "Cluster", machine_id: int, batches: dict):
         self.machine_id = machine_id
         self.payload = cluster.payloads[machine_id]
         self.batches = batches
         self._cluster = cluster
-        self._batches: list[MessageBatch] = []
         self._work = 0
         self._reads = 0
 
@@ -305,23 +321,15 @@ class StepContext:
 
         Columns hold their rows on the last axis; ``headers`` names the 1-D
         columns metered per run of equal values; each destination is a machine
-        id in [0, M). The columns are frozen here and metered at the round
-        boundary, by the rule of the module docstring.
+        id in [0, M). The columns are frozen and the batch is appended to its
+        tag's queue; the round boundary checks it and meters it.
         """
         dsts = np.asarray(dsts, np.int64)
         offsets = np.asarray(offsets, np.int64)
-        machines = self._cluster.config.machine_count
-        if dsts.size and (dsts.min() < 0 or dsts.max() >= machines):
-            unknown = (dsts < 0) | (dsts >= machines)
-            raise UnknownMachineError(f"machine {self.machine_id} sent to unknown "
-                                      f"machine {int(dsts[unknown][0])}")
-        if (offsets.size != dsts.size + 1 or offsets[0] != 0
-                or np.count_nonzero(offsets[1:] < offsets[:-1])
-                or any(col.shape[-1] != offsets[-1] for col in cols.values())):
-            raise EngineError(f"batch {tag!r}: offsets do not cut the columns into segments")
         for col in cols.values():
             col.setflags(write=False)
-        self._batches.append(MessageBatch(tag, dsts, offsets, tuple(headers), cols))
+        self._cluster._queues.setdefault(tag, []).append(
+            (self.machine_id, dsts, offsets, cols, tuple(headers)))
 
     def add_work(self, ops: int) -> None:
         self._work += int(ops)
@@ -351,6 +359,7 @@ class Cluster:
             per_machine_peak=np.zeros(config.machine_count, dtype=np.int64),
         )
         self.shared = SharedStore() if config.mode == "ampc" else None
+        self._queues: dict[str, list] = {}      # this round's batches, by tag
         self._delivered: dict[int, dict] = {}   # only machines with batches pending
         self._local = np.zeros(config.machine_count, np.int64)   # payload words at the last count
 
@@ -358,6 +367,10 @@ class Cluster:
         if self.shared is None:
             raise EngineError("shared store is only available in ampc mode")
         return self.shared
+
+    def pending(self) -> list[int]:
+        """The machines with batches pending for the next round, ascending."""
+        return sorted(self._delivered)
 
     def _payload_words(self, m: int) -> int:
         return sum(v.size if isinstance(v, np.ndarray) else words_of(v)
@@ -404,22 +417,21 @@ class Cluster:
             local[:] = [self._payload_words(m) for m in range(M)]
             self._meter(local, "placement")
         inboxes, self._delivered = self._delivered, {}
+        self._queues = {}      # drop what a round that raised left queued
         reads = np.zeros(M, np.int64)
-        outboxes: list = [()] * M
         for m in machines:
-            ctx = StepContext(self, m, inboxes.get(m, _NO_BATCHES))
+            ctx = StepContext(self, m, inboxes.get(m, {}))
             step(ctx)
             stats.total_work += ctx._work
             reads[m] = ctx._reads
             local[m] = self._payload_words(m)
-            outboxes[m] = ctx._batches
         stats.shared_reads_peak = max(stats.shared_reads_peak, int(reads.max()))
         over = np.flatnonzero(reads > config.shared_read_cap)
         if over.size:
             raise EngineError(f"machine {over[0]} made {reads[over[0]]} shared reads in round "
                               f"{stats.rounds + 1}, budget {config.shared_read_cap}")
 
-        sent, received = self._deliver_batches(outboxes)
+        sent, received = self._deliver_batches()
         self._meter(local + sent, "step")
         boundary = local + received
         self._meter(boundary, "boundary")
@@ -431,40 +443,27 @@ class Cluster:
         stats.total_memory_peak = max(stats.total_memory_peak, boundary_total)
         stats.rounds += 1
 
-    def _deliver_batches(self, outboxes: list) -> tuple[np.ndarray, np.ndarray]:
-        """Meter and merge each tag's batches; hand every destination one entry per tag.
+    def _deliver_batches(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check, meter and merge each tag's queue; hand every destination one entry per tag.
 
-        ``outboxes[m]`` holds machine m's batches in sequence order. Each
-        column is joined across them, then gathered by one stable sort of the
-        rows by destination (``_rows_by_destination``), so rows keep (sender,
-        sequence, row) order within each destination. Returns the words each
-        machine sent and the words each received.
+        One stable sort of the rows by destination gathers each column ``_join``
+        joined, so rows keep (sender, sequence, row) order within each
+        destination. Returns the words each machine sent and each received.
         """
         machine_count = self.config.machine_count
         stats = self.stats
         sent = np.zeros(machine_count, np.int64)
         received = np.zeros(machine_count, np.int64)
-        by_tag: dict[str, list[tuple[int, MessageBatch]]] = {}
-        for src, batches in enumerate(outboxes):
-            for batch in batches:
-                by_tag.setdefault(batch.tag, []).append((src, batch))
-        for tag, group in by_tag.items():
-            names, headers = group[0][1].cols.keys(), group[0][1].headers
-            if any(batch.cols.keys() != names or batch.headers != headers for _, batch in group):
-                raise EngineError(f"batches tagged {tag!r} carry different columns or headers")
-            dsts = np.concatenate([batch.dsts for _, batch in group])
-            # one diff over every batch's offsets; drop the diffs across batches
-            seams = np.cumsum([batch.dsts.size + 1 for _, batch in group])[:-1] - 1
-            counts = np.delete(np.diff(np.concatenate([batch.offsets for _, batch in group])),
-                               seams)
-            rows = int(counts.sum())
-            cols = {name: _concat_rows([batch.cols[name] for _, batch in group], rows)
-                    for name in names}
+        queues, self._queues = self._queues, {}
+        for tag, batches in queues.items():
+            try:
+                seg_src, dsts, counts, cols, headers = _join(batches, machine_count)
+            except (EngineError, ValueError, TypeError, IndexError):
+                raise _first_fault(tag, batches, machine_count) from None
+            batches.clear()     # drop the senders' parts once joined
 
             words = _segment_words(counts, cols, headers)
-            sent += np.bincount(
-                np.repeat([src for src, _ in group], [batch.dsts.size for _, batch in group]),
-                weights=words, minlength=machine_count).astype(np.int64)
+            sent += np.bincount(seg_src, weights=words, minlength=machine_count).astype(np.int64)
 
             inbox_words = np.bincount(dsts, weights=words,
                                       minlength=machine_count).astype(np.int64)
@@ -475,7 +474,7 @@ class Cluster:
 
             order, bounds = _rows_by_destination(dsts, counts, machine_count)
             merged = {}
-            for name in names:
+            for name in list(cols):
                 # drop each joined column as soon as it is gathered
                 merged[name] = col = np.take(cols.pop(name), order, axis=-1)
                 col.setflags(write=False)

@@ -68,6 +68,7 @@ Round schedule (fixed; R0 = 10 rounds for every input and size)
  8 serve: refinements
  9 consume: final lengths merged with local lengths; each best to machine 0
 10 machine 0 reduces to the leftmost-longest palindromic substring
+Rounds 3, 4, 6, 7, 8 and 10 step only the machines with batches pending.
 
 The guarantee is Monte Carlo: with random bases a false fingerprint match
 is unlikely, but nothing proves the output exact. Collision detection is
@@ -740,11 +741,11 @@ class MpcPalindromes(BlockPipeline):
 
     def run(self) -> None:
         lcp = self.lcp
-        phases = [self._r1_local, lcp.install, lcp.consume, lcp.serve,
-                  self._r5_resolve, lcp.serve, lcp.consume, lcp.serve, self._r9_finalize]
+        phases = [self._r1_local, lcp.install, lcp.consume, lcp.serve, self._r5_resolve,
+                  lcp.serve, lcp.consume, lcp.serve, self._r9_finalize, self._r10_reduce]
         for phase in phases:
-            self.cluster.run_round(phase)
-        self.cluster.run_round(self._r10_reduce, machines=[0])
+            pending_only = phase in (lcp.consume, lcp.serve, self._r10_reduce)
+            self.cluster.run_round(phase, self.cluster.pending() if pending_only else None)
 
 
 def solve_mpc(text, epsilon: float, seed: int = 0, memory_constant: int = 64,

@@ -7,8 +7,8 @@ from palmpc.engine import (
     Cluster,
     ClusterConfig,
     EngineError,
-    MessageBatch,
     MemoryCapExceeded,
+    StepContext,
     UnknownMachineError,
     words_of,
 )
@@ -574,27 +574,88 @@ def test_send_rejects_offsets_that_do_not_cut_the_columns():
             cl.run_round(lambda ctx: ctx.send("x", dsts, offsets, cols))
 
 
+HEADERS = "each header must name a 1-D column"
+CUTS = "dsts must be 1-D and offsets must cut the columns into segments"
+
+
+@pytest.mark.parametrize("dsts, offsets, cols, headers, fault", [
+    ([0], [0, 2], {"v": np.arange(2)}, ("zz",), HEADERS),
+    ([0], [0, 2], {"k": np.zeros((2, 2), np.int64)}, ("k",), HEADERS),
+    ([[0], [1]], [0, 1, 2], {"v": np.arange(2)}, (), CUTS),
+], ids=["missing-header", "2-D-header", "2-D-dsts"])
+def test_a_malformed_batch_names_its_tag_and_sender(dsts, offsets, cols, headers, fault):
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    with pytest.raises(EngineError) as err:
+        cl.run_round(lambda ctx: ctx.send("x", dsts, offsets, cols, headers=headers)
+                     if ctx.machine_id == 2 else None)
+    assert str(err.value) == f"machine 2 sent a malformed batch 'x': {fault}"
+
+
+ORDERS = ([0, 1, 2, 3], [3, 2, 1, 0], [3, 0, 1, 2], [2, 3, 1, 0])
+
+
+@pytest.mark.parametrize("faults, error, message", [
+    # machine -> (dsts, offsets, columns, headers) of the batch it sends; every
+    # other machine sends a well-formed batch with column "v" and no header
+    ({1: ([0, 4], [0, 1, 2], {"v": np.arange(2)}, ()),
+      3: ([-1], [0, 2], {"v": np.arange(2)}, ())},
+     UnknownMachineError, "^machine 1 sent to unknown machine 4$"),
+    # offsets out of order on one machine, a batch wider than its offsets on another
+    ({1: ([0, 1], [0, 2, 1], {"v": np.arange(1)}, ()),
+      3: ([0], [0, 1], {"v": np.arange(2)}, ())},
+     EngineError, f"^machine 1 sent a malformed batch 'x': {CUTS}$"),
+    # a first offset past 0 on one machine, an unknown destination on another
+    ({2: ([0], [1, 2], {"v": np.arange(2)}, ()),
+      3: ([9], [0, 2], {"v": np.arange(2)}, ())},
+     EngineError, f"^machine 2 sent a malformed batch 'x': {CUTS}$"),
+    # the lowest sender sets the columns and headers, even when it steps last
+    ({0: ([0], [0, 2], {"v": np.arange(2)}, ("v",))},
+     EngineError, "^machine 1 sent a malformed batch 'x': different columns or headers "
+                  "than the first, of machine 0$"),
+    # a column of another shape on one machine, another column on the next
+    ({2: ([0], [0, 2], {"v": np.zeros((2, 2), np.int64)}, ()),
+      3: ([0], [0, 2], {"w": np.arange(2)}, ())},
+     EngineError, "^machine 2 sent a malformed batch 'x': "),
+    ({1: ([0], [0, 2], {"v": np.arange(2)}, ("zz",)),
+      2: ([0], [0, 2], {"w": np.arange(2)}, ())},
+     EngineError, "^machine 1 sent a malformed batch 'x': different columns or headers "),
+], ids=["unknown-destination", "uncut-offsets", "first-offset", "lowest-sets-layout",
+        "column-shape", "missing-header"])
+def test_boundary_checks_name_the_lowest_sending_machine_under_every_order(
+        faults, error, message):
+    def send(ctx):
+        dsts, offsets, cols, headers = faults.get(
+            ctx.machine_id, ([0], [0, 2], {"v": np.arange(2)}, ()))
+        ctx.send("x", dsts, offsets, cols, headers=headers)
+
+    for order in ORDERS:
+        cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+        with pytest.raises(error, match=message):
+            cl.run_round(send, machines=order)
+
+
 def test_delivery_peak_memory_is_bounded_by_the_column_bytes():
     # mpc-random's round-1 traffic: 256 machines each send 512 rows in one-row
     # segments under one tag and in two 256-row segments under another
     machines, rows = 256, 512
     rng = np.random.default_rng(0)
-    outboxes = []
-    for _ in range(machines):
-        outboxes.append([
-            MessageBatch("fc", rng.integers(0, machines, rows), np.arange(rows + 1), (),
-                         {"pos": rng.integers(0, 2**17, rows),
-                          "vals": rng.integers(0, 2**61, (rows, 2)).T}),
-            MessageBatch("fs", rng.integers(0, machines, 2), np.array([0, rows // 2, rows]), (),
-                         {"pos": rng.integers(0, 2**17, rows),
-                          "vals": rng.integers(0, 2**61, (2, rows))})])
-    column_bytes = sum(col.nbytes for batches in outboxes for batch in batches
-                       for col in batch.cols.values())
     cl = Cluster(ClusterConfig(n=machines * machines, epsilon=0.5))
     assert cl.config.machine_count == machines
+    column_bytes = 0
+    for m in range(machines):
+        ctx = StepContext(cl, m, {})
+        for tag, dsts, offsets, cols in (
+                ("fc", rng.integers(0, machines, rows), np.arange(rows + 1),
+                 {"pos": rng.integers(0, 2**17, rows),
+                  "vals": rng.integers(0, 2**61, (rows, 2)).T}),
+                ("fs", rng.integers(0, machines, 2), np.array([0, rows // 2, rows]),
+                 {"pos": rng.integers(0, 2**17, rows),
+                  "vals": rng.integers(0, 2**61, (2, rows))})):
+            ctx.send(tag, dsts, offsets, cols)
+            column_bytes += sum(col.nbytes for col in cols.values())
     tracemalloc.start()
     try:
-        cl._deliver_batches(outboxes)
+        cl._deliver_batches()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -604,3 +665,20 @@ def test_delivery_peak_memory_is_bounded_by_the_column_bytes():
     # arrays reads 2.7x or more, since every one-row segment costs as much
     # as its row.
     assert peak <= 2.4 * column_bytes
+    assert cl._queues == {}
+
+
+def test_no_queue_outlives_its_round():
+    cl = Cluster(ClusterConfig(n=16, epsilon=0.5))
+    cl.run_round(lambda ctx: ctx.send("x", [3], [0, 2], {"v": np.arange(2)}))
+    assert cl._queues == {} and cl.pending() == [3]
+
+    def abort(ctx):
+        ctx.send("x", [1], [0, 1], {"v": np.arange(1)})
+        raise RuntimeError("step failed")
+
+    with pytest.raises(RuntimeError):
+        cl.run_round(abort, machines=[3])
+    # the next round starts from empty queues: nothing of the failed round arrives
+    cl.run_round(lambda ctx: None, machines=[])
+    assert cl._queues == {} and cl.pending() == []

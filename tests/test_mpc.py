@@ -16,6 +16,7 @@ from palmpc.mpc import (
     solve_mpc,
 )
 from palmpc.oracle import oracle_lps, oracle_maximal_palindromes
+from palmpc.strings import manacher
 from palmpc.structural import InconsistentMergeError
 
 from fingerprint_ref import fp_of
@@ -301,6 +302,39 @@ def test_pipeline_round_count_is_fixed():
         r = solve_mpc(s, 0.5, seed=1)
         rounds.add(r.stats.rounds)
     assert rounds == {MpcPalindromes.ROUNDS} == {10}
+
+
+# Thue-Morse settles every query in the first wave; unary asks one
+# second-wave query, whose chain requests go to every machine
+@pytest.mark.parametrize("text, late_steps", [(unary_text(4096), [64, 1, 0]),
+                                              (thue_morse_text(4096), [0, 0, 0])],
+                         ids=["unary", "thue-morse"])
+def test_consume_and_serve_rounds_step_only_the_machines_with_batches(text, late_steps):
+    run = MpcPalindromes(text.symbols, 0.5, seed=0)
+    cluster = run.cluster
+    run_round = cluster.run_round
+    rounds = []     # per round: the machines stepped, and those with batches delivered
+
+    def counted(step, machines=None):
+        stepped = []
+
+        def phase(ctx):
+            stepped.append(ctx.machine_id)
+            step(ctx)
+
+        delivered = sorted(cluster._delivered)
+        run_round(phase, machines)
+        rounds.append((stepped, delivered))
+
+    cluster.run_round = counted
+    run.run()
+    assert cluster.stats.rounds == len(rounds) == MpcPalindromes.ROUNDS == 10
+    everyone = list(range(run.plan.machine_count))
+    for r, (stepped, delivered) in enumerate(rounds, 1):
+        assert stepped == (delivered if r in (3, 4, 6, 7, 8, 10) else everyone), r
+    assert [len(stepped) for stepped, _ in rounds[5:8]] == late_steps
+    assert rounds[9][0] == [0]
+    assert run.export_table() == manacher(text.symbols)
 
 
 def test_pipeline_torture_inputs():
